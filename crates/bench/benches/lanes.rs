@@ -1,11 +1,12 @@
-//! Criterion micro-benchmarks of the batch-lane plan kernel: the
-//! simd-vs-scalar A/B on the warm fused path, and the lane-tile size
+//! Criterion micro-benchmarks of the batch-lane plan kernel: the warm
+//! fused path against eight single-item walks, and the lane-tile size
 //! sweep that sanity-checks `LaneTile::select`'s per-layer choice.
 //!
 //! `kernel_sweep` is the recorded experiment (BENCH_kernel.json, schema
-//! v2); these benches are the developer-loop view. Build with
-//! `--features simd` to put the AVX2 path under the `lane` IDs — the
-//! `isa` group label records which path actually ran.
+//! v3); these benches are the developer-loop view. Build with
+//! `--features simd` to put the AVX2 path under the `lane` IDs (the
+//! default build autovectorizes the same fixed-width loop) — the `isa`
+//! group label records which path actually ran.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use eie_core::prelude::*;
@@ -29,25 +30,30 @@ fn setup() -> (EncodedLayer, Vec<Vec<Q8p8>>) {
     (enc, batch)
 }
 
-fn bench_lane_vs_scalar(c: &mut Criterion) {
+fn bench_lane_vs_single(c: &mut Criterion) {
     let (enc, batch) = setup();
-    let mut group = c.benchmark_group(format!("lane_vs_scalar/{}", lane_isa()));
+    let mut group = c.benchmark_group(format!("lane_vs_single/{}", lane_isa()));
     group.throughput(Throughput::Elements(
         (enc.total_entries() * batch.len()) as u64,
     ));
     for threads in [1usize, 4] {
-        let lane = NativeCpu::with_threads(threads);
-        let scalar = lane.clone().without_lanes();
-        // Warm outside the measurement: plans built, pools spawned,
-        // lane scratch at its high-water mark.
-        let _ = lane.run_layer_batch(&enc, &batch, false);
-        let _ = scalar.run_layer_batch(&enc, &batch, false);
+        let engine = NativeCpu::with_threads(threads);
+        // Warm outside the measurement: plan built, pool spawned, lane
+        // scratch at its high-water mark.
+        let _ = engine.run_layer_batch(&enc, &batch, false);
 
-        group.bench_function(BenchmarkId::new("batch16_scalar", threads), |b| {
-            b.iter(|| scalar.run_layer_batch(&enc, &batch, false))
+        // The same 16 items as single-item walks: what the lanes must
+        // beat, since each walk keeps its own zero-skip.
+        group.bench_function(BenchmarkId::new("batch16_singles", threads), |b| {
+            b.iter(|| {
+                batch
+                    .iter()
+                    .map(|item| engine.run_layer(&enc, item, false))
+                    .collect::<Vec<_>>()
+            })
         });
         group.bench_function(BenchmarkId::new("batch16_lane", threads), |b| {
-            b.iter(|| lane.run_layer_batch(&enc, &batch, false))
+            b.iter(|| engine.run_layer_batch(&enc, &batch, false))
         });
     }
     group.finish();
@@ -85,5 +91,5 @@ fn bench_tile_sizes(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_lane_vs_scalar, bench_tile_sizes);
+criterion_group!(benches, bench_lane_vs_single, bench_tile_sizes);
 criterion_main!(benches);

@@ -1,27 +1,26 @@
 //! Kernel sweep: the reproducible perf baseline of the native hot path.
 //!
 //! Measures layer throughput across a batch-size sweep (1, 4, 8, 16,
-//! 32) for three kernels:
+//! 32) for two kernels:
 //!
 //! * **streaming** — per-call entry-stream decode, scoped threads (the
 //!   pre-plan code path, kept alive as `NativeCpu::without_plans`),
-//! * **plan-scalar** — pre-decoded [`LayerPlan`]s on the persistent
-//!   pool, fused batches one MAC at a time (`NativeCpu::without_lanes`,
-//!   the pre-lane code path — the *scalar* half of the simd-vs-scalar
-//!   A/B),
-//! * **plan** — the batch-lane vectorized plan kernel (fixed-width
-//!   `[i32; LANE_WIDTH]` MACs, per-layer column tiles; AVX2 when built
-//!   with `--features simd` on a capable host — the recorded `simd`
-//!   field says which path ran).
+//! * **plan** — the column-major packed [`LayerPlan`] on the persistent
+//!   pool: the single-item walk at batch 1, the batch-lane vectorized
+//!   walk above it (fixed-width `[i32; LANE_WIDTH]` MACs, per-layer
+//!   column tiles; AVX2 when built with `--features simd` on a capable
+//!   host — the recorded `simd` field says which path ran).
 //!
-//! All three kernels are asserted bit-exact against each other here —
-//! at batch 1 and at the largest swept batch — before any number is
-//! recorded; the property tests pin the same equivalence against the
-//! functional golden model.
+//! Every cell is also priced (ROADMAP roofline, step 1): the bytes of
+//! the structure the kernel walks, the bytes of live columns' runs it
+//! touches per frame, and the achieved GB/s and GMAC/s. Both kernels
+//! are asserted bit-exact against the functional golden model — at
+//! batch 1 and at the largest swept batch — before any number is
+//! recorded.
 //!
 //! Output: a table + story on stdout (and `results/kernel_sweep.txt`),
 //! plus the machine-readable **`BENCH_kernel.json`** at the repo root —
-//! the recorded perf trajectory (schema `eie-kernel-sweep/v2`,
+//! the recorded perf trajectory (schema `eie-kernel-sweep/v3`,
 //! documented in `EXPERIMENTS.md`). Only a full-scale non-quick run
 //! touches that file: `--quick` (the CI smoke: one layer, bounded
 //! iterations, batches 1 and 8) writes
@@ -30,10 +29,12 @@
 //! is never clobbered.
 
 use std::fmt::Write as _;
+use std::mem::{size_of, size_of_val};
 use std::time::Instant;
 
 use eie_bench::*;
 use eie_core::baselines::TimingHarness;
+use eie_core::compress::{Entry, PlanEntry};
 
 /// One measured cell of the sweep.
 struct Cell {
@@ -44,10 +45,43 @@ struct Cell {
     threads: usize,
     /// Batch size of the run (1 = single-item path).
     batch: usize,
-    /// `"streaming"`, `"plan-scalar"` or `"plan"`.
+    /// `"streaming"` or `"plan"`.
     kernel: &'static str,
     us_per_frame: f64,
     frames_per_second: f64,
+    /// Resident bytes of the structure the kernel walks (the plan, or
+    /// the in-memory entry stream and its 64 extent indexes).
+    plan_bytes: usize,
+    /// `plan_bytes` over the layer's real (non-padding) entries.
+    bytes_per_entry: f64,
+    /// Bytes of the live columns' entry runs walked, per frame.
+    bytes_touched: f64,
+    gbps: f64,
+    gmacs: f64,
+}
+
+/// What one kernel's walk of a batch costs, from the extents of the
+/// columns it visits: `(stored entries walked, useful MACs)`.
+///
+/// A fused walk visits a column once per group of items that share the
+/// pass (the whole batch for streaming, one lane block for the plan) if
+/// any item of the group is live there; a useful MAC is one real entry
+/// times one item's non-zero activation.
+fn walk_cost(
+    col_stored: &[usize],
+    col_real: &[usize],
+    batch: &[Vec<Q8p8>],
+    group: usize,
+) -> (usize, usize) {
+    let (mut entries, mut macs) = (0, 0);
+    for items in batch.chunks(group) {
+        for (j, (&stored, &real)) in col_stored.iter().zip(col_real).enumerate() {
+            let live = items.iter().filter(|item| !item[j].is_zero()).count();
+            entries += if live > 0 { stored } else { 0 };
+            macs += live * real;
+        }
+    }
+    (entries, macs)
 }
 
 /// The per-(layer, threads) headline inputs.
@@ -57,7 +91,10 @@ struct Headline {
     single_speedup: f64,
     batch: usize,
     batch_speedup: f64,
-    lane_over_scalar: f64,
+    /// Per-frame throughput of one 8-lane pass over eight single-item
+    /// walks (below 1: lanes lose — they give up the per-item
+    /// zero-skip).
+    lane_b8_over_8x_single: f64,
 }
 
 fn main() {
@@ -89,11 +126,11 @@ fn main() {
     };
     let batches: &[usize] = if quick { &[1, 8] } else { &[1, 4, 8, 16, 32] };
     let max_batch = *batches.last().expect("batch sweep is non-empty");
-    const KERNELS: [&str; 3] = ["streaming", "plan-scalar", "plan"];
+    const KERNELS: [&str; 2] = ["streaming", "plan"];
 
     let mut table = TextTable::new(
         format!(
-            "Kernel sweep: streaming vs plan-scalar vs plan (lanes: {}), scale 1/{}, EIE = {}",
+            "Kernel sweep: streaming vs plan (lanes: {}), scale 1/{}, EIE = {}",
             lane_isa(),
             scale_divisor(),
             config
@@ -106,6 +143,9 @@ fn main() {
             "µs/frame",
             "frames/s",
             "speedup",
+            "B/entry",
+            "GB/s",
+            "GMAC/s",
         ],
     );
     let mut cells: Vec<Cell> = Vec::new();
@@ -123,39 +163,56 @@ fn main() {
             .iter()
             .map(|item| Q8p8::from_f32_slice(item))
             .collect();
-        tiles.push((benchmark.name(), LayerPlan::build(enc).lane_tile().cols()));
+        let layer_plan = LayerPlan::build(enc);
+        tiles.push((benchmark.name(), layer_plan.lane_tile().cols()));
+        // What each kernel walks: resident bytes, bytes per stored
+        // entry, and stored entries per column.
+        let col_real: Vec<usize> = (0..cols)
+            .map(|j| layer_plan.blocks().iter().map(|b| b.col(j).len()).sum())
+            .collect();
+        let col_stored: Vec<usize> = (0..cols)
+            .map(|j| enc.slices().iter().map(|s| s.col_entries(j).len()).sum())
+            .collect();
+        let stream_bytes: usize = enc
+            .slices()
+            .iter()
+            .map(|s| size_of_val(s.entries()) + size_of_val(s.col_ptr()))
+            .sum();
+        let walked = [
+            (stream_bytes, size_of::<Entry>(), &col_stored),
+            (
+                layer_plan.resident_bytes(),
+                size_of::<PlanEntry>(),
+                &col_real,
+            ),
+        ];
 
         for &threads in &thread_counts {
             let plan = NativeCpu::with_threads(threads);
-            let scalar = plan.clone().without_lanes();
             let stream = plan.clone().without_plans();
-            let engines = [&stream, &scalar, &plan];
+            let engines = [&stream, &plan];
             // Warm every engine and refuse to record perf of wrong
-            // answers: the three kernels must agree bit-exactly at
-            // batch 1 and at the largest swept batch (covering the
-            // lane kernel's padded tail blocks).
-            let warmed: Vec<_> = engines
-                .iter()
-                .map(|e| e.run_layer(enc, &acts, false).outputs)
-                .collect();
-            assert!(
-                warmed.iter().all(|w| *w == warmed[0]),
-                "{benchmark}: single-item kernels diverged"
-            );
-            let warmed_b: Vec<_> = engines
-                .iter()
-                .map(|e| e.run_layer_batch(enc, &batch, false))
-                .collect();
-            for i in 0..max_batch {
+            // answers: both kernels must agree bit-exactly with the
+            // functional golden at batch 1 and at the largest swept
+            // batch (covering the lane kernel's padded tail blocks).
+            let golden = Functional::new();
+            let want = golden.run_layer(enc, &acts, false).outputs;
+            let want_b = golden.run_layer_batch(enc, &batch, false);
+            for (kernel, engine) in KERNELS.iter().zip(engines) {
                 assert!(
-                    warmed_b
-                        .iter()
-                        .all(|runs| runs[i].outputs == warmed_b[0][i].outputs),
-                    "{benchmark}: batch item {i} diverged across kernels"
+                    engine.run_layer(enc, &acts, false).outputs == want,
+                    "{benchmark}: single-item {kernel} kernel diverged"
                 );
+                let runs = engine.run_layer_batch(enc, &batch, false);
+                for i in 0..max_batch {
+                    assert!(
+                        runs[i].outputs == want_b[i].outputs,
+                        "{benchmark}: batch item {i} diverged on the {kernel} kernel"
+                    );
+                }
             }
             println!(
-                "verified: streaming/plan-scalar/plan bit-exact on {} \
+                "verified: streaming/plan bit-exact against the functional golden on {} \
                  (single + batch {max_batch}, {threads}t)",
                 benchmark.name()
             );
@@ -176,6 +233,21 @@ fn main() {
                             / b as f64
                     };
                     fps[bi][k] = 1e6 / us;
+                    // The streaming kernel fuses the whole batch into
+                    // one pass; the plan walks once per lane block (a
+                    // single item is its own pass either way).
+                    let items = if b == 1 {
+                        std::slice::from_ref(&acts)
+                    } else {
+                        &batch[..b]
+                    };
+                    let group = if k == 0 { b } else { LANE_WIDTH };
+                    let (resident, entry_bytes, extents) = walked[k];
+                    let (entries, macs) = walk_cost(extents, &col_real, items, group);
+                    let bytes_touched = (entries * entry_bytes) as f64 / b as f64;
+                    let bytes_per_entry = resident as f64 / layer_plan.total_entries() as f64;
+                    let gbps = bytes_touched / (us * 1e3);
+                    let gmacs = macs as f64 / b as f64 / (us * 1e3);
                     cells.push(Cell {
                         layer: benchmark.name(),
                         rows,
@@ -186,6 +258,11 @@ fn main() {
                         kernel,
                         us_per_frame: us,
                         frames_per_second: fps[bi][k],
+                        plan_bytes: resident,
+                        bytes_per_entry,
+                        bytes_touched,
+                        gbps,
+                        gmacs,
                     });
                     table.row(vec![
                         benchmark.name().into(),
@@ -199,6 +276,9 @@ fn main() {
                         } else {
                             x(fps[bi][k] / fps[bi][0])
                         },
+                        f(bytes_per_entry, 2),
+                        f(gbps, 2),
+                        f(gmacs, 2),
                     ]);
                 }
             }
@@ -209,13 +289,17 @@ fn main() {
                 .iter()
                 .position(|&b| b == 16)
                 .unwrap_or(batches.len() - 1);
+            let b8 = batches
+                .iter()
+                .position(|&b| b == LANE_WIDTH)
+                .expect("the sweep includes one full lane block");
             let candidate = Headline {
                 layer: benchmark.name().to_string(),
                 threads,
-                single_speedup: fps[0][2] / fps[0][0],
+                single_speedup: fps[0][1] / fps[0][0],
                 batch: batches[ref_bi],
-                batch_speedup: fps[ref_bi][2] / fps[ref_bi][0],
-                lane_over_scalar: fps[ref_bi][2] / fps[ref_bi][1],
+                batch_speedup: fps[ref_bi][1] / fps[ref_bi][0],
+                lane_b8_over_8x_single: fps[b8][1] / fps[0][1],
             };
             if headline
                 .as_ref()
@@ -238,27 +322,24 @@ fn main() {
     let _ = writeln!(
         out,
         "\nHeadline: {} fused batch-{} {} plan-over-streaming at {} thread(s) \
-         (single-item {}, lane-over-scalar {} on {} lanes). The batch-lane kernel \
-         transposes activations into {}-item blocks once per batch and applies each \
-         pre-decoded weight to a whole block as one fixed-width saturating MAC, tiled \
-         per layer so the SoA entry runs stay cache-resident; plan-scalar is the same \
-         plan walked one MAC at a time, and streaming re-decodes the compressed stream \
-         per call — exactly what the serving path used to do.",
+         (single-item {}; one {LANE_WIDTH}-lane pass is {} of eight single walks per \
+         frame, {} lanes). A single item walks one contiguous run of 2-byte entries per \
+         live column; a batch applies each entry to a {LANE_WIDTH}-item block as one \
+         fixed-width saturating MAC; streaming re-decodes the compressed stream per call.",
         hl.layer,
         hl.batch,
         x(hl.batch_speedup),
         hl.threads,
         x(hl.single_speedup),
-        x(hl.lane_over_scalar),
+        x(hl.lane_b8_over_8x_single),
         lane_isa(),
-        LANE_WIDTH,
     );
     emit("kernel_sweep", &out);
 
     // ---- machine-readable record ------------------------------------
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"eie-kernel-sweep/v2\",");
+    let _ = writeln!(json, "  \"schema\": \"eie-kernel-sweep/v3\",");
     let _ = writeln!(json, "  \"scale_divisor\": {},", scale_divisor());
     let _ = writeln!(json, "  \"pes\": {},", config.num_pes);
     let _ = writeln!(json, "  \"threads_available\": {available},");
@@ -287,8 +368,13 @@ fn main() {
         json,
         "  \"headline\": {{\"layer\": \"{}\", \"threads\": {}, \"batch\": {}, \
          \"single_item_speedup\": {:.3}, \"batch_speedup\": {:.3}, \
-         \"lane_over_scalar\": {:.3}}},",
-        hl.layer, hl.threads, hl.batch, hl.single_speedup, hl.batch_speedup, hl.lane_over_scalar
+         \"lane_b8_over_8x_single\": {:.3}}},",
+        hl.layer,
+        hl.threads,
+        hl.batch,
+        hl.single_speedup,
+        hl.batch_speedup,
+        hl.lane_b8_over_8x_single
     );
     json.push_str("  \"results\": [\n");
     for (i, c) in cells.iter().enumerate() {
@@ -296,7 +382,9 @@ fn main() {
             json,
             "    {{\"layer\": \"{}\", \"rows\": {}, \"cols\": {}, \"pes\": {}, \
              \"threads\": {}, \"batch\": {}, \"kernel\": \"{}\", \
-             \"us_per_frame\": {:.3}, \"frames_per_second\": {:.1}}}",
+             \"us_per_frame\": {:.3}, \"frames_per_second\": {:.1}, \
+             \"plan_bytes\": {}, \"bytes_per_entry\": {:.3}, \"bytes_touched\": {:.0}, \
+             \"gbps\": {:.3}, \"gmacs\": {:.3}}}",
             c.layer,
             c.rows,
             c.cols,
@@ -306,6 +394,11 @@ fn main() {
             c.kernel,
             c.us_per_frame,
             c.frames_per_second,
+            c.plan_bytes,
+            c.bytes_per_entry,
+            c.bytes_touched,
+            c.gbps,
+            c.gmacs,
         );
         json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
     }

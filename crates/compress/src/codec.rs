@@ -607,11 +607,7 @@ mod tests {
                     .decode(&bytes)
                     .unwrap_or_else(|e| panic!("{kind} failed to decode its own stream: {e}"));
                 assert_eq!(back, layer, "{kind}");
-                let plan = LayerPlan::build(&back);
-                let acts: Vec<f32> = (0..layer.cols())
-                    .map(|i| if i % 3 == 0 { 1.5 } else { 0.25 })
-                    .collect();
-                assert_eq!(plan.spmv_f32(&acts), golden.spmv_f32(&acts), "{kind}");
+                assert_eq!(LayerPlan::build(&back), golden, "{kind}");
             }
         }
     }

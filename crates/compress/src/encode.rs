@@ -583,7 +583,7 @@ pub fn encode_with_codebook(
 
 /// Number of global rows assigned to PE `pe` when `rows` are interleaved
 /// over `n` PEs.
-fn local_row_count(rows: usize, n: usize, pe: usize) -> usize {
+pub(crate) fn local_row_count(rows: usize, n: usize, pe: usize) -> usize {
     rows / n + usize::from(pe < rows % n)
 }
 

@@ -20,17 +20,18 @@
 //! * [`EncodingStats`] — storage/padding statistics (drives the paper's
 //!   Fig. 12 and the compression-ratio accounting),
 //! * [`LayerPlan`] — the pre-decoded execution plan (padding dropped,
-//!   codebook pre-multiplied into flat per-PE `(row, weight)` arrays)
-//!   that host-speed kernels scan instead of re-decoding the compressed
+//!   the PE slices merged into column-major blocks of 2-byte
+//!   `accumulator << 4 | code` entries behind a 16-entry LUT) that
+//!   host-speed kernels walk instead of re-decoding the compressed
 //!   stream per call,
 //! * [`WeightCodec`] — pluggable layer-image codecs (`csc-nibble`,
 //!   `huffman-packed`, `bit-plane`): alternate byte streams that all
 //!   decode back to the same [`EncodedLayer`], trading stored bytes
 //!   against decode cost without touching any executor,
-//! * [`Topology`] / [`ShardPlan`] — the execution layout layer: a plan
-//!   splits into contiguous row shards owned by independent worker
-//!   groups, and a topology describes shard → group and layer → stage
-//!   ownership for the sharded/pipelined executors,
+//! * [`Topology`] — the execution layout layer: a plan's blocks fan
+//!   out as contiguous row shards owned by independent worker groups,
+//!   and a topology describes shard → group and layer → stage ownership
+//!   for the sharded/pipelined executors,
 //! * decoding back to [`CsrMatrix`] for golden-model verification.
 //!
 //! # Example
@@ -70,7 +71,9 @@ pub use encode::{
 };
 pub use kmeans::kmeans1d;
 pub use pipeline::{CodebookStrategy, CompilePipeline};
-pub use plan::{LaneTile, LayerPlan, PlanSlice, ShardPlan, Topology, LANE_WIDTH};
+pub use plan::{
+    LaneTile, LayerPlan, PlanBlock, PlanEntry, Topology, BLOCK_ACCUMULATORS, LANE_WIDTH,
+};
 pub use serialize::{DecodeLayerError, MAGIC};
 pub use stats::{huffman_bits, EncodingStats};
 

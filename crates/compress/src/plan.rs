@@ -1,31 +1,14 @@
 //! Pre-decoded execution plans: the compressed format, lowered once for
-//! repeated host execution.
+//! repeated host execution — and kept compressed while it runs.
 //!
-//! The `.eie` artifact stores what the paper's SRAMs store — nibble-packed
-//! `(v, z)` entries plus a 16-entry codebook — because that is the format
-//! the *hardware* streams at zero decode cost. A host CPU pays real cost
-//! for the same stream: every M×V re-expands zero runs, looks the 4-bit
-//! code up in the codebook, and branches around padding, per column, per
-//! call. For repeated inference over a fixed model the winning move
-//! (Gleinig et al.'s I/O-efficiency argument, PAPERS.md) is to pay that
-//! layout cost **once**: a [`LayerPlan`] lowers each PE slice into flat
-//! **structure-of-arrays** blocks — a `rows: Vec<u32>` run and a parallel
-//! `weights: Vec<i32>` run (the codebook value pre-multiplied out to the
-//! raw `i32` multiplicand), in column order with a per-column extent
-//! index — and drops padding entries entirely (they decode to a raw-zero
-//! weight, and saturating-adding zero never changes an accumulator).
-//!
-//! The SoA split is what the batch-lane kernel needs: the weight run is
-//! a contiguous `i32` stream a SIMD lane block multiplies by, and the row
-//! run is a contiguous index stream, instead of interleaved 8-byte
-//! `(row, weight)` records where every other word is the one the vector
-//! unit doesn't want.
-//!
-//! The steady-state kernel over a plan is a branch-light linear scan:
-//! no nibble decoding, no codebook indirection, no `code == 0` test.
-//! Bit-exactness with the streaming kernels is structural: a plan
-//! preserves storage-order entries within broadcast-order columns, so
-//! every accumulator sees the identical saturating-add sequence.
+//! The hardware streams the artifact's `(v, z)` entries at zero decode
+//! cost; a host CPU re-expands zero runs and branches around padding,
+//! per column, per call, once per PE slice. A [`LayerPlan`] pays that
+//! layout cost **once** and keeps what EIE's premise depends on — the
+//! weights stay small, and a batch-1 request touches only the columns
+//! its non-zero activations select (bytes moved is the price: Gleinig
+//! et al.; keep the shared-weight index packed through the inner loop:
+//! Vooturi et al., PAPERS.md). Layout and bit-exactness: [`LayerPlan`].
 //!
 //! # Example
 //!
@@ -35,7 +18,7 @@
 //!
 //! let enc = compress(&random_sparse(64, 48, 0.2, 7), CompressConfig::with_pes(4));
 //! let plan = LayerPlan::build(&enc);
-//! assert_eq!(plan.num_pes(), 4);
+//! assert_eq!((plan.num_pes(), plan.blocks().len()), (4, 1));
 //! // Padding is dropped at plan-build time; real entries survive 1:1.
 //! let padding: usize = enc.slices().iter().map(|s| s.padding_entries()).sum();
 //! assert_eq!(plan.total_entries() + padding, enc.total_entries());
@@ -45,14 +28,13 @@
 
 use std::fmt;
 
-use eie_fixed::Q8p8;
-
+use crate::encode::local_row_count;
 use crate::{EncodedLayer, CODEBOOK_SIZE};
 
 /// Fixed width of one batch lane block: the fused batch kernel processes
-/// one pre-decoded weight against this many items' activations at a
-/// time, as one `[i32; LANE_WIDTH]` chunk (256 bits of `i32` lanes — one
-/// AVX2 vector, two SSE2 vectors, two NEON vectors).
+/// one plan entry against this many items' activations at a time, as one
+/// `[i32; LANE_WIDTH]` chunk (256 bits of `i32` lanes — one AVX2 vector,
+/// two SSE2 vectors, two NEON vectors).
 ///
 /// The width is part of the *plan contract*, not a tuning knob: tile
 /// selection ([`LaneTile`]) sizes its working set around it, and the
@@ -62,21 +44,53 @@ use crate::{EncodedLayer, CODEBOOK_SIZE};
 /// accumulator) and discarded at gather.
 pub const LANE_WIDTH: usize = 8;
 
+/// Bits of a [`PlanEntry`] that hold the codebook code.
+const CODE_BITS: u32 = 4;
+const _: () = assert!(CODEBOOK_SIZE == 1 << CODE_BITS);
+
+/// Most accumulators one [`PlanBlock`] owns: what is left of a `u16`
+/// entry after the 4-bit code (12 bits).
+pub const BLOCK_ACCUMULATORS: usize = 1 << (u16::BITS - CODE_BITS);
+
+/// One plan entry, 2 bytes: `accumulator_in_block << 4 | codebook_code`.
+///
+/// Both fields are in range by construction — the accumulator is below
+/// [`BLOCK_ACCUMULATORS`] and the code below [`CODEBOOK_SIZE`] for every
+/// bit pattern — so a kernel indexing a `[_; BLOCK_ACCUMULATORS]`
+/// accumulator array and the `[i32; CODEBOOK_SIZE]` LUT needs no bounds
+/// check and no trust in the builder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(transparent)]
+pub struct PlanEntry(u16);
+
+impl PlanEntry {
+    /// The accumulator this entry feeds, local to its block.
+    #[inline(always)]
+    pub fn accumulator(self) -> usize {
+        (self.0 >> CODE_BITS) as usize
+    }
+
+    /// The codebook code (never 0: padding is dropped at build).
+    #[inline(always)]
+    pub fn code(self) -> usize {
+        (self.0 & ((1 << CODE_BITS) - 1)) as usize
+    }
+}
+
 /// The per-layer column-tile choice of the batch-lane kernel: how many
 /// broadcast columns one pass over a lane block covers before moving to
 /// the next lane block.
 ///
 /// The fused kernel walks `(column tile) × (lane block)` tiles — the
-/// tile's plan entries (SoA row + weight runs) are re-read once per lane
-/// block, so the tile is sized to keep that working set L1-resident
-/// while the weight stream as a whole only streams from memory once.
-/// This is a *typed, per-layer* choice recorded in the plan at build
-/// time (the cudnn algo-picker shape: selection travels with the
-/// artifact it was made for, not as a global flag), derived from the
-/// layer's measured encoding statistics by [`LaneTile::select`] and
-/// overridable for calibration via [`LayerPlan::with_lane_tile`] — the
-/// `lanes` criterion bench measures candidate tiles against the
-/// selection.
+/// tile's plan entries are re-read once per lane block, so the tile is
+/// sized to keep that working set L1-resident while the entry stream as
+/// a whole only streams from memory once. This is a *typed, per-layer*
+/// choice recorded in the plan at build time (the cudnn algo-picker
+/// shape: selection travels with the artifact it was made for, not as a
+/// global flag), derived from the layer's measured encoding statistics
+/// by [`LaneTile::select`] and overridable for calibration via
+/// [`LayerPlan::with_lane_tile`] — the `lanes` criterion bench measures
+/// candidate tiles against the selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneTile {
     cols: u32,
@@ -87,26 +101,32 @@ impl LaneTile {
     /// loop overhead dominates any locality win.
     pub const MIN_COLS: usize = 16;
 
-    /// Per-tile working-set budget, bytes. Half a typical 32 KiB L1d:
-    /// the tile's SoA entry runs plus one lane block of activations must
-    /// re-read from L1 on the second and later lane-block passes, while
-    /// leaving room for the hot accumulator stripes.
+    /// Per-tile working-set budget, bytes. Half a typical 32 KiB L1d,
+    /// for what a tile *streams*: its entry runs plus one lane block of
+    /// activations, re-read on the second and later lane-block passes.
+    /// The accumulators are not in the budget and not in L1: a full
+    /// 4096-row block's lane-aligned accumulators are 4096 ×
+    /// [`LANE_WIDTH`] × 4 B = 128 KiB, an L2 working set whatever the
+    /// tile. At 2 bytes per entry the streamed side is small — on
+    /// full-scale Alex-6/Alex-7 at batch 16 and 32, tiles from 16
+    /// columns to the whole layer measured within ±3 % of each other —
+    /// so the budget is a free cap on L1 pressure, not a tuned optimum.
     pub const BUDGET_BYTES: usize = 16 << 10;
 
     /// Selects the tile for a layer from its measured shape: `cols`
-    /// broadcast columns and the *worst* (largest) per-PE entry count,
-    /// `max_slice_entries` — the slice that actually bounds the working
-    /// set when PE ranges split across workers.
+    /// broadcast columns and the entry count of the *widest* block,
+    /// `max_block_entries` — the block whose column runs are longest
+    /// bounds the working set of any worker.
     ///
-    /// Each tile column costs its share of the SoA runs
-    /// (`entries/col × 8` bytes) plus one activation lane chunk
-    /// (`LANE_WIDTH × 4` bytes) plus one live-mask byte; the tile is the
-    /// largest column count whose total fits [`LaneTile::BUDGET_BYTES`],
-    /// clamped to `[MIN_COLS, cols]`.
-    pub fn select(cols: usize, max_slice_entries: usize) -> Self {
+    /// Each tile column costs its share of the entry run
+    /// (`entries/col × size_of::<PlanEntry>()` bytes) plus one
+    /// activation lane chunk (`LANE_WIDTH × 4` bytes) plus one
+    /// live-mask byte; the tile is the largest column count whose total
+    /// fits [`LaneTile::BUDGET_BYTES`], clamped to `[MIN_COLS, cols]`.
+    pub fn select(cols: usize, max_block_entries: usize) -> Self {
         let cols = cols.max(1);
-        let entry_bytes_per_col = (max_slice_entries as f64 / cols as f64)
-            * (std::mem::size_of::<u32>() + std::mem::size_of::<i32>()) as f64;
+        let entry_bytes_per_col =
+            (max_block_entries as f64 / cols as f64) * std::mem::size_of::<PlanEntry>() as f64;
         let bytes_per_col =
             entry_bytes_per_col + (LANE_WIDTH * std::mem::size_of::<i32>()) as f64 + 1.0;
         let fit = (Self::BUDGET_BYTES as f64 / bytes_per_col) as usize;
@@ -140,22 +160,23 @@ impl fmt::Display for LaneTile {
 }
 
 /// How a compiled network's execution is laid out across worker groups:
-/// how many contiguous **row shards** split each layer's PE slices, how
+/// how many contiguous **row shards** split each layer's plan blocks, how
 /// many pipeline **stages** split the layer stack, and how many threads
 /// each shard's worker group owns.
 ///
 /// A topology is a pure description of ownership — shard `i` is owned
 /// by worker group `i` of a stage, stage `s` owns a contiguous span of
 /// layers — that engines and executors resolve against what they
-/// actually have (PE count, layer depth, available cores) via
-/// [`Topology::shard_ranges`] and [`Topology::stage_spans`]. The
+/// actually have (block count, layer depth, available cores) via
+/// [`Topology::contiguous_ranges`] and [`Topology::stage_spans`]. The
 /// default ([`Topology::single`]) is one shard × one stage: exactly
 /// the single-pool execution path, unchanged.
 ///
 /// Both axes partition **contiguously**: a shard owns a contiguous run
-/// of PE slices and a stage owns a contiguous run of layers. Contiguity
-/// is what makes the shard merge a pure gather (see [`ShardPlan`]) and
-/// the stage hand-off a single activation stream.
+/// of plan blocks and a stage owns a contiguous run of layers. Contiguity
+/// is what makes the shard merge a pure gather (a shard's accumulators
+/// are one span of the PE-major axis) and the stage hand-off a single
+/// activation stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
     shards: u32,
@@ -176,7 +197,7 @@ impl Topology {
         }
     }
 
-    /// Splits each layer's PE slices across `shards` row-shard worker
+    /// Splits each layer's plan blocks across `shards` row-shard worker
     /// groups.
     ///
     /// # Panics
@@ -236,14 +257,6 @@ impl Topology {
         self.shards == 1 && self.stages_for(depth) == 1
     }
 
-    /// The contiguous PE ranges `[first, end)` owned by each shard of a
-    /// `num_pes`-slice layer, in shard order. More shards than PEs
-    /// clamp: every returned range is non-empty, so the result may be
-    /// shorter than [`Topology::shards`].
-    pub fn shard_ranges(&self, num_pes: usize) -> Vec<(usize, usize)> {
-        Self::contiguous_ranges(num_pes, self.shards as usize)
-    }
-
     /// The contiguous layer spans `[first, end)` owned by each pipeline
     /// stage of a `depth`-layer network, in stage order (resolved via
     /// [`Topology::stages_for`]).
@@ -283,133 +296,253 @@ impl fmt::Display for Topology {
     }
 }
 
-/// The pre-decoded slice of one PE in structure-of-arrays form: real
-/// entries only (padding dropped), as parallel `rows`/`weights` runs
-/// concatenated in column order with a `cols + 1` extent index.
+/// One column-major block of a [`LayerPlan`]: a contiguous run of at
+/// most [`BLOCK_ACCUMULATORS`] accumulators of the layer's PE-major
+/// accumulator axis, with every real entry that feeds them — all PEs'
+/// entries of one column merged into one run under a single `cols + 1`
+/// extent index.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PlanSlice {
-    /// Local row index per entry (absolute, zero runs expanded away).
-    rows: Vec<u32>,
-    /// Decoded weight per entry: the raw Q8.8 value widened to `i32` —
-    /// the exact multiplicand the streaming kernel computes per entry
-    /// via `codebook[code]`.
-    weights: Vec<i32>,
+pub struct PlanBlock {
+    /// First accumulator owned, as a PE-major index into the layer.
+    first: u32,
+    /// Accumulators owned (`1..=BLOCK_ACCUMULATORS`).
+    accumulators: u32,
+    entries: Vec<PlanEntry>,
     col_ptr: Vec<u32>,
-    local_rows: usize,
 }
 
-impl PlanSlice {
-    /// Number of local rows (accumulators) this PE owns.
-    pub fn local_rows(&self) -> usize {
-        self.local_rows
+impl PlanBlock {
+    /// Accumulators this block owns.
+    pub fn accumulators(&self) -> usize {
+        self.accumulators as usize
     }
 
-    /// Total pre-decoded entries (padding is never stored in a plan).
+    /// Total entries (padding is never stored in a plan).
     pub fn num_entries(&self) -> usize {
-        self.rows.len()
+        self.entries.len()
     }
 
-    /// The flat local-row run, all columns concatenated.
-    pub fn rows(&self) -> &[u32] {
-        &self.rows
-    }
-
-    /// The flat raw-weight run, parallel to [`PlanSlice::rows`].
-    pub fn weights(&self) -> &[i32] {
-        &self.weights
-    }
-
-    /// The column extent index (`cols + 1` long).
-    pub fn col_ptr(&self) -> &[u32] {
-        &self.col_ptr
-    }
-
-    /// Column `j`'s parallel `(rows, weights)` runs, in storage
-    /// (local-row) order.
+    /// Column `j`'s entry run, in ascending-accumulator order.
     ///
     /// # Panics
     ///
-    /// Panics if `j + 1 >= col_ptr.len()`.
+    /// Panics if `j >= cols`.
     #[inline]
-    pub fn col(&self, j: usize) -> (&[u32], &[i32]) {
-        let span = self.col_ptr[j] as usize..self.col_ptr[j + 1] as usize;
-        (&self.rows[span.clone()], &self.weights[span])
-    }
-
-    /// Column `j`'s entries as `(row, weight)` pairs, in storage order —
-    /// the iteration shape of the scalar kernels and tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j + 1 >= col_ptr.len()`.
-    #[inline]
-    pub fn col_iter(&self, j: usize) -> impl Iterator<Item = (u32, i32)> + '_ {
-        let (rows, weights) = self.col(j);
-        rows.iter().copied().zip(weights.iter().copied())
+    pub fn col(&self, j: usize) -> &[PlanEntry] {
+        &self.entries[self.col_ptr[j] as usize..self.col_ptr[j + 1] as usize]
     }
 }
 
-/// A compiled execution plan for one [`EncodedLayer`]: per-PE contiguous
-/// SoA `rows`/`weights` runs in column order, padding dropped, codebook
-/// pre-multiplied, plus the layer's recorded [`LaneTile`] — built once,
-/// scanned on every subsequent M×V.
+/// A compiled execution plan for one [`EncodedLayer`]: a short list of
+/// column-major [`PlanBlock`]s of 2-byte [`PlanEntry`]s (padding
+/// dropped, PE slices merged), one layer-wide LUT of the raw Q8.8
+/// multiplicands, and the layer's recorded [`LaneTile`] — built once,
+/// walked on every subsequent M×V.
 ///
-/// Plans trade memory for steady-state speed (8 bytes per surviving
-/// entry against the artifact's 1) — the build-once/run-many trade of a
-/// serving host, inverted from the paper's storage-bound hardware.
+/// # Layout
+///
+/// ```text
+/// accumulators, PE-major:  | PE 0: local rows 0..r0 | PE 1: 0..r1 | ... | PE n-1 |
+///                          |<------ block 0 (≤ 4096) ------>|<---- block 1 ---->|
+///
+/// block b:   col_ptr: [u32; cols + 1]     one extent index for the whole block
+///            entries: [u16]               column-major; within a column,
+///                                         ascending accumulator
+///            entry  =  accumulator_in_block << 4 | codebook_code
+///
+/// layer:     lut: [i32; 16]               raw Q8.8 multiplicand per code
+/// ```
+///
+/// The 64 PE slices are **merged**: a block owns a contiguous run of at
+/// most [`BLOCK_ACCUMULATORS`] accumulators of the PE-major axis (an even
+/// cut of that axis — all of AlexNet's 64 × 64 accumulators are one
+/// block, two blocks are PEs 0..32 and 32..64, and an uneven or oversized
+/// cut falls inside a slice, which is fine because accumulators, not
+/// slices, are what a kernel owns). A live column is therefore **one**
+/// contiguous run (~700 bytes on Alex-7) instead of 64 scattered 28-byte
+/// ones, a dead column's bytes are genuinely skipped, and padding entries
+/// — code 0 — are dropped at build (they add a raw zero, and
+/// saturating-adding zero never changes an accumulator).
+///
+/// # Bit-exactness: one product per accumulator per column
+///
+/// The compressed format stores strictly increasing rows within one
+/// `(PE, column)`, so an accumulator receives **at most one** product per
+/// column. Walking columns in ascending order therefore hands every
+/// `Accum32` the identical saturating-add sequence whatever the order or
+/// grouping of entries *within* a column — merging slices, cutting
+/// blocks anywhere, and fanning blocks out over threads or shards cannot
+/// reorder any accumulator's adds. And `lut[code] * a` is the same `i32`
+/// product the streaming kernel computes via `codebook[code]`. The plan
+/// property tests pin both against the functional golden model,
+/// including near the `Accum32` rails where add order is observable.
+///
+/// # Cost
+///
+/// A plan costs 2 bytes per surviving entry plus `4 × (cols + 1)` per
+/// block, against the hardware's 1 byte per stored entry — the
+/// build-once/run-many trade of a serving host, at a quarter of what an
+/// unpacked `(u32 row, i32 weight)` entry would cost, and less than the
+/// in-memory [`EncodedLayer`] it was built from (2 bytes per stored
+/// entry, padding included, plus an extent index per PE).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerPlan {
     rows: usize,
     cols: usize,
-    slices: Vec<PlanSlice>,
+    num_pes: usize,
+    lut: [i32; CODEBOOK_SIZE],
+    blocks: Vec<PlanBlock>,
     lane_tile: LaneTile,
 }
 
+/// One `(slice, block)` pair that shares accumulators: the slice-local
+/// rows the block owns, and the PE-major accumulator index of the
+/// slice's local row 0.
+struct Window {
+    slice: usize,
+    block: usize,
+    rows: std::ops::Range<usize>,
+    slice_first: usize,
+}
+
 impl LayerPlan {
-    /// Lowers an encoded layer into its execution plan: decodes the
-    /// compressed entry stream once (zero-run expansion + codebook
-    /// lookup via the hardware's Q8.8 table), drops padding entries,
-    /// lays each PE slice out as flat SoA runs in column order, and
-    /// records the layer's selected [`LaneTile`].
+    /// Lowers an encoded layer into its execution plan with as few
+    /// blocks as [`BLOCK_ACCUMULATORS`] allows — the plan a
+    /// single-threaded engine (the serving default) walks as is.
     pub fn build(layer: &EncodedLayer) -> Self {
-        let codebook = layer.codebook().to_fix16::<8>();
-        let mut raw = [0i32; CODEBOOK_SIZE];
-        for (slot, w) in raw.iter_mut().zip(&codebook) {
+        Self::build_with_blocks(layer, 1)
+    }
+
+    /// [`LayerPlan::build`] cut into at least `min_blocks` blocks (at
+    /// most one per row): blocks are the unit a multi-thread or sharded
+    /// engine fans out over, so an engine that needs more than the
+    /// default cut re-blocks once.
+    ///
+    /// The build decodes the entry stream once and never chases 64 read
+    /// streams: extents start as an upper bound (stored entries per
+    /// column — `col_ptr` arithmetic, no decode), a PE-outer scatter
+    /// reads each slice sequentially and writes at monotonically
+    /// increasing offsets (leaving every column run in
+    /// ascending-accumulator order), and one sequential sweep closes
+    /// the gaps the dropped padding left, yielding the exact extent
+    /// index; storage is then shrunk to fit. On Alex-7 that is 8 ms
+    /// against 14 for count-then-scatter (an exact count is a second
+    /// walk of the stream).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice's local row count is not the interleave's
+    /// (`rows / n`, plus one for the first `rows % n` PEs): the
+    /// accumulator → row map ([`LayerPlan::block_rows`]) is computed
+    /// from that rule, not stored.
+    pub fn build_with_blocks(layer: &EncodedLayer, min_blocks: usize) -> Self {
+        let (rows, cols, num_pes) = (layer.rows(), layer.cols(), layer.num_pes());
+        let mut lut = [0i32; CODEBOOK_SIZE];
+        for (slot, w) in lut.iter_mut().zip(&layer.codebook().to_fix16::<8>()) {
             *slot = w.raw() as i32;
         }
-        let cols = layer.cols();
-        let slices: Vec<PlanSlice> = layer
-            .slices()
-            .iter()
-            .map(|slice| {
-                let real = slice.num_entries() - slice.padding_entries();
-                let mut rows = Vec::with_capacity(real);
-                let mut weights = Vec::with_capacity(real);
-                let mut col_ptr = Vec::with_capacity(cols + 1);
-                col_ptr.push(0u32);
-                for j in 0..cols {
-                    slice.walk_column(j, |row, code| {
-                        if code != 0 {
-                            rows.push(row as u32);
-                            weights.push(raw[code as usize]);
-                        }
+        for (pe, slice) in layer.slices().iter().enumerate() {
+            assert_eq!(
+                slice.local_rows(),
+                local_row_count(rows, num_pes, pe),
+                "PE {pe} does not hold the interleaved share of {rows} rows"
+            );
+        }
+
+        // Even cuts of the PE-major accumulator axis.
+        let parts = min_blocks
+            .max(rows.div_ceil(BLOCK_ACCUMULATORS))
+            .clamp(1, rows.max(1));
+        let cut = |b: usize| (b as u64 * rows as u64 / parts as u64) as u32;
+        // Every (slice, block) pair that shares accumulators, PE-outer.
+        let mut windows = Vec::with_capacity(num_pes + parts);
+        let mut slice_first = 0usize;
+        for (s, slice) in layer.slices().iter().enumerate() {
+            let slice_end = slice_first + slice.local_rows();
+            for b in 0..parts {
+                let (first, end) = (cut(b) as usize, cut(b + 1) as usize);
+                let (lo, hi) = (first.max(slice_first), end.min(slice_end));
+                if lo < hi {
+                    windows.push(Window {
+                        slice: s,
+                        block: b,
+                        rows: lo - slice_first..hi - slice_first,
+                        slice_first,
                     });
-                    col_ptr.push(rows.len() as u32);
                 }
-                PlanSlice {
-                    rows,
-                    weights,
-                    col_ptr,
-                    local_rows: slice.local_rows(),
+            }
+            slice_first = slice_end;
+        }
+
+        // Extents first as an upper bound — a column's stored entries,
+        // padding included, which is plain `col_ptr` arithmetic — so
+        // the entry stream is decoded once, not counted and then
+        // scattered.
+        let mut starts = vec![vec![0u32; cols + 1]; parts];
+        for w in &windows {
+            let ptr = layer.slice(w.slice).col_ptr();
+            for (bound, span) in starts[w.block][1..].iter_mut().zip(ptr.windows(2)) {
+                *bound += span[1] - span[0];
+            }
+        }
+        let mut blocks: Vec<PlanBlock> = starts
+            .iter_mut()
+            .enumerate()
+            .map(|(b, start)| {
+                for j in 0..cols {
+                    start[j + 1] += start[j];
+                }
+                PlanBlock {
+                    first: cut(b),
+                    accumulators: cut(b + 1) - cut(b),
+                    entries: vec![PlanEntry(0); start[cols] as usize],
+                    col_ptr: start.clone(),
                 }
             })
             .collect();
-        let max_slice_entries = slices.iter().map(PlanSlice::num_entries).max().unwrap_or(0);
+
+        // Scatter, PE-outer: `col_ptr[j]` is column `j`'s write cursor.
+        for w in &windows {
+            let (slice, block) = (layer.slice(w.slice), &mut blocks[w.block]);
+            for j in 0..cols {
+                let (mut row, mut at) = (0usize, block.col_ptr[j] as usize);
+                for e in slice.col_entries(j) {
+                    row += e.zrun as usize;
+                    if e.code != 0 && w.rows.contains(&row) {
+                        debug_assert!((e.code as usize) < CODEBOOK_SIZE);
+                        let local = (w.slice_first + row - block.first as usize) as u16;
+                        block.entries[at] = PlanEntry(local << CODE_BITS | e.code as u16);
+                        at += 1;
+                    }
+                    row += 1;
+                }
+                block.col_ptr[j] = at as u32;
+            }
+        }
+
+        // Close the gaps the dropped padding left: one sequential
+        // sweep, which also yields the exact extent index.
+        for (block, start) in blocks.iter_mut().zip(&starts) {
+            let mut at = 0usize;
+            for (cursor, &first) in block.col_ptr.iter_mut().zip(&start[..cols]) {
+                let run = first as usize..*cursor as usize;
+                *cursor = at as u32;
+                block.entries.copy_within(run.clone(), at);
+                at += run.len();
+            }
+            block.col_ptr[cols] = at as u32;
+            block.entries.truncate(at);
+            block.entries.shrink_to_fit();
+        }
+
+        let max_block_entries = blocks.iter().map(PlanBlock::num_entries).max().unwrap_or(0);
         Self {
-            rows: layer.rows(),
+            rows,
             cols,
-            lane_tile: LaneTile::select(cols, max_slice_entries),
-            slices,
+            num_pes,
+            lut,
+            lane_tile: LaneTile::select(cols, max_block_entries),
+            blocks,
         }
     }
 
@@ -437,177 +570,70 @@ impl LayerPlan {
         self.cols
     }
 
-    /// Number of PE slices.
+    /// Number of PEs the layer was interleaved over.
     pub fn num_pes(&self) -> usize {
-        self.slices.len()
+        self.num_pes
     }
 
-    /// The plan slice of PE `k`.
+    /// The raw Q8.8 multiplicand of each codebook code, widened to
+    /// `i32`: `lut()[entry.code()] * activation` is the exact product
+    /// the streaming kernel computes via `codebook[code]`.
+    pub fn lut(&self) -> &[i32; CODEBOOK_SIZE] {
+        &self.lut
+    }
+
+    /// The plan's blocks, in PE-major accumulator order.
+    pub fn blocks(&self) -> &[PlanBlock] {
+        &self.blocks
+    }
+
+    /// The output row of each accumulator of block `b`, in the block's
+    /// own (PE-major) order: accumulator `local_row` of PE `pe` is row
+    /// `local_row * num_pes + pe`.
     ///
     /// # Panics
     ///
-    /// Panics if `k >= num_pes()`.
-    pub fn slice(&self, k: usize) -> &PlanSlice {
-        &self.slices[k]
+    /// Panics if `b >= blocks().len()`.
+    pub fn block_rows(&self, b: usize) -> impl Iterator<Item = usize> + '_ {
+        let block = &self.blocks[b];
+        let n = self.num_pes;
+        // The first `rem` PEs hold `q + 1` rows, the rest `q`.
+        let (q, rem) = (self.rows / n, self.rows % n);
+        let first = block.first as usize;
+        let (mut pe, mut local) = if first < rem * (q + 1) {
+            (first / (q + 1), first % (q + 1))
+        } else {
+            let past = first - rem * (q + 1);
+            (rem + past / q, past % q)
+        };
+        (0..block.accumulators).map(move |_| {
+            let row = local * n + pe;
+            local += 1;
+            if local == q + usize::from(pe < rem) {
+                (pe, local) = (pe + 1, 0);
+            }
+            row
+        })
     }
 
-    /// All plan slices in PE order.
-    pub fn slices(&self) -> &[PlanSlice] {
-        &self.slices
-    }
-
-    /// Total pre-decoded entries across all PEs.
+    /// Total entries across all blocks.
     pub fn total_entries(&self) -> usize {
-        self.slices.iter().map(PlanSlice::num_entries).sum()
+        self.blocks.iter().map(PlanBlock::num_entries).sum()
     }
 
-    /// Approximate resident size of the plan's flat arrays, bytes — the
-    /// memory side of the build-once/run-many trade.
+    /// Resident size of the plan, bytes: every block's entries and
+    /// extent index, the block table and the LUT — the memory side of
+    /// the build-once/run-many trade, and what plan caches account.
     pub fn resident_bytes(&self) -> usize {
-        self.slices
+        let blocks: usize = self
+            .blocks
             .iter()
-            .map(|s| {
-                s.rows.len() * std::mem::size_of::<u32>()
-                    + s.weights.len() * std::mem::size_of::<i32>()
-                    + s.col_ptr.len() * std::mem::size_of::<u32>()
+            .map(|b| {
+                std::mem::size_of_val(b.entries.as_slice())
+                    + std::mem::size_of_val(b.col_ptr.as_slice())
             })
-            .sum()
-    }
-
-    /// Splits the plan into at most `shards` [`ShardPlan`]s, each
-    /// owning a contiguous run of PE slices (SoA runs moved wholesale,
-    /// [`LaneTile`] preserved), in PE order.
-    ///
-    /// Sharding never divides a slice: every accumulator — one
-    /// `(item, pe, local_row)` cell — lives in exactly one PE slice, so
-    /// no accumulator's saturating-add stream is ever split across
-    /// shards, and combining shard outputs is a pure disjoint gather
-    /// (see [`ShardPlan::spmv_into_f32`] and the native dispatcher's
-    /// merge). More shards than PEs clamp to one slice per shard.
-    pub fn split(&self, shards: usize) -> Vec<ShardPlan> {
-        Topology::contiguous_ranges(self.num_pes(), shards)
-            .into_iter()
-            .map(|(first, end)| ShardPlan {
-                plan: LayerPlan {
-                    rows: self.rows,
-                    cols: self.cols,
-                    slices: self.slices[first..end].to_vec(),
-                    lane_tile: self.lane_tile,
-                },
-                first_pe: first,
-                total_pes: self.num_pes(),
-            })
-            .collect()
-    }
-
-    /// Reference M×V over the plan in `f32` (dequantizing raw Q8.8
-    /// weights) — the golden-model check that plan lowering preserved
-    /// every `(row, col, weight)` triple.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != cols`.
-    pub fn spmv_f32(&self, a: &[f32]) -> Vec<f32> {
-        assert_eq!(a.len(), self.cols, "activation length mismatch");
-        let n = self.num_pes();
-        let mut y = vec![0.0f32; self.rows];
-        for (pe, slice) in self.slices.iter().enumerate() {
-            for (j, &aj) in a.iter().enumerate() {
-                if aj == 0.0 {
-                    continue;
-                }
-                for (row, weight) in slice.col_iter(j) {
-                    let w = Q8p8::from_raw(weight as i16).to_f32();
-                    y[row as usize * n + pe] += w * aj;
-                }
-            }
-        }
-        y
-    }
-}
-
-/// One shard of a split [`LayerPlan`]: a contiguous run of PE slices
-/// plus its global placement — which PE the run starts at
-/// ([`ShardPlan::first_pe`]) and how many PEs the whole layer has
-/// ([`ShardPlan::total_pes`]), so the shard can scatter its partial
-/// outputs straight into the layer's interleaved output layout.
-///
-/// **Merge-order argument.** The layer's output cell
-/// `y[row * total_pes + pe]` is owned by exactly one PE slice, and a
-/// slice is never split
-/// across shards; within its shard the slice's columns are walked in
-/// broadcast (ascending) order with entries in storage order — the
-/// identical saturating-add sequence the unsharded kernels execute.
-/// Merging shard outputs therefore touches disjoint output cells and
-/// reorders no accumulator's adds: the merged result is bit-exact by
-/// construction, whatever order shards finish in. The shard proptests
-/// pin this against the unsharded plan and the functional golden.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardPlan {
-    plan: LayerPlan,
-    first_pe: usize,
-    total_pes: usize,
-}
-
-impl ShardPlan {
-    /// The shard's own plan: the contiguous PE-slice run, with the
-    /// parent's shape and [`LaneTile`] preserved.
-    pub fn plan(&self) -> &LayerPlan {
-        &self.plan
-    }
-
-    /// Global index of the first PE slice this shard owns.
-    pub fn first_pe(&self) -> usize {
-        self.first_pe
-    }
-
-    /// One past the last global PE slice this shard owns.
-    pub fn end_pe(&self) -> usize {
-        self.first_pe + self.plan.num_pes()
-    }
-
-    /// Total PE count of the parent layer (the interleave stride of the
-    /// merged output).
-    pub fn total_pes(&self) -> usize {
-        self.total_pes
-    }
-
-    /// Reference M×V over the shard, scattered into the parent layer's
-    /// output vector: writes only the cells `y[row * total_pes + pe]`
-    /// for PEs in `[first_pe, end_pe)`. Running every shard of a split
-    /// against the same `y` reproduces [`LayerPlan::spmv_f32`] exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != cols` or `y.len() != rows`.
-    pub fn spmv_into_f32(&self, a: &[f32], y: &mut [f32]) {
-        assert_eq!(a.len(), self.plan.cols(), "activation length mismatch");
-        assert_eq!(y.len(), self.plan.rows(), "output length mismatch");
-        for (local_pe, slice) in self.plan.slices().iter().enumerate() {
-            let pe = self.first_pe + local_pe;
-            for (j, &aj) in a.iter().enumerate() {
-                if aj == 0.0 {
-                    continue;
-                }
-                for (row, weight) in slice.col_iter(j) {
-                    let w = Q8p8::from_raw(weight as i16).to_f32();
-                    y[row as usize * self.total_pes + pe] += w * aj;
-                }
-            }
-        }
-    }
-}
-
-impl fmt::Display for ShardPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "ShardPlan(PEs {}..{} of {}, {} entries)",
-            self.first_pe,
-            self.end_pe(),
-            self.total_pes,
-            self.plan.total_entries(),
-        )
+            .sum();
+        blocks + std::mem::size_of_val(self.blocks.as_slice()) + std::mem::size_of_val(&self.lut)
     }
 }
 
@@ -615,12 +641,14 @@ impl fmt::Display for LayerPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "LayerPlan({}x{}, {} PEs, {} entries, {} KiB, {})",
+            "LayerPlan({}x{}, {} PEs, {} block(s), {} entries, {} KiB, {:.2} B/entry, {})",
             self.rows,
             self.cols,
-            self.num_pes(),
+            self.num_pes,
+            self.blocks.len(),
             self.total_entries(),
             self.resident_bytes() / 1024,
+            self.resident_bytes() as f64 / self.total_entries().max(1) as f64,
             self.lane_tile,
         )
     }
@@ -633,6 +661,74 @@ mod tests {
     use eie_nn::zoo::random_sparse;
     use eie_nn::CsrMatrix;
 
+    /// Every `(row, col, raw weight)` triple a plan holds, sorted.
+    fn plan_triples(plan: &LayerPlan) -> Vec<(usize, usize, i32)> {
+        let mut got = Vec::new();
+        for (b, block) in plan.blocks().iter().enumerate() {
+            let rows: Vec<usize> = plan.block_rows(b).collect();
+            for j in 0..plan.cols() {
+                for e in block.col(j) {
+                    got.push((rows[e.accumulator()], j, plan.lut()[e.code()]));
+                }
+            }
+        }
+        got.sort_unstable();
+        got
+    }
+
+    /// Every real `(row, col, raw weight)` triple of an encoded layer,
+    /// sorted — what a plan must hold, no more and no less.
+    fn encoded_triples(enc: &EncodedLayer) -> Vec<(usize, usize, i32)> {
+        let table = enc.codebook().to_fix16::<8>();
+        let n = enc.num_pes();
+        let mut want = Vec::new();
+        for (pe, slice) in enc.slices().iter().enumerate() {
+            for j in 0..enc.cols() {
+                slice.walk_column(j, |local, code| {
+                    if code != 0 {
+                        want.push((local * n + pe, j, table[code as usize].raw() as i32));
+                    }
+                });
+            }
+        }
+        want.sort_unstable();
+        want
+    }
+
+    /// The structural invariants of the block layout, plus triple
+    /// preservation against the encoded layer.
+    fn assert_plan_is_faithful(enc: &EncodedLayer, plan: &LayerPlan) {
+        // Blocks tile the accumulator axis, each within the u16 budget.
+        let mut next = 0;
+        for block in plan.blocks() {
+            assert_eq!(block.first as usize, next);
+            assert!((1..=BLOCK_ACCUMULATORS).contains(&block.accumulators()));
+            assert_eq!(block.col_ptr.len(), plan.cols() + 1);
+            assert_eq!(*block.col_ptr.last().unwrap() as usize, block.num_entries());
+            for j in 0..plan.cols() {
+                let run = block.col(j);
+                assert!(run.iter().all(|e| e.accumulator() < block.accumulators()));
+                assert!(run.iter().all(|e| e.code() != 0), "padding survived");
+                // One product per accumulator per column, ascending.
+                assert!(run
+                    .windows(2)
+                    .all(|w| w[0].accumulator() < w[1].accumulator()));
+            }
+            next += block.accumulators();
+        }
+        assert_eq!(next, plan.rows());
+        // The accumulator → row map is a permutation of the rows.
+        let mut rows: Vec<usize> = (0..plan.blocks().len())
+            .flat_map(|b| plan.block_rows(b))
+            .collect();
+        rows.sort_unstable();
+        assert!(rows.iter().copied().eq(0..plan.rows()));
+        // Every real triple, and exactly the padding dropped.
+        assert_eq!(plan_triples(plan), encoded_triples(enc));
+        let padding: usize = enc.slices().iter().map(|s| s.padding_entries()).sum();
+        assert_eq!(plan.total_entries() + padding, enc.total_entries());
+    }
+
     #[test]
     fn plan_preserves_every_real_entry_and_drops_padding() {
         // A tall single-column matrix with a bottom weight forces long
@@ -642,87 +738,74 @@ mod tests {
         assert!(enc.slice(0).padding_entries() > 0);
         let plan = LayerPlan::build(&enc);
         assert_eq!(plan.total_entries(), 2);
-        assert_eq!(plan.slice(0).rows(), &[0, 200]);
+        let rows: Vec<usize> = plan_triples(&plan).iter().map(|t| t.0).collect();
+        assert_eq!(rows, [0, 200]);
+        assert_plan_is_faithful(&enc, &plan);
     }
 
     #[test]
-    fn plan_weights_match_the_fixed_point_codebook() {
+    fn block_structure_is_faithful_across_awkward_shapes() {
+        let cases = [
+            // (rows, cols, pes, density): NT-Wd's shape, three blocks
+            // whose cuts fall inside slices.
+            (8791, 24, 64, 0.02),
+            // One PE slice larger than a block: cuts inside a slice.
+            (9000, 12, 2, 0.03),
+            // rows % num_pes != 0.
+            (33, 17, 4, 0.3),
+            // num_pes > rows: trailing slices are empty.
+            (5, 9, 8, 0.6),
+            // A single accumulator per PE.
+            (4, 6, 4, 0.7),
+        ];
+        for (rows, cols, pes, density) in cases {
+            let m = random_sparse(rows, cols, density, 19);
+            let enc = compress(&m, CompressConfig::with_pes(pes));
+            let plan = LayerPlan::build(&enc);
+            assert_eq!(plan.blocks().len(), rows.div_ceil(BLOCK_ACCUMULATORS));
+            assert_plan_is_faithful(&enc, &plan);
+            for min_blocks in [2, 3, 7] {
+                let cut = LayerPlan::build_with_blocks(&enc, min_blocks);
+                let floor = rows.div_ceil(BLOCK_ACCUMULATORS);
+                assert_eq!(cut.blocks().len(), min_blocks.max(floor).min(rows));
+                assert_plan_is_faithful(&enc, &cut);
+                assert_eq!(cut.lut(), plan.lut());
+            }
+        }
+    }
+
+    #[test]
+    fn empty_columns_have_empty_runs() {
+        let m = CsrMatrix::from_triplets(8, 4, &[(0, 1, 1.0)]);
+        let enc = compress(&m, CompressConfig::with_pes(2));
+        let plan = LayerPlan::build(&enc);
+        let block = &plan.blocks()[0];
+        assert!(block.col(0).is_empty());
+        assert_eq!(block.col(1).len(), 1);
+        assert!(block.col(2).is_empty() && block.col(3).is_empty());
+        assert_plan_is_faithful(&enc, &plan);
+    }
+
+    #[test]
+    fn lut_is_the_fixed_point_codebook() {
         let m = random_sparse(40, 24, 0.25, 3);
         let enc = compress(&m, CompressConfig::with_pes(4));
-        let table = enc.codebook().to_fix16::<8>();
         let plan = LayerPlan::build(&enc);
-        for (slice, plan_slice) in enc.slices().iter().zip(plan.slices()) {
-            for j in 0..enc.cols() {
-                let mut want: Vec<(u32, i32)> = Vec::new();
-                slice.walk_column(j, |row, code| {
-                    if code != 0 {
-                        want.push((row as u32, table[code as usize].raw() as i32));
-                    }
-                });
-                let got: Vec<(u32, i32)> = plan_slice.col_iter(j).collect();
-                assert_eq!(got, want, "column {j} diverged");
-            }
+        let table = enc.codebook().to_fix16::<8>();
+        for (raw, w) in plan.lut().iter().zip(&table) {
+            assert_eq!(*raw, w.raw() as i32);
         }
+        assert_eq!(plan.lut()[0], 0, "code 0 is the reserved zero");
     }
 
     #[test]
-    fn soa_runs_are_parallel_and_extent_indexed() {
-        let m = random_sparse(48, 32, 0.3, 9);
-        let enc = compress(&m, CompressConfig::with_pes(4));
-        let plan = LayerPlan::build(&enc);
-        for slice in plan.slices() {
-            assert_eq!(slice.rows().len(), slice.num_entries());
-            assert_eq!(slice.col_ptr().len(), enc.cols() + 1);
-            assert_eq!(
-                *slice.col_ptr().last().unwrap() as usize,
-                slice.num_entries()
-            );
-            // Column spans tile the runs exactly.
-            let mut total = 0;
-            for j in 0..enc.cols() {
-                let (rows, weights) = slice.col(j);
-                assert_eq!(rows.len(), weights.len());
-                total += rows.len();
-            }
-            assert_eq!(total, slice.num_entries());
-        }
-    }
-
-    #[test]
-    fn plan_spmv_matches_a_fix16_codebook_reference() {
-        let m = random_sparse(60, 40, 0.15, 11);
-        let enc = compress(&m, CompressConfig::with_pes(8));
-        let plan = LayerPlan::build(&enc);
-        let a: Vec<f32> = (0..40)
-            .map(|i| {
-                if i % 3 == 0 {
-                    0.0
-                } else {
-                    (i as f32 * 0.1).cos()
-                }
-            })
-            .collect();
-        // Plans hold the Q8.8-*rounded* codebook (what the hardware
-        // multiplies), so the reference walks the encoded layer with the
-        // same fix16 table rather than the f32 centroids.
-        let table = enc.codebook().to_fix16::<8>();
-        let n = enc.num_pes();
-        let mut want = vec![0.0f32; enc.rows()];
-        for (pe, slice) in enc.slices().iter().enumerate() {
-            for (j, &aj) in a.iter().enumerate() {
-                if aj == 0.0 {
-                    continue;
-                }
-                slice.walk_column(j, |local, code| {
-                    if code != 0 {
-                        want[local * n + pe] += table[code as usize].to_f32() * aj;
-                    }
-                });
-            }
-        }
-        let got = plan.spmv_f32(&a);
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() < 1e-5, "{g} vs {w}");
+    fn resident_bytes_count_entries_extents_table_and_lut() {
+        for (rows, cols, pes) in [(64, 48, 4), (8791, 24, 64), (9000, 12, 2)] {
+            let m = random_sparse(rows, cols, 0.05, 23);
+            let plan = LayerPlan::build(&compress(&m, CompressConfig::with_pes(pes)));
+            let arrays = 2 * plan.total_entries() + 4 * (cols + 1) * plan.blocks().len();
+            assert!(plan.resident_bytes() > arrays);
+            assert!(plan.resident_bytes() <= arrays + 256, "{plan}");
         }
     }
 
@@ -734,29 +817,19 @@ mod tests {
         assert_eq!(plan.rows(), 33);
         assert_eq!(plan.cols(), 17);
         assert_eq!(plan.num_pes(), 3);
-        assert_eq!(plan.slice(0).col_ptr().len(), 18);
-        assert!(plan.resident_bytes() > 0);
+        assert_eq!(plan.blocks()[0].accumulators(), 33);
         let s = plan.to_string();
         assert!(s.contains("33x17") && s.contains("3 PEs"), "{s}");
+        assert!(s.contains("1 block(s)") && s.contains("B/entry"), "{s}");
         assert!(s.contains("cols/tile"), "{s}");
-    }
-
-    #[test]
-    fn empty_columns_have_empty_plan_spans() {
-        let m = CsrMatrix::from_triplets(8, 4, &[(0, 1, 1.0)]);
-        let enc = compress(&m, CompressConfig::with_pes(2));
-        let plan = LayerPlan::build(&enc);
-        assert!(plan.slice(0).col(0).0.is_empty());
-        assert_eq!(plan.slice(0).col(1).0.len(), 1);
-        assert!(plan.slice(1).col(1).0.is_empty());
     }
 
     #[test]
     fn lane_tile_selection_scales_with_density() {
         // A sparse layer affords wide tiles; a dense one must shrink the
-        // tile to keep its SoA runs L1-resident.
+        // tile to keep its entry runs L1-resident.
         let sparse = LaneTile::select(4096, 4096); // ~1 entry/col
-        let dense = LaneTile::select(4096, 4096 * 200); // ~200 entries/col
+        let dense = LaneTile::select(4096, 4096 * 2000); // ~2000 entries/col
         assert!(sparse.cols() > dense.cols(), "{sparse} !> {dense}");
         assert!(dense.cols() >= LaneTile::MIN_COLS);
         // Narrow layers clamp to their own width.
@@ -775,75 +848,22 @@ mod tests {
     }
 
     #[test]
-    fn split_preserves_slices_entries_and_lane_tile() {
-        let m = random_sparse(64, 40, 0.25, 13);
-        let enc = compress(&m, CompressConfig::with_pes(8));
-        let plan = LayerPlan::build(&enc).with_lane_tile(LaneTile::fixed(7));
-        for shards in [1, 2, 3, 7, 8, 20] {
-            let split = plan.split(shards);
-            assert!(split.len() <= shards.min(plan.num_pes()));
-            // Shards tile the PE axis contiguously and completely.
-            let mut next = 0;
-            let mut entries = 0;
-            for shard in &split {
-                assert_eq!(shard.first_pe(), next);
-                assert!(shard.plan().num_pes() > 0);
-                assert_eq!(shard.total_pes(), plan.num_pes());
-                assert_eq!(shard.plan().lane_tile(), plan.lane_tile());
-                assert_eq!(shard.plan().rows(), plan.rows());
-                assert_eq!(shard.plan().cols(), plan.cols());
-                for (k, slice) in shard.plan().slices().iter().enumerate() {
-                    assert_eq!(slice, plan.slice(shard.first_pe() + k));
-                }
-                entries += shard.plan().total_entries();
-                next = shard.end_pe();
-            }
-            assert_eq!(next, plan.num_pes());
-            assert_eq!(entries, plan.total_entries());
-        }
-    }
-
-    #[test]
-    fn shard_scatter_merge_reproduces_the_unsharded_spmv() {
-        let m = random_sparse(60, 36, 0.2, 17);
-        let enc = compress(&m, CompressConfig::with_pes(4));
-        let plan = LayerPlan::build(&enc);
-        let a: Vec<f32> = (0..36)
-            .map(|i| {
-                if i % 4 == 0 {
-                    0.0
-                } else {
-                    (i as f32 * 0.3).sin()
-                }
-            })
-            .collect();
-        let want = plan.spmv_f32(&a);
-        for shards in [1, 2, 3, 4] {
-            let mut got = vec![0.0f32; plan.rows()];
-            // Merge in reverse finish order on purpose: disjoint cells
-            // make the gather order-free.
-            for shard in plan.split(shards).iter().rev() {
-                shard.spmv_into_f32(&a, &mut got);
-            }
-            assert_eq!(got, want, "{shards} shards diverged");
-        }
-    }
-
-    #[test]
     fn topology_resolution_and_display() {
         let t = Topology::single();
         assert!(t.is_single(5));
         assert_eq!(t.stages_for(5), 1);
-        assert_eq!(t.shard_ranges(4), vec![(0, 4)]);
         assert_eq!(t.stage_spans(3), vec![(0, 3)]);
 
         let t = Topology::single().with_shards(3).with_stages(0);
         assert!(!t.is_single(1));
         assert_eq!(t.stages_for(5), 5); // auto: one stage per layer
         assert_eq!(t.stages_for(1), 1);
-        assert_eq!(t.shard_ranges(8), vec![(0, 3), (3, 6), (6, 8)]);
-        // More shards than PEs clamp to non-empty ranges.
-        assert_eq!(t.shard_ranges(2), vec![(0, 1), (1, 2)]);
+        assert_eq!(
+            Topology::contiguous_ranges(8, t.shards()),
+            vec![(0, 3), (3, 6), (6, 8)]
+        );
+        // More parts than items clamp to non-empty ranges.
+        assert_eq!(Topology::contiguous_ranges(2, 3), vec![(0, 1), (1, 2)]);
         assert_eq!(t.to_string(), "3 shard(s) × auto stages");
 
         let t = Topology::single()

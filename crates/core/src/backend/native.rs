@@ -7,10 +7,12 @@
 //! orchestration costs the paper's hardware never paid engineered out:
 //!
 //! * **Pre-decoded plans** — the first run of a layer lowers it into a
-//!   [`LayerPlan`] (zero runs expanded, codebook pre-multiplied into raw
-//!   `i32` weights, padding dropped), cached per layer instance; every
-//!   later run is a branch-light linear scan with no nibble decoding,
-//!   no codebook indirection, and no padding test in the inner loop.
+//!   [`LayerPlan`] (zero runs expanded, padding dropped, the PE slices
+//!   merged into column-major blocks of 2-byte `accumulator << 4 | code`
+//!   entries behind a 16-entry LUT), cached per layer instance; every
+//!   later run walks one contiguous run per live column with no nibble
+//!   decoding and no padding test in the inner loop, and never touches
+//!   a dead column's bytes.
 //! * **A persistent worker pool** — spawned once (lazily) per backend
 //!   and parked between runs, instead of `std::thread::scope` spawns
 //!   per layer per request.
@@ -21,7 +23,7 @@
 //!   vectors, which the caller owns, are the only per-call
 //!   allocations).
 //!
-//! Batches run through a **fused kernel**: each plan slice is scanned
+//! Batches run through a **fused kernel**: each plan block is walked
 //! once for the whole batch (the CSC analogue of the GEMV→GEMM fusion
 //! that makes CPU batching pay, Table IV), so batch throughput beats
 //! looping the per-item kernel even single-threaded — at the cost of
@@ -30,22 +32,22 @@
 //!
 //! The fused kernel is **batch-lane vectorized**: activations are
 //! transposed once per batch into zero-padded [`LANE_WIDTH`]-item lane
-//! blocks, and each pre-decoded weight is applied to a whole block as
+//! blocks, and each plan entry is applied to a whole lane block as
 //! one fixed-width `[i32; LANE_WIDTH]` saturating MAC — a shape the
 //! autovectorizer can prove, with an AVX2 `core::arch` path behind the
 //! `simd` cargo feature (runtime-detected; see [`lane_isa`]). Because
 //! every batch item's saturating-`Accum32` chain is independent and a
 //! padded lane adds a zero product (a no-op under saturating addition),
 //! vectorizing across the batch cannot change any item's add sequence.
-//! The scan is tiled by the plan's per-layer [`LaneTile`] (columns ×
-//! lane-block) so the tile's SoA entry runs stay cache-resident across
+//! The walk is tiled by the plan's per-layer [`LaneTile`] (columns ×
+//! lane-block) so the tile's entry runs stay cache-resident across
 //! lane blocks.
 //!
-//! Two measured A/B baselines are retained: the pre-plan streaming
+//! One measured A/B baseline is retained: the pre-plan streaming
 //! kernel behind [`NativeCpu::without_plans`] (and
-//! `BackendKind::NativeStreaming`) and the scalar fused plan kernel
-//! behind [`NativeCpu::without_lanes`] — `kernel_sweep` and the
-//! property tests hold all three bit-exact against each other.
+//! `BackendKind::NativeStreaming`) — `kernel_sweep` and the property
+//! tests hold it, the two plan walks and the functional golden model
+//! bit-exact against each other.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,7 +55,8 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
 use eie_compress::{
-    EncodedLayer, LaneTile, LayerPlan, PeSlice, PlanSlice, Topology, CODEBOOK_SIZE, LANE_WIDTH,
+    EncodedLayer, LaneTile, LayerPlan, PeSlice, PlanBlock, PlanEntry, Topology, BLOCK_ACCUMULATORS,
+    CODEBOOK_SIZE, LANE_WIDTH,
 };
 use eie_fixed::{Accum32, Q8p8};
 use eie_sim::broadcast_schedule;
@@ -80,17 +83,19 @@ pub(crate) fn default_threads() -> usize {
 /// [`LayerPlan`]s on a persistent worker pool.
 ///
 /// Bit-exactness with the hardware comes from preserving its arithmetic
-/// structure exactly: each accumulator belongs to one PE slice, and for
-/// any one item, columns are visited in broadcast order with entries in
-/// storage order — so every `Accum32` sees the *same sequence of
-/// saturating adds* as the cycle model, regardless of how slices are
-/// spread across threads, whether items share a fused pass, or whether
-/// the scan runs over the plan or the compressed stream (plans drop
-/// only padding entries, which add a raw zero — a proven no-op under
-/// saturating addition).
+/// structure exactly: the format stores strictly increasing rows within
+/// a `(PE, column)`, so an accumulator receives at most one product per
+/// column, and for any one item columns are visited in broadcast
+/// (ascending) order — so every `Accum32` sees the *same sequence of
+/// saturating adds* as the cycle model, regardless of how entries are
+/// ordered or grouped within a column, how plan blocks are spread
+/// across threads, whether items share a fused pass, or whether the
+/// walk runs over the plan or the compressed stream (plans drop only
+/// padding entries, which add a raw zero — a proven no-op under
+/// saturating addition; see [`LayerPlan`]).
 ///
-/// Single items split their PE slices across the pool; batches run the
-/// fused whole-batch kernel, also split by slice. A fused batch
+/// Single items split the plan's blocks across the pool; batches run
+/// the fused whole-batch kernel, also split by block. A fused batch
 /// completes as a unit, so every item of a batched [`BackendRun`]
 /// reports the batch's wall time as its latency — batching buys
 /// throughput, not latency, as in the paper.
@@ -123,13 +128,11 @@ struct PlanCacheMap {
 struct Inner {
     threads: usize,
     /// Row-shard worker groups per layer ([`NativeCpu::with_shards`]):
-    /// each shard owns a contiguous run of PE slices and a share of the
-    /// threads. `1` (the default) is the classic single-group dispatch.
+    /// each shard owns a contiguous run of plan blocks and a share of
+    /// the threads. `1` (the default) is the classic single-group
+    /// dispatch.
     shards: usize,
     use_plans: bool,
-    /// `false` only for the [`NativeCpu::without_lanes`] scalar fused
-    /// A/B baseline: batches run the pre-lane per-item-list kernel.
-    use_lanes: bool,
     /// Spawned on the first parallel planned run; `threads - 1` parked
     /// workers (the session holder executes the remaining share).
     pool: OnceLock<WorkerPool>,
@@ -151,7 +154,6 @@ impl std::fmt::Debug for NativeCpu {
             .field("threads", &self.inner.threads)
             .field("shards", &self.inner.shards)
             .field("plans", &self.inner.use_plans)
-            .field("lanes", &self.inner.use_lanes)
             .field("cached_plans", &self.cached_plans())
             .finish()
     }
@@ -176,7 +178,6 @@ impl NativeCpu {
                 threads,
                 shards: 1,
                 use_plans: true,
-                use_lanes: true,
                 pool: OnceLock::new(),
                 plans: RwLock::new(PlanCacheMap::default()),
                 plan_builds: AtomicU64::new(0),
@@ -185,23 +186,26 @@ impl NativeCpu {
         }
     }
 
-    /// Splits each layer's PE slices across `shards` row-shard worker
+    /// Splits each layer's plan blocks across `shards` row-shard worker
     /// groups (the in-process form of a [`Topology`] shard split):
-    /// shard `i` owns a contiguous run of PE slices subdivided among
-    /// its group's share of the threads, and the partial outputs merge
-    /// at the gather point.
+    /// shard `i` owns a contiguous run of blocks — one span of the
+    /// PE-major accumulator axis — subdivided among its group's share
+    /// of the threads, and the partial outputs merge at the gather
+    /// point. A plan with fewer blocks than the engine fans out over is
+    /// re-blocked once, through the engine's plan cache.
     ///
     /// The merge is bit-exact by construction: every accumulator
-    /// belongs to exactly one PE slice and a slice is never divided, so
-    /// no accumulator's saturating-add stream crosses a shard boundary,
-    /// and shard outputs land in disjoint cells of the interleaved
-    /// output (`row * num_pes + pe`) — the same argument the per-thread
-    /// ranges have always relied on, one grouping level up. The shard
-    /// proptests pin it against the unsharded engine and the golden.
+    /// belongs to exactly one block, so no accumulator's saturating-add
+    /// stream crosses a shard boundary, and shard outputs land in
+    /// disjoint cells of the interleaved output (`row * num_pes + pe`)
+    /// — the same argument the per-thread ranges rely on, one grouping
+    /// level up. The shard proptests pin it against the unsharded
+    /// engine and the golden.
     ///
-    /// More shards than a layer has PEs clamp to one slice per shard;
-    /// more shards than threads run in successive waves on the pool —
-    /// the multi-process rehearsal shape, not a speedup on its own.
+    /// More shards than a layer has rows clamp to one accumulator per
+    /// shard; more shards than threads run in successive waves on the
+    /// pool — the multi-process rehearsal shape, not a speedup on its
+    /// own.
     ///
     /// # Panics
     ///
@@ -213,7 +217,6 @@ impl NativeCpu {
                 threads: self.inner.threads,
                 shards,
                 use_plans: self.inner.use_plans,
-                use_lanes: self.inner.use_lanes,
                 pool: OnceLock::new(),
                 plans: RwLock::new(PlanCacheMap::default()),
                 plan_builds: AtomicU64::new(0),
@@ -232,28 +235,6 @@ impl NativeCpu {
                 threads: self.inner.threads,
                 shards: self.inner.shards,
                 use_plans: false,
-                use_lanes: false,
-                pool: OnceLock::new(),
-                plans: RwLock::new(PlanCacheMap::default()),
-                plan_builds: AtomicU64::new(0),
-                session: Mutex::new(Session::new()),
-            }),
-        }
-    }
-
-    /// Disables batch-lane vectorization: fused batches run the scalar
-    /// plan kernel (per-column live-item lists, one MAC at a time).
-    /// This is the `simd-vs-scalar` A/B baseline for `kernel_sweep`,
-    /// the `lanes` criterion bench and the property tests, not a
-    /// serving configuration. Single items are unaffected (they never
-    /// use lanes).
-    pub fn without_lanes(self) -> Self {
-        Self {
-            inner: Arc::new(Inner {
-                threads: self.inner.threads,
-                shards: self.inner.shards,
-                use_plans: self.inner.use_plans,
-                use_lanes: false,
                 pool: OnceLock::new(),
                 plans: RwLock::new(PlanCacheMap::default()),
                 plan_builds: AtomicU64::new(0),
@@ -278,13 +259,6 @@ impl NativeCpu {
         self.inner.use_plans
     }
 
-    /// Whether fused batches run the batch-lane vectorized kernel
-    /// (`false` for the [`NativeCpu::without_lanes`] scalar A/B
-    /// baseline and the streaming baseline).
-    pub fn uses_lanes(&self) -> bool {
-        self.inner.use_lanes
-    }
-
     /// Number of layer plans currently cached by this engine.
     pub fn cached_plans(&self) -> usize {
         self.inner
@@ -303,7 +277,7 @@ impl NativeCpu {
     }
 
     /// Drops every cached plan (they rebuild lazily). Useful when an
-    /// engine outlives the models it served; plans cost ~8 bytes per
+    /// engine outlives the models it served; plans cost ~2 bytes per
     /// non-zero weight while cached (the engine also flushes itself
     /// past a 256 MiB soft cap).
     pub fn clear_plan_cache(&self) {
@@ -312,15 +286,41 @@ impl NativeCpu {
         cache.bytes = 0;
     }
 
+    /// How many blocks this engine fans a layer out over: one per
+    /// thread, and at least one per shard.
+    fn fan_out(&self) -> usize {
+        self.inner.threads.max(self.inner.shards)
+    }
+
+    /// The plan this engine runs `planned` with, and its column tile:
+    /// the caller's plan (a model's shared one) when it has a block
+    /// for every range the engine fans out over — always, for the
+    /// single-threaded serving default — and otherwise the engine's
+    /// own re-blocked plan, built once per layer instance into its
+    /// cache, under the caller's tile (a calibration override survives
+    /// the re-block). The shared plan is never modified.
+    ///
+    /// Crate-visible so the pipelined executor can resolve every
+    /// layer's plan against its owning stage engine up front.
+    pub(crate) fn resolve_plan(&self, planned: PlannedLayer<'_>) -> ResolvedPlan {
+        let fits = |plan: &LayerPlan| plan.blocks().len() >= self.fan_out().min(plan.rows());
+        match planned.plan {
+            Some(plan) if fits(plan) => (Arc::clone(plan), plan.lane_tile()),
+            shared => {
+                let plan = self.plan_for(planned.layer);
+                let tile = shared.unwrap_or(&plan).lane_tile();
+                (plan, tile)
+            }
+        }
+    }
+
     /// The cached plan for `layer`, building (and counting) it on the
-    /// first encounter of this layer instance. Past the soft byte cap
+    /// first encounter of this layer instance, cut into a block per
+    /// range the engine fans out over. Past the soft byte cap
     /// the cache flushes wholesale — crude, but it bounds residency for
     /// callers that stream ever-new layer instances through one engine,
     /// and a flushed plan simply rebuilds on next use.
-    ///
-    /// Crate-visible so the pipelined executor can resolve plans for
-    /// layers its caller handed over unplanned.
-    pub(crate) fn plan_for(&self, layer: &EncodedLayer) -> Arc<LayerPlan> {
+    fn plan_for(&self, layer: &EncodedLayer) -> Arc<LayerPlan> {
         let id = layer.instance_id();
         if let Some(plan) = self
             .inner
@@ -332,7 +332,7 @@ impl NativeCpu {
         {
             return Arc::clone(plan);
         }
-        let plan = Arc::new(LayerPlan::build(layer));
+        let plan = Arc::new(LayerPlan::build_with_blocks(layer, self.fan_out()));
         let size = plan.resident_bytes();
         let mut cache = self.inner.plans.write().expect("plan cache poisoned");
         if let Some(existing) = cache.plans.get(&id) {
@@ -351,23 +351,38 @@ impl NativeCpu {
         plan
     }
 
-    /// Runs one item over a plan, splitting PE slices across the pool.
-    fn planned_single(&self, plan: &Arc<LayerPlan>, acts: &[Q8p8], relu: bool) -> Vec<Q8p8> {
+    /// Runs `items` over a plan, splitting its blocks across the pool:
+    /// a lone item takes the single-item walk, a batch the lane walk
+    /// tiled by `tile`. Returns `[item][global_row]` outputs.
+    fn planned<I: AsRef<[Q8p8]>>(
+        &self,
+        (plan, tile): &ResolvedPlan,
+        items: &[I],
+        relu: bool,
+    ) -> Vec<Vec<Q8p8>> {
+        let b = items.len();
         let mut guard = self.inner.session.lock().expect("session poisoned");
         let session = &mut *guard;
-        {
+        let input = if let [item] = items {
             let schedule = exclusive(&mut session.single);
-            schedule.cols.clear();
-            for (j, &a) in acts.iter().enumerate() {
+            schedule.clear();
+            for (j, &a) in item.as_ref().iter().enumerate() {
                 if !a.is_zero() {
-                    schedule.cols.push((j as u32, a.raw() as i32));
+                    schedule.push((j as u32, a.raw() as i32));
                 }
             }
-        }
-        let input = TaskInput::Single(Arc::clone(&session.single));
-        let mut outputs = vec![Q8p8::ZERO; plan.rows()];
+            TaskInput::Single(Arc::clone(&session.single))
+        } else {
+            exclusive(&mut session.lanes).fill(items, plan.cols());
+            TaskInput::Lanes {
+                schedule: Arc::clone(&session.lanes),
+                batch: b,
+                tile: *tile,
+            }
+        };
+        let mut outputs: Vec<Vec<Q8p8>> = (0..b).map(|_| vec![Q8p8::ZERO; plan.rows()]).collect();
         let failed = self.dispatch(session, plan, input, relu, &mut |plan, range, scratch| {
-            gather_single(plan, range, &scratch.out, &mut outputs);
+            gather(plan, range, b, &scratch.out, &mut outputs);
         });
         // Re-raise a worker panic *after* the session guard drops: the
         // run is fully drained (the latch released), so the session is
@@ -379,55 +394,19 @@ impl NativeCpu {
         outputs
     }
 
-    /// Runs a fused batch over a plan, splitting PE slices across the
-    /// pool. Returns `[item][global_row]` outputs.
-    fn planned_batch(
+    /// [`NativeCpu::planned`] over the plan resolved for `planned`,
+    /// wrapped into timed runs: one item is a solo run, more complete
+    /// as a unit.
+    fn timed<I: AsRef<[Q8p8]>>(
         &self,
-        plan: &Arc<LayerPlan>,
-        batch: &[Vec<Q8p8>],
+        planned: PlannedLayer<'_>,
+        items: &[I],
         relu: bool,
-    ) -> Vec<Vec<Q8p8>> {
-        let b = batch.len();
-        let mut guard = self.inner.session.lock().expect("session poisoned");
-        let session = &mut *guard;
-        let input = if self.inner.use_lanes {
-            {
-                let schedule = exclusive(&mut session.lanes);
-                schedule.fill(batch, plan.cols());
-            }
-            TaskInput::Lanes {
-                schedule: Arc::clone(&session.lanes),
-                batch: b,
-            }
-        } else {
-            {
-                let schedule = exclusive(&mut session.batch);
-                schedule.live.clear();
-                schedule.col_ptr.clear();
-                schedule.col_ptr.push(0);
-                for j in 0..plan.cols() {
-                    for (i, item) in batch.iter().enumerate() {
-                        let a = item[j];
-                        if !a.is_zero() {
-                            schedule.live.push((i as u32, a.raw() as i32));
-                        }
-                    }
-                    schedule.col_ptr.push(schedule.live.len() as u32);
-                }
-            }
-            TaskInput::Batch {
-                schedule: Arc::clone(&session.batch),
-                batch: b,
-            }
-        };
-        let mut outputs: Vec<Vec<Q8p8>> = (0..b).map(|_| vec![Q8p8::ZERO; plan.rows()]).collect();
-        let failed = self.dispatch(session, plan, input, relu, &mut |plan, range, scratch| {
-            gather_batch(plan, range, b, &scratch.out, &mut outputs);
-        });
-        // See `planned_single`: the panic is re-raised lock-free.
-        drop(guard);
-        assert!(!failed, "native kernel pool worker panicked");
-        outputs
+    ) -> Vec<BackendRun> {
+        let resolved = self.resolve_plan(planned);
+        let start = Instant::now();
+        let outputs = self.planned(&resolved, items, relu);
+        fused_runs(outputs, start.elapsed().as_secs_f64())
     }
 
     /// The lean chunk entry for the pipelined executor
@@ -443,7 +422,7 @@ impl NativeCpu {
     /// plan's input dimension, or a pool worker panicked.
     pub(crate) fn run_chunk_planned(
         &self,
-        plan: &Arc<LayerPlan>,
+        resolved: &ResolvedPlan,
         chunk: &[Vec<Q8p8>],
         relu: bool,
     ) -> Vec<Vec<Q8p8>> {
@@ -451,19 +430,15 @@ impl NativeCpu {
         for item in chunk {
             assert_eq!(
                 item.len(),
-                plan.cols(),
+                resolved.0.cols(),
                 "activation length mismatches the plan's input dimension"
             );
         }
-        if chunk.len() == 1 {
-            vec![self.planned_single(plan, &chunk[0], relu)]
-        } else {
-            self.planned_batch(plan, chunk, relu)
-        }
+        self.planned(resolved, chunk, relu)
     }
 
-    /// The shard-addressable dispatch table for an `n`-PE layer: the
-    /// engine's shard count carves the PE axis into contiguous shard
+    /// The shard-addressable dispatch table for an `n`-block plan: the
+    /// engine's shard count carves the block list into contiguous shard
     /// ranges ([`Topology::contiguous_ranges`] — shard `i` is worker
     /// group `i`), and each shard range is subdivided among its group's
     /// share of the threads. One shard (the default) reduces exactly to
@@ -490,7 +465,7 @@ impl NativeCpu {
     /// leader's range inline, wait, and let `gather` merge each range's
     /// outputs from its worker's scratch.
     ///
-    /// **Merge point.** Ranges hold whole PE slices, so every
+    /// **Merge point.** Ranges hold whole plan blocks, so every
     /// accumulator's saturating-add stream runs inside exactly one
     /// range; `gather` writes each range's finished values into
     /// disjoint cells of the interleaved output. The merge therefore
@@ -513,10 +488,10 @@ impl NativeCpu {
         relu: bool,
         gather: &mut GatherFn<'_>,
     ) -> bool {
-        let n = plan.num_pes();
+        let n = plan.blocks().len();
         let ranges = self.dispatch_ranges(n);
         if ranges.len() <= 1 {
-            run_pe_range(plan, &input, (0, n), relu, &mut session.local);
+            run_block_range(plan, &input, (0, n), relu, &mut session.local);
             gather(plan, (0, n), &session.local);
             return false;
         }
@@ -527,19 +502,19 @@ impl NativeCpu {
         let slots = pool.len() + 1; // the session holder runs one range inline
         for wave in ranges.chunks(slots) {
             session.latch.reset(wave.len() - 1);
-            for (w, &pe_range) in wave.iter().enumerate().skip(1) {
+            for (w, &blocks) in wave.iter().enumerate().skip(1) {
                 pool.submit(
                     w - 1,
                     Task {
                         plan: Arc::clone(plan),
                         input: input.clone(),
-                        pe_range,
+                        blocks,
                         relu,
                         latch: Arc::clone(&session.latch),
                     },
                 );
             }
-            run_pe_range(plan, &input, wave[0], relu, &mut session.local);
+            run_block_range(plan, &input, wave[0], relu, &mut session.local);
             if session.latch.wait() {
                 // Gather nothing further: a dead range would leave
                 // silently wrong (partial) outputs. The caller
@@ -547,8 +522,8 @@ impl NativeCpu {
                 return true;
             }
             gather(plan, wave[0], &session.local);
-            for (w, &pe_range) in wave.iter().enumerate().skip(1) {
-                pool.with_scratch(w - 1, |scratch| gather(plan, pe_range, scratch));
+            for (w, &blocks) in wave.iter().enumerate().skip(1) {
+                pool.with_scratch(w - 1, |scratch| gather(plan, blocks, scratch));
             }
         }
         drop(input); // release the schedule Arc for next-call reuse
@@ -562,8 +537,12 @@ impl Default for NativeCpu {
     }
 }
 
+/// A plan as an engine runs it ([`NativeCpu::resolve_plan`]): the plan
+/// and the column tile its lane walk uses.
+pub(crate) type ResolvedPlan = (Arc<LayerPlan>, LaneTile);
+
 /// The harvest callback [`NativeCpu::dispatch`] hands each completed
-/// PE-slice range to (it interleaves one scratch's output blocks into
+/// block range to (it interleaves one scratch's output blocks into
 /// the caller's global output buffers).
 type GatherFn<'a> = dyn FnMut(&LayerPlan, (usize, usize), &WorkerScratch) + 'a;
 
@@ -580,19 +559,7 @@ fn exclusive<T: Default>(arc: &mut Arc<T>) -> &mut T {
 
 /// The per-item broadcast schedule on raw values: `(column, act_raw)`
 /// for every non-zero activation, ascending.
-#[derive(Debug, Default)]
-pub(super) struct SingleSchedule {
-    pub(super) cols: Vec<(u32, i32)>,
-}
-
-/// The fused-batch schedule, flattened for reuse: per column, the
-/// `(item, act_raw)` pairs with a non-zero activation, concatenated in
-/// column order with a `cols + 1` extent index.
-#[derive(Debug, Default)]
-pub(super) struct BatchSchedule {
-    pub(super) live: Vec<(u32, i32)>,
-    pub(super) col_ptr: Vec<u32>,
-}
+type SingleSchedule = Vec<(u32, i32)>;
 
 /// The batch-lane schedule: activations transposed once per batch into
 /// [`LANE_WIDTH`]-item lane blocks, so the kernel can apply one weight
@@ -619,7 +586,7 @@ pub(super) struct LaneSchedule {
 impl LaneSchedule {
     /// Rebuilds the schedule in place from a batch (buffers reused —
     /// steady state allocates nothing once grown to high water).
-    fn fill(&mut self, batch: &[Vec<Q8p8>], cols: usize) {
+    fn fill<I: AsRef<[Q8p8]>>(&mut self, batch: &[I], cols: usize) {
         let blocks = batch.len().div_ceil(LANE_WIDTH);
         self.cols = cols;
         self.blocks = blocks;
@@ -630,7 +597,7 @@ impl LaneSchedule {
         for (i, item) in batch.iter().enumerate() {
             let (lb, k) = (i / LANE_WIDTH, i % LANE_WIDTH);
             let base = lb * cols;
-            for (j, &a) in item.iter().enumerate() {
+            for (j, &a) in item.as_ref().iter().enumerate() {
                 if !a.is_zero() {
                     self.acts[(base + j) * LANE_WIDTH + k] = a.raw() as i32;
                     self.live[base + j] = 1;
@@ -657,29 +624,24 @@ impl LaneSchedule {
 pub(super) enum TaskInput {
     /// One item's broadcast schedule.
     Single(Arc<SingleSchedule>),
-    /// A fused batch's scalar schedule plus the batch size (the
-    /// `without_lanes` A/B baseline).
-    Batch {
-        /// Per-column live items.
-        schedule: Arc<BatchSchedule>,
-        /// Number of items in the batch.
-        batch: usize,
-    },
     /// A fused batch's lane schedule plus the true batch size.
     Lanes {
         /// Transposed lane-block activations.
         schedule: Arc<LaneSchedule>,
         /// Number of real items (the last lane block may be padded).
         batch: usize,
+        /// The column tile of the plan the caller handed in — a
+        /// calibration override survives the engine re-blocking it.
+        tile: LaneTile,
     },
 }
 
-/// One worker's unit of work: a contiguous PE-slice range of one plan.
+/// One worker's unit of work: a contiguous block range of one plan.
 #[derive(Debug)]
 pub(super) struct Task {
     plan: Arc<LayerPlan>,
     input: TaskInput,
-    pe_range: (usize, usize),
+    blocks: (usize, usize),
     relu: bool,
     latch: Arc<Latch>,
 }
@@ -687,7 +649,7 @@ pub(super) struct Task {
 impl Task {
     /// Executes the task into the worker's scratch.
     pub(super) fn run(&self, scratch: &mut WorkerScratch) {
-        run_pe_range(&self.plan, &self.input, self.pe_range, self.relu, scratch);
+        run_block_range(&self.plan, &self.input, self.blocks, self.relu, scratch);
     }
 
     /// The run's completion latch.
@@ -696,87 +658,97 @@ impl Task {
     }
 }
 
-/// Reusable per-worker buffers: accumulators for one slice at a time
-/// and the range's written-back outputs, one block per PE (block layout
-/// `[local_row]` for single items, `[local_row * batch + item]` for
-/// fused batches). The lane kernel's accumulator blocks are
-/// lane-aligned — `local_rows × LANE_WIDTH × lane_blocks`, padded past
-/// the true batch size — so the high-water mark covers the vector
-/// stripes too. Grows to that mark, then steady-state runs allocate
-/// nothing.
+/// One lane-aligned accumulator stripe: one accumulator of
+/// [`LANE_WIDTH`] items.
+type Stripe = [i32; LANE_WIDTH];
+
+/// Reusable per-worker buffers: the accumulators of one plan block at a
+/// time and the range's written-back outputs, one span per block (span
+/// layout `[accumulator]` for single items,
+/// `[accumulator * batch + item]` for fused batches).
+///
+/// Accumulators are always handed to the kernels as whole
+/// `[_; BLOCK_ACCUMULATORS]` arrays — a [`PlanEntry`]'s accumulator
+/// field is below that bound for every bit pattern, so the inner loops
+/// index without a bounds check, safely. A single item flattens the
+/// first `BLOCK_ACCUMULATORS / LANE_WIDTH` stripes into its `i32`
+/// accumulators; the lane kernel gives every lane block its own
+/// `BLOCK_ACCUMULATORS` stripes (128 KiB, of which a block touches its
+/// own accumulator count). Grows to the high-water mark, then
+/// steady-state runs allocate nothing.
 #[derive(Debug, Default)]
 pub(super) struct WorkerScratch {
-    accum: Vec<i32>,
+    accum: Vec<Stripe>,
     out: Vec<Q8p8>,
 }
 
-/// Scans a PE-slice range of a plan into `scratch` — the unit of work
+/// Walks a block range of a plan into `scratch` — the unit of work
 /// shared by pool workers and the session holder's inline share.
-fn run_pe_range(
+fn run_block_range(
     plan: &LayerPlan,
     input: &TaskInput,
     (first, end): (usize, usize),
     relu: bool,
     scratch: &mut WorkerScratch,
 ) {
-    let b = match input {
-        TaskInput::Single(_) => 1,
-        TaskInput::Batch { batch, .. } | TaskInput::Lanes { batch, .. } => *batch,
+    let (b, stripes) = match input {
+        TaskInput::Single(_) => (1, BLOCK_ACCUMULATORS / LANE_WIDTH),
+        TaskInput::Lanes { batch, .. } => (*batch, batch.div_ceil(LANE_WIDTH) * BLOCK_ACCUMULATORS),
     };
-    let slices = &plan.slices()[first..end];
-    let total: usize = slices.iter().map(|s| s.local_rows() * b).sum();
+    let blocks = &plan.blocks()[first..end];
+    let total: usize = blocks.iter().map(|block| block.accumulators() * b).sum();
     scratch.out.resize(total, Q8p8::ZERO);
+    if scratch.accum.len() < stripes {
+        scratch.accum.resize(stripes, [0; LANE_WIDTH]);
+    }
     let mut offset = 0;
-    for slice in slices {
-        let block = slice.local_rows() * b;
-        // The lane kernel accumulates into lane-aligned blocks (batch
-        // rounded up to whole LANE_WIDTH lanes); the scalar kernels use
-        // exactly `block`. Size the shared scratch for whichever runs.
-        let accum_len = match input {
-            TaskInput::Lanes { batch, .. } => {
-                slice.local_rows() * batch.div_ceil(LANE_WIDTH) * LANE_WIDTH
-            }
-            _ => block,
-        };
-        if scratch.accum.len() < accum_len {
-            scratch.accum.resize(accum_len, 0);
-        }
-        let accum = &mut scratch.accum[..accum_len];
-        let out = &mut scratch.out[offset..offset + block];
+    for block in blocks {
+        let span = block.accumulators() * b;
+        let out = &mut scratch.out[offset..offset + span];
         match input {
             TaskInput::Single(schedule) => {
-                plan_slice_single(slice, &schedule.cols, accum, out, relu);
+                block_single(block, plan.lut(), schedule, &mut scratch.accum, out, relu);
             }
-            TaskInput::Batch { schedule, batch } => {
-                plan_slice_batch(slice, schedule, *batch, accum, out, relu);
-            }
-            TaskInput::Lanes { schedule, batch } => {
-                plan_slice_lanes(slice, schedule, *batch, plan.lane_tile(), accum, out, relu);
+            TaskInput::Lanes {
+                schedule,
+                batch,
+                tile,
+            } => {
+                let accum = &mut scratch.accum;
+                block_lanes(block, plan.lut(), schedule, *batch, *tile, accum, out, relu);
             }
         }
-        offset += block;
+        offset += span;
     }
 }
 
-/// The steady-state single-item kernel: a linear scan of pre-decoded
-/// `(row, weight)` entries — no nibble decoding, no codebook
-/// indirection, no padding test. The add sequence per accumulator is
-/// identical to the streaming kernel's: columns in broadcast order,
-/// entries in storage order, padding dropped (adds a raw zero —
-/// saturating-add of zero never changes an accumulator).
-fn plan_slice_single(
-    slice: &PlanSlice,
+/// The steady-state single-item kernel: for every live column, one
+/// contiguous run of 2-byte entries — `accum[e >> 4] += lut[e & 15] * a`,
+/// the sixteen `lut × a` products taken once per column — with no
+/// nibble decoding, no padding test and no per-PE loop; a dead column's
+/// run is never touched. Each accumulator receives at
+/// most one product per column and columns ascend, so its add sequence
+/// is identical to the streaming kernel's (see [`LayerPlan`]).
+fn block_single(
+    block: &PlanBlock,
+    lut: &[i32; CODEBOOK_SIZE],
     schedule: &[(u32, i32)],
-    accum: &mut [i32],
+    accum: &mut [Stripe],
     out: &mut [Q8p8],
     relu: bool,
 ) {
-    accum.fill(0);
+    let accum: &mut [i32; BLOCK_ACCUMULATORS] = (&mut accum.as_flattened_mut()
+        [..BLOCK_ACCUMULATORS])
+        .try_into()
+        .expect("scratch holds a whole block of accumulators");
+    accum[..out.len()].fill(0);
     for &(j, a) in schedule {
-        let (rows, weights) = slice.col(j as usize);
-        for (&row, &w) in rows.iter().zip(weights) {
-            let acc = &mut accum[row as usize];
-            *acc = acc.saturating_add(w * a);
+        // Raw weights and activations are i16-range (Q8.8), so the
+        // product fits i32 exactly; only the accumulate saturates.
+        let products = lut.map(|w| w * a);
+        for e in block.col(j as usize) {
+            let acc = &mut accum[e.accumulator()];
+            *acc = acc.saturating_add(products[e.code()]);
         }
     }
     for (slot, &acc) in out.iter_mut().zip(accum.iter()) {
@@ -784,137 +756,130 @@ fn plan_slice_single(
     }
 }
 
-/// The scalar fused batch kernel over a plan slice (the
-/// `without_lanes` A/B baseline): each pre-decoded entry is applied to
-/// every live item of its column, one MAC at a time, touching one
-/// contiguous `[row * batch .. (row + 1) * batch]` accumulator stripe.
-/// Outputs land in the same `[local_row * batch + item]` layout.
-fn plan_slice_batch(
-    slice: &PlanSlice,
-    schedule: &BatchSchedule,
-    batch: usize,
-    accum: &mut [i32],
-    out: &mut [Q8p8],
-    relu: bool,
-) {
-    accum.fill(0);
-    for j in 0..schedule.col_ptr.len() - 1 {
-        let live = &schedule.live[schedule.col_ptr[j] as usize..schedule.col_ptr[j + 1] as usize];
-        if live.is_empty() {
-            continue;
-        }
-        let (rows, weights) = slice.col(j);
-        for (&row, &w) in rows.iter().zip(weights) {
-            let stripe = &mut accum[row as usize * batch..(row as usize + 1) * batch];
-            for &(i, a) in live {
-                let acc = &mut stripe[i as usize];
-                *acc = acc.saturating_add(w * a);
-            }
-        }
-    }
-    for (slot, &acc) in out.iter_mut().zip(accum.iter()) {
-        *slot = writeback(acc, relu);
-    }
-}
-
-/// The batch-lane vectorized fused kernel over a plan slice: one
-/// pre-decoded weight × one [`LANE_WIDTH`]-item activation block per
-/// MAC step, as a fixed-width `[i32; LANE_WIDTH]` saturating
-/// multiply-accumulate (autovectorized, or AVX2 under the `simd`
-/// feature — see [`mac_span`]).
+/// The batch-lane vectorized fused kernel over a plan block: one plan
+/// entry × one [`LANE_WIDTH`]-item activation block per MAC step, as a
+/// fixed-width `[i32; LANE_WIDTH]` saturating multiply-accumulate
+/// (autovectorized, or AVX2 under the `simd` feature — see
+/// [`mac_span`]).
 ///
-/// The scan is tiled: column tiles (the plan's per-layer [`LaneTile`])
-/// outermost, lane blocks inside, so a tile's SoA entry runs are
-/// re-read L1-hot for every block instead of streaming the whole plan
-/// once per block.
+/// The walk is tiled: column tiles (`tile`, the plan's per-layer
+/// [`LaneTile`]) outermost, lane blocks inside, so a tile's entry runs
+/// are re-read L1-hot for every lane block instead of streaming the
+/// whole plan once per lane block.
 ///
-/// **Add-order invariant.** For any one item (one lane `k` of one
-/// block `lb`), accumulator `(row, lb, k)` receives products from
-/// columns in ascending order — tiles ascend and blocks don't reorder
-/// columns within a tile — with entries in storage order, exactly the
-/// scalar kernels' sequence. Other lanes of the vector belong to other
-/// items (independent accumulator chains), and a lane whose item has a
-/// zero activation (or doesn't exist, in a padded tail block) adds a
-/// zero product — a saturating-add no-op. So vectorizing across the
-/// batch cannot change any item's saturation behaviour.
+/// **Add-order invariant.** For any one item (one lane `k` of one lane
+/// block `lb`), accumulator `(acc, lb, k)` receives at most one product
+/// per column, from columns in ascending order — tiles ascend and lane
+/// blocks don't reorder columns within a tile — exactly the single-item
+/// kernel's sequence. Other lanes of the vector belong to other items
+/// (independent accumulator chains), and a lane whose item has a zero
+/// activation (or doesn't exist, in a padded tail block) adds a zero
+/// product — a saturating-add no-op. So vectorizing across the batch
+/// cannot change any item's saturation behaviour.
 ///
-/// Accumulators are lane-aligned — `[(lb * local_rows + row) * LANE_WIDTH + k]`
-/// — and written back to the scalar layout `[row * batch + item]`,
-/// dropping padded lanes, so gather is shared with the scalar batch
-/// kernel.
+/// Accumulators are lane-aligned — stripe `lb * BLOCK_ACCUMULATORS + acc`,
+/// lane `k` — and written back to `[acc * batch + item]`, dropping
+/// padded lanes.
 #[allow(clippy::too_many_arguments)]
-fn plan_slice_lanes(
-    slice: &PlanSlice,
+fn block_lanes(
+    block: &PlanBlock,
+    lut: &[i32; CODEBOOK_SIZE],
     schedule: &LaneSchedule,
     batch: usize,
     tile: LaneTile,
-    accum: &mut [i32],
+    accum: &mut [Stripe],
     out: &mut [Q8p8],
     relu: bool,
 ) {
-    let rows = slice.local_rows();
-    let (cols, blocks) = (schedule.cols, schedule.blocks);
+    let accs = block.accumulators();
+    let (cols, lane_blocks) = (schedule.cols, schedule.blocks);
     let tile_cols = tile.cols().max(1);
-    accum.fill(0);
+    for lb in 0..lane_blocks {
+        accum[lb * BLOCK_ACCUMULATORS..][..accs].fill([0; LANE_WIDTH]);
+    }
     for tile_start in (0..cols).step_by(tile_cols) {
         let tile_end = (tile_start + tile_cols).min(cols);
-        for lb in 0..blocks {
+        for lb in 0..lane_blocks {
             let acts = schedule.acts_block(lb);
             let live = schedule.live_block(lb);
-            let acc = &mut accum[lb * rows * LANE_WIDTH..][..rows * LANE_WIDTH];
+            let acc: &mut [Stripe; BLOCK_ACCUMULATORS] = (&mut accum[lb * BLOCK_ACCUMULATORS..]
+                [..BLOCK_ACCUMULATORS])
+                .try_into()
+                .expect("scratch holds a whole block of stripes per lane block");
             for j in tile_start..tile_end {
                 if live[j] == 0 {
                     continue;
                 }
-                let a: &[i32; LANE_WIDTH] = acts[j * LANE_WIDTH..][..LANE_WIDTH]
+                let a: &Stripe = acts[j * LANE_WIDTH..][..LANE_WIDTH]
                     .try_into()
                     .expect("lane chunk is LANE_WIDTH long");
-                let (col_rows, col_weights) = slice.col(j);
-                mac_span(col_rows, col_weights, a, acc);
+                mac_span(block.col(j), lut, a, acc);
             }
         }
     }
-    // Write back to the shared `[row * batch + item]` layout, dropping
-    // the padded lanes of the last block.
-    for r in 0..rows {
+    for r in 0..accs {
         let row_out = &mut out[r * batch..][..batch];
         for (i, slot) in row_out.iter_mut().enumerate() {
             let (lb, k) = (i / LANE_WIDTH, i % LANE_WIDTH);
-            *slot = writeback(accum[(lb * rows + r) * LANE_WIDTH + k], relu);
+            *slot = writeback(accum[lb * BLOCK_ACCUMULATORS + r][k], relu);
         }
     }
 }
 
-/// One column's MAC span: every pre-decoded `(row, weight)` entry times
-/// one [`LANE_WIDTH`]-item activation block, saturating into the
+/// One column's MAC span: every plan entry of the run times one
+/// [`LANE_WIDTH`]-item activation block, saturating into the
 /// lane-aligned accumulator stripes. Dispatches to the AVX2 intrinsics
 /// path when the `simd` feature is on and the CPU supports it
 /// (detection is cached by `std`), otherwise to the fixed-width scalar
 /// form the autovectorizer can prove.
 #[inline]
 #[cfg_attr(all(feature = "simd", target_arch = "x86_64"), allow(unsafe_code))]
-fn mac_span(rows: &[u32], weights: &[i32], a: &[i32; LANE_WIDTH], accum: &mut [i32]) {
+fn mac_span(
+    entries: &[PlanEntry],
+    lut: &[i32; CODEBOOK_SIZE],
+    a: &Stripe,
+    accum: &mut [Stripe; BLOCK_ACCUMULATORS],
+) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: the AVX2 target feature was just detected at runtime.
-        unsafe { simd::mac_span_avx2(rows, weights, a, accum) };
+        unsafe { simd::mac_span_avx2(entries, lut, a, accum) };
         return;
     }
-    mac_span_scalar(rows, weights, a, accum);
+    mac_span_scalar(entries, lut, a, accum);
 }
 
 /// The portable lane MAC: a fixed-width `[i32; LANE_WIDTH]` loop with
 /// no early exits, which the autovectorizer lowers to full-width vector
 /// adds (the saturation select becomes a vector blend).
-fn mac_span_scalar(rows: &[u32], weights: &[i32], a: &[i32; LANE_WIDTH], accum: &mut [i32]) {
-    for (&row, &w) in rows.iter().zip(weights) {
-        let acc: &mut [i32; LANE_WIDTH] = (&mut accum[row as usize * LANE_WIDTH..][..LANE_WIDTH])
-            .try_into()
-            .expect("lane stripe is LANE_WIDTH long");
-        for (slot, &ak) in acc.iter_mut().zip(a) {
-            // Raw weights and activations are i16-range (Q8.8), so the
-            // product fits i32 exactly; only the accumulate saturates.
-            *slot = slot.saturating_add(w * ak);
+///
+/// Baseline x86-64 (SSE2) has no 32-bit vector multiply, so a long run
+/// keeps the multiply out of the per-entry loop: a column has only
+/// [`CODEBOOK_SIZE`] distinct `weight × activation-block` product
+/// stripes, computed up front (16 stripes for a 366-entry Alex-7 run).
+/// A run shorter than the table multiplies per entry instead. The
+/// products are the same `i32`s either way (raw weights and
+/// activations are i16-range Q8.8, so they fit exactly; only the
+/// accumulate saturates).
+fn mac_span_scalar(
+    entries: &[PlanEntry],
+    lut: &[i32; CODEBOOK_SIZE],
+    a: &Stripe,
+    accum: &mut [Stripe; BLOCK_ACCUMULATORS],
+) {
+    if entries.len() < CODEBOOK_SIZE {
+        for e in entries {
+            let w = lut[e.code()];
+            for (slot, &ak) in accum[e.accumulator()].iter_mut().zip(a) {
+                *slot = slot.saturating_add(w * ak);
+            }
+        }
+        return;
+    }
+    let products = lut.map(|w| a.map(|ak| w * ak));
+    for e in entries {
+        for (slot, &p) in accum[e.accumulator()].iter_mut().zip(&products[e.code()]) {
+            *slot = slot.saturating_add(p);
         }
     }
 }
@@ -943,31 +908,30 @@ mod simd {
 
     use core::arch::x86_64::*;
 
-    use super::LANE_WIDTH;
+    use super::{PlanEntry, Stripe, BLOCK_ACCUMULATORS, CODEBOOK_SIZE};
 
     /// # Safety
     ///
     /// The caller must have verified AVX2 support at runtime.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn mac_span_avx2(
-        rows: &[u32],
-        weights: &[i32],
-        a: &[i32; LANE_WIDTH],
-        accum: &mut [i32],
+        entries: &[PlanEntry],
+        lut: &[i32; CODEBOOK_SIZE],
+        a: &Stripe,
+        accum: &mut [Stripe; BLOCK_ACCUMULATORS],
     ) {
         // SAFETY: `a` is exactly one 256-bit lane block (LANE_WIDTH = 8
         // i32s); unaligned load is explicit.
         let va = unsafe { _mm256_loadu_si256(a.as_ptr().cast()) };
         let max = _mm256_set1_epi32(i32::MAX);
-        for (&row, &w) in rows.iter().zip(weights) {
-            let stripe = row as usize * LANE_WIDTH;
-            debug_assert!(stripe + LANE_WIDTH <= accum.len());
-            let ptr = unsafe { accum.as_mut_ptr().add(stripe) };
-            // SAFETY: plan rows index `local_rows` stripes of exactly
-            // LANE_WIDTH accumulators each (sized by `run_pe_range`).
+        for e in entries {
+            // Safe indexing: a stripe is one whole 256-bit lane block.
+            let ptr = accum[e.accumulator()].as_mut_ptr();
+            // SAFETY: `ptr` is a live `&mut [i32; 8]` — 256 bits,
+            // exclusively borrowed; unaligned load is explicit.
             let acc = unsafe { _mm256_loadu_si256(ptr.cast()) };
             // Q8.8 × Q8.8 products fit i32; mullo is exact.
-            let prod = _mm256_mullo_epi32(_mm256_set1_epi32(w), va);
+            let prod = _mm256_mullo_epi32(_mm256_set1_epi32(lut[e.code()]), va);
             let sum = _mm256_add_epi32(acc, prod);
             // Overflow per lane iff acc and prod agree in sign but the
             // sum doesn't: sign bit of (~(acc^prod)) & (acc^sum).
@@ -977,50 +941,28 @@ mod simd {
             let rail = _mm256_xor_si256(_mm256_srai_epi32(acc, 31), max);
             let mask = _mm256_srai_epi32(ovf, 31);
             let res = _mm256_blendv_epi8(sum, rail, mask);
-            // SAFETY: same stripe bounds as the load above.
+            // SAFETY: same stripe as the load above.
             unsafe { _mm256_storeu_si256(ptr.cast(), res) };
         }
     }
 }
 
-/// Interleaves a worker's single-item output blocks into global rows.
-fn gather_single(
-    plan: &LayerPlan,
-    (first, end): (usize, usize),
-    worker_out: &[Q8p8],
-    outputs: &mut [Q8p8],
-) {
-    let n = plan.num_pes();
-    let mut offset = 0;
-    for pe in first..end {
-        let rows = plan.slice(pe).local_rows();
-        for r in 0..rows {
-            outputs[r * n + pe] = worker_out[offset + r];
-        }
-        offset += rows;
-    }
-}
-
-/// Interleaves a worker's fused-batch output blocks into per-item
-/// global rows.
-fn gather_batch(
+/// Scatters a worker's output spans (`[accumulator * batch + item]`
+/// per block) to per-item global rows.
+fn gather(
     plan: &LayerPlan,
     (first, end): (usize, usize),
     batch: usize,
     worker_out: &[Q8p8],
     outputs: &mut [Vec<Q8p8>],
 ) {
-    let n = plan.num_pes();
-    let mut offset = 0;
-    for pe in first..end {
-        let rows = plan.slice(pe).local_rows();
-        for r in 0..rows {
-            let stripe = &worker_out[offset + r * batch..offset + (r + 1) * batch];
+    let mut stripes = worker_out.chunks_exact(batch);
+    for b in first..end {
+        for (row, stripe) in plan.block_rows(b).zip(&mut stripes) {
             for (i, &v) in stripe.iter().enumerate() {
-                outputs[i][r * n + pe] = v;
+                outputs[i][row] = v;
             }
         }
-        offset += rows * batch;
     }
 }
 
@@ -1246,10 +1188,9 @@ fn execute_batch_fused(
 
 /// The session-holder side of one run: reusable schedule buffers, the
 /// completion latch, and the holder's own scratch (it executes the
-/// first PE-slice range inline while the pool runs the rest).
+/// first block range inline while the pool runs the rest).
 struct Session {
     single: Arc<SingleSchedule>,
-    batch: Arc<BatchSchedule>,
     lanes: Arc<LaneSchedule>,
     latch: Arc<Latch>,
     local: WorkerScratch,
@@ -1258,8 +1199,7 @@ struct Session {
 impl Session {
     fn new() -> Self {
         Self {
-            single: Arc::new(SingleSchedule::default()),
-            batch: Arc::new(BatchSchedule::default()),
+            single: Arc::default(),
             lanes: Arc::new(LaneSchedule::default()),
             latch: Arc::new(Latch::new()),
             local: WorkerScratch::default(),
@@ -1291,16 +1231,7 @@ impl Backend for NativeCpu {
     }
 
     fn run_layer(&self, layer: &EncodedLayer, acts: &[Q8p8], relu: bool) -> BackendRun {
-        check_activations(layer, acts);
-        if !self.inner.use_plans {
-            let start = Instant::now();
-            let outputs = execute_sliced(layer, acts, relu, self.inner.threads);
-            return BackendRun::solo(outputs, start.elapsed().as_secs_f64(), None);
-        }
-        let plan = self.plan_for(layer);
-        let start = Instant::now();
-        let outputs = self.planned_single(&plan, acts, relu);
-        BackendRun::solo(outputs, start.elapsed().as_secs_f64(), None)
+        self.run_layer_planned(PlannedLayer::unplanned(layer), acts, relu)
     }
 
     fn run_layer_batch(
@@ -1309,23 +1240,7 @@ impl Backend for NativeCpu {
         batch: &[Vec<Q8p8>],
         relu: bool,
     ) -> Vec<BackendRun> {
-        check_activation_batch(layer, batch);
-        if batch.len() == 1 {
-            // A lone item keeps slice-level parallelism and true latency.
-            return vec![self.run_layer(layer, &batch[0], relu)];
-        }
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        if !self.inner.use_plans {
-            let start = Instant::now();
-            let outputs = execute_batch_fused(layer, batch, relu, self.inner.threads);
-            return fused_runs(outputs, start.elapsed().as_secs_f64());
-        }
-        let plan = self.plan_for(layer);
-        let start = Instant::now();
-        let outputs = self.planned_batch(&plan, batch, relu);
-        fused_runs(outputs, start.elapsed().as_secs_f64())
+        self.run_layer_batch_planned(PlannedLayer::unplanned(layer), batch, relu)
     }
 
     fn wants_plans(&self) -> bool {
@@ -1338,15 +1253,14 @@ impl Backend for NativeCpu {
         acts: &[Q8p8],
         relu: bool,
     ) -> BackendRun {
-        match (self.inner.use_plans, planned.plan) {
-            (true, Some(plan)) => {
-                check_activations(planned.layer, acts);
-                let start = Instant::now();
-                let outputs = self.planned_single(plan, acts, relu);
-                BackendRun::solo(outputs, start.elapsed().as_secs_f64(), None)
-            }
-            _ => self.run_layer(planned.layer, acts, relu),
+        check_activations(planned.layer, acts);
+        if !self.inner.use_plans {
+            let start = Instant::now();
+            let outputs = execute_sliced(planned.layer, acts, relu, self.inner.threads);
+            return BackendRun::solo(outputs, start.elapsed().as_secs_f64(), None);
         }
+        let mut runs = self.timed(planned, &[acts], relu);
+        runs.pop().expect("one item in, one run out")
     }
 
     fn run_layer_batch_planned(
@@ -1355,21 +1269,20 @@ impl Backend for NativeCpu {
         batch: &[Vec<Q8p8>],
         relu: bool,
     ) -> Vec<BackendRun> {
-        match (self.inner.use_plans, planned.plan) {
-            (true, Some(plan)) => {
-                check_activation_batch(planned.layer, batch);
-                if batch.len() == 1 {
-                    return vec![self.run_layer_planned(planned, &batch[0], relu)];
-                }
-                if batch.is_empty() {
-                    return Vec::new();
-                }
-                let start = Instant::now();
-                let outputs = self.planned_batch(plan, batch, relu);
-                fused_runs(outputs, start.elapsed().as_secs_f64())
-            }
-            _ => self.run_layer_batch(planned.layer, batch, relu),
+        check_activation_batch(planned.layer, batch);
+        if batch.is_empty() {
+            return Vec::new();
         }
+        if self.inner.use_plans {
+            return self.timed(planned, batch, relu);
+        }
+        if batch.len() == 1 {
+            // A lone item keeps slice-level parallelism and true latency.
+            return vec![self.run_layer(planned.layer, &batch[0], relu)];
+        }
+        let start = Instant::now();
+        let outputs = execute_batch_fused(planned.layer, batch, relu, self.inner.threads);
+        fused_runs(outputs, start.elapsed().as_secs_f64())
     }
 }
 
@@ -1525,7 +1438,7 @@ mod tests {
     }
 
     #[test]
-    fn lane_and_scalar_fused_kernels_are_bit_exact_at_remainder_batches() {
+    fn lane_kernel_matches_golden_at_remainder_batches() {
         // Every congruence class around LANE_WIDTH, including exact
         // multiples, one-off remainders, and a lone spillover lane.
         let layer = Benchmark::Alex6.generate_scaled(3, 96);
@@ -1536,21 +1449,75 @@ mod tests {
                 .collect();
             for threads in [1, 4] {
                 let lanes = NativeCpu::with_threads(threads);
-                let scalar = NativeCpu::with_threads(threads).without_lanes();
-                assert!(lanes.uses_lanes());
-                assert!(!scalar.uses_lanes() && scalar.uses_plans());
                 for relu in [false, true] {
                     let lv = lanes.run_layer_batch(&enc, &batch, relu);
-                    let sv = scalar.run_layer_batch(&enc, &batch, relu);
                     for i in 0..b {
                         assert_eq!(
-                            lv[i].outputs, sv[i].outputs,
+                            lv[i].outputs,
+                            functional::execute(&enc, &batch[i], relu),
                             "batch {b} item {i} diverged ({threads}t, relu {relu})"
                         );
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn multi_block_layers_match_golden_on_every_path() {
+        // 8791 rows: three plan blocks whose cuts fall inside PE
+        // slices (NT-Wd's shape), walked single, fused, threaded and
+        // sharded.
+        let m = eie_nn::zoo::random_sparse(8791, 40, 0.03, 5);
+        let enc = compress(&m, CompressConfig::with_pes(64));
+        let batch: Vec<Vec<Q8p8>> = (0..9)
+            .map(|i| quantize(&eie_nn::zoo::sample_activations(40, 0.6, true, i)))
+            .collect();
+        let want: Vec<_> = batch
+            .iter()
+            .map(|acts| functional::execute(&enc, acts, false))
+            .collect();
+        for (threads, shards) in [(1, 1), (2, 1), (3, 2), (1, 7)] {
+            let engine = NativeCpu::with_threads(threads).with_shards(shards);
+            assert_eq!(engine.run_layer(&enc, &batch[0], false).outputs, want[0]);
+            let runs = engine.run_layer_batch(&enc, &batch, false);
+            for (i, run) in runs.iter().enumerate() {
+                assert_eq!(run.outputs, want[i], "item {i} ({threads}t/{shards}s)");
+            }
+        }
+    }
+
+    #[test]
+    fn wider_engines_reblock_a_shared_plan_once_and_leave_it_untouched() {
+        let layer = Benchmark::Alex7.generate_scaled(8, 64);
+        let enc = compress(&layer.weights, CompressConfig::with_pes(8));
+        let shared = Arc::new(LayerPlan::build(&enc));
+        let snapshot = (*shared).clone();
+        assert_eq!(shared.blocks().len(), 1);
+        let planned = super::PlannedLayer {
+            layer: &enc,
+            plan: Some(&shared),
+        };
+        let batch: Vec<Vec<Q8p8>> = (0..5)
+            .map(|i| quantize(&layer.sample_activations(i)))
+            .collect();
+        // The serving default walks the shared plan as is.
+        let narrow = NativeCpu::with_threads(1);
+        let want = narrow.run_layer_batch_planned(planned, &batch, true);
+        assert_eq!(narrow.plan_builds(), 0);
+        // A wider engine needs a block per range: one build, cached.
+        let wide = NativeCpu::with_threads(2).with_shards(3);
+        for _ in 0..3 {
+            let got = wide.run_layer_batch_planned(planned, &batch, true);
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.outputs, w.outputs);
+            }
+            let solo = wide.run_layer_planned(planned, &batch[0], true);
+            assert_eq!(solo.outputs, want[0].outputs);
+        }
+        assert_eq!(wide.plan_builds(), 1, "re-blocked exactly once");
+        assert_eq!(wide.cached_plans(), 1);
+        assert_eq!(*shared, snapshot, "the shared plan is never modified");
     }
 
     #[test]
@@ -1606,11 +1573,11 @@ mod tests {
 
     #[test]
     fn sharded_dispatch_is_bit_exact_for_any_shard_thread_split() {
-        // Shards regroup whole PE slices across worker groups; no
+        // Shards regroup whole plan blocks across worker groups; no
         // accumulator's add stream crosses a boundary, so every split —
-        // including more shards than threads (wave scheduling) and more
-        // shards than PEs (clamped) — must reproduce the unsharded
-        // outputs exactly.
+        // including more shards than threads (wave scheduling) and a
+        // block cut that falls inside PE slices — must reproduce the
+        // unsharded outputs exactly.
         let layer = Benchmark::Alex6.generate_scaled(4, 64);
         let enc = compress(&layer.weights, CompressConfig::with_pes(8));
         let acts = quantize(&layer.sample_activations(3));
@@ -1638,8 +1605,8 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_ranges_tile_the_pe_axis_per_shard() {
-        // 8 PEs, 2 shards, 4 threads: each shard's range subdivides
+    fn dispatch_ranges_tile_the_block_list_per_shard() {
+        // 8 blocks, 2 shards, 4 threads: each shard's range subdivides
         // among its group's two threads.
         let engine = NativeCpu::with_threads(4).with_shards(2);
         assert_eq!(
@@ -1659,16 +1626,16 @@ mod tests {
         let uneven = NativeCpu::with_threads(3).with_shards(2);
         assert_eq!(uneven.dispatch_ranges(8), vec![(0, 2), (2, 4), (4, 8)]);
         // Ranges always cover the axis exactly, in order.
-        for (threads, shards, pes) in [(5, 3, 17), (2, 7, 4), (8, 1, 3)] {
+        for (threads, shards, blocks) in [(5, 3, 17), (2, 7, 4), (8, 1, 3)] {
             let engine = NativeCpu::with_threads(threads).with_shards(shards);
-            let ranges = engine.dispatch_ranges(pes);
+            let ranges = engine.dispatch_ranges(blocks);
             let mut next = 0;
             for (a, b) in ranges {
                 assert_eq!(a, next);
                 assert!(b > a);
                 next = b;
             }
-            assert_eq!(next, pes);
+            assert_eq!(next, blocks);
         }
     }
 

@@ -20,7 +20,7 @@
 //! scratch is gathered) before the next wave's submits.
 //!
 //! Lifecycle: the owning backend distributes one [`Task`] per busy
-//! worker, runs its own share of the PE slices inline, waits on the
+//! worker, runs its own share of the plan blocks inline, waits on the
 //! latch, then harvests each worker's scratch under an uncontended
 //! lock. Dropping the pool (dropping the last backend clone) parks a
 //! shutdown marker in every mailbox and joins the threads.

@@ -73,10 +73,10 @@ pub use engine::{activity_from_stats, Engine, ExecutionResult, NetworkResult};
 pub use infer::{run_stack_planned, run_stack_quantized, InferenceJob, JobResult, LayerPhase};
 pub use pipeline::{run_stack_pipelined, PipelineRun, PipelinedStack, QUEUE_DEPTH};
 
-// The execution-layout types are first-class core concepts (the
-// topology knob on `InferenceJob` and `PipelinedStack`), so they're
-// re-exported at the root alongside the executors that consume them.
-pub use eie_compress::{ShardPlan, Topology};
+// The execution-layout type is a first-class core concept (the
+// topology knob on `InferenceJob` and `PipelinedStack`), so it is
+// re-exported at the root alongside the executors that consume it.
+pub use eie_compress::Topology;
 
 /// The Deep Compression pipeline (re-export of `eie-compress`).
 pub mod compress {

@@ -61,13 +61,13 @@
 //! [`run_stack_planned`]: crate::run_stack_planned
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-use eie_compress::{LayerPlan, Topology, LANE_WIDTH};
+use eie_compress::{Topology, LANE_WIDTH};
 use eie_fixed::Q8p8;
 
-use crate::backend::{NativeCpu, PlannedLayer};
+use crate::backend::{NativeCpu, PlannedLayer, ResolvedPlan};
 use crate::infer::LayerPhase;
 
 /// Bounded depth (in chunks) of each inter-stage queue: one being
@@ -241,9 +241,10 @@ impl PipelineRun {
 /// ```
 pub struct PipelinedStack<'m> {
     layers: Vec<PlannedLayer<'m>>,
-    /// Every layer's resolved plan (cloned from the caller's, or built
-    /// into the owning stage engine's cache for unplanned layers).
-    plans: Vec<Arc<LayerPlan>>,
+    /// Every layer's resolved plan: the caller's when it has a block
+    /// per range the owning stage engine fans out over, otherwise built
+    /// (or re-blocked) once into that engine's cache.
+    plans: Vec<ResolvedPlan>,
     /// Stage `s` owns global layers `spans[s].0 .. spans[s].1`.
     spans: Vec<(usize, usize)>,
     engines: Vec<NativeCpu>,
@@ -292,10 +293,7 @@ impl<'m> PipelinedStack<'m> {
         let mut plans = Vec::with_capacity(layers.len());
         for (s, &(first, end)) in spans.iter().enumerate() {
             for planned in &layers[first..end] {
-                plans.push(match planned.plan {
-                    Some(plan) => Arc::clone(plan),
-                    None => engines[s].plan_for(planned.layer),
-                });
+                plans.push(engines[s].resolve_plan(*planned));
             }
         }
         Self {
@@ -521,6 +519,7 @@ mod tests {
     use crate::infer::run_stack_planned;
     use crate::EieConfig;
     use eie_nn::zoo::random_sparse;
+    use std::sync::Arc;
 
     fn stack_model(depth: usize) -> CompiledModel {
         // 24 → 32 → 32 → … → 12, densities high enough to exercise

@@ -1,15 +1,18 @@
 //! Property tests of the execution-plan refactor: the plan kernel is a
 //! *layout* change, never a numerical one.
 //!
-//! For random layers, PE counts and batch shapes, the batch-lane
-//! vectorized `NativeCpu` must produce `Q8p8` outputs bit-identical to
-//! the scalar plan kernel (`without_lanes`), to the streaming kernel
-//! they replaced (`without_plans`), and to the functional golden model
-//! — including on saturation-heavy inputs near the `Accum32` limits,
-//! where any reordering, dropped-padding, or lane-padding mistake would
-//! change which saturating add clamps first, and at every lane-remainder
-//! batch size (each congruence class mod [`LANE_WIDTH`] plus a
-//! non-multiple like 13), where a tail-block bug would show.
+//! For random layers, PE counts and batch shapes, the plan walks of
+//! `NativeCpu` (single-item and batch-lane vectorized) must produce
+//! `Q8p8` outputs bit-identical to the streaming kernel they replaced
+//! (`without_plans`) and to the functional golden model — including on
+//! saturation-heavy inputs near the `Accum32` limits, where any
+//! reordering, dropped-padding, or lane-padding mistake would change
+//! which saturating add clamps first, at every lane-remainder batch
+//! size (each congruence class mod [`LANE_WIDTH`] plus a non-multiple
+//! like 13), where a tail-block bug would show, and on the block
+//! structure's own corners: multi-block layers, block cuts inside a PE
+//! slice, empty slices, and clamping rows that straddle a block
+//! boundary, across thread × shard fan-outs.
 
 use eie_core::prelude::*;
 use proptest::prelude::*;
@@ -114,9 +117,9 @@ fn arb_saturating_case() -> impl Strategy<Value = (EncodedLayer, Vec<Vec<Q8p8>>)
         })
 }
 
-/// Asserts lane NativeCpu == scalar plan NativeCpu == streaming
-/// NativeCpu == functional golden, item by item, single and batched,
-/// both writeback modes.
+/// Asserts plan NativeCpu == streaming NativeCpu == functional golden,
+/// item by item, single and batched (the lane kernel), both writeback
+/// modes.
 fn assert_plan_streaming_golden_agree(
     enc: &EncodedLayer,
     batch: &[Vec<Q8p8>],
@@ -124,7 +127,6 @@ fn assert_plan_streaming_golden_agree(
 ) -> Result<(), TestCaseError> {
     let golden = Functional::new();
     let plan = NativeCpu::with_threads(threads);
-    let scalar = plan.clone().without_lanes();
     let stream = plan.clone().without_plans();
     for relu in [false, true] {
         let want = golden.run_layer(enc, &batch[0], relu);
@@ -146,22 +148,12 @@ fn assert_plan_streaming_golden_agree(
         );
         let want_b = golden.run_layer_batch(enc, batch, relu);
         let p_b = plan.run_layer_batch(enc, batch, relu);
-        let c_b = scalar.run_layer_batch(enc, batch, relu);
         let s_b = stream.run_layer_batch(enc, batch, relu);
         for i in 0..batch.len() {
             prop_assert_eq!(
                 &p_b[i].outputs,
                 &want_b[i].outputs,
                 "lane batch item {} of {} diverged (relu={}, {} threads)",
-                i,
-                batch.len(),
-                relu,
-                threads
-            );
-            prop_assert_eq!(
-                &c_b[i].outputs,
-                &want_b[i].outputs,
-                "scalar-plan batch item {} of {} diverged (relu={}, {} threads)",
                 i,
                 batch.len(),
                 relu,
@@ -215,7 +207,9 @@ proptest! {
     fn model_plan_cache_path_bit_exact((enc, batch) in arb_case()) {
         let config = EieConfig::default().with_num_pes(enc.num_pes());
         let model = CompiledModel::from_layers(config, vec![enc.clone()]);
-        let backend = NativeCpu::with_threads(2);
+        // One thread, the serving default: the model's shared plan is
+        // walked as is (a wider engine re-blocks — see below).
+        let backend = NativeCpu::with_threads(1);
         prop_assert_eq!(model.plans_built(), 0);
         let planned = model.planned_layer(0);
         prop_assert_eq!(model.plans_built(), 1);
@@ -230,5 +224,125 @@ proptest! {
                 "model-plan path diverged at item {}", i
             );
         }
+    }
+}
+
+/// A layer, a PE count and a batch that exercise the block structure:
+/// tall enough for several blocks, or one slice taller than a block, or
+/// more PEs than rows.
+fn block_case(rows: usize, cols: usize, pes: usize, density: f64, batch: usize) -> Case {
+    let enc = compress(
+        &random_sparse(rows, cols, density, 0xB10C),
+        CompressConfig::with_pes(pes),
+    );
+    let items = (0..batch as u64)
+        .map(|i| {
+            Q8p8::from_f32_slice(&eie_core::nn::zoo::sample_activations(
+                cols,
+                0.6,
+                true,
+                40 + i,
+            ))
+        })
+        .collect();
+    (enc, items)
+}
+
+type Case = (EncodedLayer, Vec<Vec<Q8p8>>);
+
+/// Asserts every thread × shard fan-out of the plan engine — through
+/// its own cache and through a model's shared plan — reproduces the
+/// functional golden, single and batched.
+fn assert_fan_outs_match_golden(enc: &EncodedLayer, batch: &[Vec<Q8p8>], relu: bool) {
+    let golden = Functional::new().run_layer_batch(enc, batch, relu);
+    let config = EieConfig::default().with_num_pes(enc.num_pes());
+    let model = CompiledModel::from_layers(config, vec![enc.clone()]);
+    for threads in [1usize, 2, 3] {
+        for shards in [1usize, 2, 3, 7] {
+            let engine = NativeCpu::with_threads(threads).with_shards(shards);
+            let own = engine.run_layer_batch(enc, batch, relu);
+            let shared = engine.run_layer_batch_planned(model.planned_layer(0), batch, relu);
+            let solo = engine.run_layer_planned(model.planned_layer(0), &batch[0], relu);
+            assert_eq!(solo.outputs, golden[0].outputs, "solo {threads}t/{shards}s");
+            for i in 0..batch.len() {
+                assert_eq!(
+                    own[i].outputs, golden[i].outputs,
+                    "item {i} {threads}t/{shards}s"
+                );
+                assert_eq!(
+                    shared[i].outputs, golden[i].outputs,
+                    "item {i} {threads}t/{shards}s"
+                );
+            }
+            // However often the engine re-blocked for itself, it did so
+            // once, and never through the model's shared cache.
+            assert_eq!(engine.plan_builds(), 1, "{threads}t/{shards}s");
+            assert_eq!(model.plans_built(), 1);
+        }
+    }
+}
+
+#[test]
+fn block_corners_match_golden_across_fan_outs_and_lane_remainders() {
+    // Multi-block (NT-Wd's 8791 × 64 PEs: three blocks cut inside
+    // slices); one slice taller than a block; rows % PEs != 0; more
+    // PEs than rows (empty slices).
+    let shapes = [
+        (8791, 20, 64, 0.02),
+        (9000, 10, 2, 0.02),
+        (37, 29, 4, 0.3),
+        (5, 11, 8, 0.6),
+    ];
+    for (n, &(rows, cols, pes, density)) in shapes.iter().enumerate() {
+        // Lane-remainder batches 1..=9 and 13, spread over the shapes.
+        for batch in [1 + n, 5 + n, 9, 13] {
+            let (enc, items) = block_case(rows, cols, pes, density, batch);
+            assert_fan_outs_match_golden(&enc, &items, batch % 2 == 0);
+        }
+    }
+}
+
+#[test]
+fn saturating_rows_straddling_a_block_boundary_clamp_identically() {
+    // Two PEs × 4000 local rows. The default plan (two blocks) cuts at
+    // accumulator 4000, the PE boundary; a three-way fan-out cuts at
+    // 2666 and 5333, inside both slices. The rows either side of every
+    // cut carry near-rail weights: every other one same-signed, so it
+    // clamps within three columns, its neighbours alternating, so an
+    // add-order mistake would move the clamp.
+    let (rows, cols, pes) = (8000usize, 12usize, 2usize);
+    let hot_rows: Vec<usize> = [2666usize, 4000, 5333]
+        .iter()
+        .flat_map(|&cut| cut - 2..cut + 2)
+        // PE-major accumulator → interleaved row.
+        .map(|acc| (acc % 4000) * pes + acc / 4000)
+        .collect();
+    let mut triplets = Vec::new();
+    for (n, &row) in hot_rows.iter().enumerate() {
+        for col in 0..cols {
+            let sign = if n % 2 == 0 || col % 2 == 0 {
+                1.0
+            } else {
+                -1.0
+            };
+            triplets.push((row, col, sign * (110.0 + (col % 9) as f32)));
+        }
+    }
+    let m = CsrMatrix::from_triplets(rows, cols, &triplets);
+    let enc = compress(&m, CompressConfig::with_pes(pes));
+    for batch in [1usize, 7, 9] {
+        let items: Vec<Vec<Q8p8>> = (0..batch)
+            .map(|i| {
+                (0..cols)
+                    .map(|c| Q8p8::from_f32(if (c + i) % 5 == 0 { 0.0 } else { 120.0 }))
+                    .collect()
+            })
+            .collect();
+        let out = Functional::new().run_layer(&enc, &items[0], false).outputs;
+        assert!(
+            hot_rows.iter().step_by(2).all(|&r| out[r] == Q8p8::MAX),
+            "same-signed boundary rows must clamp"
+        );
+        assert_fan_outs_match_golden(&enc, &items, false);
     }
 }
