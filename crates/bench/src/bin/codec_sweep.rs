@@ -7,16 +7,28 @@
 //! * **stored bytes** and the **compression ratio** versus the dense
 //!   f32 weight matrix — the axis the codecs compete on,
 //! * **encode** and **decode + plan-build** wall-clock — what a codec
-//!   costs at artifact-write and model-load time.
+//!   costs at artifact-write and model-load time,
+//! * the **cold start** of the layer as a one-layer `.eie` container:
+//!   `cold_start_us` is everything a registry miss pays between having
+//!   the file's bytes and being able to dispatch — payload CRC, codec
+//!   decode, `EncodedLayer` validation and plan build
+//!   (`CompiledModel::from_bytes` + `planned_layers`) — and `crc_us` is
+//!   the container's own share of it (`from_bytes` minus the layer
+//!   decode inside it: the checksum plus header parsing).
 //!
 //! Every (layer, codec) pair is asserted to roundtrip **bit-exactly**
-//! (`decode(encode(layer)) == layer`, which pins every backend's
-//! outputs) before any number is recorded; the property tests pin the
-//! same identity against the functional golden on all three backends.
+//! (`decode(encode(layer)) == layer`, directly and through the
+//! container, which pins every backend's outputs) before any number is
+//! recorded; the property tests pin the same identity against the
+//! functional golden on all three backends.
+//!
+//! The (stored bytes, cold start) pairs are the frontier the codec set
+//! is judged on: a codec that is both larger and slower to start than
+//! another is dominated.
 //!
 //! Output: a frontier table + story on stdout (and
 //! `results/codec_sweep.txt`), plus the machine-readable
-//! **`BENCH_codec.json`** at the repo root (schema `eie-codec-sweep/v1`,
+//! **`BENCH_codec.json`** at the repo root (schema `eie-codec-sweep/v2`,
 //! documented in `EXPERIMENTS.md`). Only a full-scale non-quick run
 //! touches that file: `--quick` (the CI smoke: one layer, bounded
 //! iterations) writes `results/codec_sweep_quick.json`, and an
@@ -40,6 +52,8 @@ struct Cell {
     ratio: f64,
     encode_us: f64,
     decode_plan_us: f64,
+    crc_us: f64,
+    cold_start_us: f64,
 }
 
 fn main() {
@@ -47,9 +61,12 @@ fn main() {
     let started = Instant::now();
     let config = paper_config();
     let harness = if quick {
+        // Bounded by total time, not run count: at CI's 1/32 scale a
+        // cell is microseconds, and the cold-start ratchet compares
+        // medians of enough runs to be steady.
         TimingHarness {
             min_runs: 2,
-            max_runs: 4,
+            max_runs: 32,
             target_total_us: 1e5,
         }
     } else {
@@ -65,6 +82,7 @@ fn main() {
         &[
             Benchmark::Alex6,
             Benchmark::Alex7,
+            Benchmark::Vgg6,
             Benchmark::NtWe,
             Benchmark::NtWd,
         ]
@@ -72,7 +90,7 @@ fn main() {
 
     let mut table = TextTable::new(
         format!(
-            "Codec sweep: stored bytes / ratio / encode / decode+plan, scale 1/{}, EIE = {}",
+            "Codec sweep: stored bytes / ratio / encode / decode+plan / cold start, scale 1/{}, EIE = {}",
             scale_divisor(),
             config
         ),
@@ -84,6 +102,8 @@ fn main() {
             "vs csc",
             "enc µs",
             "dec+plan µs",
+            "crc µs",
+            "cold µs",
         ],
     );
     let mut cells: Vec<Cell> = Vec::new();
@@ -105,6 +125,16 @@ fn main() {
                 &decoded, enc,
                 "{codec} roundtrip diverged on {benchmark} — refusing to record perf"
             );
+            // The same layer as a one-layer container in this codec: what
+            // a registry reads from disk on a miss.
+            let container =
+                CompiledModel::from_layers(config.with_codec(codec), vec![enc.clone()]).to_bytes();
+            let loaded = CompiledModel::from_bytes(&container).expect("container loads");
+            assert_eq!(
+                loaded.layer(0),
+                enc,
+                "{codec} container roundtrip diverged on {benchmark} — refusing to record perf"
+            );
             println!(
                 "verified: {codec} roundtrips {} bit-exactly ({} -> {} bytes)",
                 benchmark.name(),
@@ -116,6 +146,14 @@ fn main() {
             let decode_plan_us = harness.measure_us(|| {
                 let l = c.decode(&image).expect("decode");
                 LayerPlan::build(&l)
+            });
+            let decode_us = harness.measure_us(|| c.decode(&image).expect("decode"));
+            let from_bytes_us =
+                harness.measure_us(|| CompiledModel::from_bytes(&container).expect("load"));
+            let crc_us = (from_bytes_us - decode_us).max(0.0);
+            let cold_start_us = harness.measure_us(|| {
+                let model = CompiledModel::from_bytes(&container).expect("load");
+                model.planned_layers().len()
             });
             let ratio = c.compression_ratio(enc);
             let vs_csc = csc_bytes
@@ -135,6 +173,8 @@ fn main() {
                 x(vs_csc),
                 f(encode_us, 1),
                 f(decode_plan_us, 1),
+                f(crc_us, 1),
+                f(cold_start_us, 1),
             ]);
             cells.push(Cell {
                 layer: benchmark.name(),
@@ -146,6 +186,8 @@ fn main() {
                 ratio,
                 encode_us,
                 decode_plan_us,
+                crc_us,
+                cold_start_us,
             });
         }
         eprintln!(
@@ -179,7 +221,7 @@ fn main() {
     // ---- machine-readable record ------------------------------------
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"eie-codec-sweep/v1\",");
+    let _ = writeln!(json, "  \"schema\": \"eie-codec-sweep/v2\",");
     let _ = writeln!(json, "  \"scale_divisor\": {},", scale_divisor());
     let _ = writeln!(json, "  \"pes\": {},", config.num_pes);
     let _ = writeln!(json, "  \"quick\": {quick},");
@@ -206,7 +248,8 @@ fn main() {
             json,
             "    {{\"layer\": \"{}\", \"rows\": {}, \"cols\": {}, \"entries\": {}, \
              \"codec\": \"{}\", \"stored_bytes\": {}, \"compression_ratio\": {:.3}, \
-             \"encode_us\": {:.3}, \"decode_plan_us\": {:.3}}}",
+             \"encode_us\": {:.3}, \"decode_plan_us\": {:.3}, \"crc_us\": {:.3}, \
+             \"cold_start_us\": {:.3}}}",
             c.layer,
             c.rows,
             c.cols,
@@ -216,6 +259,8 @@ fn main() {
             c.ratio,
             c.encode_us,
             c.decode_plan_us,
+            c.crc_us,
+            c.cold_start_us,
         );
         json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
     }

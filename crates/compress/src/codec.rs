@@ -30,7 +30,7 @@
 
 use std::fmt;
 
-use crate::huffman::{BitVec, HuffmanCode};
+use crate::huffman::{Histogram, HuffmanCode};
 use crate::serialize::{
     layer_header_bytes, read_layer_header, write_layer_header, DecodeLayerError, LayerHeader,
     Reader, MAGIC,
@@ -65,10 +65,11 @@ pub trait WeightCodec {
     /// invariant violation.
     fn decode(&self, bytes: &[u8]) -> Result<EncodedLayer, DecodeLayerError>;
 
-    /// Exact length of [`WeightCodec::encode`]'s stream in bytes.
-    fn encoded_bytes(&self, layer: &EncodedLayer) -> usize {
-        self.encode(layer).len()
-    }
+    /// Exact length of [`WeightCodec::encode`]'s stream in bytes,
+    /// computed from the layout arithmetic without serializing — a
+    /// registry sizing its budget or a report printing a ratio never
+    /// pays for an encode.
+    fn encoded_bytes(&self, layer: &EncodedLayer) -> usize;
 
     /// Dense-f32 storage divided by this codec's stream size (matches
     /// [`EncodingStats::compression_ratio`]'s dense baseline).
@@ -226,6 +227,22 @@ impl WeightCodec for HuffmanPacked {
         let zruns = read_stream(&mut r, "zrun stream", zrun_table.as_ref(), total)?;
         assemble(h, shapes, &codes, &zruns)
     }
+
+    fn encoded_bytes(&self, layer: &EncodedLayer) -> usize {
+        let profile = StreamProfile::of(layer);
+        // Per stream: the table (n_syms u16 + 2 bytes per symbol) and
+        // the payload (bit_len u32 + the fitted code's bits).
+        let stream = |freq: &Histogram| {
+            let symbols = freq.iter().filter(|&&c| c > 0).count();
+            if symbols == 0 {
+                // The empty stream: an absent table, a zero-bit payload.
+                return 2 + 4;
+            }
+            let code = HuffmanCode::fit_histogram(freq);
+            2 + 2 * symbols + 4 + code.histogram_bits(freq).div_ceil(8)
+        };
+        shaped_header_bytes(layer) + stream(&profile.codes) + stream(&profile.zruns)
+    }
 }
 
 /// EBPC-style bit-plane packing: each of the 8 bit planes of the pooled
@@ -266,6 +283,15 @@ impl WeightCodec for BitPlane {
         let zruns = read_planes(&mut r, "zrun planes", total)?;
         assemble(h, shapes, &codes, &zruns)
     }
+
+    fn encoded_bytes(&self, layer: &EncodedLayer) -> usize {
+        let profile = StreamProfile::of(layer);
+        // Per stream: the mask byte and one packed plane per bit that is
+        // set anywhere in the stream.
+        let plane_bytes = layer.total_entries().div_ceil(8);
+        let stream = |freq: &Histogram| 1 + plane_mask(freq).count_ones() as usize * plane_bytes;
+        shaped_header_bytes(layer) + stream(&profile.codes) + stream(&profile.zruns)
+    }
 }
 
 /// Decodes a layer image of any codec, dispatching on the magic bytes.
@@ -288,6 +314,47 @@ struct PeShape {
     local_rows: usize,
     n_entries: usize,
     col_ptr: Vec<u32>,
+}
+
+/// Symbol counts of the pooled `code` and `zrun` streams: everything
+/// the size arithmetic of [`WeightCodec::encoded_bytes`] needs to know
+/// about the entries.
+struct StreamProfile {
+    codes: Histogram,
+    zruns: Histogram,
+}
+
+impl StreamProfile {
+    fn of(layer: &EncodedLayer) -> Self {
+        let mut profile = Self {
+            codes: [0; 256],
+            zruns: [0; 256],
+        };
+        for e in layer.slices().iter().flat_map(|s| s.entries()) {
+            profile.codes[e.code as usize] += 1;
+            profile.zruns[e.zrun as usize] += 1;
+        }
+        profile
+    }
+}
+
+/// The bit planes a stream with these symbol counts occupies: the OR of
+/// every symbol present.
+fn plane_mask(freq: &Histogram) -> u8 {
+    (0..=255u8)
+        .filter(|&s| freq[s as usize] > 0)
+        .fold(0, |mask, s| mask | s)
+}
+
+/// Bytes of the shared header plus the raw per-PE shape block that
+/// [`write_pe_shapes`] emits.
+fn shaped_header_bytes(layer: &EncodedLayer) -> usize {
+    let shapes: usize = layer
+        .slices()
+        .iter()
+        .map(|s| 8 + 4 * s.col_ptr().len())
+        .sum();
+    layer_header_bytes(layer) + shapes
 }
 
 /// Concatenates every PE's entry stream (in PE order) into separate
@@ -329,11 +396,7 @@ fn read_pe_shapes(r: &mut Reader<'_>, h: &LayerHeader) -> Result<Vec<PeShape>, D
         total_local += local_rows;
         let n_entries = r.u32()? as usize;
         total_entries += n_entries as u64;
-        r.enter("col_ptr");
-        let mut col_ptr = Vec::with_capacity((h.cols + 1).min(r.remaining() / 4 + 1));
-        for _ in 0..=h.cols {
-            col_ptr.push(r.u32()?);
-        }
+        let col_ptr = r.u32s("col_ptr", h.cols + 1)?;
         shapes.push(PeShape {
             local_rows,
             n_entries,
@@ -407,9 +470,11 @@ fn write_code_table(code: Option<&HuffmanCode>, out: &mut Vec<u8>) {
     }
 }
 
-/// Reads a `(symbol, length)` table back into a canonical code. Lengths
-/// are capped at 31 bits and symbols must be unique, so a corrupt table
-/// is a [`DecodeLayerError::BadStream`], never a shift overflow.
+/// Reads a `(symbol, length)` table back into a canonical code. Symbols
+/// must be unique, lengths at most 31 bits and the table a prefix code
+/// (not over-subscribed), so a corrupt table is a
+/// [`DecodeLayerError::BadStream`] before any decoder table is indexed,
+/// never a shift overflow.
 fn read_code_table(
     r: &mut Reader<'_>,
     section: &'static str,
@@ -426,12 +491,14 @@ fn read_code_table(
     for _ in 0..n_syms {
         let sym = r.u8()? as usize;
         let len = r.u8()?;
-        if len == 0 || len > 31 || lengths[sym] != 0 {
+        if len == 0 || lengths[sym] != 0 {
             return Err(DecodeLayerError::BadStream { section });
         }
         lengths[sym] = len;
     }
-    Ok(Some(HuffmanCode::from_lengths(lengths)))
+    HuffmanCode::from_lengths(lengths)
+        .map(Some)
+        .ok_or(DecodeLayerError::BadStream { section })
 }
 
 fn write_stream(code: Option<&HuffmanCode>, data: &[u8], out: &mut Vec<u8>) {
@@ -446,8 +513,9 @@ fn write_stream(code: Option<&HuffmanCode>, data: &[u8], out: &mut Vec<u8>) {
 
 /// Reads and decodes one Huffman-coded stream of exactly `count`
 /// symbols. The stream must be tight: no symbol may be shorter than one
-/// bit (so `count <= bit_len`), padding bits must be zero, and the
-/// decoded symbols must re-encode to exactly `bit_len` bits.
+/// bit (`count <= bit_len`, which the decoder checks before it reserves
+/// the output), padding bits must be zero, and the decoded symbols must
+/// re-encode to exactly `bit_len` bits.
 fn read_stream(
     r: &mut Reader<'_>,
     section: &'static str,
@@ -463,15 +531,11 @@ fn read_stream(
         }
         return Ok(Vec::new());
     }
-    if count > bit_len {
-        return Err(DecodeLayerError::BadStream { section });
-    }
     let Some(code) = code else {
         return Err(DecodeLayerError::BadStream { section });
     };
-    let bits = BitVec::from_bytes(bytes, bit_len).ok_or(DecodeLayerError::BadStream { section })?;
     let data = code
-        .decode(&bits, count)
+        .decode(bytes, bit_len, count)
         .ok_or(DecodeLayerError::BadStream { section })?;
     if code.encoded_bits(&data) != bit_len {
         return Err(DecodeLayerError::BadStream { section });
@@ -479,34 +543,59 @@ fn read_stream(
     Ok(data)
 }
 
+/// The low bit of each byte of a `u64`.
+const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+
+/// Multiplying a word of 0/1 bytes by this gathers them into the top
+/// byte, first byte in the most significant bit: byte `j` (bit `8j`)
+/// meets the multiplier's bit `63 - 9j` at bit `63 - j`, and no two
+/// partial products share a bit, so nothing carries.
+const GATHER: u64 = 0x8040_2010_0804_0201;
+
+/// `SPREAD[b]` is the inverse of the gather: eight 0/1 bytes, byte `j`
+/// holding bit `7 - j` of `b` — one packed plane byte turned into its
+/// contribution to eight consecutive symbols.
+const SPREAD: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut j = 0;
+        while j < 8 {
+            table[b] |= ((b as u64 >> (7 - j)) & 1) << (8 * j);
+            j += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
 /// Writes a byte stream as bit planes: a presence mask, then each
 /// non-zero plane packed MSB-first (absent planes are implicitly zero).
+/// One pass over the stream: each 8-symbol word is gathered into one
+/// byte of every present plane.
 fn write_planes(data: &[u8], out: &mut Vec<u8>) {
-    let plane_bytes = data.len().div_ceil(8);
-    let mut mask = 0u8;
-    let mut planes = Vec::new();
-    for plane in 0..8u8 {
-        if !data.iter().any(|&v| (v >> plane) & 1 == 1) {
-            continue;
-        }
-        mask |= 1 << plane;
-        let mut bytes = vec![0u8; plane_bytes];
-        for (j, &v) in data.iter().enumerate() {
-            if (v >> plane) & 1 == 1 {
-                bytes[j / 8] |= 0x80 >> (j % 8);
-            }
-        }
-        planes.push(bytes);
-    }
+    let mask = data.iter().fold(0u8, |mask, &v| mask | v);
     out.push(mask);
-    for p in planes {
-        out.extend_from_slice(&p);
+    let present: Vec<u32> = (0..8).filter(|&plane| mask >> plane & 1 == 1).collect();
+    let plane_bytes = data.len().div_ceil(8);
+    let base = out.len();
+    out.resize(base + present.len() * plane_bytes, 0);
+    for (k, chunk) in data.chunks(8).enumerate() {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        let word = u64::from_le_bytes(word);
+        for (slot, &plane) in present.iter().enumerate() {
+            let gathered = ((word >> plane) & LOW_BITS).wrapping_mul(GATHER) >> 56;
+            out[base + slot * plane_bytes + k] = gathered as u8;
+        }
     }
 }
 
 /// Reads bit planes back into a byte stream of `count` symbols. Present
 /// planes must carry at least one set bit and zero padding bits, so the
 /// encoding stays canonical (encode ∘ decode is the identity on bytes).
+/// Eight symbols are rebuilt per step from one byte of each present
+/// plane through [`SPREAD`].
 fn read_planes(
     r: &mut Reader<'_>,
     section: &'static str,
@@ -515,26 +604,28 @@ fn read_planes(
     r.enter(section);
     let mask = r.u8()?;
     let plane_bytes = count.div_ceil(8);
-    let mut data = vec![0u8; count];
-    for plane in 0..8u8 {
-        if mask & (1 << plane) == 0 {
-            continue;
-        }
+    let pad_mask = if count.is_multiple_of(8) {
+        0
+    } else {
+        0xFFu8 >> (count % 8)
+    };
+    let mut planes: Vec<(u32, &[u8])> = Vec::with_capacity(8);
+    for plane in (0..8).filter(|&plane| mask >> plane & 1 == 1) {
         let bytes = r.take(plane_bytes)?;
-        let mut any = false;
-        for (j, v) in data.iter_mut().enumerate() {
-            if bytes[j / 8] & (0x80 >> (j % 8)) != 0 {
-                *v |= 1 << plane;
-                any = true;
-            }
-        }
-        if !any {
+        let empty = bytes.iter().all(|&b| b == 0);
+        if empty || bytes[plane_bytes - 1] & pad_mask != 0 {
             return Err(DecodeLayerError::BadStream { section });
         }
-        if !count.is_multiple_of(8) && bytes[plane_bytes - 1] & ((1u8 << (8 - count % 8)) - 1) != 0
-        {
-            return Err(DecodeLayerError::BadStream { section });
-        }
+        planes.push((plane, bytes));
+    }
+    // Allocated only now: with any plane present the stream is at most
+    // eight bytes per input byte.
+    let mut data = vec![0u8; count];
+    for (k, chunk) in data.chunks_mut(8).enumerate() {
+        let word = planes.iter().fold(0u64, |word, &(plane, bytes)| {
+            word | SPREAD[bytes[k] as usize] << plane
+        });
+        chunk.copy_from_slice(&word.to_le_bytes()[..chunk.len()]);
     }
     Ok(data)
 }
@@ -542,8 +633,9 @@ fn read_planes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compress, CompressConfig, LayerPlan};
+    use crate::{compress, encode_with_codebook, Codebook, CompressConfig, LayerPlan};
     use eie_nn::zoo::random_sparse;
+    use eie_nn::CsrMatrix;
 
     fn sample(pes: usize, seed: u64) -> EncodedLayer {
         let m = random_sparse(48, 32, 0.2, seed);
@@ -560,6 +652,245 @@ mod tests {
             ..CompressConfig::default()
         };
         compress(&m, config)
+    }
+
+    /// A dense all-ones matrix under a one-centroid codebook: every
+    /// entry is `(code 1, zrun 0)`, so both pooled streams hold a single
+    /// symbol (the 1-bit Huffman code; one bit plane, or none).
+    fn single_symbol_sample() -> EncodedLayer {
+        let cells: Vec<(usize, usize, f32)> = (0..6 * 5).map(|i| (i / 5, i % 5, 1.0)).collect();
+        encode_with_codebook(
+            &CsrMatrix::from_triplets(6, 5, &cells),
+            Codebook::from_centroids(&[1.0]),
+            CompressConfig::with_pes(2),
+        )
+    }
+
+    /// A layer with no entries at all (both pooled streams empty).
+    fn empty_sample() -> EncodedLayer {
+        encode_with_codebook(
+            &CsrMatrix::from_triplets(4, 3, &[]),
+            Codebook::from_centroids(&[1.0]),
+            CompressConfig::with_pes(2),
+        )
+    }
+
+    /// More PEs than rows: the trailing PE slices hold zero entries.
+    fn empty_slices_sample() -> EncodedLayer {
+        compress(&random_sparse(3, 16, 0.5, 2), CompressConfig::with_pes(8))
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn images_are_byte_identical_to_the_bit_at_a_time_encoder() {
+        // Length and FNV-1a of every codec's image of three seeded
+        // layers, recorded from the encoder as it stood before the
+        // word-at-a-time rewrite (`push_bit` per bit, `HashMap`
+        // frequency count, one pass per plane). Stored artifacts must
+        // not change by a byte.
+        let layers = [
+            sample(4, 5),
+            wide_index_sample(),
+            compress(
+                &random_sparse(300, 200, 0.08, 21),
+                CompressConfig::with_pes(8),
+            ),
+        ];
+        let golden: [[(usize, u64); 3]; 3] = [
+            [
+                (1268, 0xad0e_1fea_0775_8fdf),
+                (963, 0xc2ed_0272_e4b4_29be),
+                (958, 0xcb0c_860e_a6bd_9d57),
+            ],
+            [
+                (542, 0x5358_d04f_f38d_f23f),
+                (574, 0xc095_34a7_6222_8844),
+                (502, 0x9a44_3356_ccd6_2869),
+            ],
+            [
+                (17638, 0x51c6_8037_6dad_71f8),
+                (11810, 0x218d_5416_1b2d_2c9b),
+                (12118, 0x622f_4297_158c_035a),
+            ],
+        ];
+        for (layer, golden) in layers.iter().zip(golden) {
+            for (kind, want) in WeightCodecKind::ALL.into_iter().zip(golden) {
+                let bytes = kind.codec().encode(layer);
+                assert_eq!((bytes.len(), fnv1a(&bytes)), want, "{kind}");
+            }
+        }
+    }
+
+    #[test]
+    fn encoded_bytes_is_the_encoded_length_for_every_codec_and_shape() {
+        let layers = [
+            ("4 PEs", sample(4, 5)),
+            ("1 PE", sample(1, 7)),
+            ("index_bits 8", wide_index_sample()),
+            ("single symbol", single_symbol_sample()),
+            ("no entries", empty_sample()),
+            ("empty PE slices", empty_slices_sample()),
+        ];
+        for (name, layer) in &layers {
+            for kind in WeightCodecKind::ALL {
+                let codec = kind.codec();
+                let bytes = codec.encode(layer);
+                assert_eq!(codec.encoded_bytes(layer), bytes.len(), "{kind}: {name}");
+                assert_eq!(
+                    &codec.decode(&bytes).expect("roundtrip"),
+                    layer,
+                    "{kind}: {name}"
+                );
+            }
+        }
+        // The degenerate shapes are what they claim to be.
+        let single = HuffmanPacked.encode(&single_symbol_sample());
+        let tables = shaped_header_bytes(&single_symbol_sample());
+        assert_eq!(
+            single[tables..tables + 4],
+            [1, 0, 1, 1],
+            "one symbol, 1 bit"
+        );
+        assert_eq!(empty_sample().total_entries(), 0);
+        assert!(empty_slices_sample()
+            .slices()
+            .iter()
+            .any(|s| s.num_entries() == 0));
+    }
+
+    /// `read_planes` as it stood before the byte-spread rewrite: one bit
+    /// test per symbol per plane.
+    fn read_planes_bitwise(bytes: &[u8], count: usize) -> Option<Vec<u8>> {
+        let (&mask, mut rest) = bytes.split_first()?;
+        let plane_bytes = count.div_ceil(8);
+        let mut data = vec![0u8; count];
+        for plane in 0..8u8 {
+            if mask & (1 << plane) == 0 {
+                continue;
+            }
+            let bytes = rest.get(..plane_bytes)?;
+            rest = &rest[plane_bytes..];
+            let mut any = false;
+            for (j, v) in data.iter_mut().enumerate() {
+                if bytes[j / 8] & (0x80 >> (j % 8)) != 0 {
+                    *v |= 1 << plane;
+                    any = true;
+                }
+            }
+            if !any {
+                return None;
+            }
+            if !count.is_multiple_of(8)
+                && bytes[plane_bytes - 1] & ((1u8 << (8 - count % 8)) - 1) != 0
+            {
+                return None;
+            }
+        }
+        Some(data)
+    }
+
+    #[test]
+    fn byte_spread_planes_match_the_bitwise_reference() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for count in [0usize, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 200, 1001] {
+            // Streams confined to a few planes (absent planes between
+            // present ones), the all-zero stream and the full byte range.
+            for keep in [0x00u8, 0x01, 0x0F, 0x5A, 0x80, 0xFF] {
+                let data: Vec<u8> = (0..count).map(|_| next() as u8 & keep).collect();
+                let mut image = Vec::new();
+                write_planes(&data, &mut image);
+                let mask = data.iter().fold(0u8, |m, &v| m | v);
+                assert_eq!(image[0], mask);
+                assert_eq!(
+                    image.len(),
+                    1 + mask.count_ones() as usize * count.div_ceil(8)
+                );
+                let mut r = Reader::new(&image, "planes");
+                assert_eq!(read_planes(&mut r, "planes", count).as_ref(), Ok(&data));
+                assert_eq!(r.remaining(), 0);
+                assert_eq!(read_planes_bitwise(&image, count).as_ref(), Some(&data));
+
+                // Corruptions: every single-bit flip of a short image, a
+                // sample of a long one; a wrong count; a cut image.
+                let step = (image.len() * 8 / 400).max(1);
+                for bit in (0..image.len() * 8).step_by(step) {
+                    let mut corrupt = image.clone();
+                    corrupt[bit / 8] ^= 0x80 >> (bit % 8);
+                    let got = read_planes(&mut Reader::new(&corrupt, "planes"), "planes", count);
+                    assert_eq!(got.ok(), read_planes_bitwise(&corrupt, count), "flip {bit}");
+                }
+                for other in [count + 1, count + 8, count.saturating_sub(1)] {
+                    let got = read_planes(&mut Reader::new(&image, "planes"), "planes", other);
+                    assert_eq!(got.ok(), read_planes_bitwise(&image, other));
+                }
+                let cut = &image[..image.len() / 2];
+                let got = read_planes(&mut Reader::new(cut, "planes"), "planes", count);
+                assert_eq!(got.ok(), read_planes_bitwise(cut, count));
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_code_tables_are_bad_streams() {
+        let layer = sample(2, 3);
+        let bytes = HuffmanPacked.encode(&layer);
+        let table_at = shaped_header_bytes(&layer);
+        let n_syms = u16::from_le_bytes([bytes[table_at], bytes[table_at + 1]]) as usize;
+        assert!(n_syms >= 2, "the sample has a real code table");
+        let bad = Err(DecodeLayerError::BadStream {
+            section: "code table",
+        });
+        // Duplicate symbol: the second pair repeats the first's symbol.
+        let mut duplicate = bytes.clone();
+        duplicate[table_at + 4] = duplicate[table_at + 2];
+        assert_eq!(HuffmanPacked.decode(&duplicate), bad);
+        // Over-subscribed: every length forced to 1 bit.
+        let mut oversubscribed = bytes.clone();
+        for i in 0..n_syms {
+            oversubscribed[table_at + 3 + 2 * i] = 1;
+        }
+        assert_eq!(HuffmanPacked.decode(&oversubscribed), bad);
+        // Over-long and zero lengths.
+        for len in [0u8, 32, 255] {
+            let mut corrupt = bytes.clone();
+            corrupt[table_at + 3] = len;
+            assert_eq!(HuffmanPacked.decode(&corrupt), bad, "length {len}");
+        }
+    }
+
+    #[test]
+    fn hostile_counts_are_truncation_not_allocation() {
+        // n_entries and cols far beyond what the image holds must fail
+        // as truncation before anything is reserved for them (these
+        // aborted the process with a 17 GB reservation once).
+        let layer = sample(2, 3);
+        for kind in WeightCodecKind::ALL {
+            let codec = kind.codec();
+            let bytes = codec.encode(&layer);
+            let pe_header = layer_header_bytes(&layer);
+            for (what, at) in [("cols", 12), ("n_entries", pe_header + 4)] {
+                let mut corrupt = bytes.clone();
+                corrupt[at..at + 4].copy_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
+                assert!(
+                    matches!(
+                        codec.decode(&corrupt),
+                        Err(DecodeLayerError::Truncated { .. } | DecodeLayerError::BadHeader { .. })
+                    ),
+                    "{kind}: hostile {what}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -817,9 +1148,7 @@ mod tests {
 
     #[test]
     fn empty_pe_slices_roundtrip() {
-        // More PEs than rows leaves trailing PEs with zero entries.
-        let m = random_sparse(3, 16, 0.5, 2);
-        let layer = compress(&m, CompressConfig::with_pes(8));
+        let layer = empty_slices_sample();
         for kind in WeightCodecKind::ALL {
             let codec = kind.codec();
             let back = codec.decode(&codec.encode(&layer)).expect("roundtrip");

@@ -125,7 +125,7 @@ impl<'a> Reader<'a> {
     }
 
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeLayerError> {
-        if self.pos + n > self.bytes.len() {
+        if n > self.remaining() {
             return Err(DecodeLayerError::Truncated {
                 offset: self.pos,
                 section: self.section,
@@ -134,6 +134,32 @@ impl<'a> Reader<'a> {
         let s = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    /// Takes `count` fixed-size records as one bounds-checked block. A
+    /// count the remaining bytes cannot hold — counts come straight from
+    /// untrusted header fields — is a truncation error here, before the
+    /// caller reserves anything for the records.
+    pub(crate) fn records(
+        &mut self,
+        count: usize,
+        size: usize,
+    ) -> Result<std::slice::ChunksExact<'a, u8>, DecodeLayerError> {
+        let bytes = self.take(count.saturating_mul(size))?;
+        Ok(bytes.chunks_exact(size))
+    }
+
+    /// Reads a section of `count` little-endian `u32`s.
+    pub(crate) fn u32s(
+        &mut self,
+        section: &'static str,
+        count: usize,
+    ) -> Result<Vec<u32>, DecodeLayerError> {
+        self.enter(section);
+        let words = self.records(count, 4)?;
+        Ok(words
+            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect())
     }
 
     pub(crate) fn u8(&mut self) -> Result<u8, DecodeLayerError> {
@@ -282,25 +308,24 @@ impl EncodedLayer {
         let mut r = Reader::new(bytes, "magic");
         let h = read_layer_header(&mut r, &MAGIC)?;
 
-        let mut slices = Vec::with_capacity(h.num_pes);
+        // Every PE costs at least its 8-byte header, which bounds the
+        // reservation by the input length whatever `num_pes` claims.
+        let mut slices = Vec::with_capacity(h.num_pes.min(r.remaining() / 8 + 1));
         let mut total_local = 0usize;
         for _ in 0..h.num_pes {
             r.enter("pe header");
             let local_rows = r.u32()? as usize;
             total_local += local_rows;
             let n_entries = r.u32()? as usize;
-            r.enter("col_ptr");
-            let mut col_ptr = Vec::with_capacity(h.cols + 1);
-            for _ in 0..=h.cols {
-                col_ptr.push(r.u32()?);
-            }
+            let col_ptr = r.u32s("col_ptr", h.cols + 1)?;
             r.enter("entries");
-            let mut entries = Vec::with_capacity(n_entries);
-            for _ in 0..n_entries {
-                let code = r.u8()?;
-                let zrun = r.u8()?;
-                entries.push(Entry { code, zrun });
-            }
+            let entries = r
+                .records(n_entries, 2)?
+                .map(|pair| Entry {
+                    code: pair[0],
+                    zrun: pair[1],
+                })
+                .collect();
             slices.push(PeSlice::from_raw_parts(entries, col_ptr, local_rows));
         }
         if total_local != h.rows {

@@ -196,16 +196,59 @@ impl From<std::io::Error> for ModelArtifactError {
     }
 }
 
-/// CRC-32 (IEEE 802.3, the zlib polynomial), bitwise — model payloads
-/// are small enough that a table buys nothing worth the code.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The reflected CRC-32/IEEE polynomial (zlib's).
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 tables, built at compile time: `CRC_TABLES[0]` is the
+/// classic byte table; `CRC_TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so eight input bytes fold into the state
+/// with eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3, the zlib polynomial), slice-by-8: every cold
+/// load checksums the whole payload before any layer is decoded, so the
+/// check runs eight bytes per step instead of one bit.
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -579,11 +622,53 @@ mod tests {
         PREAMBLE_LEN + 28 + 2 + model.name().len() + 4
     }
 
+    /// The bit-at-a-time CRC-32 this module used to ship: the oracle
+    /// for the slice-by-8 tables.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC_POLY & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard check value of CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+        assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+        assert_eq!(crc32(&[0xFFu8; 32]), 0xFF6C_AB0B);
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_reference_at_every_length_and_alignment() {
+        // Lengths 0..=64 cover every mix of 8-byte steps and tail bytes;
+        // the start offset moves the data against the allocator's
+        // alignment (the word loop must not care).
+        let pool: Vec<u8> = (0..64 + 8u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8)
+            .collect();
+        for align in 0..8 {
+            for len in 0..=64 {
+                let bytes = &pool[align..align + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bitwise(bytes),
+                    "length {len} at offset {align}"
+                );
+            }
+        }
+        let long: Vec<u8> = (0..100_003u32).map(|i| (i * 31 + (i >> 7)) as u8).collect();
+        assert_eq!(crc32(&long), crc32_bitwise(&long));
     }
 
     #[test]

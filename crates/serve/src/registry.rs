@@ -8,11 +8,17 @@
 //! * **Registration is cheap** — a name→artifact mapping; nothing loads
 //!   until the first request routes to it.
 //! * **Residency is a [`ModelServer`]** — first [`acquire`] of a name
-//!   loads the artifact, starts the model's worker pool and bounded
-//!   queue, and caches the `Arc`. The model's plan cache lives inside
-//!   its `CompiledModel`, so every worker (and every later re-load of
-//!   the same `Arc`) shares the same pre-decoded plans.
-//! * **Eviction is LRU by artifact bytes** — when loading a model would
+//!   reads and validates the artifact, builds the model's execution
+//!   plans, starts its worker pool and bounded queue, and caches the
+//!   `Arc`. All of that happens on the acquiring thread before
+//!   [`acquire`] returns: the model it hands out is resident in full,
+//!   every worker shares the plans it finds in the `CompiledModel`'s
+//!   cache, and the model's memory is allocated — and, on eviction,
+//!   freed — by the long-lived thread that routes requests, not by a
+//!   worker thread that dies with the model.
+//! * **Eviction is LRU by artifact bytes** — the charge is the length
+//!   of the stored image as read (the container admits no slack, so it
+//!   equals `CompiledModel::artifact_bytes`). When loading a model would
 //!   push the resident total past the byte budget, the registry shuts
 //!   down least-recently-used resident models first. A model with
 //!   requests in flight (an outstanding [`acquire`] lease — detected by
@@ -23,6 +29,7 @@
 //!
 //! [`acquire`]: ModelRegistry::acquire
 
+use std::borrow::Cow;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -41,6 +48,16 @@ enum ModelSource {
     /// tests and embedded callers exercise eviction + re-load without a
     /// filesystem.
     Bytes(Arc<[u8]>),
+}
+
+impl ModelSource {
+    /// The artifact image: read afresh for a file, borrowed otherwise.
+    fn image(&self) -> std::io::Result<Cow<'_, [u8]>> {
+        match self {
+            ModelSource::File(path) => std::fs::read(path).map(Cow::Owned),
+            ModelSource::Bytes(bytes) => Ok(Cow::Borrowed(bytes)),
+        }
+    }
 }
 
 /// One registered model.
@@ -334,16 +351,19 @@ impl ModelRegistry {
 
         // Cold: load and validate the artifact. Loading under the lock
         // serializes cold starts — deliberate, so two requests racing to
-        // the same cold model cannot double-load it.
-        let model = match &inner.entries[idx].source {
-            ModelSource::File(path) => CompiledModel::load(path),
-            ModelSource::Bytes(bytes) => CompiledModel::from_bytes(bytes),
-        }
-        .map_err(|source| RegistryError::Load {
-            name: name.to_owned(),
-            source,
-        })?;
-        let bytes = model.artifact_bytes();
+        // the same cold model cannot double-load it. The residency
+        // charge is the length of the image just read and checksummed:
+        // the container admits no slack, so that is the model's
+        // `artifact_bytes()` without re-encoding a layer to measure it.
+        let (model, bytes) = inner.entries[idx]
+            .source
+            .image()
+            .map_err(ModelArtifactError::from)
+            .and_then(|image| Ok((CompiledModel::from_bytes(&image)?, image.len())))
+            .map_err(|source| RegistryError::Load {
+                name: name.to_owned(),
+                source,
+            })?;
 
         // Make room: evict unpinned residents — degraded servers first
         // (they shed everything anyway, so their residency buys
@@ -381,6 +401,10 @@ impl ModelRegistry {
             inner.counters.evictions += 1;
         }
 
+        // `start_with_faults` builds the model's plans on this thread
+        // before it spawns a worker: the lease handed out below is to a
+        // model that is resident in full, not one that will decode its
+        // layers inside the first request.
         let server = Arc::new(ModelServer::start_with_faults(
             model,
             self.server_config,

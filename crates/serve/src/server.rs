@@ -784,8 +784,10 @@ pub struct ModelServer {
 }
 
 impl ModelServer {
-    /// Starts the server: spawns the worker pool and begins accepting
-    /// requests immediately.
+    /// Starts the server: builds the model's execution plans (when the
+    /// configured backend walks plans), spawns the worker pool and
+    /// begins accepting requests. On return the model is fully resident:
+    /// the first request pays a dispatch, not a decode.
     ///
     /// # Panics
     ///
@@ -815,6 +817,16 @@ impl ModelServer {
             "a topology requires the native-cpu backend, not {}",
             config.backend
         );
+        // Build the plans here, on the caller's thread, whenever the
+        // workers will walk them: the model's largest allocation is then
+        // made (and, once the server is dropped, freed) by the
+        // long-lived thread that loaded it rather than inside a worker's
+        // short-lived malloc arena, every worker's `planned_layers()`
+        // is a cache hit, and the first request never queues behind a
+        // build. Backends that stream the layers get no plan.
+        if config.backend.instantiate(model.config()).wants_plans() {
+            model.planned_layers();
+        }
         let model = Arc::new(model);
         let queue = Arc::new(MicroBatchQueue::new(config.queue_depth));
         let counters = Arc::new(FaultCounters::default());
@@ -1062,9 +1074,10 @@ fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// One worker: build its executor (a backend instance, or — under a
 /// non-single [`ServerConfig::topology`] — a [`PipelinedStack`] with
-/// per-stage engines), resolve the model's planned layers (plans are
-/// built into the model's shared cache at worker startup, so every
-/// worker scans the same pre-decoded arrays), then claim → execute →
+/// per-stage engines), resolve the model's planned layers (already built
+/// into the model's shared cache by [`ModelServer::start_with_faults`],
+/// so every worker — and every respawn — scans the same pre-decoded
+/// arrays without building any), then claim → execute →
 /// answer micro-batches until the queue closes and drains. Both
 /// executors share the kernels and the chaining semantics, so served
 /// outputs are bit-identical either way.

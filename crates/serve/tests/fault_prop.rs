@@ -51,6 +51,49 @@ fn model_for(dims: (usize, usize, usize), seed: u64) -> CompiledModel {
     CompiledModel::compile(EieConfig::default().with_num_pes(4), &[&w1, &w2])
 }
 
+/// A quarantined worker respawns onto the plans the server built before
+/// it spawned anything: the respawn rebuilds no plan, and the recovered
+/// worker answers bit-exactly from the very same plan objects.
+#[test]
+fn respawn_after_a_panic_rebuilds_no_plan() {
+    quiet_injected_panics();
+    let model = model_for((16, 24, 8), 7);
+    let input = sample_activations(16, 0.4, false, 11);
+    let golden = model
+        .infer(BackendKind::Functional)
+        .submit(std::slice::from_ref(&input));
+    let server = ModelServer::start_with_faults(
+        model,
+        ServerConfig::default()
+            .with_workers(1)
+            .with_restart_backoff_us(50),
+        Some(Arc::new(FaultPlan::new().panic_on_dispatch(0))),
+    );
+    let layers = server.model().num_layers();
+    assert_eq!(server.model().plans_built(), layers, "built by start");
+    let before: Vec<_> = (0..layers)
+        .map(|i| Arc::clone(server.model().plan(i)))
+        .collect();
+
+    let failed = server.submit(&input).unwrap().wait();
+    assert!(matches!(failed, Err(RequestError::WorkerFailed { .. })));
+    let recovered = server.submit(&input).unwrap().wait().expect("respawned");
+    assert_eq!(&recovered.outputs[..], golden.outputs(0));
+
+    assert_eq!(server.model().plans_built(), layers);
+    for (i, plan) in before.iter().enumerate() {
+        assert!(
+            Arc::ptr_eq(plan, server.model().plan(i)),
+            "layer {i}'s plan was rebuilt"
+        );
+    }
+    let stats = server.shutdown();
+    assert_eq!(
+        (stats.worker_restarts, stats.failed, stats.requests),
+        (1, 1, 1)
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

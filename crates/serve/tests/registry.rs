@@ -3,8 +3,9 @@
 //! budget is the knob that lets many compressed models share one box —
 //! these tests pin exactly what it may and may not evict.
 
+use eie_core::compress::WeightCodecKind;
 use eie_core::nn::zoo::{random_sparse, sample_activations};
-use eie_core::{CompiledModel, EieConfig};
+use eie_core::{BackendKind, CompiledModel, EieConfig};
 use eie_serve::{ModelRegistry, RegistryError, ServerConfig};
 
 /// A small model whose artifact size is deterministic for a seed.
@@ -247,4 +248,105 @@ fn drain_resets_residency_not_registration() {
     assert_eq!(registry.stats().registered, 1);
     drop(registry.acquire("a").unwrap());
     assert_eq!(registry.stats().loads, 2);
+}
+
+/// A two-layer model stored under `codec`.
+fn codec_model(codec: WeightCodecKind, seed: u64) -> CompiledModel {
+    let w1 = random_sparse(32, 20, 0.3, seed);
+    let w2 = random_sparse(12, 32, 0.3, seed + 1);
+    CompiledModel::compile(
+        EieConfig::default().with_num_pes(4).with_codec(codec),
+        &[&w1, &w2],
+    )
+}
+
+/// The residency contract: when `acquire` returns, the model is resident
+/// in full. Under a plan-walking backend every layer's plan is already
+/// built — the first request pays a dispatch, not a decode — and under
+/// a backend that streams the layers no plan is built at all.
+#[test]
+fn acquire_returns_a_fully_resident_model() {
+    let model = codec_model(WeightCodecKind::CscNibble, 70);
+    for (backend, want) in [
+        (BackendKind::NativeCpu(1), model.num_layers()),
+        (BackendKind::Functional, 0),
+    ] {
+        let registry = ModelRegistry::new(quick_config().with_backend(backend));
+        registry.register_model("m", &model).unwrap();
+        let server = registry.acquire("m").unwrap();
+        assert_eq!(
+            server.model().plans_built(),
+            want,
+            "{backend}: plans built when acquire returned"
+        );
+        // Serving builds nothing further, and answers.
+        let outputs = server.submit(&[0.5; 20]).unwrap().wait().unwrap().outputs;
+        assert_eq!(outputs.len(), 12);
+        assert_eq!(
+            server.model().plans_built(),
+            want,
+            "{backend}: after a request"
+        );
+    }
+}
+
+/// The registry charges the bytes it read and checksummed — which are
+/// the model's `artifact_bytes()` and `to_bytes().len()` for every codec
+/// (the container admits no slack) — for file-backed and in-memory
+/// models alike.
+#[test]
+fn residency_charge_is_the_stored_image_length_for_every_codec() {
+    let dir = std::env::temp_dir().join(format!("eie_registry_charge_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for codec in WeightCodecKind::ALL {
+        let model = codec_model(codec, 80);
+        let stored = model.to_bytes().len();
+        assert_eq!(model.artifact_bytes(), stored, "{codec}");
+
+        let path = dir.join(format!("{codec}.eie"));
+        model.save(&path).unwrap();
+        let registry = ModelRegistry::new(quick_config());
+        registry.register_file("file", &path).unwrap();
+        registry.register_model("memory", &model).unwrap();
+        drop(registry.acquire("file").unwrap());
+        assert_eq!(registry.stats().resident_bytes, stored, "{codec}: file");
+        drop(registry.acquire("memory").unwrap());
+        assert_eq!(registry.stats().resident_bytes, 2 * stored, "{codec}: both");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A corrupt artifact fails `acquire` with a typed load error *before*
+/// anything is evicted to make room for it.
+#[test]
+fn corrupt_artifact_fails_acquire_and_evicts_nothing() {
+    let good = toy_model(24, 16, 90);
+    let bytes = good.artifact_bytes();
+    let dir = std::env::temp_dir().join(format!("eie_registry_corrupt_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("corrupt.eie");
+    let mut image = toy_model(24, 16, 91).to_bytes();
+    let last = image.len() - 1;
+    image[last] ^= 0x40;
+    std::fs::write(&path, &image).unwrap();
+
+    // The budget fits one model: a successful load would evict `good`.
+    let registry = ModelRegistry::new(quick_config()).with_budget_bytes(bytes + bytes / 2);
+    registry.register_model("good", &good).unwrap();
+    registry.register_file("corrupt", &path).unwrap();
+    drop(registry.acquire("good").unwrap());
+
+    assert!(matches!(
+        registry.acquire("corrupt"),
+        Err(RegistryError::Load { name, .. }) if name == "corrupt"
+    ));
+    assert!(
+        registry.is_resident("good"),
+        "a failed load evicted a model"
+    );
+    assert!(!registry.is_resident("corrupt"));
+    let stats = registry.stats();
+    assert_eq!((stats.loads, stats.evictions), (1, 0));
+    assert_eq!(stats.resident_bytes, bytes);
+    let _ = std::fs::remove_dir_all(&dir);
 }
