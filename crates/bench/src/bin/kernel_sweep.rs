@@ -1,7 +1,7 @@
 //! Kernel sweep: the reproducible perf baseline of the native hot path.
 //!
-//! Measures layer throughput across a batch-size sweep (1, 4, 8, 16,
-//! 32) for two kernels:
+//! Measures layer throughput across a batch-size sweep (1, 2, 3, 4, 8,
+//! 16, 32) for two kernels:
 //!
 //! * **streaming** — per-call entry-stream decode, scoped threads (the
 //!   pre-plan code path, kept alive as `NativeCpu::without_plans`),
@@ -13,14 +13,18 @@
 //!
 //! Every cell is also priced (ROADMAP roofline, step 1): the bytes of
 //! the structure the kernel walks, the bytes of live columns' runs it
-//! touches per frame, and the achieved GB/s and GMAC/s. Both kernels
-//! are asserted bit-exact against the functional golden model — at
-//! batch 1 and at the largest swept batch — before any number is
-//! recorded.
+//! touches per frame, the achieved GB/s and GMAC/s, and the share of
+//! walked entries that took the rail-free (wrapping) path — from the
+//! same public predicate the kernel asks. The zoo layers prove
+//! rail-free on their inputs; one synthetic **near-rail** row (dense-ish
+//! weights around ±2.0, full-scale mixed-sign inputs) does not, and
+//! keeps the saturating fallback's cost on the record. Both kernels are
+//! asserted bit-exact against the functional golden model — at batch 1
+//! and at the largest swept batch — before any number is recorded.
 //!
 //! Output: a table + story on stdout (and `results/kernel_sweep.txt`),
 //! plus the machine-readable **`BENCH_kernel.json`** at the repo root —
-//! the recorded perf trajectory (schema `eie-kernel-sweep/v3`,
+//! the recorded perf trajectory (schema `eie-kernel-sweep/v4`,
 //! documented in `EXPERIMENTS.md`). Only a full-scale non-quick run
 //! touches that file: `--quick` (the CI smoke: one layer, bounded
 //! iterations, batches 1 and 8) writes
@@ -58,6 +62,46 @@ struct Cell {
     bytes_touched: f64,
     gbps: f64,
     gmacs: f64,
+    /// Entries walked with wrapping adds ÷ entries walked (0 for the
+    /// streaming kernel, which always saturates).
+    rail_free_share: f64,
+}
+
+/// One swept layer with its inputs — a zoo benchmark at the configured
+/// scale, or the synthetic near-rail row: `(name, model, batch)`, item 0
+/// of the batch being the single-item input.
+type Subject = (&'static str, CompiledModel, Vec<Vec<Q8p8>>);
+
+/// The row whose rail-free proof fails, so the saturating fallback
+/// stays measured: the shape of `plan_prop`'s saturation strategy at a
+/// size fixed across `EIE_SCALE` (the verdict is a function of the
+/// fixed-seed layer and inputs, not of the scale or the host) — a
+/// quarter dense, weights ±(1.5..2.5), inputs ±127 on half the columns.
+fn near_rail(config: EieConfig, max_batch: usize) -> Subject {
+    const DIM: usize = 1024;
+    let mut weights = random_sparse(DIM, DIM, 0.25, DEFAULT_SEED);
+    for w in weights.values_mut() {
+        *w = (1.5 + w.abs() / 2.0).copysign(*w);
+    }
+    let item = |i: usize| -> Vec<Q8p8> {
+        eie_core::nn::zoo::sample_activations(DIM, 0.5, true, DEFAULT_SEED + i as u64)
+            .iter()
+            .map(|&a| Q8p8::from_f32(if a == 0.0 { 0.0 } else { 127f32.copysign(a) }))
+            .collect()
+    };
+    let model = CompiledModel::compile_layer(config, &weights);
+    ("near-rail", model, (0..max_batch).map(item).collect())
+}
+
+/// The share of a dispatch's entries that take the wrapping path: each
+/// block is asked the kernel's own question about the dispatch's
+/// activation range, weighted by its entries (every block walks the
+/// same live columns).
+fn rail_free_share(plan: &LayerPlan, items: &[Vec<Q8p8>]) -> f64 {
+    let raws = || items.iter().flatten().map(|a| a.raw());
+    let (max, min) = (raws().max().unwrap_or(0), raws().min().unwrap_or(0));
+    let proved = plan.blocks().iter().filter(|b| b.rail_free_for(max, min));
+    proved.map(|b| b.num_entries()).sum::<usize>() as f64 / plan.total_entries().max(1) as f64
 }
 
 /// What one kernel's walk of a batch costs, from the extents of the
@@ -91,10 +135,11 @@ struct Headline {
     single_speedup: f64,
     batch: usize,
     batch_speedup: f64,
-    /// Per-frame throughput of one 8-lane pass over eight single-item
-    /// walks (below 1: lanes lose — they give up the per-item
-    /// zero-skip).
-    lane_b8_over_8x_single: f64,
+    /// `(N, ratio)`: per-frame throughput of one lane pass over a batch
+    /// of N against N single-item walks, for the swept N up to one full
+    /// lane block (below 1: lanes lose — they pad to [`LANE_WIDTH`] and
+    /// give up the per-item zero-skip). The dispatcher's crossover.
+    lane_over_single: Vec<(usize, f64)>,
 }
 
 fn main() {
@@ -124,7 +169,11 @@ fn main() {
     } else {
         &[Benchmark::Alex6, Benchmark::Alex7, Benchmark::NtWe]
     };
-    let batches: &[usize] = if quick { &[1, 8] } else { &[1, 4, 8, 16, 32] };
+    let batches: &[usize] = if quick {
+        &[1, 8]
+    } else {
+        &[1, 2, 3, 4, 8, 16, 32]
+    };
     let max_batch = *batches.last().expect("batch sweep is non-empty");
     const KERNELS: [&str; 2] = ["streaming", "plan"];
 
@@ -146,25 +195,28 @@ fn main() {
             "B/entry",
             "GB/s",
             "GMAC/s",
+            "rail-free",
         ],
     );
     let mut cells: Vec<Cell> = Vec::new();
     let mut tiles: Vec<(&'static str, usize)> = Vec::new();
     let mut headline: Option<Headline> = None;
 
-    for &benchmark in benchmarks {
+    let zoo = benchmarks.iter().map(|&benchmark| -> Subject {
         let layer = layer_at_scale(benchmark);
-        let (rows, cols) = (layer.weights.rows(), layer.weights.cols());
-        let model = model_at_scale(benchmark, config);
-        let enc = model.layer(0);
-        let acts = Q8p8::from_f32_slice(&layer.sample_activations(DEFAULT_SEED));
-        let batch: Vec<Vec<Q8p8>> = layer
-            .sample_activation_batch(DEFAULT_SEED, max_batch)
+        let batch = layer.sample_activation_batch(DEFAULT_SEED, max_batch);
+        let batch = batch
             .iter()
             .map(|item| Q8p8::from_f32_slice(item))
             .collect();
+        (benchmark.name(), model_at_scale(benchmark, config), batch)
+    });
+    for (name, model, batch) in zoo.chain([near_rail(config, max_batch)]) {
+        let (batch, acts) = (&batch, &batch[0]);
+        let enc = model.layer(0);
+        let (rows, cols) = (enc.rows(), enc.cols());
         let layer_plan = LayerPlan::build(enc);
-        tiles.push((benchmark.name(), layer_plan.lane_tile().cols()));
+        tiles.push((name, layer_plan.lane_tile().cols()));
         // What each kernel walks: resident bytes, bytes per stored
         // entry, and stored entries per column.
         let col_real: Vec<usize> = (0..cols)
@@ -196,25 +248,25 @@ fn main() {
             // functional golden at batch 1 and at the largest swept
             // batch (covering the lane kernel's padded tail blocks).
             let golden = Functional::new();
-            let want = golden.run_layer(enc, &acts, false).outputs;
-            let want_b = golden.run_layer_batch(enc, &batch, false);
+            let want = golden.run_layer(enc, acts, false).outputs;
+            let want_b = golden.run_layer_batch(enc, batch, false);
             for (kernel, engine) in KERNELS.iter().zip(engines) {
                 assert!(
-                    engine.run_layer(enc, &acts, false).outputs == want,
-                    "{benchmark}: single-item {kernel} kernel diverged"
+                    engine.run_layer(enc, acts, false).outputs == want,
+                    "{name}: single-item {kernel} kernel diverged"
                 );
-                let runs = engine.run_layer_batch(enc, &batch, false);
+                let runs = engine.run_layer_batch(enc, batch, false);
                 for i in 0..max_batch {
                     assert!(
                         runs[i].outputs == want_b[i].outputs,
-                        "{benchmark}: batch item {i} diverged on the {kernel} kernel"
+                        "{name}: batch item {i} diverged on the {kernel} kernel"
                     );
                 }
             }
             println!(
                 "verified: streaming/plan bit-exact against the functional golden on {} \
                  (single + batch {max_batch}, {threads}t)",
-                benchmark.name()
+                name
             );
 
             // fps by [batch index][kernel index] for the speedup math.
@@ -227,7 +279,7 @@ fn main() {
                 };
                 for (k, (kernel, backend)) in KERNELS.iter().zip(engines).enumerate() {
                     let us = if b == 1 {
-                        harness.measure_us(|| backend.run_layer(enc, &acts, false))
+                        harness.measure_us(|| backend.run_layer(enc, acts, false))
                     } else {
                         harness.measure_us(|| backend.run_layer_batch(enc, &batch[..b], false))
                             / b as f64
@@ -237,7 +289,7 @@ fn main() {
                     // one pass; the plan walks once per lane block (a
                     // single item is its own pass either way).
                     let items = if b == 1 {
-                        std::slice::from_ref(&acts)
+                        std::slice::from_ref(acts)
                     } else {
                         &batch[..b]
                     };
@@ -248,8 +300,13 @@ fn main() {
                     let bytes_per_entry = resident as f64 / layer_plan.total_entries() as f64;
                     let gbps = bytes_touched / (us * 1e3);
                     let gmacs = macs as f64 / b as f64 / (us * 1e3);
+                    let rail_free_share = if k == 0 {
+                        0.0
+                    } else {
+                        rail_free_share(&layer_plan, items)
+                    };
                     cells.push(Cell {
-                        layer: benchmark.name(),
+                        layer: name,
                         rows,
                         cols,
                         pes: config.num_pes,
@@ -263,9 +320,10 @@ fn main() {
                         bytes_touched,
                         gbps,
                         gmacs,
+                        rail_free_share,
                     });
                     table.row(vec![
-                        benchmark.name().into(),
+                        name.into(),
                         threads.to_string(),
                         mode.clone(),
                         (*kernel).into(),
@@ -279,6 +337,7 @@ fn main() {
                         f(bytes_per_entry, 2),
                         f(gbps, 2),
                         f(gmacs, 2),
+                        f(rail_free_share, 2),
                     ]);
                 }
             }
@@ -289,28 +348,30 @@ fn main() {
                 .iter()
                 .position(|&b| b == 16)
                 .unwrap_or(batches.len() - 1);
-            let b8 = batches
-                .iter()
-                .position(|&b| b == LANE_WIDTH)
-                .expect("the sweep includes one full lane block");
+            let lane_over_single: Vec<(usize, f64)> = (1..batches.len())
+                .filter(|&bi| batches[bi] <= LANE_WIDTH)
+                .map(|bi| (batches[bi], fps[bi][1] / fps[0][1]))
+                .collect();
             let candidate = Headline {
-                layer: benchmark.name().to_string(),
+                layer: name.to_string(),
                 threads,
                 single_speedup: fps[0][1] / fps[0][0],
                 batch: batches[ref_bi],
                 batch_speedup: fps[ref_bi][1] / fps[ref_bi][0],
-                lane_b8_over_8x_single: fps[b8][1] / fps[0][1],
+                lane_over_single,
             };
-            if headline
-                .as_ref()
-                .map(|h| candidate.batch_speedup > h.batch_speedup)
-                .unwrap_or(true)
+            // The near-rail row is the fallback's record, not a headline.
+            if name != "near-rail"
+                && headline
+                    .as_ref()
+                    .map(|h| candidate.batch_speedup > h.batch_speedup)
+                    .unwrap_or(true)
             {
                 headline = Some(candidate);
             }
             eprintln!(
                 "[{} @ {}t] done in {:.1}s",
-                benchmark.name(),
+                name,
                 threads,
                 started.elapsed().as_secs_f64()
             );
@@ -322,16 +383,21 @@ fn main() {
     let _ = writeln!(
         out,
         "\nHeadline: {} fused batch-{} {} plan-over-streaming at {} thread(s) \
-         (single-item {}; one {LANE_WIDTH}-lane pass is {} of eight single walks per \
-         frame, {} lanes). A single item walks one contiguous run of 2-byte entries per \
-         live column; a batch applies each entry to a {LANE_WIDTH}-item block as one \
-         fixed-width saturating MAC; streaming re-decodes the compressed stream per call.",
+         (single-item {}; one lane pass over N single walks per frame: {}; {} lanes). A \
+         single item walks one contiguous run of 2-byte entries per live column; a batch \
+         applies each entry to a {LANE_WIDTH}-item block as one fixed-width MAC — wrapping \
+         where the block's bound proves the dispatch rail-free, saturating otherwise; \
+         streaming re-decodes the compressed stream per call.",
         hl.layer,
         hl.batch,
         x(hl.batch_speedup),
         hl.threads,
         x(hl.single_speedup),
-        x(hl.lane_b8_over_8x_single),
+        hl.lane_over_single
+            .iter()
+            .map(|(n, ratio)| format!("N={n} {}", x(*ratio)))
+            .collect::<Vec<_>>()
+            .join(", "),
         lane_isa(),
     );
     emit("kernel_sweep", &out);
@@ -339,7 +405,7 @@ fn main() {
     // ---- machine-readable record ------------------------------------
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"eie-kernel-sweep/v3\",");
+    let _ = writeln!(json, "  \"schema\": \"eie-kernel-sweep/v4\",");
     let _ = writeln!(json, "  \"scale_divisor\": {},", scale_divisor());
     let _ = writeln!(json, "  \"pes\": {},", config.num_pes);
     let _ = writeln!(json, "  \"threads_available\": {available},");
@@ -367,14 +433,16 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"headline\": {{\"layer\": \"{}\", \"threads\": {}, \"batch\": {}, \
-         \"single_item_speedup\": {:.3}, \"batch_speedup\": {:.3}, \
-         \"lane_b8_over_8x_single\": {:.3}}},",
+         \"single_item_speedup\": {:.3}, \"batch_speedup\": {:.3}{}}},",
         hl.layer,
         hl.threads,
         hl.batch,
         hl.single_speedup,
         hl.batch_speedup,
-        hl.lane_b8_over_8x_single
+        hl.lane_over_single
+            .iter()
+            .map(|(n, ratio)| format!(", \"lane_b{n}_over_{n}x_single\": {ratio:.3}"))
+            .collect::<String>()
     );
     json.push_str("  \"results\": [\n");
     for (i, c) in cells.iter().enumerate() {
@@ -384,7 +452,7 @@ fn main() {
              \"threads\": {}, \"batch\": {}, \"kernel\": \"{}\", \
              \"us_per_frame\": {:.3}, \"frames_per_second\": {:.1}, \
              \"plan_bytes\": {}, \"bytes_per_entry\": {:.3}, \"bytes_touched\": {:.0}, \
-             \"gbps\": {:.3}, \"gmacs\": {:.3}}}",
+             \"gbps\": {:.3}, \"gmacs\": {:.3}, \"rail_free_share\": {:.3}}}",
             c.layer,
             c.rows,
             c.cols,
@@ -399,6 +467,7 @@ fn main() {
             c.bytes_touched,
             c.gbps,
             c.gmacs,
+            c.rail_free_share,
         );
         json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
     }

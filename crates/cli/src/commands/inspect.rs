@@ -1,4 +1,5 @@
-//! `eie inspect` — print an artifact's header, topology and footprint.
+//! `eie inspect` — print an artifact's header, topology, footprint and
+//! per-layer execution plan (with its rail-free headroom).
 
 use crate::commands::load_model;
 use crate::opts::Opts;
@@ -66,6 +67,9 @@ pub fn run(opts: Opts) -> Result<(), CliError> {
             stored,
             codec.codec().compression_ratio(layer),
         );
+        // The plan a server walks, with the activation range up to
+        // which it proves every block rail-free (Q8.8 values).
+        outln!("           {}", model.plan(i));
     }
     if model.num_layers() > 1 {
         outln!(

@@ -279,9 +279,25 @@ impl WeightCodec for BitPlane {
         let h = read_layer_header(&mut r, &BITPLANE_MAGIC)?;
         let shapes = read_pe_shapes(&mut r, &h)?;
         let total: usize = shapes.iter().map(|s| s.n_entries).sum();
-        let codes = read_planes(&mut r, "code planes", total)?;
-        let zruns = read_planes(&mut r, "zrun planes", total)?;
-        assemble(h, shapes, &codes, &zruns)
+        // Both streams' planes are taken before either stream is
+        // allocated: `total` comes from the image, and a plane-less
+        // stream has no byte backing it. Padding entries carry the
+        // maximal zrun, so no canonical image with entries has both
+        // streams plane-less; with that refused, a present plane's
+        // `ceil(total / 8)` bytes were read and bound both allocations.
+        let codes = take_planes(&mut r, "code planes", total)?;
+        let zruns = take_planes(&mut r, "zrun planes", total)?;
+        if total > 0 && codes.is_empty() && zruns.is_empty() {
+            return Err(DecodeLayerError::BadStream {
+                section: "zrun planes",
+            });
+        }
+        assemble(
+            h,
+            shapes,
+            &spread_planes(&codes, total),
+            &spread_planes(&zruns, total),
+        )
     }
 
     fn encoded_bytes(&self, layer: &EncodedLayer) -> usize {
@@ -591,16 +607,18 @@ fn write_planes(data: &[u8], out: &mut Vec<u8>) {
     }
 }
 
-/// Reads bit planes back into a byte stream of `count` symbols. Present
-/// planes must carry at least one set bit and zero padding bits, so the
+/// The present bit planes of one stream, low to high: `(plane, bytes)`.
+type Planes<'a> = Vec<(u32, &'a [u8])>;
+
+/// Takes the mask and the present planes of a `count`-symbol stream
+/// from the image, allocating nothing for the symbols. Present planes
+/// must carry at least one set bit and zero padding bits, so the
 /// encoding stays canonical (encode ∘ decode is the identity on bytes).
-/// Eight symbols are rebuilt per step from one byte of each present
-/// plane through [`SPREAD`].
-fn read_planes(
-    r: &mut Reader<'_>,
+fn take_planes<'a>(
+    r: &mut Reader<'a>,
     section: &'static str,
     count: usize,
-) -> Result<Vec<u8>, DecodeLayerError> {
+) -> Result<Planes<'a>, DecodeLayerError> {
     r.enter(section);
     let mask = r.u8()?;
     let plane_bytes = count.div_ceil(8);
@@ -609,7 +627,7 @@ fn read_planes(
     } else {
         0xFFu8 >> (count % 8)
     };
-    let mut planes: Vec<(u32, &[u8])> = Vec::with_capacity(8);
+    let mut planes: Planes<'a> = Vec::with_capacity(8);
     for plane in (0..8).filter(|&plane| mask >> plane & 1 == 1) {
         let bytes = r.take(plane_bytes)?;
         let empty = bytes.iter().all(|&b| b == 0);
@@ -618,8 +636,13 @@ fn read_planes(
         }
         planes.push((plane, bytes));
     }
-    // Allocated only now: with any plane present the stream is at most
-    // eight bytes per input byte.
+    Ok(planes)
+}
+
+/// Rebuilds the `count` symbols of a stream from its planes, eight per
+/// step from one byte of each present plane through [`SPREAD`]. The
+/// caller bounds `count` (see [`BitPlane::decode`]).
+fn spread_planes(planes: &Planes<'_>, count: usize) -> Vec<u8> {
     let mut data = vec![0u8; count];
     for (k, chunk) in data.chunks_mut(8).enumerate() {
         let word = planes.iter().fold(0u64, |word, &(plane, bytes)| {
@@ -627,7 +650,7 @@ fn read_planes(
         });
         chunk.copy_from_slice(&word.to_le_bytes()[..chunk.len()]);
     }
-    Ok(data)
+    data
 }
 
 #[cfg(test)]
@@ -763,6 +786,16 @@ mod tests {
             .any(|s| s.num_entries() == 0));
     }
 
+    /// One stream, taken and spread (the decoder takes both streams
+    /// before spreading either).
+    fn read_planes(
+        r: &mut Reader<'_>,
+        section: &'static str,
+        count: usize,
+    ) -> Result<Vec<u8>, DecodeLayerError> {
+        take_planes(r, section, count).map(|planes| spread_planes(&planes, count))
+    }
+
     /// `read_planes` as it stood before the byte-spread rewrite: one bit
     /// test per symbol per plane.
     fn read_planes_bitwise(bytes: &[u8], count: usize) -> Option<Vec<u8>> {
@@ -890,6 +923,51 @@ mod tests {
                     "{kind}: hostile {what}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn plane_less_streams_cannot_declare_entries() {
+        // 46 bytes declaring 2^31 entries: one PE, one column, both
+        // streams plane-less, so not one byte backs the two 2 GiB
+        // streams the header asks for. Refused before either exists.
+        let huge = 1u32 << 31;
+        let mut image = Vec::new();
+        image.extend_from_slice(&BITPLANE_MAGIC);
+        image.extend_from_slice(&[4, 2, 0, 0]); // index_bits, codebook_len, pad
+        for word in [huge, 1, 1] {
+            image.extend_from_slice(&word.to_le_bytes()); // rows, cols, num_pes
+        }
+        for centroid in [0.0f32, 1.0] {
+            image.extend_from_slice(&centroid.to_le_bytes());
+        }
+        for word in [huge, huge, 0, huge] {
+            image.extend_from_slice(&word.to_le_bytes()); // local_rows, n_entries, col_ptr
+        }
+        image.extend_from_slice(&[0, 0]); // both plane masks: no planes
+        assert_eq!(
+            BitPlane.decode(&image),
+            Err(DecodeLayerError::BadStream {
+                section: "zrun planes"
+            })
+        );
+        // Claiming a plane instead makes it a truncation: the plane's
+        // 2^28 bytes are not there.
+        for mask_at in [image.len() - 2, image.len() - 1] {
+            let mut claimed = image.clone();
+            claimed[mask_at] = 1;
+            assert!(matches!(
+                BitPlane.decode(&claimed),
+                Err(DecodeLayerError::Truncated { .. })
+            ));
+        }
+        // One plane-less stream is canonical when the other has planes
+        // (every zrun 0), and so is the entry-less layer.
+        for layer in [single_symbol_sample(), empty_sample()] {
+            assert_eq!(
+                BitPlane.decode(&BitPlane.encode(&layer)).as_ref(),
+                Ok(&layer)
+            );
         }
     }
 

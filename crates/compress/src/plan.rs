@@ -301,17 +301,61 @@ impl fmt::Display for Topology {
 /// accumulator axis, with every real entry that feeds them — all PEs'
 /// entries of one column merged into one run under a single `cols + 1`
 /// extent index.
+///
+/// # Rail-free bound
+///
+/// A block also carries two numbers computed once at build: `P`, the
+/// largest per-accumulator sum of its positive raw weights, and `N`,
+/// the largest per-accumulator sum of its |negative| raw weights. For a
+/// dispatch whose raw activations all lie in `[-a⁻, a⁺]`, a product is
+/// positive only as (positive weight × positive activation) or
+/// (negative × negative), so the positive products of any one
+/// accumulator sum to at most `P·a⁺ + N·a⁻` and its negative products
+/// to at least `−(N·a⁺ + P·a⁻)`. Every partial sum is the sum of a
+/// *subset* of the accumulator's products (the columns visited so
+/// far), hence lies in `[−(N·a⁺ + P·a⁻), P·a⁺ + N·a⁻]` at every step,
+/// in any visiting order. [`PlanBlock::rail_free_for`] is that
+/// inequality against `i32::MAX`. When it holds, induction over the
+/// adds gives bit-identity: if the accumulator so far equals the exact
+/// prefix sum and the next exact sum fits `i32`, `saturating_add` and
+/// `wrapping_add` both return it — so a kernel may accumulate with
+/// plain wrapping adds and never observe a rail. Zero activations and
+/// the zero-padded lanes of a partial batch contribute zero products
+/// (the empty subset), so they are inside the bound. When the
+/// inequality fails nothing is assumed: the block takes the saturating
+/// kernel for that dispatch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanBlock {
     /// First accumulator owned, as a PE-major index into the layer.
     first: u32,
     /// Accumulators owned (`1..=BLOCK_ACCUMULATORS`).
     accumulators: u32,
+    /// `P`: the largest per-accumulator sum of positive raw weights
+    /// (`u32::MAX` when the build could not sum exactly).
+    pos_weight: u32,
+    /// `N`: the same over the |negative| raw weights.
+    neg_weight: u32,
     entries: Vec<PlanEntry>,
     col_ptr: Vec<u32>,
 }
 
 impl PlanBlock {
+    /// Whether no partial sum of any accumulator of this block can
+    /// leave `i32` on a dispatch whose largest raw activation is
+    /// `max_act` and smallest is `min_act` (pass 0 for a sign no
+    /// activation has): `P·a⁺ + N·a⁻` and `N·a⁺ + P·a⁻` both at most
+    /// `i32::MAX`, with `a⁺ = max(max_act, 0)` and `a⁻ = |min(min_act,
+    /// 0)|` (see the type docs for why that makes wrapping and
+    /// saturating accumulation bit-identical). Two multiply-adds; the
+    /// native kernel asks it per block per dispatch.
+    #[inline]
+    pub fn rail_free_for(&self, max_act: i16, min_act: i16) -> bool {
+        let (p, n) = (self.pos_weight as u64, self.neg_weight as u64);
+        let (ap, an) = (max_act.max(0) as u64, min_act.min(0).unsigned_abs() as u64);
+        // u32 × u16 products: the sums stay below 2^49.
+        p * ap + n * an <= i32::MAX as u64 && n * ap + p * an <= i32::MAX as u64
+    }
+
     /// Accumulators this block owns.
     pub fn accumulators(&self) -> usize {
         self.accumulators as usize
@@ -377,14 +421,27 @@ impl PlanBlock {
 /// property tests pin both against the functional golden model,
 /// including near the `Accum32` rails where add order is observable.
 ///
+/// # Rail-free blocks
+///
+/// Saturation itself is provable away, block by block and dispatch by
+/// dispatch: each block records the largest per-accumulator sums of its
+/// positive and |negative| raw weights, which bound every partial sum
+/// of every accumulator for a given activation range
+/// ([`PlanBlock::rail_free_for`]; the inequality and the induction step
+/// "exact sum fits ⇒ saturating = wrapping" are on [`PlanBlock`]).
+/// Blocks cut by [`LayerPlan::build_with_blocks`] get bounds of their
+/// own; [`LayerPlan::rail_free_headroom`] is the activation range the
+/// whole plan is proved for.
+///
 /// # Cost
 ///
-/// A plan costs 2 bytes per surviving entry plus `4 × (cols + 1)` per
-/// block, against the hardware's 1 byte per stored entry — the
-/// build-once/run-many trade of a serving host, at a quarter of what an
-/// unpacked `(u32 row, i32 weight)` entry would cost, and less than the
-/// in-memory [`EncodedLayer`] it was built from (2 bytes per stored
-/// entry, padding included, plus an extent index per PE).
+/// A plan costs 2 bytes per surviving entry plus `4 × (cols + 1)` (and
+/// 8 bytes of bounds) per block, against the hardware's 1 byte per
+/// stored entry — the build-once/run-many trade of a serving host, at
+/// a quarter of what an unpacked `(u32 row, i32 weight)` entry would
+/// cost, and less than the in-memory [`EncodedLayer`] it was built from
+/// (2 bytes per stored entry, padding included, plus an extent index
+/// per PE).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerPlan {
     rows: usize,
@@ -427,7 +484,10 @@ impl LayerPlan {
     /// the gaps the dropped padding left, yielding the exact extent
     /// index; storage is then shrunk to fit. On Alex-7 that is 8 ms
     /// against 14 for count-then-scatter (an exact count is a second
-    /// walk of the stream).
+    /// walk of the stream). The scatter also sums each accumulator's
+    /// positive and |negative| raw weights for the blocks' rail-free
+    /// bounds ([`PlanBlock`]) — one packed add per real entry, about
+    /// 8 % of the build.
     ///
     /// # Panics
     ///
@@ -495,6 +555,8 @@ impl LayerPlan {
                 PlanBlock {
                     first: cut(b),
                     accumulators: cut(b + 1) - cut(b),
+                    pos_weight: u32::MAX,
+                    neg_weight: u32::MAX,
                     entries: vec![PlanEntry(0); start[cols] as usize],
                     col_ptr: start.clone(),
                 }
@@ -502,27 +564,51 @@ impl LayerPlan {
             .collect();
 
         // Scatter, PE-outer: `col_ptr[j]` is column `j`'s write cursor.
+        // The same pass sums every accumulator's positive and |negative|
+        // raw weights for the rail-free bound, as one packed add per
+        // real entry: positive half in the high 32 bits, negative in the
+        // low. A half receives at most `cols` weights of at most 2^15.
+        let weigh = lut.map(|w| (w.max(0) as u64) << 32 | w.min(0).unsigned_abs() as u64);
+        let mut sums = vec![0u64; rows];
         for w in &windows {
             let (slice, block) = (layer.slice(w.slice), &mut blocks[w.block]);
-            for j in 0..cols {
-                let (mut row, mut at) = (0usize, block.col_ptr[j] as usize);
+            // Hoisted out of the entry loop, which would otherwise
+            // reload them past every store: the block-local accumulator
+            // of the slice's row 0 (wrapping: a block may start inside
+            // the slice), the window, and the three arrays.
+            let base = w.slice_first.wrapping_sub(block.first as usize);
+            let (lo, hi) = (w.rows.start, w.rows.end);
+            let (entries, cursors) = (&mut block.entries[..], &mut block.col_ptr[..cols]);
+            let sums = &mut sums[w.slice_first..][..slice.local_rows()];
+            for (j, cursor) in cursors.iter_mut().enumerate() {
+                let (mut row, mut at) = (0usize, *cursor as usize);
                 for e in slice.col_entries(j) {
                     row += e.zrun as usize;
-                    if e.code != 0 && w.rows.contains(&row) {
+                    if e.code != 0 && (lo..hi).contains(&row) {
                         debug_assert!((e.code as usize) < CODEBOOK_SIZE);
-                        let local = (w.slice_first + row - block.first as usize) as u16;
-                        block.entries[at] = PlanEntry(local << CODE_BITS | e.code as u16);
+                        let local = base.wrapping_add(row) as u16;
+                        entries[at] = PlanEntry(local << CODE_BITS | e.code as u16);
                         at += 1;
+                        sums[row] = sums[row].wrapping_add(weigh[e.code as usize % CODEBOOK_SIZE]);
                     }
                     row += 1;
                 }
-                block.col_ptr[j] = at as u32;
+                *cursor = at as u32;
             }
         }
 
         // Close the gaps the dropped padding left: one sequential
-        // sweep, which also yields the exact extent index.
+        // sweep, which also yields the exact extent index. Each block
+        // first takes the largest halves of its accumulators' packed
+        // sums — exact only if no half could carry; a wider layer keeps
+        // the `u32::MAX` bounds, which prove nothing.
+        let exact = (cols as u64) << 15 < 1 << 32;
         for (block, start) in blocks.iter_mut().zip(&starts) {
+            let owned = &sums[block.first as usize..][..block.accumulators as usize];
+            if exact {
+                block.pos_weight = owned.iter().map(|s| (s >> 32) as u32).max().unwrap_or(0);
+                block.neg_weight = owned.iter().map(|&s| s as u32).max().unwrap_or(0);
+            }
             let mut at = 0usize;
             for (cursor, &first) in block.col_ptr.iter_mut().zip(&start[..cols]) {
                 let run = first as usize..*cursor as usize;
@@ -621,9 +707,27 @@ impl LayerPlan {
         self.blocks.iter().map(PlanBlock::num_entries).sum()
     }
 
+    /// The rail-free headroom this plan proves, whatever the dispatch:
+    /// the largest raw Q8.8 magnitude `m` for which every block is
+    /// [`PlanBlock::rail_free_for`] one-signed inputs (`(m, 0)`: what a
+    /// post-ReLU layer feeds the next) and for signed inputs
+    /// (`(m, -m)`), each capped at 2^15 = |`i16::MIN`| — the closed
+    /// form of the predicate over the worst block. A limit of at least
+    /// `i16::MAX` (one-signed) or 2^15 (signed) covers every input.
+    pub fn rail_free_headroom(&self) -> (u32, u32) {
+        let (mut one_sign, mut both) = (1u64, 1u64);
+        for b in &self.blocks {
+            one_sign = one_sign.max(b.pos_weight.max(b.neg_weight) as u64);
+            both = both.max(b.pos_weight as u64 + b.neg_weight as u64);
+        }
+        let limit = |weight: u64| (i32::MAX as u64 / weight).min(1 << 15) as u32;
+        (limit(one_sign), limit(both))
+    }
+
     /// Resident size of the plan, bytes: every block's entries and
-    /// extent index, the block table and the LUT — the memory side of
-    /// the build-once/run-many trade, and what plan caches account.
+    /// extent index, the block table (which holds the rail-free bounds)
+    /// and the LUT — the memory side of the build-once/run-many trade,
+    /// and what plan caches account.
     pub fn resident_bytes(&self) -> usize {
         let blocks: usize = self
             .blocks
@@ -639,9 +743,17 @@ impl LayerPlan {
 
 impl fmt::Display for LayerPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The headroom as Q8.8 values, rounded down (what is printed is
+        // itself proved); "always" when it covers every input.
+        let limit = |raw: u32, full: u32| match raw {
+            raw if raw >= full => "always".to_string(),
+            raw => format!("<= {:.2}", (raw as f64 / 2.56).floor() / 100.0),
+        };
+        let (post_relu, signed) = self.rail_free_headroom();
         write!(
             f,
-            "LayerPlan({}x{}, {} PEs, {} block(s), {} entries, {} KiB, {:.2} B/entry, {})",
+            "LayerPlan({}x{}, {} PEs, {} block(s), {} entries, {} KiB, {:.2} B/entry, {}, \
+             rail-free post-ReLU {}, signed {})",
             self.rows,
             self.cols,
             self.num_pes,
@@ -650,6 +762,8 @@ impl fmt::Display for LayerPlan {
             self.resident_bytes() / 1024,
             self.resident_bytes() as f64 / self.total_entries().max(1) as f64,
             self.lane_tile,
+            limit(post_relu, i16::MAX as u32),
+            limit(signed, 1 << 15),
         )
     }
 }
@@ -805,8 +919,95 @@ mod tests {
             let plan = LayerPlan::build(&compress(&m, CompressConfig::with_pes(pes)));
             let arrays = 2 * plan.total_entries() + 4 * (cols + 1) * plan.blocks().len();
             assert!(plan.resident_bytes() > arrays);
-            assert!(plan.resident_bytes() <= arrays + 256, "{plan}");
+            // Per block: two Vec headers, the span and the two bounds.
+            let table = 64 * plan.blocks().len() + 64;
+            assert!(plan.resident_bytes() <= arrays + table, "{plan}");
         }
+    }
+
+    #[test]
+    fn rail_free_bounds_are_the_largest_signed_row_sums_of_each_block() {
+        for (rows, cols, pes, density) in [(8791, 24, 64, 0.05), (33, 17, 4, 0.4), (5, 9, 8, 0.6)] {
+            let enc = compress(
+                &random_sparse(rows, cols, density, 29),
+                CompressConfig::with_pes(pes),
+            );
+            for min_blocks in [1, 2, 7] {
+                // A re-blocked plan gets bounds of its own.
+                let plan = LayerPlan::build_with_blocks(&enc, min_blocks);
+                for (b, block) in plan.blocks().iter().enumerate() {
+                    let mut sums = vec![(0u32, 0u32); block.accumulators()];
+                    for j in 0..cols {
+                        for e in block.col(j) {
+                            let w = plan.lut()[e.code()];
+                            sums[e.accumulator()].0 += w.max(0) as u32;
+                            sums[e.accumulator()].1 += w.min(0).unsigned_abs();
+                        }
+                    }
+                    let want = (
+                        sums.iter().map(|s| s.0).max().unwrap(),
+                        sums.iter().map(|s| s.1).max().unwrap(),
+                    );
+                    assert_eq!((block.pos_weight, block.neg_weight), want, "block {b}");
+                }
+                // The headroom is the predicate's closed form: it holds
+                // at the limit on every block and fails one unit past
+                // it on some block (unless capped at "always").
+                let (post_relu, signed) = plan.rail_free_headroom();
+                let holds = |max: u32, min: u32| {
+                    let (max, min) = (max.min(32767) as i16, -(min.min(32767) as i16));
+                    plan.blocks().iter().all(|b| b.rail_free_for(max, min))
+                };
+                assert!(holds(post_relu, 0) && holds(0, post_relu));
+                assert!(holds(signed, signed));
+                assert!(post_relu == 1 << 15 || !holds(post_relu + 1, 0));
+                assert!(signed == 1 << 15 || !holds(signed + 1, signed + 1));
+                assert!(signed <= post_relu);
+            }
+        }
+    }
+
+    #[test]
+    fn rail_free_predicate_is_the_inequality_at_its_edges() {
+        let enc = compress(&random_sparse(16, 16, 0.5, 1), CompressConfig::with_pes(2));
+        let mut block = LayerPlan::build(&enc).blocks()[0].clone();
+        // P·a⁺ + N·a⁻ = 65537·32767 + 32768·1 = i32::MAX exactly (the
+        // other end is half of it).
+        (block.pos_weight, block.neg_weight) = (65_537, 32_768);
+        assert!(block.rail_free_for(i16::MAX, -1));
+        assert!(!block.rail_free_for(i16::MAX, -2));
+        block.neg_weight += 1;
+        assert!(!block.rail_free_for(i16::MAX, -1));
+        assert!(block.rail_free_for(i16::MAX - 1, -1));
+        // The other end, N·a⁺ + P·a⁻ = 65537·32767 + 32768·1, binds
+        // on its own.
+        (block.pos_weight, block.neg_weight) = (32_768, 65_537);
+        assert!(block.rail_free_for(i16::MAX, -1));
+        block.pos_weight += 1;
+        assert!(!block.rail_free_for(i16::MAX, -1));
+        // One-signed inputs see only one term of each end; a sign no
+        // activation has may be passed as 0 or with the wrong sign.
+        (block.pos_weight, block.neg_weight) = (65_536, 65_536);
+        assert!(block.rail_free_for(i16::MAX, 0) && block.rail_free_for(0, -i16::MAX));
+        assert!(block.rail_free_for(i16::MAX, 5) && block.rail_free_for(-5, -i16::MAX));
+        assert!(!block.rail_free_for(i16::MAX, -1) && !block.rail_free_for(0, i16::MIN));
+        // All-zero activations are rail-free under any weights.
+        (block.pos_weight, block.neg_weight) = (u32::MAX, u32::MAX);
+        assert!(block.rail_free_for(0, 0) && !block.rail_free_for(1, 0));
+    }
+
+    #[test]
+    fn a_layer_too_wide_to_sum_exactly_is_unprovable() {
+        // 2^17 columns × 2^15 could carry out of a packed half.
+        let m = random_sparse(6, 1 << 17, 0.0005, 3);
+        let plan = LayerPlan::build(&compress(&m, CompressConfig::with_pes(2)));
+        let block = &plan.blocks()[0];
+        assert_eq!((block.pos_weight, block.neg_weight), (u32::MAX, u32::MAX));
+        assert!(!block.rail_free_for(1, 0) && block.rail_free_for(0, 0));
+        assert_eq!(plan.rail_free_headroom(), (0, 0));
+        assert!(plan
+            .to_string()
+            .contains("post-ReLU <= 0.00, signed <= 0.00"));
     }
 
     #[test]
@@ -822,6 +1023,11 @@ mod tests {
         assert!(s.contains("33x17") && s.contains("3 PEs"), "{s}");
         assert!(s.contains("1 block(s)") && s.contains("B/entry"), "{s}");
         assert!(s.contains("cols/tile"), "{s}");
+        // 33x17 small weights: nowhere near a rail.
+        assert!(
+            s.contains("rail-free post-ReLU always, signed always"),
+            "{s}"
+        );
     }
 
     #[test]

@@ -33,15 +33,23 @@
 //! The fused kernel is **batch-lane vectorized**: activations are
 //! transposed once per batch into zero-padded [`LANE_WIDTH`]-item lane
 //! blocks, and each plan entry is applied to a whole lane block as
-//! one fixed-width `[i32; LANE_WIDTH]` saturating MAC — a shape the
+//! one fixed-width `[i32; LANE_WIDTH]` MAC — a shape the
 //! autovectorizer can prove, with an AVX2 `core::arch` path behind the
 //! `simd` cargo feature (runtime-detected; see [`lane_isa`]). Because
-//! every batch item's saturating-`Accum32` chain is independent and a
-//! padded lane adds a zero product (a no-op under saturating addition),
-//! vectorizing across the batch cannot change any item's add sequence.
-//! The walk is tiled by the plan's per-layer [`LaneTile`] (columns ×
-//! lane-block) so the tile's entry runs stay cache-resident across
-//! lane blocks.
+//! every batch item's `Accum32` chain is independent and a padded lane
+//! adds a zero product (a no-op), vectorizing across the batch cannot
+//! change any item's add sequence. The walk is tiled by the plan's
+//! per-layer [`LaneTile`] (columns × lane-block) so the tile's entry
+//! runs stay cache-resident across lane blocks.
+//!
+//! **Rail-free blocks.** Saturation is what the hardware's adder does
+//! for free and a CPU pays for on every MAC (baseline x86-64 has no
+//! vector saturating `i32` add). Per dispatch, each plan block is asked
+//! whether its weights and this dispatch's activation range can reach
+//! a rail at all ([`PlanBlock::rail_free_for`]); where they provably
+//! cannot, the same kernel bodies run with `wrapping_add` — identical
+//! bits, since the two adds agree whenever the exact sum fits — and a
+//! block that cannot be proved keeps the saturating instantiation.
 //!
 //! One measured A/B baseline is retained: the pre-plan streaming
 //! kernel behind [`NativeCpu::without_plans`] (and
@@ -365,10 +373,12 @@ impl NativeCpu {
         let session = &mut *guard;
         let input = if let [item] = items {
             let schedule = exclusive(&mut session.single);
-            schedule.clear();
+            schedule.live.clear();
+            schedule.range = (0, 0);
             for (j, &a) in item.as_ref().iter().enumerate() {
                 if !a.is_zero() {
-                    schedule.push((j as u32, a.raw() as i32));
+                    schedule.live.push((j as u32, a.raw() as i32));
+                    widen(&mut schedule.range, a.raw());
                 }
             }
             TaskInput::Single(Arc::clone(&session.single))
@@ -557,9 +567,25 @@ fn exclusive<T: Default>(arc: &mut Arc<T>) -> &mut T {
     Arc::get_mut(arc).expect("freshly allocated Arc is unique")
 }
 
+/// The `(largest, smallest)` raw activation of one dispatch, each 0 when
+/// no activation has that sign: the `(a⁺, a⁻)` every block's
+/// [`PlanBlock::rail_free_for`] is asked about. Recorded by the schedule
+/// passes, which touch every activation anyway.
+type ActRange = (i16, i16);
+
+/// Widens `range` to include one raw activation.
+#[inline]
+fn widen(range: &mut ActRange, raw: i16) {
+    *range = (range.0.max(raw), range.1.min(raw));
+}
+
 /// The per-item broadcast schedule on raw values: `(column, act_raw)`
-/// for every non-zero activation, ascending.
-type SingleSchedule = Vec<(u32, i32)>;
+/// for every non-zero activation, ascending, and their range.
+#[derive(Debug, Default)]
+pub(super) struct SingleSchedule {
+    live: Vec<(u32, i32)>,
+    range: ActRange,
+}
 
 /// The batch-lane schedule: activations transposed once per batch into
 /// [`LANE_WIDTH`]-item lane blocks, so the kernel can apply one weight
@@ -581,6 +607,9 @@ pub(super) struct LaneSchedule {
     live: Vec<u8>,
     cols: usize,
     blocks: usize,
+    /// Over the whole batch: one item that breaks a block's bound sends
+    /// every lane of that block down the saturating path.
+    range: ActRange,
 }
 
 impl LaneSchedule {
@@ -594,6 +623,7 @@ impl LaneSchedule {
         self.acts.resize(blocks * cols * LANE_WIDTH, 0);
         self.live.clear();
         self.live.resize(blocks * cols, 0);
+        self.range = (0, 0);
         for (i, item) in batch.iter().enumerate() {
             let (lb, k) = (i / LANE_WIDTH, i % LANE_WIDTH);
             let base = lb * cols;
@@ -601,6 +631,7 @@ impl LaneSchedule {
                 if !a.is_zero() {
                     self.acts[(base + j) * LANE_WIDTH + k] = a.raw() as i32;
                     self.live[base + j] = 1;
+                    widen(&mut self.range, a.raw());
                 }
             }
         }
@@ -691,9 +722,11 @@ fn run_block_range(
     relu: bool,
     scratch: &mut WorkerScratch,
 ) {
-    let (b, stripes) = match input {
-        TaskInput::Single(_) => (1, BLOCK_ACCUMULATORS / LANE_WIDTH),
-        TaskInput::Lanes { batch, .. } => (*batch, batch.div_ceil(LANE_WIDTH) * BLOCK_ACCUMULATORS),
+    let (b, stripes, range) = match input {
+        TaskInput::Single(s) => (1, BLOCK_ACCUMULATORS / LANE_WIDTH, s.range),
+        TaskInput::Lanes {
+            schedule, batch, ..
+        } => (*batch, schedule.blocks * BLOCK_ACCUMULATORS, schedule.range),
     };
     let blocks = &plan.blocks()[first..end];
     let total: usize = blocks.iter().map(|block| block.accumulators() * b).sum();
@@ -705,18 +738,23 @@ fn run_block_range(
     for block in blocks {
         let span = block.accumulators() * b;
         let out = &mut scratch.out[offset..offset + span];
+        let (lut, accum) = (plan.lut(), &mut scratch.accum);
+        // The one place a kernel is chosen: wrapping adds only where
+        // the block's bound proves, for this dispatch's activations,
+        // that no partial sum leaves `i32` (see [`PlanBlock`]).
+        let rail_free = block.rail_free_for(range.0, range.1);
         match input {
-            TaskInput::Single(schedule) => {
-                block_single(block, plan.lut(), schedule, &mut scratch.accum, out, relu);
+            TaskInput::Single(s) if rail_free => {
+                block_single::<true>(block, lut, &s.live, accum, out, relu);
             }
+            TaskInput::Single(s) => block_single::<false>(block, lut, &s.live, accum, out, relu),
             TaskInput::Lanes {
                 schedule,
                 batch,
                 tile,
-            } => {
-                let accum = &mut scratch.accum;
-                block_lanes(block, plan.lut(), schedule, *batch, *tile, accum, out, relu);
-            }
+            } => block_lanes(
+                block, lut, schedule, *batch, *tile, rail_free, accum, out, relu,
+            ),
         }
         offset += span;
     }
@@ -729,7 +767,8 @@ fn run_block_range(
 /// run is never touched. Each accumulator receives at
 /// most one product per column and columns ascend, so its add sequence
 /// is identical to the streaming kernel's (see [`LayerPlan`]).
-fn block_single(
+/// `RAIL_FREE` selects the add and nothing else ([`accumulate`]).
+fn block_single<const RAIL_FREE: bool>(
     block: &PlanBlock,
     lut: &[i32; CODEBOOK_SIZE],
     schedule: &[(u32, i32)],
@@ -744,11 +783,11 @@ fn block_single(
     accum[..out.len()].fill(0);
     for &(j, a) in schedule {
         // Raw weights and activations are i16-range (Q8.8), so the
-        // product fits i32 exactly; only the accumulate saturates.
+        // product fits i32 exactly; only the accumulate can saturate.
         let products = lut.map(|w| w * a);
         for e in block.col(j as usize) {
             let acc = &mut accum[e.accumulator()];
-            *acc = acc.saturating_add(products[e.code()]);
+            *acc = accumulate::<RAIL_FREE>(*acc, products[e.code()]);
         }
     }
     for (slot, &acc) in out.iter_mut().zip(accum.iter()) {
@@ -758,9 +797,10 @@ fn block_single(
 
 /// The batch-lane vectorized fused kernel over a plan block: one plan
 /// entry × one [`LANE_WIDTH`]-item activation block per MAC step, as a
-/// fixed-width `[i32; LANE_WIDTH]` saturating multiply-accumulate
-/// (autovectorized, or AVX2 under the `simd` feature — see
-/// [`mac_span`]).
+/// fixed-width `[i32; LANE_WIDTH]` multiply-accumulate (autovectorized,
+/// or AVX2 under the `simd` feature — see [`mac_span`]) — wrapping when
+/// the caller proved the block `rail_free` for this batch, saturating
+/// otherwise.
 ///
 /// The walk is tiled: column tiles (`tile`, the plan's per-layer
 /// [`LaneTile`]) outermost, lane blocks inside, so a tile's entry runs
@@ -774,8 +814,9 @@ fn block_single(
 /// kernel's sequence. Other lanes of the vector belong to other items
 /// (independent accumulator chains), and a lane whose item has a zero
 /// activation (or doesn't exist, in a padded tail block) adds a zero
-/// product — a saturating-add no-op. So vectorizing across the batch
-/// cannot change any item's saturation behaviour.
+/// product — a no-op under either add, and inside the rail-free bound
+/// (which is taken over the whole batch). So vectorizing across the
+/// batch cannot change any item's saturation behaviour.
 ///
 /// Accumulators are lane-aligned — stripe `lb * BLOCK_ACCUMULATORS + acc`,
 /// lane `k` — and written back to `[acc * batch + item]`, dropping
@@ -787,12 +828,14 @@ fn block_lanes(
     schedule: &LaneSchedule,
     batch: usize,
     tile: LaneTile,
+    rail_free: bool,
     accum: &mut [Stripe],
     out: &mut [Q8p8],
     relu: bool,
 ) {
     let accs = block.accumulators();
     let (cols, lane_blocks) = (schedule.cols, schedule.blocks);
+    let isa = isa::Avx2::detect(); // once per block walk, not per column
     let tile_cols = tile.cols().max(1);
     for lb in 0..lane_blocks {
         accum[lb * BLOCK_ACCUMULATORS..][..accs].fill([0; LANE_WIDTH]);
@@ -813,7 +856,11 @@ fn block_lanes(
                 let a: &Stripe = acts[j * LANE_WIDTH..][..LANE_WIDTH]
                     .try_into()
                     .expect("lane chunk is LANE_WIDTH long");
-                mac_span(block.col(j), lut, a, acc);
+                if rail_free {
+                    mac_span::<true>(isa, block.col(j), lut, a, acc);
+                } else {
+                    mac_span::<false>(isa, block.col(j), lut, a, acc);
+                }
             }
         }
     }
@@ -826,32 +873,50 @@ fn block_lanes(
     }
 }
 
+/// The one add of every plan kernel. `RAIL_FREE` may be `true` only for
+/// a block whose [`PlanBlock::rail_free_for`] held for this dispatch:
+/// the exact sum then fits `i32`, where wrapping and saturating add
+/// return the same bits (debug builds re-check it at every step).
+#[inline(always)]
+fn accumulate<const RAIL_FREE: bool>(acc: i32, p: i32) -> i32 {
+    if RAIL_FREE {
+        debug_assert!(acc.checked_add(p).is_some(), "rail-free bound violated");
+        acc.wrapping_add(p)
+    } else {
+        acc.saturating_add(p)
+    }
+}
+
 /// One column's MAC span: every plan entry of the run times one
-/// [`LANE_WIDTH`]-item activation block, saturating into the
-/// lane-aligned accumulator stripes. Dispatches to the AVX2 intrinsics
-/// path when the `simd` feature is on and the CPU supports it
-/// (detection is cached by `std`), otherwise to the fixed-width scalar
-/// form the autovectorizer can prove.
+/// [`LANE_WIDTH`]-item activation block, accumulated into the
+/// lane-aligned stripes. Takes the AVX2 intrinsics path when the `simd`
+/// feature is on and the block walk detected the CPU supports it,
+/// otherwise the fixed-width scalar form the autovectorizer can prove.
 #[inline]
 #[cfg_attr(all(feature = "simd", target_arch = "x86_64"), allow(unsafe_code))]
-fn mac_span(
+fn mac_span<const RAIL_FREE: bool>(
+    isa: Option<isa::Avx2>,
     entries: &[PlanEntry],
     lut: &[i32; CODEBOOK_SIZE],
     a: &Stripe,
     accum: &mut [Stripe; BLOCK_ACCUMULATORS],
 ) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the AVX2 target feature was just detected at runtime.
-        unsafe { simd::mac_span_avx2(entries, lut, a, accum) };
+    if isa.is_some() {
+        // SAFETY: an `Avx2` witness exists only if the AVX2 target
+        // feature was detected at runtime.
+        unsafe { simd::mac_span_avx2::<RAIL_FREE>(entries, lut, a, accum) };
         return;
     }
-    mac_span_scalar(entries, lut, a, accum);
+    let _ = isa;
+    mac_span_scalar::<RAIL_FREE>(entries, lut, a, accum);
 }
 
 /// The portable lane MAC: a fixed-width `[i32; LANE_WIDTH]` loop with
 /// no early exits, which the autovectorizer lowers to full-width vector
-/// adds (the saturation select becomes a vector blend).
+/// adds — one plain `paddd` per four lanes when `RAIL_FREE`; otherwise
+/// the saturation is synthesized (overflow detect plus a rail blend,
+/// about ten SSE2 ops for the same four lanes).
 ///
 /// Baseline x86-64 (SSE2) has no 32-bit vector multiply, so a long run
 /// keeps the multiply out of the per-entry loop: a column has only
@@ -860,8 +925,8 @@ fn mac_span(
 /// A run shorter than the table multiplies per entry instead. The
 /// products are the same `i32`s either way (raw weights and
 /// activations are i16-range Q8.8, so they fit exactly; only the
-/// accumulate saturates).
-fn mac_span_scalar(
+/// accumulate can saturate).
+fn mac_span_scalar<const RAIL_FREE: bool>(
     entries: &[PlanEntry],
     lut: &[i32; CODEBOOK_SIZE],
     a: &Stripe,
@@ -871,7 +936,7 @@ fn mac_span_scalar(
         for e in entries {
             let w = lut[e.code()];
             for (slot, &ak) in accum[e.accumulator()].iter_mut().zip(a) {
-                *slot = slot.saturating_add(w * ak);
+                *slot = accumulate::<RAIL_FREE>(*slot, w * ak);
             }
         }
         return;
@@ -879,7 +944,7 @@ fn mac_span_scalar(
     let products = lut.map(|w| a.map(|ak| w * ak));
     for e in entries {
         for (slot, &p) in accum[e.accumulator()].iter_mut().zip(&products[e.code()]) {
-            *slot = slot.saturating_add(p);
+            *slot = accumulate::<RAIL_FREE>(*slot, p);
         }
     }
 }
@@ -889,11 +954,30 @@ fn mac_span_scalar(
 /// `"scalar"` (autovectorized fixed-width loops) otherwise. Recorded by
 /// `kernel_sweep` so committed numbers say what they measured.
 pub fn lane_isa() -> &'static str {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return "avx2";
+    match isa::Avx2::detect() {
+        Some(_) => "avx2",
+        None => "scalar",
     }
-    "scalar"
+}
+
+mod isa {
+    /// Witness that this CPU runs the AVX2 lane MAC: only
+    /// [`Avx2::detect`] constructs one, so holding it is the runtime
+    /// check the intrinsics path's safety rests on. Never constructed
+    /// without the `simd` feature.
+    #[derive(Debug, Clone, Copy)]
+    pub(super) struct Avx2(());
+
+    impl Avx2 {
+        /// Runtime detection (cached by `std`).
+        pub(super) fn detect() -> Option<Self> {
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return Some(Self(()));
+            }
+            None
+        }
+    }
 }
 
 /// The AVX2 `core::arch` lane MAC, compiled only under the `simd`
@@ -901,7 +985,8 @@ pub fn lane_isa() -> &'static str {
 /// two's-complement overflow detection (overflow iff the addends share
 /// a sign and the sum doesn't) and a sign-directed blend to
 /// `i32::MAX`/`i32::MIN` — bit-identical to `i32::saturating_add` per
-/// lane, verified against the scalar kernel by the lane property tests.
+/// lane, checked exhaustively around the rails by the module's test and
+/// against the scalar kernel by the lane property tests.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod simd {
     #![allow(unsafe_code)]
@@ -910,11 +995,16 @@ mod simd {
 
     use super::{PlanEntry, Stripe, BLOCK_ACCUMULATORS, CODEBOOK_SIZE};
 
+    /// `RAIL_FREE` (the caller proved no sum leaves `i32`) drops the
+    /// saturation synthesis, and on a run at least as long as the
+    /// codebook the per-entry multiply too: the step is one `vpaddd` of
+    /// a precomputed per-column product stripe.
+    ///
     /// # Safety
     ///
     /// The caller must have verified AVX2 support at runtime.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mac_span_avx2(
+    pub(super) unsafe fn mac_span_avx2<const RAIL_FREE: bool>(
         entries: &[PlanEntry],
         lut: &[i32; CODEBOOK_SIZE],
         a: &Stripe,
@@ -924,23 +1014,40 @@ mod simd {
         // i32s); unaligned load is explicit.
         let va = unsafe { _mm256_loadu_si256(a.as_ptr().cast()) };
         let max = _mm256_set1_epi32(i32::MAX);
+        // Q8.8 × Q8.8 products fit i32; mullo is exact.
+        let product = |code: usize| _mm256_mullo_epi32(_mm256_set1_epi32(lut[code]), va);
+        let striped = RAIL_FREE && entries.len() >= CODEBOOK_SIZE;
+        let mut stripes = [_mm256_setzero_si256(); CODEBOOK_SIZE];
+        if striped {
+            for (code, stripe) in stripes.iter_mut().enumerate() {
+                *stripe = product(code);
+            }
+        }
         for e in entries {
             // Safe indexing: a stripe is one whole 256-bit lane block.
             let ptr = accum[e.accumulator()].as_mut_ptr();
             // SAFETY: `ptr` is a live `&mut [i32; 8]` — 256 bits,
             // exclusively borrowed; unaligned load is explicit.
             let acc = unsafe { _mm256_loadu_si256(ptr.cast()) };
-            // Q8.8 × Q8.8 products fit i32; mullo is exact.
-            let prod = _mm256_mullo_epi32(_mm256_set1_epi32(lut[e.code()]), va);
+            let prod = if striped {
+                stripes[e.code()]
+            } else {
+                product(e.code())
+            };
             let sum = _mm256_add_epi32(acc, prod);
-            // Overflow per lane iff acc and prod agree in sign but the
-            // sum doesn't: sign bit of (~(acc^prod)) & (acc^sum).
-            let ovf = _mm256_andnot_si256(_mm256_xor_si256(acc, prod), _mm256_xor_si256(acc, sum));
-            // The saturated value has acc's sign flipped into the rail:
-            // acc >= 0 → MAX, acc < 0 → MIN.
-            let rail = _mm256_xor_si256(_mm256_srai_epi32(acc, 31), max);
-            let mask = _mm256_srai_epi32(ovf, 31);
-            let res = _mm256_blendv_epi8(sum, rail, mask);
+            let res = if RAIL_FREE {
+                sum
+            } else {
+                // Overflow per lane iff acc and prod agree in sign but
+                // the sum doesn't: sign bit of (~(acc^prod)) & (acc^sum).
+                let ovf =
+                    _mm256_andnot_si256(_mm256_xor_si256(acc, prod), _mm256_xor_si256(acc, sum));
+                // The saturated value has acc's sign flipped into the
+                // rail: acc >= 0 → MAX, acc < 0 → MIN.
+                let rail = _mm256_xor_si256(_mm256_srai_epi32(acc, 31), max);
+                let mask = _mm256_srai_epi32(ovf, 31);
+                _mm256_blendv_epi8(sum, rail, mask)
+            };
             // SAFETY: same stripe as the load above.
             unsafe { _mm256_storeu_si256(ptr.cast(), res) };
         }
@@ -1651,6 +1758,76 @@ mod tests {
         assert!(isa == "avx2" || isa == "scalar", "{isa}");
         #[cfg(not(feature = "simd"))]
         assert_eq!(isa, "scalar");
+    }
+
+    /// The AVX2 step against the scalar adds it stands for, exhaustively
+    /// around the rails: every accumulator value × product of the sets
+    /// below, in every lane position, through the per-entry and the
+    /// striped form. The property suites only reach the rails through
+    /// whole layers; this reaches every sign and overflow combination.
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[test]
+    fn avx2_step_equals_the_scalar_adds_at_every_rail_adjacent_value() {
+        use eie_compress::{encode_with_codebook, Codebook};
+        const ACCS: [i32; 7] = [i32::MIN, i32::MIN + 1, -1, 0, 1, i32::MAX - 1, i32::MAX];
+        const EXTRA: [i32; 2] = [1 << 30, -(1 << 30)];
+        let Some(isa) = isa::Avx2::detect() else {
+            return; // no AVX2 here: the dispatcher never takes the path
+        };
+        let products: Vec<i32> = ACCS.iter().chain(&EXTRA).copied().collect();
+        let n = products.len();
+        // One entry per (accumulator value, product) pair: accumulator
+        // `i * n + c` carries code `c + 1`, whose LUT slot holds
+        // `products[c]` outright — the activation block is one-hot, so
+        // the product lands in one lane and the other seven add zero.
+        let centroids: Vec<f32> = (1..=n).map(|c| c as f32).collect();
+        let cells: Vec<(usize, usize, f32)> = (0..ACCS.len() * n)
+            .map(|r| (r, 0, centroids[r % n]))
+            .collect();
+        let enc = encode_with_codebook(
+            &eie_nn::CsrMatrix::from_triplets(cells.len(), 1, &cells),
+            Codebook::from_centroids(&centroids),
+            CompressConfig::with_pes(1),
+        );
+        let plan = LayerPlan::build(&enc);
+        let entries = plan.blocks()[0].col(0);
+        assert_eq!(entries.len(), cells.len());
+        assert!(entries.iter().all(|e| e.code() == e.accumulator() % n + 1));
+        let mut lut = [0i32; CODEBOOK_SIZE];
+        lut[1..=n].copy_from_slice(&products);
+        let mut scratch = vec![[0i32; LANE_WIDTH]; BLOCK_ACCUMULATORS];
+        let accum: &mut [Stripe; BLOCK_ACCUMULATORS] =
+            scratch.as_mut_slice().try_into().expect("a whole block");
+        // Runs of `n` (< CODEBOOK_SIZE) multiply per entry; the whole
+        // run is long enough for the rail-free product stripes.
+        for run in [n, entries.len()] {
+            for (lane, rail_free) in (0..LANE_WIDTH).flat_map(|k| [(k, false), (k, true)]) {
+                for (r, stripe) in accum.iter_mut().enumerate().take(entries.len()) {
+                    *stripe = [ACCS[r / n]; LANE_WIDTH];
+                }
+                let mut a = [0i32; LANE_WIDTH];
+                a[lane] = 1;
+                for span in entries.chunks(run) {
+                    if rail_free {
+                        mac_span::<true>(Some(isa), span, &lut, &a, accum);
+                    } else {
+                        mac_span::<false>(Some(isa), span, &lut, &a, accum);
+                    }
+                }
+                for (r, stripe) in accum.iter().enumerate().take(entries.len()) {
+                    let (acc, p) = (ACCS[r / n], products[r % n]);
+                    let mut want = [acc; LANE_WIDTH];
+                    want[lane] = if rail_free {
+                        acc.wrapping_add(p)
+                    } else {
+                        acc.saturating_add(p)
+                    };
+                    assert_eq!(*stripe, want, "{acc} + {p}, lane {lane}, run {run}");
+                    // Where the exact sum fits, the two adds agree.
+                    assert!(acc.checked_add(p).is_none() || want[lane] == acc.saturating_add(p));
+                }
+            }
+        }
     }
 
     #[test]
