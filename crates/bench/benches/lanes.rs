@@ -1,16 +1,12 @@
 //! Criterion micro-benchmarks of the batch-lane plan kernel: the warm
-//! fused path against eight single-item walks, and the lane-tile size
-//! sweep that sanity-checks `LaneTile::select`'s per-layer choice.
+//! fused path against the same items as single-item walks.
 //!
-//! `kernel_sweep` is the recorded experiment (BENCH_kernel.json, schema
-//! v3); these benches are the developer-loop view. Build with
-//! `--features simd` to put the AVX2 path under the `lane` IDs (the
-//! default build autovectorizes the same fixed-width loop) — the `isa`
-//! group label records which path actually ran.
+//! `kernel_sweep` is the recorded experiment (BENCH_kernel.json); these
+//! benches are the developer-loop view. The group label records which
+//! instantiation of the lane walk the host dispatched to (`lane_isa`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use eie_core::prelude::*;
-use std::sync::Arc;
 
 fn setup() -> (EncodedLayer, Vec<Vec<Q8p8>>) {
     // Same shape as benches/plans.rs so the two files read side by
@@ -59,37 +55,5 @@ fn bench_lane_vs_single(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_tile_sizes(c: &mut Criterion) {
-    let (enc, batch) = setup();
-    let chosen = LayerPlan::build(&enc).lane_tile().cols();
-    let mut group = c.benchmark_group("lane_tile_cols");
-    let backend = NativeCpu::with_threads(1);
-    let _ = backend.run_layer_batch(&enc, &batch, false);
-    // Candidate tile widths around the selector's pick, plus the
-    // no-tiling extreme (every column in one tile).
-    let cols = enc.cols();
-    for tile in [16usize, 64, 256, chosen, cols] {
-        let plan = Arc::new(LayerPlan::build(&enc).with_lane_tile(LaneTile::fixed(tile)));
-        let label = if tile == chosen {
-            format!("{tile}(selected)")
-        } else {
-            tile.to_string()
-        };
-        group.bench_function(BenchmarkId::new("batch16", label), |b| {
-            b.iter(|| {
-                backend.run_layer_batch_planned(
-                    PlannedLayer {
-                        layer: &enc,
-                        plan: Some(&plan),
-                    },
-                    &batch,
-                    false,
-                )
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_lane_vs_single, bench_tile_sizes);
+criterion_group!(benches, bench_lane_vs_single);
 criterion_main!(benches);

@@ -7,15 +7,23 @@
 //!   pre-plan code path, kept alive as `NativeCpu::without_plans`),
 //! * **plan** — the column-major packed [`LayerPlan`] on the persistent
 //!   pool: the single-item walk at batch 1, the batch-lane vectorized
-//!   walk above it (fixed-width `[i32; LANE_WIDTH]` MACs, per-layer
-//!   column tiles; AVX2 when built with `--features simd` on a capable
-//!   host — the recorded `simd` field says which path ran).
+//!   walk above it (fixed-width, 32-byte-aligned `[i32; LANE_WIDTH]`
+//!   MACs; the recorded `simd` field is the instantiation the host
+//!   dispatched to, `lane_isa()`).
 //!
-//! Every cell is also priced (ROADMAP roofline, step 1): the bytes of
-//! the structure the kernel walks, the bytes of live columns' runs it
-//! touches per frame, the achieved GB/s and GMAC/s, and the share of
-//! walked entries that took the rail-free (wrapping) path — from the
-//! same public predicate the kernel asks. The zoo layers prove
+//! Every cell is also priced: the bytes of the structure the kernel
+//! walks, the bytes of live columns' runs it touches per frame, the
+//! achieved GB/s and GMAC/s, and the share of walked entries that took
+//! the rail-free (wrapping) path — from the same public predicate the
+//! kernel asks. **Roof probes** run first and put every plan cell
+//! against the host instead of against the last PR: `roof_stream_gbps`
+//! (a sequential `u16` read of a plan-sized buffer — the most an entry
+//! stream can deliver) and `roof_lane_steps_per_s` /
+//! `roof_single_steps_per_s` (the kernel's own rail-free entry step on
+//! an L1-resident block of accumulators, through the same dispatcher,
+//! as a full lane block and as one item); a plan cell's `roof_share` is
+//! the larger of its GB/s over the stream roof and its entry steps/s
+//! over its step roof — whichever wall it is closer to. The zoo layers prove
 //! rail-free on their inputs; one synthetic **near-rail** row (dense-ish
 //! weights around ±2.0, full-scale mixed-sign inputs) does not, and
 //! keeps the saturating fallback's cost on the record. Both kernels are
@@ -24,7 +32,7 @@
 //!
 //! Output: a table + story on stdout (and `results/kernel_sweep.txt`),
 //! plus the machine-readable **`BENCH_kernel.json`** at the repo root —
-//! the recorded perf trajectory (schema `eie-kernel-sweep/v4`,
+//! the recorded perf trajectory (schema `eie-kernel-sweep/v5`,
 //! documented in `EXPERIMENTS.md`). Only a full-scale non-quick run
 //! touches that file: `--quick` (the CI smoke: one layer, bounded
 //! iterations, batches 1 and 8) writes
@@ -33,6 +41,7 @@
 //! is never clobbered.
 
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::mem::{size_of, size_of_val};
 use std::time::Instant;
 
@@ -65,6 +74,60 @@ struct Cell {
     /// Entries walked with wrapping adds ÷ entries walked (0 for the
     /// streaming kernel, which always saturates).
     rail_free_share: f64,
+    /// The larger of `gbps` ÷ the stream roof and entry steps/s ÷ the
+    /// cell's step roof (0 for the streaming kernel, which walks a
+    /// different structure than the roofs were probed for).
+    roof_share: f64,
+}
+
+/// A roof is the best the host did, not its typical run: the fastest
+/// of five of the harness's medians, µs.
+fn fastest_us<T>(harness: &TimingHarness, mut f: impl FnMut() -> T) -> f64 {
+    (0..5)
+        .map(|_| harness.measure_us(&mut f))
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The most an entry stream can deliver on this host, GB/s: a
+/// sequential read of `bytes` of `u16`s, the plan's entry type, summed
+/// so the read cannot be elided.
+fn roof_stream_gbps(harness: &TimingHarness, bytes: usize) -> f64 {
+    let stream: Vec<u16> = (0..bytes / size_of::<u16>()).map(|i| i as u16).collect();
+    let sum = |s: &[u16]| s.iter().fold(0u16, |acc, &v| acc.wrapping_add(v));
+    let us = fastest_us(harness, || sum(black_box(&stream)));
+    size_of_val(stream.as_slice()) as f64 / (us * 1e3)
+}
+
+/// The most entry steps per second the kernel's own loops retire on
+/// this host, `(lane, single)`: a layer of `ROOF_ROWS` accumulators —
+/// 8 KiB of stripes, L1-resident — whose every column is a full run,
+/// every activation live and every block proved rail-free, dispatched
+/// like any request (so through the same AVX2-or-baseline choice) as
+/// one full lane block, then as one item. A lane step is one
+/// `stripe[e >> 4] += products[e & 15]`, a single step the same on one
+/// `i32` — different instructions, hence a roof each.
+fn roof_steps_per_s(harness: &TimingHarness, config: EieConfig) -> (f64, f64) {
+    const ROOF_ROWS: usize = 256;
+    const ROOF_COLS: usize = 2048;
+    let mut weights = random_sparse(ROOF_ROWS, ROOF_COLS, 1.0, DEFAULT_SEED);
+    for w in weights.values_mut() {
+        *w = (0.125 + w.abs() % 0.5).copysign(*w);
+    }
+    let model = CompiledModel::compile_layer(config, &weights);
+    let plan = model.plan(0);
+    let batch = vec![vec![Q8p8::from_f32(0.25); ROOF_COLS]; LANE_WIDTH];
+    assert_eq!(plan.total_entries(), ROOF_ROWS * ROOF_COLS, "a full layer");
+    assert_eq!(rail_free_share(plan, &batch), 1.0, "the rail-free step");
+    let engine = NativeCpu::with_threads(1);
+    let planned = model.planned_layer(0);
+    let steps = plan.total_entries() as f64;
+    let lane_us = fastest_us(harness, || {
+        engine.run_layer_batch_planned(planned, &batch, false)
+    });
+    let single_us = fastest_us(harness, || {
+        engine.run_layer_planned(planned, &batch[0], false)
+    });
+    (steps / (lane_us * 1e-6), steps / (single_us * 1e-6))
 }
 
 /// One swept layer with its inputs — a zoo benchmark at the configured
@@ -196,10 +259,10 @@ fn main() {
             "GB/s",
             "GMAC/s",
             "rail-free",
+            "roof",
         ],
     );
     let mut cells: Vec<Cell> = Vec::new();
-    let mut tiles: Vec<(&'static str, usize)> = Vec::new();
     let mut headline: Option<Headline> = None;
 
     let zoo = benchmarks.iter().map(|&benchmark| -> Subject {
@@ -211,12 +274,27 @@ fn main() {
             .collect();
         (benchmark.name(), model_at_scale(benchmark, config), batch)
     });
-    for (name, model, batch) in zoo.chain([near_rail(config, max_batch)]) {
-        let (batch, acts) = (&batch, &batch[0]);
+    let subjects: Vec<Subject> = zoo.chain([near_rail(config, max_batch)]).collect();
+
+    // The roofs, before any cell: the stream probe reads as many bytes
+    // as the largest swept plan holds.
+    let plan_bytes = |(_, model, _): &Subject| model.plan(0).resident_bytes();
+    let largest_plan = subjects.iter().map(plan_bytes).max().unwrap_or(0);
+    let stream_roof = roof_stream_gbps(&harness, largest_plan);
+    let (lane_roof, single_roof) = roof_steps_per_s(&harness, config);
+    println!(
+        "roofs: stream {stream_roof:.2} GB/s over {largest_plan} B, lane step {:.2} G/s ({}), \
+         single step {:.2} G/s",
+        lane_roof / 1e9,
+        lane_isa(),
+        single_roof / 1e9
+    );
+
+    for (name, model, batch) in &subjects {
+        let (name, batch, acts) = (*name, batch, &batch[0]);
         let enc = model.layer(0);
         let (rows, cols) = (enc.rows(), enc.cols());
-        let layer_plan = LayerPlan::build(enc);
-        tiles.push((name, layer_plan.lane_tile().cols()));
+        let layer_plan = model.plan(0);
         // What each kernel walks: resident bytes, bytes per stored
         // entry, and stored entries per column.
         let col_real: Vec<usize> = (0..cols)
@@ -300,10 +378,19 @@ fn main() {
                     let bytes_per_entry = resident as f64 / layer_plan.total_entries() as f64;
                     let gbps = bytes_touched / (us * 1e3);
                     let gmacs = macs as f64 / b as f64 / (us * 1e3);
-                    let rail_free_share = if k == 0 {
-                        0.0
+                    let (rail_free_share, roof_share) = if k == 0 {
+                        (0.0, 0.0)
                     } else {
-                        rail_free_share(&layer_plan, items)
+                        let steps_per_s = entries as f64 / (us * b as f64 * 1e-6);
+                        // The step roofs are one thread's; blocks fan
+                        // out over threads, so a cell is placed
+                        // against that many.
+                        let step_roof =
+                            threads as f64 * if b == 1 { single_roof } else { lane_roof };
+                        (
+                            rail_free_share(layer_plan, items),
+                            (gbps / stream_roof).max(steps_per_s / step_roof),
+                        )
                     };
                     cells.push(Cell {
                         layer: name,
@@ -321,6 +408,7 @@ fn main() {
                         gbps,
                         gmacs,
                         rail_free_share,
+                        roof_share,
                     });
                     table.row(vec![
                         name.into(),
@@ -338,6 +426,7 @@ fn main() {
                         f(gbps, 2),
                         f(gmacs, 2),
                         f(rail_free_share, 2),
+                        if k == 0 { "-".into() } else { f(roof_share, 2) },
                     ]);
                 }
             }
@@ -405,7 +494,7 @@ fn main() {
     // ---- machine-readable record ------------------------------------
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"eie-kernel-sweep/v4\",");
+    let _ = writeln!(json, "  \"schema\": \"eie-kernel-sweep/v5\",");
     let _ = writeln!(json, "  \"scale_divisor\": {},", scale_divisor());
     let _ = writeln!(json, "  \"pes\": {},", config.num_pes);
     let _ = writeln!(json, "  \"threads_available\": {available},");
@@ -421,15 +510,9 @@ fn main() {
     let _ = writeln!(json, "  \"lane_width\": {LANE_WIDTH},");
     let _ = writeln!(json, "  \"simd\": \"{}\",", lane_isa());
     let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(
-        json,
-        "  \"lane_tiles\": [{}],",
-        tiles
-            .iter()
-            .map(|(name, cols)| format!("{{\"layer\": \"{name}\", \"cols_per_tile\": {cols}}}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
+    let _ = writeln!(json, "  \"roof_stream_gbps\": {stream_roof:.3},");
+    let _ = writeln!(json, "  \"roof_lane_steps_per_s\": {lane_roof:.0},");
+    let _ = writeln!(json, "  \"roof_single_steps_per_s\": {single_roof:.0},");
     let _ = writeln!(
         json,
         "  \"headline\": {{\"layer\": \"{}\", \"threads\": {}, \"batch\": {}, \
@@ -452,7 +535,8 @@ fn main() {
              \"threads\": {}, \"batch\": {}, \"kernel\": \"{}\", \
              \"us_per_frame\": {:.3}, \"frames_per_second\": {:.1}, \
              \"plan_bytes\": {}, \"bytes_per_entry\": {:.3}, \"bytes_touched\": {:.0}, \
-             \"gbps\": {:.3}, \"gmacs\": {:.3}, \"rail_free_share\": {:.3}}}",
+             \"gbps\": {:.3}, \"gmacs\": {:.3}, \"rail_free_share\": {:.3}, \
+             \"roof_share\": {:.3}}}",
             c.layer,
             c.rows,
             c.cols,
@@ -468,6 +552,7 @@ fn main() {
             c.gbps,
             c.gmacs,
             c.rail_free_share,
+            c.roof_share,
         );
         json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
     }

@@ -1,6 +1,8 @@
 //! `eie inspect` — print an artifact's header, topology, footprint and
 //! per-layer execution plan (with its rail-free headroom).
 
+use eie_core::backend::lane_isa;
+
 use crate::commands::load_model;
 use crate::opts::Opts;
 use crate::outln;
@@ -36,6 +38,9 @@ pub fn run(opts: Opts) -> Result<(), CliError> {
         outln!("name      {}", model.name());
     }
     outln!("config    {}", model.config());
+    // What this host would run the plans below with, not a property of
+    // the file.
+    outln!("lanes: {}", lane_isa());
     outln!(
         "topology  {} layer{}, {} -> {} activations, codebooks {}",
         model.num_layers(),

@@ -48,17 +48,16 @@ pub fn parse_backend(name: &str) -> Result<BackendKind, CliError> {
 }
 
 /// Parses the execution-layout options `run` and `bench` share:
-/// `--shards S` (row shards per native dispatch), `--stages auto|N`
-/// (pipeline stage count, `auto` = one stage per layer) and
-/// `--lane-tile N` (plan lane-tile column override).
+/// `--shards S` (row shards per native dispatch) and `--stages auto|N`
+/// (pipeline stage count, `auto` = one stage per layer).
 ///
-/// Layout is a property of the native plan executor, so any of the
-/// three on a non-native backend is a usage error (exit 2) — as are
-/// zero counts and a stage value that is neither `auto` nor a number.
+/// Layout is a property of the native plan executor, so either on a
+/// non-native backend is a usage error (exit 2) — as are zero counts
+/// and a stage value that is neither `auto` nor a number.
 pub fn parse_layout(
     opts: &mut crate::opts::Opts,
     backend: BackendKind,
-) -> Result<(Option<Topology>, Option<LaneTile>), CliError> {
+) -> Result<Option<Topology>, CliError> {
     let shards: Option<usize> = opts.parsed(&["--shards"])?;
     let stages = match opts.value(&["--stages"])?.as_deref() {
         None => None,
@@ -72,30 +71,23 @@ pub fn parse_layout(
             Ok(n) => Some(n),
         },
     };
-    let lane_tile: Option<usize> = opts.parsed(&["--lane-tile"])?;
     if shards == Some(0) {
         return Err(CliError::Usage("--shards must be positive".into()));
     }
-    if lane_tile == Some(0) {
-        return Err(CliError::Usage("--lane-tile must be positive".into()));
-    }
-    if (shards.is_some() || stages.is_some() || lane_tile.is_some())
-        && !matches!(backend, BackendKind::NativeCpu(_))
-    {
+    if (shards.is_some() || stages.is_some()) && !matches!(backend, BackendKind::NativeCpu(_)) {
         return Err(CliError::Usage(format!(
-            "--shards/--stages/--lane-tile shape the native plan executor \
+            "--shards/--stages shape the native plan executor \
              and need --backend native, not {backend}"
         )));
     }
-    let topology = match (shards, stages) {
+    Ok(match (shards, stages) {
         (None, None) => None,
         (shards, stages) => Some(
             Topology::single()
                 .with_shards(shards.unwrap_or(1))
                 .with_stages(stages.unwrap_or(1)),
         ),
-    };
-    Ok((topology, lane_tile.map(LaneTile::fixed)))
+    })
 }
 
 /// Loads an artifact, mapping failures to runtime errors.
@@ -161,23 +153,18 @@ mod tests {
             parse_layout(&mut opts, backend)
         };
 
-        assert_eq!(layout(&[], native).unwrap(), (None, None));
-        let (topology, tile) = layout(
-            &["--shards", "2", "--stages", "auto", "--lane-tile", "16"],
-            native,
-        )
-        .unwrap();
-        let topology = topology.expect("topology requested");
+        assert_eq!(layout(&[], native).unwrap(), None);
+        let topology = layout(&["--shards", "2", "--stages", "auto"], native)
+            .unwrap()
+            .expect("topology requested");
         assert_eq!((topology.shards(), topology.stages()), (2, 0));
-        assert_eq!(tile, Some(LaneTile::fixed(16)));
-        let (topology, _) = layout(&["--stages", "3"], native).unwrap();
+        let topology = layout(&["--stages", "3"], native).unwrap();
         assert_eq!(topology.expect("stages alone").stages(), 3);
 
         // Usage errors (exit 2): zero counts, bad stage words, layout
         // on a backend with no plan executor.
         for bad in [
             &["--shards", "0"][..],
-            &["--lane-tile", "0"],
             &["--stages", "0"],
             &["--stages", "fast"],
         ] {

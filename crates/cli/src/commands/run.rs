@@ -20,8 +20,6 @@ OPTIONS:
                       (native backend only)
     --stages <N|auto> Pipeline the layer stack into N stages, `auto` =
                       one stage per layer (native backend only)
-    --lane-tile <N>   Override the plan's lane-tile column width
-                      (native backend only)
     --density <D>     Input activation density in [0, 1] [default: 0.35]
     --signed          Sample signed activations (embedding/LSTM inputs)
     --seed <N>        Input sampling seed [default: 1]
@@ -38,7 +36,7 @@ pub fn run(mut opts: Opts) -> Result<(), CliError> {
         Some(name) => parse_backend(&name)?,
         None => BackendKind::NativeCpu(0),
     };
-    let (topology, lane_tile) = parse_layout(&mut opts, backend)?;
+    let topology = parse_layout(&mut opts, backend)?;
     let batch_size: usize = opts.parsed(&["--batch"])?.unwrap_or(4);
     let density: f64 = opts.parsed(&["--density"])?.unwrap_or(0.35);
     let signed = opts.flag("--signed");
@@ -62,9 +60,6 @@ pub fn run(mut opts: Opts) -> Result<(), CliError> {
     if let Some(topology) = topology {
         outln!("layout    {topology}");
         job = job.topology(topology);
-    }
-    if let Some(tile) = lane_tile {
-        job = job.lane_tile(tile);
     }
     let result = job.submit(&batch);
     outln!("served    {result}");

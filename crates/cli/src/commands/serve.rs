@@ -18,6 +18,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use eie_core::backend::lane_isa;
 use eie_core::{BackendKind, CompiledModel};
 use eie_serve::protocol::{ErrorCode, Response};
 use eie_serve::{
@@ -231,6 +232,7 @@ fn run_listen(addr: &str, mut opts: Opts) -> Result<(), CliError> {
         outln!("model     {name} <- {path}");
     }
     outln!("serving   {}", registry.server_config());
+    outln!("lanes: {}", lane_isa());
 
     let mut policy = NetPolicy::default();
     if let Some(ms) = write_grace_ms {
@@ -527,6 +529,7 @@ fn run_local(mut opts: Opts) -> Result<(), CliError> {
     outln!("loaded    {model}");
     let golden = verify.then(|| model.clone());
     outln!("serving   {config}");
+    outln!("lanes: {}", lane_isa());
 
     let inputs = sample_batch(&model, requests, density, signed, seed);
     let server = ModelServer::start(model, config);

@@ -23,6 +23,8 @@
 //! runtime failure (unreadable/corrupt artifact, failed verification),
 //! `2` usage error.
 
+#![forbid(unsafe_code)]
+
 mod commands;
 mod opts;
 

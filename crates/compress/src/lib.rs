@@ -71,9 +71,7 @@ pub use encode::{
 };
 pub use kmeans::kmeans1d;
 pub use pipeline::{CodebookStrategy, CompilePipeline};
-pub use plan::{
-    LaneTile, LayerPlan, PlanBlock, PlanEntry, Topology, BLOCK_ACCUMULATORS, LANE_WIDTH,
-};
+pub use plan::{LayerPlan, PlanBlock, PlanEntry, Topology, BLOCK_ACCUMULATORS, LANE_WIDTH};
 pub use serialize::{DecodeLayerError, MAGIC};
 pub use stats::{huffman_bits, EncodingStats};
 

@@ -13,7 +13,7 @@
 //! # Example
 //!
 //! ```
-//! use eie_compress::{compress, CompressConfig, LaneTile, LayerPlan};
+//! use eie_compress::{compress, CompressConfig, LayerPlan};
 //! use eie_nn::zoo::random_sparse;
 //!
 //! let enc = compress(&random_sparse(64, 48, 0.2, 7), CompressConfig::with_pes(4));
@@ -22,8 +22,6 @@
 //! // Padding is dropped at plan-build time; real entries survive 1:1.
 //! let padding: usize = enc.slices().iter().map(|s| s.padding_entries()).sum();
 //! assert_eq!(plan.total_entries() + padding, enc.total_entries());
-//! // The plan records a per-layer column tile for the batch-lane kernel.
-//! assert!(plan.lane_tile().cols() >= LaneTile::MIN_COLS.min(plan.cols()));
 //! ```
 
 use std::fmt;
@@ -36,9 +34,8 @@ use crate::{EncodedLayer, CODEBOOK_SIZE};
 /// `[i32; LANE_WIDTH]` chunk (256 bits of `i32` lanes — one AVX2 vector,
 /// two SSE2 vectors, two NEON vectors).
 ///
-/// The width is part of the *plan contract*, not a tuning knob: tile
-/// selection ([`LaneTile`]) sizes its working set around it, and the
-/// native kernel's scratch blocks are aligned to it. Batches that are
+/// The width is part of the *plan contract*, not a tuning knob: the
+/// native kernel's scratch stripes are sized and aligned to it. Batches that are
 /// not a multiple pad the last block with zero activations, which is
 /// bit-exact (saturating-adding a zero product never changes an
 /// accumulator) and discarded at gather.
@@ -74,88 +71,6 @@ impl PlanEntry {
     #[inline(always)]
     pub fn code(self) -> usize {
         (self.0 & ((1 << CODE_BITS) - 1)) as usize
-    }
-}
-
-/// The per-layer column-tile choice of the batch-lane kernel: how many
-/// broadcast columns one pass over a lane block covers before moving to
-/// the next lane block.
-///
-/// The fused kernel walks `(column tile) × (lane block)` tiles — the
-/// tile's plan entries are re-read once per lane block, so the tile is
-/// sized to keep that working set L1-resident while the entry stream as
-/// a whole only streams from memory once. This is a *typed, per-layer*
-/// choice recorded in the plan at build time (the cudnn algo-picker
-/// shape: selection travels with the artifact it was made for, not as a
-/// global flag), derived from the layer's measured encoding statistics
-/// by [`LaneTile::select`] and overridable for calibration via
-/// [`LayerPlan::with_lane_tile`] — the `lanes` criterion bench measures
-/// candidate tiles against the selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneTile {
-    cols: u32,
-}
-
-impl LaneTile {
-    /// Smallest tile the selector will choose: below this the per-tile
-    /// loop overhead dominates any locality win.
-    pub const MIN_COLS: usize = 16;
-
-    /// Per-tile working-set budget, bytes. Half a typical 32 KiB L1d,
-    /// for what a tile *streams*: its entry runs plus one lane block of
-    /// activations, re-read on the second and later lane-block passes.
-    /// The accumulators are not in the budget and not in L1: a full
-    /// 4096-row block's lane-aligned accumulators are 4096 ×
-    /// [`LANE_WIDTH`] × 4 B = 128 KiB, an L2 working set whatever the
-    /// tile. At 2 bytes per entry the streamed side is small — on
-    /// full-scale Alex-6/Alex-7 at batch 16 and 32, tiles from 16
-    /// columns to the whole layer measured within ±3 % of each other —
-    /// so the budget is a free cap on L1 pressure, not a tuned optimum.
-    pub const BUDGET_BYTES: usize = 16 << 10;
-
-    /// Selects the tile for a layer from its measured shape: `cols`
-    /// broadcast columns and the entry count of the *widest* block,
-    /// `max_block_entries` — the block whose column runs are longest
-    /// bounds the working set of any worker.
-    ///
-    /// Each tile column costs its share of the entry run
-    /// (`entries/col × size_of::<PlanEntry>()` bytes) plus one
-    /// activation lane chunk (`LANE_WIDTH × 4` bytes) plus one
-    /// live-mask byte; the tile is the largest column count whose total
-    /// fits [`LaneTile::BUDGET_BYTES`], clamped to `[MIN_COLS, cols]`.
-    pub fn select(cols: usize, max_block_entries: usize) -> Self {
-        let cols = cols.max(1);
-        let entry_bytes_per_col =
-            (max_block_entries as f64 / cols as f64) * std::mem::size_of::<PlanEntry>() as f64;
-        let bytes_per_col =
-            entry_bytes_per_col + (LANE_WIDTH * std::mem::size_of::<i32>()) as f64 + 1.0;
-        let fit = (Self::BUDGET_BYTES as f64 / bytes_per_col) as usize;
-        // Narrow layers clamp to their own width even below MIN_COLS.
-        Self {
-            cols: fit.max(Self::MIN_COLS).min(cols) as u32,
-        }
-    }
-
-    /// An explicit tile of `cols` columns — the calibration override
-    /// ([`LayerPlan::with_lane_tile`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cols == 0`.
-    pub fn fixed(cols: usize) -> Self {
-        assert!(cols > 0, "lane tile must cover at least one column");
-        Self { cols: cols as u32 }
-    }
-
-    /// Columns per tile.
-    pub fn cols(&self) -> usize {
-        self.cols as usize
-    }
-}
-
-impl fmt::Display for LaneTile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} cols/tile", self.cols)
     }
 }
 
@@ -379,9 +294,8 @@ impl PlanBlock {
 
 /// A compiled execution plan for one [`EncodedLayer`]: a short list of
 /// column-major [`PlanBlock`]s of 2-byte [`PlanEntry`]s (padding
-/// dropped, PE slices merged), one layer-wide LUT of the raw Q8.8
-/// multiplicands, and the layer's recorded [`LaneTile`] — built once,
-/// walked on every subsequent M×V.
+/// dropped, PE slices merged) and one layer-wide LUT of the raw Q8.8
+/// multiplicands — built once, walked on every subsequent M×V.
 ///
 /// # Layout
 ///
@@ -449,7 +363,6 @@ pub struct LayerPlan {
     num_pes: usize,
     lut: [i32; CODEBOOK_SIZE],
     blocks: Vec<PlanBlock>,
-    lane_tile: LaneTile,
 }
 
 /// One `(slice, block)` pair that shares accumulators: the slice-local
@@ -621,29 +534,13 @@ impl LayerPlan {
             block.entries.shrink_to_fit();
         }
 
-        let max_block_entries = blocks.iter().map(PlanBlock::num_entries).max().unwrap_or(0);
         Self {
             rows,
             cols,
             num_pes,
             lut,
-            lane_tile: LaneTile::select(cols, max_block_entries),
             blocks,
         }
-    }
-
-    /// Replaces the recorded lane tile — the calibration hook for
-    /// benchmark-driven selection (see the `lanes` criterion bench,
-    /// which measures candidate tiles against [`LaneTile::select`]'s
-    /// choice).
-    pub fn with_lane_tile(mut self, tile: LaneTile) -> Self {
-        self.lane_tile = tile;
-        self
-    }
-
-    /// The column tile the batch-lane kernel runs this layer with.
-    pub fn lane_tile(&self) -> LaneTile {
-        self.lane_tile
     }
 
     /// Output dimension (matrix rows).
@@ -752,7 +649,7 @@ impl fmt::Display for LayerPlan {
         let (post_relu, signed) = self.rail_free_headroom();
         write!(
             f,
-            "LayerPlan({}x{}, {} PEs, {} block(s), {} entries, {} KiB, {:.2} B/entry, {}, \
+            "LayerPlan({}x{}, {} PEs, {} block(s), {} entries, {} KiB, {:.2} B/entry, \
              rail-free post-ReLU {}, signed {})",
             self.rows,
             self.cols,
@@ -761,7 +658,6 @@ impl fmt::Display for LayerPlan {
             self.total_entries(),
             self.resident_bytes() / 1024,
             self.resident_bytes() as f64 / self.total_entries().max(1) as f64,
-            self.lane_tile,
             limit(post_relu, i16::MAX as u32),
             limit(signed, 1 << 15),
         )
@@ -1022,35 +918,11 @@ mod tests {
         let s = plan.to_string();
         assert!(s.contains("33x17") && s.contains("3 PEs"), "{s}");
         assert!(s.contains("1 block(s)") && s.contains("B/entry"), "{s}");
-        assert!(s.contains("cols/tile"), "{s}");
         // 33x17 small weights: nowhere near a rail.
         assert!(
             s.contains("rail-free post-ReLU always, signed always"),
             "{s}"
         );
-    }
-
-    #[test]
-    fn lane_tile_selection_scales_with_density() {
-        // A sparse layer affords wide tiles; a dense one must shrink the
-        // tile to keep its entry runs L1-resident.
-        let sparse = LaneTile::select(4096, 4096); // ~1 entry/col
-        let dense = LaneTile::select(4096, 4096 * 2000); // ~2000 entries/col
-        assert!(sparse.cols() > dense.cols(), "{sparse} !> {dense}");
-        assert!(dense.cols() >= LaneTile::MIN_COLS);
-        // Narrow layers clamp to their own width.
-        assert_eq!(LaneTile::select(8, 64).cols(), 8);
-        // The override is recorded verbatim.
-        let m = random_sparse(16, 16, 0.5, 1);
-        let enc = compress(&m, CompressConfig::with_pes(2));
-        let plan = LayerPlan::build(&enc).with_lane_tile(LaneTile::fixed(5));
-        assert_eq!(plan.lane_tile().cols(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one column")]
-    fn zero_tile_rejected() {
-        let _ = LaneTile::fixed(0);
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::EieConfig;
 
 pub use cycle::CycleAccurate;
 pub use functional::Functional;
-pub(crate) use native::{default_threads, ResolvedPlan};
+pub(crate) use native::default_threads;
 pub use native::{lane_isa, NativeCpu};
 
 /// Validates one activation vector against a layer's input dimension —

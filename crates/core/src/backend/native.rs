@@ -33,14 +33,14 @@
 //! The fused kernel is **batch-lane vectorized**: activations are
 //! transposed once per batch into zero-padded [`LANE_WIDTH`]-item lane
 //! blocks, and each plan entry is applied to a whole lane block as
-//! one fixed-width `[i32; LANE_WIDTH]` MAC — a shape the
-//! autovectorizer can prove, with an AVX2 `core::arch` path behind the
-//! `simd` cargo feature (runtime-detected; see [`lane_isa`]). Because
-//! every batch item's `Accum32` chain is independent and a padded lane
-//! adds a zero product (a no-op), vectorizing across the batch cannot
-//! change any item's add sequence. The walk is tiled by the plan's
-//! per-layer [`LaneTile`] (columns × lane-block) so the tile's entry
-//! runs stay cache-resident across lane blocks.
+//! one fixed-width, 32-byte-aligned `[i32; LANE_WIDTH]` MAC — a shape
+//! the autovectorizer can prove. The walk is **one safe body compiled
+//! twice**: at the build's baseline features and, on x86-64, under
+//! `#[target_feature(enable = "avx2")]`, where the same loops become
+//! one 256-bit add per entry; the host picks per block walk (see
+//! [`lane_isa`]). Because every batch item's `Accum32` chain is
+//! independent and a padded lane adds a zero product (a no-op),
+//! vectorizing across the batch cannot change any item's add sequence.
 //!
 //! **Rail-free blocks.** Saturation is what the hardware's adder does
 //! for free and a CPU pays for on every MAC (baseline x86-64 has no
@@ -63,7 +63,7 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
 use eie_compress::{
-    EncodedLayer, LaneTile, LayerPlan, PeSlice, PlanBlock, PlanEntry, Topology, BLOCK_ACCUMULATORS,
+    EncodedLayer, LayerPlan, PeSlice, PlanBlock, PlanEntry, Topology, BLOCK_ACCUMULATORS,
     CODEBOOK_SIZE, LANE_WIDTH,
 };
 use eie_fixed::{Accum32, Q8p8};
@@ -300,25 +300,20 @@ impl NativeCpu {
         self.inner.threads.max(self.inner.shards)
     }
 
-    /// The plan this engine runs `planned` with, and its column tile:
-    /// the caller's plan (a model's shared one) when it has a block
-    /// for every range the engine fans out over — always, for the
-    /// single-threaded serving default — and otherwise the engine's
-    /// own re-blocked plan, built once per layer instance into its
-    /// cache, under the caller's tile (a calibration override survives
-    /// the re-block). The shared plan is never modified.
+    /// The plan this engine runs `planned` with: the caller's plan (a
+    /// model's shared one) when it has a block for every range the
+    /// engine fans out over — always, for the single-threaded serving
+    /// default — and otherwise the engine's own re-blocked plan, built
+    /// once per layer instance into its cache. The shared plan is never
+    /// modified.
     ///
     /// Crate-visible so the pipelined executor can resolve every
     /// layer's plan against its owning stage engine up front.
-    pub(crate) fn resolve_plan(&self, planned: PlannedLayer<'_>) -> ResolvedPlan {
+    pub(crate) fn resolve_plan(&self, planned: PlannedLayer<'_>) -> Arc<LayerPlan> {
         let fits = |plan: &LayerPlan| plan.blocks().len() >= self.fan_out().min(plan.rows());
         match planned.plan {
-            Some(plan) if fits(plan) => (Arc::clone(plan), plan.lane_tile()),
-            shared => {
-                let plan = self.plan_for(planned.layer);
-                let tile = shared.unwrap_or(&plan).lane_tile();
-                (plan, tile)
-            }
+            Some(plan) if fits(plan) => Arc::clone(plan),
+            _ => self.plan_for(planned.layer),
         }
     }
 
@@ -360,11 +355,11 @@ impl NativeCpu {
     }
 
     /// Runs `items` over a plan, splitting its blocks across the pool:
-    /// a lone item takes the single-item walk, a batch the lane walk
-    /// tiled by `tile`. Returns `[item][global_row]` outputs.
+    /// a lone item takes the single-item walk, a batch the lane walk.
+    /// Returns `[item][global_row]` outputs.
     fn planned<I: AsRef<[Q8p8]>>(
         &self,
-        (plan, tile): &ResolvedPlan,
+        plan: &Arc<LayerPlan>,
         items: &[I],
         relu: bool,
     ) -> Vec<Vec<Q8p8>> {
@@ -384,11 +379,7 @@ impl NativeCpu {
             TaskInput::Single(Arc::clone(&session.single))
         } else {
             exclusive(&mut session.lanes).fill(items, plan.cols());
-            TaskInput::Lanes {
-                schedule: Arc::clone(&session.lanes),
-                batch: b,
-                tile: *tile,
-            }
+            TaskInput::Lanes(Arc::clone(&session.lanes))
         };
         let mut outputs: Vec<Vec<Q8p8>> = (0..b).map(|_| vec![Q8p8::ZERO; plan.rows()]).collect();
         let failed = self.dispatch(session, plan, input, relu, &mut |plan, range, scratch| {
@@ -413,9 +404,9 @@ impl NativeCpu {
         items: &[I],
         relu: bool,
     ) -> Vec<BackendRun> {
-        let resolved = self.resolve_plan(planned);
+        let plan = self.resolve_plan(planned);
         let start = Instant::now();
-        let outputs = self.planned(&resolved, items, relu);
+        let outputs = self.planned(&plan, items, relu);
         fused_runs(outputs, start.elapsed().as_secs_f64())
     }
 
@@ -432,7 +423,7 @@ impl NativeCpu {
     /// plan's input dimension, or a pool worker panicked.
     pub(crate) fn run_chunk_planned(
         &self,
-        resolved: &ResolvedPlan,
+        plan: &Arc<LayerPlan>,
         chunk: &[Vec<Q8p8>],
         relu: bool,
     ) -> Vec<Vec<Q8p8>> {
@@ -440,11 +431,11 @@ impl NativeCpu {
         for item in chunk {
             assert_eq!(
                 item.len(),
-                resolved.0.cols(),
+                plan.cols(),
                 "activation length mismatches the plan's input dimension"
             );
         }
-        self.planned(resolved, chunk, relu)
+        self.planned(plan, chunk, relu)
     }
 
     /// The shard-addressable dispatch table for an `n`-block plan: the
@@ -547,10 +538,6 @@ impl Default for NativeCpu {
     }
 }
 
-/// A plan as an engine runs it ([`NativeCpu::resolve_plan`]): the plan
-/// and the column tile its lane walk uses.
-pub(crate) type ResolvedPlan = (Arc<LayerPlan>, LaneTile);
-
 /// The harvest callback [`NativeCpu::dispatch`] hands each completed
 /// block range to (it interleaves one scratch's output blocks into
 /// the caller's global output buffers).
@@ -587,13 +574,26 @@ pub(super) struct SingleSchedule {
     range: ActRange,
 }
 
+/// One lane block's worth of one quantity: an accumulator of
+/// [`LANE_WIDTH`] items, a column's activations, or one codebook
+/// entry's products with them. 32-byte aligned by type, so the 256-bit
+/// access the AVX2 instantiation makes of it is an aligned one and can
+/// never split a cache line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, align(32))]
+struct Stripe([i32; LANE_WIDTH]);
+
+impl Stripe {
+    const ZERO: Self = Self([0; LANE_WIDTH]);
+}
+
 /// The batch-lane schedule: activations transposed once per batch into
 /// [`LANE_WIDTH`]-item lane blocks, so the kernel can apply one weight
 /// to a whole block as a fixed-width vector MAC.
 ///
 /// Layouts (`blocks = batch.div_ceil(LANE_WIDTH)`):
-/// * `acts[(lb * cols + j) * LANE_WIDTH + k]` — item `lb * LANE_WIDTH + k`'s
-///   raw activation for column `j`; the last block's missing items are
+/// * `acts[lb * cols + j].0[k]` — item `lb * LANE_WIDTH + k`'s raw
+///   activation for column `j`; the last block's missing items are
 ///   zero (a zero product is a saturating-add no-op, so padded lanes
 ///   cannot perturb real items and their own lanes are discarded at
 ///   gather).
@@ -603,10 +603,12 @@ pub(super) struct SingleSchedule {
 ///   per block instead of `entries × LANE_WIDTH` MACs).
 #[derive(Debug, Default)]
 pub(super) struct LaneSchedule {
-    acts: Vec<i32>,
+    acts: Vec<Stripe>,
     live: Vec<u8>,
     cols: usize,
     blocks: usize,
+    /// Real items (the last lane block may be padded).
+    batch: usize,
     /// Over the whole batch: one item that breaks a block's bound sends
     /// every lane of that block down the saturating path.
     range: ActRange,
@@ -619,8 +621,9 @@ impl LaneSchedule {
         let blocks = batch.len().div_ceil(LANE_WIDTH);
         self.cols = cols;
         self.blocks = blocks;
+        self.batch = batch.len();
         self.acts.clear();
-        self.acts.resize(blocks * cols * LANE_WIDTH, 0);
+        self.acts.resize(blocks * cols, Stripe::ZERO);
         self.live.clear();
         self.live.resize(blocks * cols, 0);
         self.range = (0, 0);
@@ -629,7 +632,7 @@ impl LaneSchedule {
             let base = lb * cols;
             for (j, &a) in item.as_ref().iter().enumerate() {
                 if !a.is_zero() {
-                    self.acts[(base + j) * LANE_WIDTH + k] = a.raw() as i32;
+                    self.acts[base + j].0[k] = a.raw() as i32;
                     self.live[base + j] = 1;
                     widen(&mut self.range, a.raw());
                 }
@@ -637,10 +640,10 @@ impl LaneSchedule {
         }
     }
 
-    /// Lane block `lb`'s transposed activations (`cols × LANE_WIDTH`).
+    /// Lane block `lb`'s transposed activations (`cols` stripes).
     #[inline]
-    fn acts_block(&self, lb: usize) -> &[i32] {
-        &self.acts[lb * self.cols * LANE_WIDTH..][..self.cols * LANE_WIDTH]
+    fn acts_block(&self, lb: usize) -> &[Stripe] {
+        &self.acts[lb * self.cols..][..self.cols]
     }
 
     /// Lane block `lb`'s per-column any-live mask (`cols` long).
@@ -655,16 +658,8 @@ impl LaneSchedule {
 pub(super) enum TaskInput {
     /// One item's broadcast schedule.
     Single(Arc<SingleSchedule>),
-    /// A fused batch's lane schedule plus the true batch size.
-    Lanes {
-        /// Transposed lane-block activations.
-        schedule: Arc<LaneSchedule>,
-        /// Number of real items (the last lane block may be padded).
-        batch: usize,
-        /// The column tile of the plan the caller handed in — a
-        /// calibration override survives the engine re-blocking it.
-        tile: LaneTile,
-    },
+    /// A fused batch's transposed lane-block activations.
+    Lanes(Arc<LaneSchedule>),
 }
 
 /// One worker's unit of work: a contiguous block range of one plan.
@@ -689,10 +684,6 @@ impl Task {
     }
 }
 
-/// One lane-aligned accumulator stripe: one accumulator of
-/// [`LANE_WIDTH`] items.
-type Stripe = [i32; LANE_WIDTH];
-
 /// Reusable per-worker buffers: the accumulators of one plan block at a
 /// time and the range's written-back outputs, one span per block (span
 /// layout `[accumulator]` for single items,
@@ -701,15 +692,15 @@ type Stripe = [i32; LANE_WIDTH];
 /// Accumulators are always handed to the kernels as whole
 /// `[_; BLOCK_ACCUMULATORS]` arrays — a [`PlanEntry`]'s accumulator
 /// field is below that bound for every bit pattern, so the inner loops
-/// index without a bounds check, safely. A single item flattens the
-/// first `BLOCK_ACCUMULATORS / LANE_WIDTH` stripes into its `i32`
-/// accumulators; the lane kernel gives every lane block its own
-/// `BLOCK_ACCUMULATORS` stripes (128 KiB, of which a block touches its
-/// own accumulator count). Grows to the high-water mark, then
+/// index without a bounds check, safely. A single item walks `single`
+/// (16 KiB of `i32`s); the lane kernel gives every lane block its own
+/// `BLOCK_ACCUMULATORS` of `stripes` (128 KiB, of which a block touches
+/// its own accumulator count). Both grow to the high-water mark, then
 /// steady-state runs allocate nothing.
 #[derive(Debug, Default)]
 pub(super) struct WorkerScratch {
-    accum: Vec<Stripe>,
+    single: Vec<i32>,
+    stripes: Vec<Stripe>,
     out: Vec<Q8p8>,
 }
 
@@ -722,39 +713,54 @@ fn run_block_range(
     relu: bool,
     scratch: &mut WorkerScratch,
 ) {
-    let (b, stripes, range) = match input {
-        TaskInput::Single(s) => (1, BLOCK_ACCUMULATORS / LANE_WIDTH, s.range),
-        TaskInput::Lanes {
-            schedule, batch, ..
-        } => (*batch, schedule.blocks * BLOCK_ACCUMULATORS, schedule.range),
+    let (b, range) = match input {
+        TaskInput::Single(s) => {
+            scratch.single.resize(BLOCK_ACCUMULATORS, 0);
+            (1, s.range)
+        }
+        TaskInput::Lanes(schedule) => {
+            let stripes = schedule.blocks * BLOCK_ACCUMULATORS;
+            if scratch.stripes.len() < stripes {
+                scratch.stripes.resize(stripes, Stripe::ZERO);
+            }
+            (schedule.batch, schedule.range)
+        }
     };
     let blocks = &plan.blocks()[first..end];
     let total: usize = blocks.iter().map(|block| block.accumulators() * b).sum();
     scratch.out.resize(total, Q8p8::ZERO);
-    if scratch.accum.len() < stripes {
-        scratch.accum.resize(stripes, [0; LANE_WIDTH]);
-    }
     let mut offset = 0;
     for block in blocks {
         let span = block.accumulators() * b;
         let out = &mut scratch.out[offset..offset + span];
-        let (lut, accum) = (plan.lut(), &mut scratch.accum);
+        let lut = plan.lut();
         // The one place a kernel is chosen: wrapping adds only where
         // the block's bound proves, for this dispatch's activations,
         // that no partial sum leaves `i32` (see [`PlanBlock`]).
         let rail_free = block.rail_free_for(range.0, range.1);
         match input {
-            TaskInput::Single(s) if rail_free => {
-                block_single::<true>(block, lut, &s.live, accum, out, relu);
+            TaskInput::Single(s) => {
+                let accum = scratch
+                    .single
+                    .as_mut_slice()
+                    .try_into()
+                    .expect("scratch holds a whole block of accumulators");
+                if rail_free {
+                    block_single::<true>(block, lut, &s.live, accum, out, relu);
+                } else {
+                    block_single::<false>(block, lut, &s.live, accum, out, relu);
+                }
             }
-            TaskInput::Single(s) => block_single::<false>(block, lut, &s.live, accum, out, relu),
-            TaskInput::Lanes {
-                schedule,
-                batch,
-                tile,
-            } => block_lanes(
-                block, lut, schedule, *batch, *tile, rail_free, accum, out, relu,
-            ),
+            TaskInput::Lanes(schedule) => {
+                let walk = LaneWalk {
+                    block,
+                    lut,
+                    schedule,
+                    rail_free,
+                    relu,
+                };
+                block_lanes(walk, &mut scratch.stripes, out);
+            }
         }
         offset += span;
     }
@@ -768,26 +774,36 @@ fn run_block_range(
 /// most one product per column and columns ascend, so its add sequence
 /// is identical to the streaming kernel's (see [`LayerPlan`]).
 /// `RAIL_FREE` selects the add and nothing else ([`accumulate`]).
+///
+/// The run is walked four entries at a time, then its remainder — the
+/// same adds in the same order, with one taken branch per four entries
+/// where an entry-at-a-time loop retires one per entry (9 instructions
+/// per entry become 6.75, on a walk that is instruction-bound).
 fn block_single<const RAIL_FREE: bool>(
     block: &PlanBlock,
     lut: &[i32; CODEBOOK_SIZE],
     schedule: &[(u32, i32)],
-    accum: &mut [Stripe],
+    accum: &mut [i32; BLOCK_ACCUMULATORS],
     out: &mut [Q8p8],
     relu: bool,
 ) {
-    let accum: &mut [i32; BLOCK_ACCUMULATORS] = (&mut accum.as_flattened_mut()
-        [..BLOCK_ACCUMULATORS])
-        .try_into()
-        .expect("scratch holds a whole block of accumulators");
     accum[..out.len()].fill(0);
     for &(j, a) in schedule {
         // Raw weights and activations are i16-range (Q8.8), so the
         // product fits i32 exactly; only the accumulate can saturate.
         let products = lut.map(|w| w * a);
-        for e in block.col(j as usize) {
+        let mut step = |e: &PlanEntry| {
             let acc = &mut accum[e.accumulator()];
             *acc = accumulate::<RAIL_FREE>(*acc, products[e.code()]);
+        };
+        let (quads, rest) = block.col(j as usize).as_chunks::<4>();
+        for quad in quads {
+            for e in quad {
+                step(e);
+            }
+        }
+        for e in rest {
+            step(e);
         }
     }
     for (slot, &acc) in out.iter_mut().zip(accum.iter()) {
@@ -795,72 +811,93 @@ fn block_single<const RAIL_FREE: bool>(
     }
 }
 
-/// The batch-lane vectorized fused kernel over a plan block: one plan
-/// entry × one [`LANE_WIDTH`]-item activation block per MAC step, as a
-/// fixed-width `[i32; LANE_WIDTH]` multiply-accumulate (autovectorized,
-/// or AVX2 under the `simd` feature — see [`mac_span`]) — wrapping when
-/// the caller proved the block `rail_free` for this batch, saturating
-/// otherwise.
-///
-/// The walk is tiled: column tiles (`tile`, the plan's per-layer
-/// [`LaneTile`]) outermost, lane blocks inside, so a tile's entry runs
-/// are re-read L1-hot for every lane block instead of streaming the
-/// whole plan once per lane block.
+/// What one lane walk of one plan block reads — the arguments the
+/// dispatcher and both instantiations of the body share.
+#[derive(Clone, Copy)]
+struct LaneWalk<'a> {
+    block: &'a PlanBlock,
+    lut: &'a [i32; CODEBOOK_SIZE],
+    schedule: &'a LaneSchedule,
+    /// Whether [`PlanBlock::rail_free_for`] held for this dispatch.
+    rail_free: bool,
+    relu: bool,
+}
+
+/// The batch-lane fused kernel over a plan block, dispatched once per
+/// block walk to the instantiation of [`block_lanes_body`] this host
+/// runs fastest: under AVX2 where the CPU has it, at the build's
+/// baseline features otherwise (and always, off x86-64). Both are the
+/// same safe source, so they cannot disagree by construction; the
+/// module's tests hold them stripe-for-stripe equal anyway.
+fn block_lanes(walk: LaneWalk<'_>, accum: &mut [Stripe], out: &mut [Q8p8]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `block_lanes_avx2` is a safe function whose only
+        // requirement is that the CPU executing it supports AVX2 —
+        // detected on this CPU by the condition one line above.
+        #[allow(unsafe_code)]
+        unsafe {
+            block_lanes_avx2(walk, accum, out)
+        };
+        return;
+    }
+    block_lanes_body(walk, accum, out);
+}
+
+/// [`block_lanes_body`] compiled with AVX2 enabled: the body, the MAC
+/// span and the add are all `#[inline(always)]`, so the whole walk is
+/// generated inside this function, under its target features.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn block_lanes_avx2(walk: LaneWalk<'_>, accum: &mut [Stripe], out: &mut [Q8p8]) {
+    block_lanes_body(walk, accum, out);
+}
+
+/// The one lane walk: one plan entry × one [`LANE_WIDTH`]-item
+/// activation block per MAC step, as a fixed-width [`Stripe`]
+/// multiply-accumulate ([`mac_span`]) — wrapping when the caller proved
+/// the block `rail_free` for this batch, saturating otherwise. Lane
+/// blocks outermost, live columns ascending inside.
 ///
 /// **Add-order invariant.** For any one item (one lane `k` of one lane
 /// block `lb`), accumulator `(acc, lb, k)` receives at most one product
-/// per column, from columns in ascending order — tiles ascend and lane
-/// blocks don't reorder columns within a tile — exactly the single-item
-/// kernel's sequence. Other lanes of the vector belong to other items
-/// (independent accumulator chains), and a lane whose item has a zero
-/// activation (or doesn't exist, in a padded tail block) adds a zero
-/// product — a no-op under either add, and inside the rail-free bound
-/// (which is taken over the whole batch). So vectorizing across the
-/// batch cannot change any item's saturation behaviour.
+/// per column, from columns in ascending order — exactly the
+/// single-item kernel's sequence. Other lanes of the vector belong to
+/// other items (independent accumulator chains), and a lane whose item
+/// has a zero activation (or doesn't exist, in a padded tail block)
+/// adds a zero product — a no-op under either add, and inside the
+/// rail-free bound (which is taken over the whole batch). So
+/// vectorizing across the batch cannot change any item's saturation
+/// behaviour.
 ///
 /// Accumulators are lane-aligned — stripe `lb * BLOCK_ACCUMULATORS + acc`,
 /// lane `k` — and written back to `[acc * batch + item]`, dropping
 /// padded lanes.
-#[allow(clippy::too_many_arguments)]
-fn block_lanes(
-    block: &PlanBlock,
-    lut: &[i32; CODEBOOK_SIZE],
-    schedule: &LaneSchedule,
-    batch: usize,
-    tile: LaneTile,
-    rail_free: bool,
-    accum: &mut [Stripe],
-    out: &mut [Q8p8],
-    relu: bool,
-) {
-    let accs = block.accumulators();
-    let (cols, lane_blocks) = (schedule.cols, schedule.blocks);
-    let isa = isa::Avx2::detect(); // once per block walk, not per column
-    let tile_cols = tile.cols().max(1);
-    for lb in 0..lane_blocks {
-        accum[lb * BLOCK_ACCUMULATORS..][..accs].fill([0; LANE_WIDTH]);
-    }
-    for tile_start in (0..cols).step_by(tile_cols) {
-        let tile_end = (tile_start + tile_cols).min(cols);
-        for lb in 0..lane_blocks {
-            let acts = schedule.acts_block(lb);
-            let live = schedule.live_block(lb);
-            let acc: &mut [Stripe; BLOCK_ACCUMULATORS] = (&mut accum[lb * BLOCK_ACCUMULATORS..]
-                [..BLOCK_ACCUMULATORS])
-                .try_into()
-                .expect("scratch holds a whole block of stripes per lane block");
-            for j in tile_start..tile_end {
-                if live[j] == 0 {
-                    continue;
-                }
-                let a: &Stripe = acts[j * LANE_WIDTH..][..LANE_WIDTH]
-                    .try_into()
-                    .expect("lane chunk is LANE_WIDTH long");
-                if rail_free {
-                    mac_span::<true>(isa, block.col(j), lut, a, acc);
-                } else {
-                    mac_span::<false>(isa, block.col(j), lut, a, acc);
-                }
+#[inline(always)]
+fn block_lanes_body(walk: LaneWalk<'_>, accum: &mut [Stripe], out: &mut [Q8p8]) {
+    let LaneWalk {
+        block,
+        lut,
+        schedule,
+        rail_free,
+        relu,
+    } = walk;
+    let (accs, batch) = (block.accumulators(), schedule.batch);
+    for lb in 0..schedule.blocks {
+        let acc: &mut [Stripe; BLOCK_ACCUMULATORS] = (&mut accum[lb * BLOCK_ACCUMULATORS..]
+            [..BLOCK_ACCUMULATORS])
+            .try_into()
+            .expect("scratch holds a whole block of stripes per lane block");
+        acc[..accs].fill(Stripe::ZERO);
+        let live = schedule.live_block(lb);
+        for (j, a) in schedule.acts_block(lb).iter().enumerate() {
+            if live[j] == 0 {
+                continue;
+            }
+            if rail_free {
+                mac_span::<true>(block.col(j), lut, a, acc);
+            } else {
+                mac_span::<false>(block.col(j), lut, a, acc);
             }
         }
     }
@@ -868,7 +905,7 @@ fn block_lanes(
         let row_out = &mut out[r * batch..][..batch];
         for (i, slot) in row_out.iter_mut().enumerate() {
             let (lb, k) = (i / LANE_WIDTH, i % LANE_WIDTH);
-            *slot = writeback(accum[lb * BLOCK_ACCUMULATORS + r][k], relu);
+            *slot = writeback(accum[lb * BLOCK_ACCUMULATORS + r].0[k], relu);
         }
     }
 }
@@ -887,46 +924,49 @@ fn accumulate<const RAIL_FREE: bool>(acc: i32, p: i32) -> i32 {
     }
 }
 
-/// One column's MAC span: every plan entry of the run times one
-/// [`LANE_WIDTH`]-item activation block, accumulated into the
-/// lane-aligned stripes. Takes the AVX2 intrinsics path when the `simd`
-/// feature is on and the block walk detected the CPU supports it,
-/// otherwise the fixed-width scalar form the autovectorizer can prove.
-#[inline]
-#[cfg_attr(all(feature = "simd", target_arch = "x86_64"), allow(unsafe_code))]
-fn mac_span<const RAIL_FREE: bool>(
-    isa: Option<isa::Avx2>,
-    entries: &[PlanEntry],
-    lut: &[i32; CODEBOOK_SIZE],
-    a: &Stripe,
-    accum: &mut [Stripe; BLOCK_ACCUMULATORS],
-) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if isa.is_some() {
-        // SAFETY: an `Avx2` witness exists only if the AVX2 target
-        // feature was detected at runtime.
-        unsafe { simd::mac_span_avx2::<RAIL_FREE>(entries, lut, a, accum) };
-        return;
+/// One lane step: a product stripe accumulated into an accumulator
+/// stripe, lane by lane — a fixed-width loop with no early exit, which
+/// vectorizes to one plain add per vector when `RAIL_FREE` and to a
+/// synthesized saturating add (overflow detect plus a rail blend)
+/// otherwise.
+#[inline(always)]
+fn add_stripe<const RAIL_FREE: bool>(acc: &mut Stripe, products: &Stripe) {
+    for (slot, &p) in acc.0.iter_mut().zip(&products.0) {
+        *slot = accumulate::<RAIL_FREE>(*slot, p);
     }
-    let _ = isa;
-    mac_span_scalar::<RAIL_FREE>(entries, lut, a, accum);
 }
 
-/// The portable lane MAC: a fixed-width `[i32; LANE_WIDTH]` loop with
-/// no early exits, which the autovectorizer lowers to full-width vector
-/// adds — one plain `paddd` per four lanes when `RAIL_FREE`; otherwise
-/// the saturation is synthesized (overflow detect plus a rail blend,
-/// about ten SSE2 ops for the same four lanes).
+/// One weight times one activation block. Raw weights and activations
+/// are i16-range Q8.8, so every product fits `i32` exactly; only the
+/// accumulate can saturate.
 ///
-/// Baseline x86-64 (SSE2) has no 32-bit vector multiply, so a long run
-/// keeps the multiply out of the per-entry loop: a column has only
-/// [`CODEBOOK_SIZE`] distinct `weight × activation-block` product
-/// stripes, computed up front (16 stripes for a 366-entry Alex-7 run).
-/// A run shorter than the table multiplies per entry instead. The
-/// products are the same `i32`s either way (raw weights and
-/// activations are i16-range Q8.8, so they fit exactly; only the
-/// accumulate can saturate).
-fn mac_span_scalar<const RAIL_FREE: bool>(
+/// A plain loop into a local on purpose: `a.0.map(..)` compiles, under
+/// `target_feature`, to an out-of-line `core::array` call built at
+/// baseline features (measured −15 % on the lane walk).
+#[inline(always)]
+fn product_stripe(w: i32, a: &Stripe) -> Stripe {
+    let mut products = Stripe::ZERO;
+    for (p, &ak) in products.0.iter_mut().zip(&a.0) {
+        *p = w * ak;
+    }
+    products
+}
+
+/// One column's MAC span: every plan entry of the run times one
+/// [`LANE_WIDTH`]-item activation block, accumulated into the
+/// lane-aligned stripes.
+///
+/// A long run keeps the multiply out of the per-entry loop: a column
+/// has only [`CODEBOOK_SIZE`] distinct `weight × activation-block`
+/// product stripes, computed up front (16 stripes for a 366-entry
+/// Alex-7 run), and the entry step is one stripe add — walked four
+/// entries at a time like [`block_single`], in the same order. A run
+/// shorter than the table multiplies per entry instead, into a local
+/// stripe first so that the multiply stays one vector operation rather
+/// than eight scalar ones folded into the add. The products are the
+/// same `i32`s either way.
+#[inline(always)]
+fn mac_span<const RAIL_FREE: bool>(
     entries: &[PlanEntry],
     lut: &[i32; CODEBOOK_SIZE],
     a: &Stripe,
@@ -934,124 +974,37 @@ fn mac_span_scalar<const RAIL_FREE: bool>(
 ) {
     if entries.len() < CODEBOOK_SIZE {
         for e in entries {
-            let w = lut[e.code()];
-            for (slot, &ak) in accum[e.accumulator()].iter_mut().zip(a) {
-                *slot = accumulate::<RAIL_FREE>(*slot, w * ak);
-            }
+            let products = product_stripe(lut[e.code()], a);
+            add_stripe::<RAIL_FREE>(&mut accum[e.accumulator()], &products);
         }
         return;
     }
-    let products = lut.map(|w| a.map(|ak| w * ak));
-    for e in entries {
-        for (slot, &p) in accum[e.accumulator()].iter_mut().zip(&products[e.code()]) {
-            *slot = accumulate::<RAIL_FREE>(*slot, p);
+    let mut products = [Stripe::ZERO; CODEBOOK_SIZE];
+    for (stripe, &w) in products.iter_mut().zip(lut) {
+        *stripe = product_stripe(w, a);
+    }
+    let (quads, rest) = entries.as_chunks::<4>();
+    for quad in quads {
+        for e in quad {
+            add_stripe::<RAIL_FREE>(&mut accum[e.accumulator()], &products[e.code()]);
         }
+    }
+    for e in rest {
+        add_stripe::<RAIL_FREE>(&mut accum[e.accumulator()], &products[e.code()]);
     }
 }
 
-/// Which instruction path the lane kernel's MAC takes on this host:
-/// `"avx2"` when the `simd` feature is compiled in and the CPU has it,
-/// `"scalar"` (autovectorized fixed-width loops) otherwise. Recorded by
-/// `kernel_sweep` so committed numbers say what they measured.
+/// Which instantiation of the lane walk a batch dispatches to on this
+/// host: `"avx2"` when the CPU has it, `"baseline"` (the same
+/// body at the build's default target features) otherwise. Recorded by
+/// `kernel_sweep` and `scaling_sweep` so committed numbers say what
+/// they measured, and printed by `eie serve` / `eie inspect`.
 pub fn lane_isa() -> &'static str {
-    match isa::Avx2::detect() {
-        Some(_) => "avx2",
-        None => "scalar",
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return "avx2";
     }
-}
-
-mod isa {
-    /// Witness that this CPU runs the AVX2 lane MAC: only
-    /// [`Avx2::detect`] constructs one, so holding it is the runtime
-    /// check the intrinsics path's safety rests on. Never constructed
-    /// without the `simd` feature.
-    #[derive(Debug, Clone, Copy)]
-    pub(super) struct Avx2(());
-
-    impl Avx2 {
-        /// Runtime detection (cached by `std`).
-        pub(super) fn detect() -> Option<Self> {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return Some(Self(()));
-            }
-            None
-        }
-    }
-}
-
-/// The AVX2 `core::arch` lane MAC, compiled only under the `simd`
-/// feature. i32 has no native saturating add; it is synthesized from
-/// two's-complement overflow detection (overflow iff the addends share
-/// a sign and the sum doesn't) and a sign-directed blend to
-/// `i32::MAX`/`i32::MIN` — bit-identical to `i32::saturating_add` per
-/// lane, checked exhaustively around the rails by the module's test and
-/// against the scalar kernel by the lane property tests.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod simd {
-    #![allow(unsafe_code)]
-
-    use core::arch::x86_64::*;
-
-    use super::{PlanEntry, Stripe, BLOCK_ACCUMULATORS, CODEBOOK_SIZE};
-
-    /// `RAIL_FREE` (the caller proved no sum leaves `i32`) drops the
-    /// saturation synthesis, and on a run at least as long as the
-    /// codebook the per-entry multiply too: the step is one `vpaddd` of
-    /// a precomputed per-column product stripe.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mac_span_avx2<const RAIL_FREE: bool>(
-        entries: &[PlanEntry],
-        lut: &[i32; CODEBOOK_SIZE],
-        a: &Stripe,
-        accum: &mut [Stripe; BLOCK_ACCUMULATORS],
-    ) {
-        // SAFETY: `a` is exactly one 256-bit lane block (LANE_WIDTH = 8
-        // i32s); unaligned load is explicit.
-        let va = unsafe { _mm256_loadu_si256(a.as_ptr().cast()) };
-        let max = _mm256_set1_epi32(i32::MAX);
-        // Q8.8 × Q8.8 products fit i32; mullo is exact.
-        let product = |code: usize| _mm256_mullo_epi32(_mm256_set1_epi32(lut[code]), va);
-        let striped = RAIL_FREE && entries.len() >= CODEBOOK_SIZE;
-        let mut stripes = [_mm256_setzero_si256(); CODEBOOK_SIZE];
-        if striped {
-            for (code, stripe) in stripes.iter_mut().enumerate() {
-                *stripe = product(code);
-            }
-        }
-        for e in entries {
-            // Safe indexing: a stripe is one whole 256-bit lane block.
-            let ptr = accum[e.accumulator()].as_mut_ptr();
-            // SAFETY: `ptr` is a live `&mut [i32; 8]` — 256 bits,
-            // exclusively borrowed; unaligned load is explicit.
-            let acc = unsafe { _mm256_loadu_si256(ptr.cast()) };
-            let prod = if striped {
-                stripes[e.code()]
-            } else {
-                product(e.code())
-            };
-            let sum = _mm256_add_epi32(acc, prod);
-            let res = if RAIL_FREE {
-                sum
-            } else {
-                // Overflow per lane iff acc and prod agree in sign but
-                // the sum doesn't: sign bit of (~(acc^prod)) & (acc^sum).
-                let ovf =
-                    _mm256_andnot_si256(_mm256_xor_si256(acc, prod), _mm256_xor_si256(acc, sum));
-                // The saturated value has acc's sign flipped into the
-                // rail: acc >= 0 → MAX, acc < 0 → MIN.
-                let rail = _mm256_xor_si256(_mm256_srai_epi32(acc, 31), max);
-                let mask = _mm256_srai_epi32(ovf, 31);
-                _mm256_blendv_epi8(sum, rail, mask)
-            };
-            // SAFETY: same stripe as the load above.
-            unsafe { _mm256_storeu_si256(ptr.cast(), res) };
-        }
-    }
+    "baseline"
 }
 
 /// Scatters a worker's output spans (`[accumulator * batch + item]`
@@ -1628,38 +1581,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_kernel_respects_overridden_tiles() {
-        // Any tile size must produce identical bits — tiles only change
-        // traversal grouping, never per-item column order.
-        let layer = Benchmark::Vgg6.generate_scaled(4, 96);
-        let enc = compress(&layer.weights, CompressConfig::with_pes(4));
-        let batch: Vec<Vec<Q8p8>> = (0..11)
-            .map(|i| quantize(&layer.sample_activations(i)))
-            .collect();
-        let expected: Vec<_> = batch
-            .iter()
-            .map(|acts| functional::execute(&enc, acts, true))
-            .collect();
-        for tile_cols in [1, 3, 64, enc.cols()] {
-            let plan = Arc::new(
-                LayerPlan::build(&enc).with_lane_tile(eie_compress::LaneTile::fixed(tile_cols)),
-            );
-            let backend = NativeCpu::with_threads(2);
-            let runs = backend.run_layer_batch_planned(
-                super::PlannedLayer {
-                    layer: &enc,
-                    plan: Some(&plan),
-                },
-                &batch,
-                true,
-            );
-            for (i, run) in runs.iter().enumerate() {
-                assert_eq!(run.outputs, expected[i], "tile {tile_cols} item {i}");
-            }
-        }
-    }
-
-    #[test]
     fn fused_runs_amortize_wall_over_the_batch() {
         let layer = Benchmark::Alex7.generate_scaled(4, 64);
         let enc = compress(&layer.weights, CompressConfig::with_pes(4));
@@ -1755,79 +1676,216 @@ mod tests {
     #[test]
     fn lane_isa_reports_a_known_path() {
         let isa = super::lane_isa();
-        assert!(isa == "avx2" || isa == "scalar", "{isa}");
-        #[cfg(not(feature = "simd"))]
-        assert_eq!(isa, "scalar");
+        assert!(isa == "avx2" || isa == "baseline", "{isa}");
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(isa == "avx2", std::arch::is_x86_feature_detected!("avx2"));
     }
 
-    /// The AVX2 step against the scalar adds it stands for, exhaustively
-    /// around the rails: every accumulator value × product of the sets
-    /// below, in every lane position, through the per-entry and the
-    /// striped form. The property suites only reach the rails through
-    /// whole layers; this reaches every sign and overflow combination.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[test]
-    fn avx2_step_equals_the_scalar_adds_at_every_rail_adjacent_value() {
-        use eie_compress::{encode_with_codebook, Codebook};
-        const ACCS: [i32; 7] = [i32::MIN, i32::MIN + 1, -1, 0, 1, i32::MAX - 1, i32::MAX];
-        const EXTRA: [i32; 2] = [1 << 30, -(1 << 30)];
-        let Some(isa) = isa::Avx2::detect() else {
-            return; // no AVX2 here: the dispatcher never takes the path
+    /// Walks the first block of `plan` for `items` through the baseline
+    /// body and through the dispatcher (the AVX2 instantiation, where
+    /// the host has it), holds the two stripe-for-stripe equal — padded
+    /// lanes included — and equal to an `i64` reference that clamps like
+    /// `Accum32`. `lut` is a parameter so a test can plant any `i32` as
+    /// a product; `rail_free` of `None` asks the block, as
+    /// `run_block_range` does. Returns `(rail_free, clamped)`.
+    fn assert_lane_walks_agree(
+        plan: &LayerPlan,
+        lut: &[i32; CODEBOOK_SIZE],
+        items: &[Vec<Q8p8>],
+        rail_free: Option<bool>,
+    ) -> (bool, bool) {
+        let block = &plan.blocks()[0];
+        let (accs, b) = (block.accumulators(), items.len());
+        let mut schedule = LaneSchedule::default();
+        schedule.fill(items, plan.cols());
+        let (max, min) = schedule.range;
+        let rail_free = rail_free.unwrap_or_else(|| block.rail_free_for(max, min));
+        let input = LaneWalk {
+            block,
+            lut,
+            schedule: &schedule,
+            rail_free,
+            relu: false,
         };
-        let products: Vec<i32> = ACCS.iter().chain(&EXTRA).copied().collect();
-        let n = products.len();
-        // One entry per (accumulator value, product) pair: accumulator
-        // `i * n + c` carries code `c + 1`, whose LUT slot holds
-        // `products[c]` outright — the activation block is one-hot, so
-        // the product lands in one lane and the other seven add zero.
-        let centroids: Vec<f32> = (1..=n).map(|c| c as f32).collect();
-        let cells: Vec<(usize, usize, f32)> = (0..ACCS.len() * n)
-            .map(|r| (r, 0, centroids[r % n]))
-            .collect();
-        let enc = encode_with_codebook(
-            &eie_nn::CsrMatrix::from_triplets(cells.len(), 1, &cells),
-            Codebook::from_centroids(&centroids),
-            CompressConfig::with_pes(1),
-        );
-        let plan = LayerPlan::build(&enc);
-        let entries = plan.blocks()[0].col(0);
-        assert_eq!(entries.len(), cells.len());
-        assert!(entries.iter().all(|e| e.code() == e.accumulator() % n + 1));
-        let mut lut = [0i32; CODEBOOK_SIZE];
-        lut[1..=n].copy_from_slice(&products);
-        let mut scratch = vec![[0i32; LANE_WIDTH]; BLOCK_ACCUMULATORS];
-        let accum: &mut [Stripe; BLOCK_ACCUMULATORS] =
-            scratch.as_mut_slice().try_into().expect("a whole block");
-        // Runs of `n` (< CODEBOOK_SIZE) multiply per entry; the whole
-        // run is long enough for the rail-free product stripes.
-        for run in [n, entries.len()] {
-            for (lane, rail_free) in (0..LANE_WIDTH).flat_map(|k| [(k, false), (k, true)]) {
-                for (r, stripe) in accum.iter_mut().enumerate().take(entries.len()) {
-                    *stripe = [ACCS[r / n]; LANE_WIDTH];
-                }
-                let mut a = [0i32; LANE_WIDTH];
-                a[lane] = 1;
-                for span in entries.chunks(run) {
-                    if rail_free {
-                        mac_span::<true>(Some(isa), span, &lut, &a, accum);
-                    } else {
-                        mac_span::<false>(Some(isa), span, &lut, &a, accum);
-                    }
-                }
-                for (r, stripe) in accum.iter().enumerate().take(entries.len()) {
-                    let (acc, p) = (ACCS[r / n], products[r % n]);
-                    let mut want = [acc; LANE_WIDTH];
-                    want[lane] = if rail_free {
-                        acc.wrapping_add(p)
-                    } else {
-                        acc.saturating_add(p)
-                    };
-                    assert_eq!(*stripe, want, "{acc} + {p}, lane {lane}, run {run}");
-                    // Where the exact sum fits, the two adds agree.
-                    assert!(acc.checked_add(p).is_none() || want[lane] == acc.saturating_add(p));
+        let walk = |kernel: fn(LaneWalk<'_>, &mut [Stripe], &mut [Q8p8])| {
+            let mut stripes = vec![Stripe::ZERO; schedule.blocks * BLOCK_ACCUMULATORS];
+            let mut out = vec![Q8p8::ZERO; accs * b];
+            kernel(input, &mut stripes, &mut out);
+            (stripes, out)
+        };
+        let baseline = walk(block_lanes_body);
+        let dispatched = walk(block_lanes);
+        assert!(baseline == dispatched, "instantiations diverged, batch {b}");
+
+        let (rails, mut clamped) = (i32::MIN as i64..=i32::MAX as i64, false);
+        let mut want = vec![Stripe::ZERO; schedule.blocks * BLOCK_ACCUMULATORS];
+        for (i, item) in items.iter().enumerate() {
+            let (lb, k) = (i / LANE_WIDTH, i % LANE_WIDTH);
+            for (j, a) in item.iter().enumerate() {
+                for e in block.col(j) {
+                    let acc = &mut want[lb * BLOCK_ACCUMULATORS + e.accumulator()].0[k];
+                    let exact = *acc as i64 + lut[e.code()] as i64 * a.raw() as i64;
+                    clamped |= !rails.contains(&exact);
+                    *acc = exact.clamp(*rails.start(), *rails.end()) as i32;
                 }
             }
         }
+        assert!(baseline.0 == want, "walk diverged from the reference");
+        for (r, row) in baseline.1.chunks(b).enumerate() {
+            for (i, &got) in row.iter().enumerate() {
+                let acc = want[i / LANE_WIDTH * BLOCK_ACCUMULATORS + r].0[i % LANE_WIDTH];
+                assert_eq!(got, writeback(acc, false), "row {r} item {i}");
+            }
+        }
+        (rail_free, clamped)
+    }
+
+    /// `rows × cols` of weights and `batch` items of activations, each
+    /// drawn from `±(low .. low + spread)`, three cells in four kept.
+    fn dense_case(
+        (rows, cols, batch): (usize, usize, usize),
+        (low, spread): (f32, u64),
+        seed: u64,
+    ) -> (EncodedLayer, Vec<Vec<Q8p8>>) {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut value = move || {
+            let sign = if next() % 2 == 0 { 1.0 } else { -1.0 };
+            (next() % 4 != 0).then(|| sign * (low + (next() % spread) as f32))
+        };
+        let cells: Vec<(usize, usize, f32)> = (0..rows * cols)
+            .filter_map(|i| Some((i / cols, i % cols, value()?)))
+            .collect();
+        let m = eie_nn::CsrMatrix::from_triplets(rows, cols, &cells);
+        let items = (0..batch)
+            .map(|_| {
+                (0..cols)
+                    .map(|_| Q8p8::from_f32(value().unwrap_or(0.0)))
+                    .collect()
+            })
+            .collect();
+        (compress(&m, CompressConfig::with_pes(2)), items)
+    }
+
+    #[test]
+    fn both_instantiations_agree_on_rail_free_and_saturating_blocks() {
+        // Column runs shorter (9 of 12 rows) and longer (30 of 40) than
+        // the codebook, every lane-remainder batch, and weights ×
+        // activations either nowhere near a rail (|w|, |a| < 2) or
+        // brushing it within two adds (|w|, |a| ≈ 100..127).
+        for rows in [12, 40] {
+            for batch in (1..=9).chain([13]) {
+                let seed = (rows * 31 + batch) as u64;
+                let (enc, items) = dense_case((rows, 10, batch), (0.5, 2), seed);
+                let plan = LayerPlan::build(&enc);
+                let (rail_free, clamped) = assert_lane_walks_agree(&plan, plan.lut(), &items, None);
+                assert!(rail_free && !clamped, "small case {rows}x{batch}");
+
+                let (enc, items) = dense_case((rows, 10, batch), (100.0, 28), seed);
+                let plan = LayerPlan::build(&enc);
+                let (rail_free, clamped) = assert_lane_walks_agree(&plan, plan.lut(), &items, None);
+                assert!(!rail_free && clamped, "near-rail case {rows}x{batch}");
+            }
+        }
+    }
+
+    #[test]
+    fn four_at_a_time_walks_handle_every_run_length_remainder() {
+        // Column `j` holds a run of exactly `LENS[j]` entries: every
+        // remainder of the four-at-a-time loops, for the single walk
+        // (always chunked) and the lane walk's striped branch (runs of
+        // at least CODEBOOK_SIZE), plus the per-entry short runs.
+        const LENS: [usize; 20] = [
+            0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25,
+        ];
+        let cells: Vec<(usize, usize, f32)> = LENS
+            .iter()
+            .enumerate()
+            .flat_map(|(j, &len)| (0..len).map(move |r| (r, j, ((r + j) % 7) as f32 - 3.5)))
+            .collect();
+        let m = eie_nn::CsrMatrix::from_triplets(25, LENS.len(), &cells);
+        let enc = compress(&m, CompressConfig::with_pes(1));
+        let plan = LayerPlan::build(&enc);
+        for (j, &len) in LENS.iter().enumerate() {
+            assert_eq!(plan.blocks()[0].col(j).len(), len);
+        }
+        let items: Vec<Vec<Q8p8>> = (0..3)
+            .map(|i| quantize(&eie_nn::zoo::sample_activations(LENS.len(), 0.8, true, i)))
+            .collect();
+        let (rail_free, _) = assert_lane_walks_agree(&plan, plan.lut(), &items, None);
+        assert!(rail_free);
+        assert_lane_walks_agree(&plan, plan.lut(), &items, Some(false));
+        let engine = NativeCpu::with_threads(1);
+        for item in &items {
+            let got = engine.run_layer(&enc, item, false).outputs;
+            assert_eq!(got, functional::execute(&enc, item, false));
+        }
+    }
+
+    /// The saturating add of both instantiations, exhaustively around
+    /// the rails: every accumulator value × product of the sets below,
+    /// in every lane position, through the per-entry and the striped
+    /// form. The property suites only reach the rails through whole
+    /// layers; this reaches every sign and overflow combination.
+    #[test]
+    fn saturating_step_is_exact_at_every_rail_adjacent_value_in_both_instantiations() {
+        use eie_compress::{encode_with_codebook, Codebook};
+        const ACCS: [i32; 7] = [i32::MIN, i32::MIN + 1, -1, 0, 1, i32::MAX - 1, i32::MAX];
+        let products: Vec<i32> = ACCS.iter().copied().chain([1 << 30, -(1 << 30)]).collect();
+        let n = products.len();
+        // Code `c + 1`'s LUT slot holds `products[c]` outright (`ACCS`
+        // is its prefix) and the activations are one-hot 1s, so column
+        // 0 moves accumulator `i * n + c` from zero to `accs[i]` and
+        // column 1 adds `products[c]` to it, in one lane; the other
+        // seven add zero.
+        let mut lut = [0i32; CODEBOOK_SIZE];
+        lut[1..=n].copy_from_slice(&products);
+        let centroids: Vec<f32> = (1..=n).map(|c| c as f32).collect();
+        // All of `ACCS` at once is a run of 63 (striped); one value at
+        // a time is a run of 9 (per entry).
+        let singles: Vec<&[i32]> = ACCS.chunks(1).collect();
+        for accs in [&ACCS[..]].into_iter().chain(singles) {
+            let cells: Vec<(usize, usize, f32)> = (0..accs.len() * n)
+                .flat_map(|r| {
+                    let first = ACCS.iter().position(|&v| v == accs[r / n]);
+                    let acc_code = first.expect("accs is drawn from ACCS") + 1;
+                    [(r, 0, acc_code as f32), (r, 1, centroids[r % n])]
+                })
+                .collect();
+            let enc = encode_with_codebook(
+                &eie_nn::CsrMatrix::from_triplets(accs.len() * n, 2, &cells),
+                Codebook::from_centroids(&centroids),
+                CompressConfig::with_pes(1),
+            );
+            let plan = LayerPlan::build(&enc);
+            assert_eq!(plan.blocks()[0].col(1).len(), accs.len() * n);
+            for lane in 0..LANE_WIDTH {
+                let mut items = vec![vec![Q8p8::ZERO; 2]; LANE_WIDTH];
+                items[lane] = vec![Q8p8::from_raw(1); 2];
+                let (_, clamped) = assert_lane_walks_agree(&plan, &lut, &items, Some(false));
+                assert_eq!(clamped, accs != [0], "only a zero accumulator stays inside");
+            }
+        }
+    }
+
+    #[test]
+    fn stripes_are_32_byte_aligned_by_type_and_in_the_worker_scratch() {
+        assert_eq!(std::mem::align_of::<Stripe>(), 32);
+        assert_eq!(std::mem::size_of::<Stripe>(), 32);
+        let (enc, items) = dense_case((12, 10, 9), (0.5, 2), 7);
+        let plan = LayerPlan::build(&enc);
+        let mut schedule = LaneSchedule::default();
+        schedule.fill(&items, plan.cols());
+        let input = TaskInput::Lanes(Arc::new(schedule));
+        let mut scratch = WorkerScratch::default();
+        run_block_range(&plan, &input, (0, 1), false, &mut scratch);
+        assert_eq!(scratch.stripes.len(), 2 * BLOCK_ACCUMULATORS);
+        assert_eq!(scratch.stripes.as_ptr() as usize % 32, 0);
     }
 
     #[test]

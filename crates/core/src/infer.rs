@@ -37,7 +37,7 @@ use std::ops::{Bound, RangeBounds};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use eie_compress::{EncodedLayer, LaneTile, LayerPlan, Topology};
+use eie_compress::{EncodedLayer, Topology};
 use eie_energy::EnergyReport;
 use eie_fixed::Q8p8;
 use eie_sim::SimStats;
@@ -64,8 +64,6 @@ impl CompiledModel {
             end: self.num_layers(),
             price_energy: true,
             topology: None,
-            lane_tile: None,
-            custom_plans: OnceLock::new(),
             engine: OnceLock::new(),
         }
     }
@@ -89,14 +87,6 @@ pub struct InferenceJob<'m> {
     /// Sharded/pipelined execution layout ([`InferenceJob::topology`]);
     /// `None` runs the classic single-engine layer-at-a-time loop.
     topology: Option<Topology>,
-    /// Per-layer lane-tile override ([`InferenceJob::lane_tile`]);
-    /// `None` keeps each plan's auto-selected tile.
-    lane_tile: Option<LaneTile>,
-    /// Plans rebuilt under a [`LaneTile`] override, built lazily on the
-    /// first submit and reused (the model's shared cache keeps its
-    /// auto-tiled plans; an override must not clobber them for other
-    /// jobs). Cleared whenever the layer range or tile changes.
-    custom_plans: OnceLock<Vec<Arc<LayerPlan>>>,
     /// The instantiated backend, built on the first submit and reused
     /// across submits of the same job — a looping caller keeps the
     /// `NativeCpu` engine (worker pool, plan cache, warm scratch) alive
@@ -133,8 +123,6 @@ impl<'m> InferenceJob<'m> {
         );
         self.first = first;
         self.end = end;
-        // Tile-overridden plans are per-range; a new range rebuilds.
-        self.custom_plans = OnceLock::new();
         self
     }
 
@@ -185,16 +173,6 @@ impl<'m> InferenceJob<'m> {
         self
     }
 
-    /// Overrides every selected layer's lane tile, rebuilding plans
-    /// under the given tile instead of using the model's auto-tiled
-    /// cache — the sweep knob behind `eie bench --lane-tile`. A no-op
-    /// on backends that don't execute plans.
-    pub fn lane_tile(mut self, tile: LaneTile) -> Self {
-        self.lane_tile = Some(tile);
-        self.custom_plans = OnceLock::new();
-        self
-    }
-
     /// The backend this job will execute on.
     pub fn backend(&self) -> BackendKind {
         self.backend
@@ -229,9 +207,7 @@ impl<'m> InferenceJob<'m> {
     /// The job's planned-layer list. Plans are fetched (building lazily
     /// into the model's shared cache) only for backends that execute
     /// them; the cycle model, the golden model and the streaming
-    /// baseline stream the compressed artifact and would ignore them. A
-    /// [`InferenceJob::lane_tile`] override rebuilds the plans under
-    /// the requested tile into the job's own cache instead.
+    /// baseline stream the compressed artifact and would ignore them.
     fn assemble_layers(&self, wants_plans: bool) -> Vec<PlannedLayer<'_>> {
         if !wants_plans {
             return self.model.layers()[self.first..self.end]
@@ -239,27 +215,9 @@ impl<'m> InferenceJob<'m> {
                 .map(PlannedLayer::unplanned)
                 .collect();
         }
-        match self.lane_tile {
-            Some(tile) => {
-                let custom = self.custom_plans.get_or_init(|| {
-                    self.model.layers()[self.first..self.end]
-                        .iter()
-                        .map(|layer| Arc::new(LayerPlan::build(layer).with_lane_tile(tile)))
-                        .collect()
-                });
-                custom
-                    .iter()
-                    .zip(&self.model.layers()[self.first..self.end])
-                    .map(|(plan, layer)| PlannedLayer {
-                        layer,
-                        plan: Some(plan),
-                    })
-                    .collect()
-            }
-            None => (self.first..self.end)
-                .map(|i| self.model.planned_layer(i))
-                .collect(),
-        }
+        (self.first..self.end)
+            .map(|i| self.model.planned_layer(i))
+            .collect()
     }
 
     /// The topology-routed submit: quantize, stream the batch through a
@@ -834,25 +792,6 @@ mod tests {
                 assert_eq!(job.outputs(i), baseline.outputs(i), "{topology} diverged");
             }
         }
-    }
-
-    #[test]
-    fn lane_tile_override_keeps_outputs_and_spares_the_shared_cache() {
-        let model = two_layer_model();
-        let inputs = batch(4);
-        let baseline = model.infer(BackendKind::NativeCpu(1)).submit(&inputs);
-        let built_before = model.plans_built();
-        let job = model
-            .infer(BackendKind::NativeCpu(1))
-            .lane_tile(LaneTile::fixed(16));
-        let tiled = job.submit(&inputs);
-        let again = job.submit(&inputs);
-        for i in 0..4 {
-            assert_eq!(tiled.outputs(i), baseline.outputs(i));
-            assert_eq!(again.outputs(i), baseline.outputs(i));
-        }
-        // Overridden plans live in the job, not the model's cache.
-        assert_eq!(model.plans_built(), built_before);
     }
 
     #[test]

@@ -43,12 +43,10 @@
 //! assert!(result.energy().unwrap().total_uj() > 0.0);
 //! ```
 
-// Unsafe code is forbidden except for the one audited `core::arch`
-// intrinsics module behind the `simd` feature (backend::native::simd),
-// which carries its own `#[allow(unsafe_code)]` — everything else in
-// the crate still refuses to compile with unsafe under `deny`.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+// `deny`, not `forbid`: the workspace's one `unsafe` expression — the
+// call into the AVX2 instantiation of the lane walk, guarded by runtime
+// detection (backend::native::block_lanes) — carries its own `#[allow]`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod artifact;

@@ -61,13 +61,13 @@
 //! [`run_stack_planned`]: crate::run_stack_planned
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use eie_compress::{Topology, LANE_WIDTH};
+use eie_compress::{LayerPlan, Topology, LANE_WIDTH};
 use eie_fixed::Q8p8;
 
-use crate::backend::{NativeCpu, PlannedLayer, ResolvedPlan};
+use crate::backend::{NativeCpu, PlannedLayer};
 use crate::infer::LayerPhase;
 
 /// Bounded depth (in chunks) of each inter-stage queue: one being
@@ -244,7 +244,7 @@ pub struct PipelinedStack<'m> {
     /// Every layer's resolved plan: the caller's when it has a block
     /// per range the owning stage engine fans out over, otherwise built
     /// (or re-blocked) once into that engine's cache.
-    plans: Vec<ResolvedPlan>,
+    plans: Vec<Arc<LayerPlan>>,
     /// Stage `s` owns global layers `spans[s].0 .. spans[s].1`.
     spans: Vec<(usize, usize)>,
     engines: Vec<NativeCpu>,

@@ -21,7 +21,7 @@ pub use crate::{
 pub use eie_compress::{
     compress, decode_any, encode_with_codebook, BitPlane, Codebook, CodebookStrategy,
     CompilePipeline, CompressConfig, CscNibble, EncodedLayer, EncodingStats, HuffmanPacked,
-    LaneTile, LayerPlan, Topology, WeightCodec, WeightCodecKind, LANE_WIDTH,
+    LayerPlan, Topology, WeightCodec, WeightCodecKind, LANE_WIDTH,
 };
 pub use eie_energy::{platform::Platform, EnergyReport, LayerActivity, PeModel, SramModel};
 pub use eie_fixed::{Accum32, Fix16, Precision, Q8p8, QFormat};
