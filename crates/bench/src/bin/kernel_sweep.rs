@@ -11,6 +11,10 @@
 //!   MACs; the recorded `simd` field is the instantiation the host
 //!   dispatched to, `lane_isa()`).
 //!
+//! Each thread count walks the plan a server with that many kernel
+//! threads shares between its workers: the model's plan cut once for
+//! the fan-out (`CompiledModel::cut_plans`), asserted never re-blocked.
+//!
 //! Every cell is also priced: the bytes of the structure the kernel
 //! walks, the bytes of live columns' runs it touches per frame, the
 //! achieved GB/s and GMAC/s, and the share of walked entries that took
@@ -35,7 +39,8 @@
 //! the recorded perf trajectory (schema `eie-kernel-sweep/v5`,
 //! documented in `EXPERIMENTS.md`). Only a full-scale non-quick run
 //! touches that file: `--quick` (the CI smoke: one layer, bounded
-//! iterations, batches 1 and 8) writes
+//! iterations, batches 1 and 8, at 1 and — where the host has them —
+//! 2 threads) writes
 //! `results/kernel_sweep_quick.json`, and an `EIE_SCALE`'d run writes
 //! `results/kernel_sweep_scaled.json`, so the committed scale-1 record
 //! is never clobbered.
@@ -46,6 +51,7 @@ use std::mem::{size_of, size_of_val};
 use std::time::Instant;
 
 use eie_bench::*;
+use eie_core::backend::host_cores;
 use eie_core::baselines::TimingHarness;
 use eie_core::compress::{Entry, PlanEntry};
 
@@ -222,10 +228,12 @@ fn main() {
             target_total_us: 7e5,
         }
     };
-    let available = NativeCpu::new().threads();
+    let available = host_cores();
+    // Quick adds 2 threads (where the host has them): CI holds the
+    // 2-thread Alex-7 batch-8 cell to ≥ 1.25× the 1-thread one.
     let mut thread_counts = vec![1usize];
-    if available > 1 && !quick {
-        thread_counts.push(available);
+    if available > 1 {
+        thread_counts.push(if quick { 2 } else { available });
     }
     let benchmarks: &[Benchmark] = if quick {
         &[Benchmark::Alex7]
@@ -294,11 +302,10 @@ fn main() {
         let (name, batch, acts) = (*name, batch, &batch[0]);
         let enc = model.layer(0);
         let (rows, cols) = (enc.rows(), enc.cols());
-        let layer_plan = model.plan(0);
-        // What each kernel walks: resident bytes, bytes per stored
-        // entry, and stored entries per column.
+        // What each kernel walks: stored entries per column, and the
+        // entry stream's resident bytes.
         let col_real: Vec<usize> = (0..cols)
-            .map(|j| layer_plan.blocks().iter().map(|b| b.col(j).len()).sum())
+            .map(|j| model.plan(0).blocks().iter().map(|b| b.col(j).len()).sum())
             .collect();
         let col_stored: Vec<usize> = (0..cols)
             .map(|j| enc.slices().iter().map(|s| s.col_entries(j).len()).sum())
@@ -308,32 +315,45 @@ fn main() {
             .iter()
             .map(|s| size_of_val(s.entries()) + size_of_val(s.col_ptr()))
             .sum();
-        let walked = [
-            (stream_bytes, size_of::<Entry>(), &col_stored),
-            (
-                layer_plan.resident_bytes(),
-                size_of::<PlanEntry>(),
-                &col_real,
-            ),
-        ];
 
-        for &threads in &thread_counts {
-            let plan = NativeCpu::with_threads(threads);
-            let stream = plan.clone().without_plans();
-            let engines = [&stream, &plan];
-            // Warm every engine and refuse to record perf of wrong
-            // answers: both kernels must agree bit-exactly with the
-            // functional golden at batch 1 and at the largest swept
-            // batch (covering the lane kernel's padded tail blocks).
-            let golden = Functional::new();
-            let want = golden.run_layer(enc, acts, false).outputs;
-            let want_b = golden.run_layer_batch(enc, batch, false);
+        // Per thread count, the plan a server with that many kernel
+        // threads shares between its workers — cut once for the
+        // fan-out, walked as is, no engine-private re-block — and the
+        // two kernels' engines.
+        let served: Vec<CompiledModel> = thread_counts
+            .iter()
+            .map(|&threads| {
+                let mut cut = model.clone();
+                cut.cut_plans(threads);
+                cut
+            })
+            .collect();
+        let setups: Vec<(usize, PlannedLayer<'_>, [NativeCpu; 2])> = thread_counts
+            .iter()
+            .zip(&served)
+            .map(|(&threads, cut)| {
+                let plan = NativeCpu::with_threads(threads);
+                (
+                    threads,
+                    cut.planned_layer(0),
+                    [plan.clone().without_plans(), plan],
+                )
+            })
+            .collect();
+        // Warm every engine and refuse to record perf of wrong answers:
+        // both kernels must agree bit-exactly with the functional golden
+        // at batch 1 and at the largest swept batch (covering the lane
+        // kernel's padded tail blocks).
+        let golden = Functional::new();
+        let want = golden.run_layer(enc, acts, false).outputs;
+        let want_b = golden.run_layer_batch(enc, batch, false);
+        for (threads, planned, engines) in &setups {
             for (kernel, engine) in KERNELS.iter().zip(engines) {
                 assert!(
-                    engine.run_layer(enc, acts, false).outputs == want,
+                    engine.run_layer_planned(*planned, acts, false).outputs == want,
                     "{name}: single-item {kernel} kernel diverged"
                 );
-                let runs = engine.run_layer_batch(enc, batch, false);
+                let runs = engine.run_layer_batch_planned(*planned, batch, false);
                 for i in 0..max_batch {
                     assert!(
                         runs[i].outputs == want_b[i].outputs,
@@ -341,12 +361,53 @@ fn main() {
                     );
                 }
             }
+            assert_eq!(
+                engines[1].plan_builds(),
+                0,
+                "{name}: the shared plan was re-blocked"
+            );
             println!(
                 "verified: streaming/plan bit-exact against the functional golden on {} \
                  (single + batch {max_batch}, {threads}t)",
                 name
             );
+        }
 
+        // µs per frame by [setup][batch][kernel]. A neighbour holding a
+        // core for a second skews whichever cells it lands on, so each
+        // batch's thread × kernel cells are measured in interleaved
+        // passes and keep their best: every cell gets a shot at every
+        // noise window, including those of the cells its ratios are
+        // taken against.
+        const PASSES: usize = 3;
+        let mut us = vec![vec![[f64::INFINITY; KERNELS.len()]; batches.len()]; setups.len()];
+        for (bi, &b) in batches.iter().enumerate() {
+            for _ in 0..PASSES {
+                for (si, (_, planned, engines)) in setups.iter().enumerate() {
+                    for (k, engine) in engines.iter().enumerate() {
+                        let pass = if b == 1 {
+                            harness.measure_us(|| engine.run_layer_planned(*planned, acts, false))
+                        } else {
+                            harness.measure_us(|| {
+                                engine.run_layer_batch_planned(*planned, &batch[..b], false)
+                            }) / b as f64
+                        };
+                        us[si][bi][k] = us[si][bi][k].min(pass);
+                    }
+                }
+            }
+        }
+
+        for (si, &(threads, planned, _)) in setups.iter().enumerate() {
+            let layer_plan = planned.plan.expect("a cut model's layer carries its plan");
+            let walked = [
+                (stream_bytes, size_of::<Entry>(), &col_stored),
+                (
+                    layer_plan.resident_bytes(),
+                    size_of::<PlanEntry>(),
+                    &col_real,
+                ),
+            ];
             // fps by [batch index][kernel index] for the speedup math.
             let mut fps = vec![[0.0f64; KERNELS.len()]; batches.len()];
             for (bi, &b) in batches.iter().enumerate() {
@@ -355,13 +416,8 @@ fn main() {
                 } else {
                     format!("batch{b}")
                 };
-                for (k, (kernel, backend)) in KERNELS.iter().zip(engines).enumerate() {
-                    let us = if b == 1 {
-                        harness.measure_us(|| backend.run_layer(enc, acts, false))
-                    } else {
-                        harness.measure_us(|| backend.run_layer_batch(enc, &batch[..b], false))
-                            / b as f64
-                    };
+                for (k, kernel) in KERNELS.iter().enumerate() {
+                    let us = us[si][bi][k];
                     fps[bi][k] = 1e6 / us;
                     // The streaming kernel fuses the whole batch into
                     // one pass; the plan walks once per lane block (a
@@ -458,13 +514,8 @@ fn main() {
             {
                 headline = Some(candidate);
             }
-            eprintln!(
-                "[{} @ {}t] done in {:.1}s",
-                name,
-                threads,
-                started.elapsed().as_secs_f64()
-            );
         }
+        eprintln!("[{name}] done in {:.1}s", started.elapsed().as_secs_f64());
     }
 
     let hl = headline.expect("at least one benchmark ran");

@@ -9,7 +9,9 @@
 //! * **shards** — row-shard count inside each `NativeCpu` dispatch
 //!   ([`Topology::with_shards`] — contiguous PE ranges, each with its
 //!   own worker sub-group),
-//! * **threads** — 1 plus every available core.
+//! * **threads** — 1 plus every available core; each count walks the
+//!   model's plans cut for it, the plans a server with that many kernel
+//!   threads shares.
 //!
 //! Three executors are timed per cell:
 //!
@@ -125,8 +127,20 @@ fn main() {
     let max_batch = *batches.last().expect("batch sweep is non-empty");
     let max_depth = *depths.last().expect("depth sweep is non-empty");
 
+    // Each thread count walks the plans a server with that many kernel
+    // threads shares between its workers: cut once for the fan-out
+    // (`CompiledModel::cut_plans`). A shard count above it re-blocks
+    // inside its engine, as it would behind a server.
     let model = stack_at_scale(config);
-    let layers = model.planned_layers();
+    let served: Vec<CompiledModel> = thread_counts
+        .iter()
+        .map(|&threads| {
+            let mut cut = model.clone();
+            cut.cut_plans(threads);
+            cut
+        })
+        .collect();
+    let layers: Vec<Vec<PlannedLayer<'_>>> = served.iter().map(|m| m.planned_layers()).collect();
     let fc6 = layer_at_scale(Benchmark::Alex6);
     let batch: Vec<Vec<Q8p8>> = fc6
         .sample_activation_batch(DEFAULT_SEED, max_batch)
@@ -157,7 +171,8 @@ fn main() {
     let mut headline: Option<Headline> = None;
 
     for &depth in depths {
-        let stack = &layers[..depth];
+        let stack_for = |ti: usize| &layers[ti][..depth];
+        let stack = stack_for(0);
 
         // ---- verify before measuring --------------------------------
         // The single-pool planned path is the reference; every sharded
@@ -180,7 +195,8 @@ fn main() {
             "depth {depth}: planned baseline diverged from the functional golden model"
         );
         let stage_counts = [1usize, 0, depth.min(2)];
-        for &threads in &thread_counts {
+        for (ti, &threads) in thread_counts.iter().enumerate() {
+            let stack = stack_for(ti);
             for &shards in shard_counts {
                 let sharded = NativeCpu::with_threads(threads).with_shards(shards);
                 let outputs: Vec<Vec<Q8p8>> = run_stack_planned(&sharded, stack, &batch)
@@ -216,7 +232,8 @@ fn main() {
         // shot at every noise window, including the ones its ratios
         // are computed against.
         const REPS: usize = 3;
-        for &threads in &thread_counts {
+        for (ti, &threads) in thread_counts.iter().enumerate() {
+            let stack = stack_for(ti);
             for &b in batches {
                 let frames = &batch[..b];
                 let pools: Vec<(usize, NativeCpu)> = shard_counts

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use eie_core::backend::lane_isa;
+use eie_core::backend::{host_cores, lane_isa};
 use eie_core::{BackendKind, CompiledModel};
 use eie_serve::protocol::{ErrorCode, Response};
 use eie_serve::{
@@ -40,7 +40,8 @@ USAGE:
 
 SERVING POLICY (local and --listen):
     --backend <B>       Worker backend: cycle | functional | native[:threads] | streaming[:threads]
-                        [default: native:1 — workers provide the parallelism]
+                        [default: native — each worker's kernel gets
+                        max(1, cores / workers) threads]
     --workers <N>       Worker threads per model, one backend each [default: 2]
     --max-batch <N>     Micro-batch coalescing cap [default: 8]
     --max-wait-us <N>   Straggler-collection window, µs (0 = none) [default: 200]
@@ -102,7 +103,7 @@ pub fn run(mut opts: Opts) -> Result<(), CliError> {
 fn parse_policy(opts: &mut Opts) -> Result<ServerConfig, CliError> {
     let backend = match opts.value(&["--backend"])? {
         Some(name) => parse_backend(&name)?,
-        None => BackendKind::NativeCpu(1),
+        None => BackendKind::NativeCpu(0),
     };
     let workers: usize = opts.parsed(&["--workers"])?.unwrap_or(2);
     let max_batch: usize = opts.parsed(&["--max-batch"])?.unwrap_or(8);
@@ -149,6 +150,14 @@ fn collect_models(opts: &mut Opts) -> Result<Vec<(String, String)>, CliError> {
         models.push(parse_model_spec(spec)?);
     }
     Ok(models)
+}
+
+/// The start-up line naming the threads each worker's kernel runs
+/// (`backend` as [`ModelServer::start`] resolves it).
+fn print_kernel_threads(backend: BackendKind) {
+    if let BackendKind::NativeCpu(threads) = backend {
+        outln!("kernel threads: {threads} per worker");
+    }
 }
 
 fn print_serving_stats(stats: &ServerStats) {
@@ -232,6 +241,7 @@ fn run_listen(addr: &str, mut opts: Opts) -> Result<(), CliError> {
         outln!("model     {name} <- {path}");
     }
     outln!("serving   {}", registry.server_config());
+    print_kernel_threads(config.backend.per_worker(host_cores(), config.workers));
     outln!("lanes: {}", lane_isa());
 
     let mut policy = NetPolicy::default();
@@ -533,6 +543,14 @@ fn run_local(mut opts: Opts) -> Result<(), CliError> {
 
     let inputs = sample_batch(&model, requests, density, signed, seed);
     let server = ModelServer::start(model, config);
+    print_kernel_threads(server.config().backend);
+    let served = server.model();
+    if served.plans_built() == served.num_layers() {
+        let blocks: Vec<String> = (0..served.num_layers())
+            .map(|i| served.plan(i).blocks().len().to_string())
+            .collect();
+        outln!("plan blocks: {} (shared, per layer)", blocks.join(" / "));
+    }
     outln!(
         "load      {requests} requests at {}",
         if qps > 0.0 {

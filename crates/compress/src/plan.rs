@@ -378,15 +378,16 @@ struct Window {
 impl LayerPlan {
     /// Lowers an encoded layer into its execution plan with as few
     /// blocks as [`BLOCK_ACCUMULATORS`] allows — the plan a
-    /// single-threaded engine (the serving default) walks as is.
+    /// single-threaded engine walks as is.
     pub fn build(layer: &EncodedLayer) -> Self {
         Self::build_with_blocks(layer, 1)
     }
 
     /// [`LayerPlan::build`] cut into at least `min_blocks` blocks (at
     /// most one per row): blocks are the unit a multi-thread or sharded
-    /// engine fans out over, so an engine that needs more than the
-    /// default cut re-blocks once.
+    /// engine fans out over. A server cuts its shared plan once for its
+    /// kernel's threads; an engine handed a coarser plan re-blocks it
+    /// once into a private copy.
     ///
     /// The build decodes the entry stream once and never chases 64 read
     /// streams: extents start as an upper bound (stored entries per

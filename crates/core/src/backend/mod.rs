@@ -37,8 +37,8 @@ use crate::EieConfig;
 
 pub use cycle::CycleAccurate;
 pub use functional::Functional;
-pub(crate) use native::default_threads;
-pub use native::{lane_isa, NativeCpu};
+use native::plan_fits;
+pub use native::{host_cores, lane_isa, NativeCpu};
 
 /// Validates one activation vector against a layer's input dimension —
 /// the shared entry-point check every backend applies before touching
@@ -73,8 +73,10 @@ pub enum BackendKind {
     /// The untimed bit-exact golden model.
     Functional,
     /// The host-speed multi-threaded kernel with this many worker
-    /// threads (`0` = one per available core), executing cached
-    /// pre-decoded [`LayerPlan`]s on a persistent worker pool.
+    /// threads (`0` = one per available core, or, behind a serving
+    /// worker pool, each worker's share of them —
+    /// [`BackendKind::per_worker`]), executing cached pre-decoded
+    /// [`LayerPlan`]s on a persistent worker pool.
     NativeCpu(usize),
     /// The native kernel with plans disabled: per-call entry-stream
     /// decode and scoped threads, exactly the pre-plan code path. The
@@ -95,6 +97,28 @@ impl BackendKind {
             BackendKind::NativeStreaming(threads) => {
                 Box::new(NativeCpu::with_threads(threads).without_plans())
             }
+        }
+    }
+
+    /// The kind each of `workers` serving workers runs on a
+    /// `cores`-core host: `NativeCpu(0)` becomes
+    /// `NativeCpu(max(1, cores / workers))`, so the workers split the
+    /// cores between them instead of each claiming all of them (a lone
+    /// worker fans every dispatch out over the whole host; `workers ≥
+    /// cores` leaves one thread each). Every other kind, an explicit
+    /// `NativeCpu(t)` included, is kept as given.
+    ///
+    /// ```
+    /// use eie_core::BackendKind;
+    ///
+    /// assert_eq!(BackendKind::NativeCpu(0).per_worker(2, 1), BackendKind::NativeCpu(2));
+    /// assert_eq!(BackendKind::NativeCpu(0).per_worker(2, 2), BackendKind::NativeCpu(1));
+    /// assert_eq!(BackendKind::NativeCpu(3).per_worker(2, 1), BackendKind::NativeCpu(3));
+    /// ```
+    pub fn per_worker(self, cores: usize, workers: usize) -> Self {
+        match self {
+            BackendKind::NativeCpu(0) => BackendKind::NativeCpu((cores / workers.max(1)).max(1)),
+            other => other,
         }
     }
 }
@@ -498,6 +522,21 @@ impl CompiledModel {
         self.plans.0[i].get_or_init(|| Arc::new(LayerPlan::build(&self.layers[i])))
     }
 
+    /// Builds every layer's plan cut into at least `min_blocks` blocks
+    /// where the rows allow ([`LayerPlan::build_with_blocks`]), so a
+    /// [`NativeCpu`] fanning out over `min_blocks` threads walks the
+    /// shared plan as is instead of re-blocking a private copy. A cached
+    /// plan already cut that finely is kept; a coarser one is rebuilt.
+    /// `ModelServer::start` calls this once, before spawning workers.
+    pub fn cut_plans(&mut self, min_blocks: usize) {
+        for (layer, slot) in self.layers.iter().zip(&mut self.plans.0) {
+            if !slot.get().is_some_and(|plan| plan_fits(plan, min_blocks)) {
+                let plan = LayerPlan::build_with_blocks(layer, min_blocks);
+                *slot = OnceLock::from(Arc::new(plan));
+            }
+        }
+    }
+
     /// How many of the model's layer plans have been built so far.
     pub fn plans_built(&self) -> usize {
         self.plans
@@ -604,6 +643,60 @@ mod tests {
         assert!(!BackendKind::NativeCpu(0).instantiate(&cfg).is_modeled());
         assert_eq!(BackendKind::default(), BackendKind::CycleAccurate);
         assert_eq!(BackendKind::NativeCpu(4).to_string(), "native-cpu(4)");
+    }
+
+    #[test]
+    fn the_default_kernel_splits_the_cores_over_the_workers() {
+        let auto = BackendKind::NativeCpu(0);
+        for (cores, workers, kind, threads) in [
+            (1, 1, auto, 1),
+            (2, 1, auto, 2),
+            (2, 2, auto, 1),
+            (2, 3, auto, 1),
+            (8, 3, auto, 2),
+            (64, 64, auto, 1),
+            (2, 1, BackendKind::NativeCpu(3), 3),
+            (8, 8, BackendKind::NativeCpu(3), 3),
+        ] {
+            assert_eq!(
+                kind.per_worker(cores, workers),
+                BackendKind::NativeCpu(threads),
+                "{cores} cores, {workers} workers, {kind}"
+            );
+        }
+        for kind in [
+            BackendKind::Functional,
+            BackendKind::CycleAccurate,
+            BackendKind::NativeStreaming(0),
+        ] {
+            assert_eq!(kind.per_worker(8, 1), kind);
+        }
+        assert_eq!(auto.to_string(), "native-cpu");
+    }
+
+    #[test]
+    fn cut_plans_fits_every_layer_to_the_fan_out_and_keeps_finer_cuts() {
+        let w1 = random_sparse(24, 16, 0.3, 1);
+        let w2 = random_sparse(3, 24, 0.6, 2);
+        let mut model = CompiledModel::compile(EieConfig::default().with_num_pes(2), &[&w1, &w2]);
+        let coarse = Arc::clone(model.plan(0));
+        assert_eq!(coarse.blocks().len(), 1);
+        model.cut_plans(4);
+        // Four blocks where the rows allow, one per row where they don't.
+        assert_eq!(model.plan(0).blocks().len(), 4);
+        assert_eq!(model.plan(1).blocks().len(), 3);
+        assert!(
+            !Arc::ptr_eq(&coarse, model.plan(0)),
+            "a coarse plan is rebuilt"
+        );
+        // A plan cut finely enough is kept as is.
+        let fine = Arc::clone(model.plan(0));
+        model.cut_plans(2);
+        assert!(Arc::ptr_eq(&fine, model.plan(0)));
+        let input = vec![vec![0.5f32; 16]];
+        let want = model.infer(BackendKind::Functional).submit(&input);
+        let got = model.infer(BackendKind::NativeCpu(4)).submit(&input);
+        assert_eq!(got.outputs(0), want.outputs(0));
     }
 
     #[test]

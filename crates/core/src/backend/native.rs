@@ -72,18 +72,27 @@ use eie_sim::broadcast_schedule;
 use super::pool::{Latch, WorkerPool};
 use super::{check_activation_batch, check_activations, Backend, BackendRun, PlannedLayer};
 
-/// The host's core count, resolved once per process.
+/// The host's core count, resolved once per process: the thread count
+/// of [`NativeCpu::new`], and the cores `ModelServer` splits over its
+/// workers ([`BackendKind::per_worker`](super::BackendKind::per_worker)).
 ///
 /// `ModelServer` and `InferenceJob` construct a backend per worker, so
 /// this sits on the setup path — one `available_parallelism` syscall
 /// for the process lifetime instead of one per construction.
-pub(crate) fn default_threads() -> usize {
+pub fn host_cores() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
     })
+}
+
+/// Whether `plan` has a block for every range an engine fanning out
+/// over `fan_out` ranges dispatches (at most one range per row): the
+/// test a caller's plan must pass to be walked as is.
+pub(crate) fn plan_fits(plan: &LayerPlan, fan_out: usize) -> bool {
+    plan.blocks().len() >= fan_out.min(plan.rows())
 }
 
 /// An optimized, multi-threaded interleaved-CSC SpMV kernel over the
@@ -171,7 +180,7 @@ impl NativeCpu {
     /// A kernel with one worker per available core (resolved once per
     /// process).
     pub fn new() -> Self {
-        Self::with_threads(default_threads())
+        Self::with_threads(host_cores())
     }
 
     /// A kernel with an explicit worker count (1 = single-threaded).
@@ -302,17 +311,18 @@ impl NativeCpu {
 
     /// The plan this engine runs `planned` with: the caller's plan (a
     /// model's shared one) when it has a block for every range the
-    /// engine fans out over — always, for the single-threaded serving
-    /// default — and otherwise the engine's own re-blocked plan, built
-    /// once per layer instance into its cache. The shared plan is never
-    /// modified.
+    /// engine fans out over — always, for a model a `ModelServer`
+    /// started, which cuts its plans for its workers' thread count
+    /// ([`CompiledModel::cut_plans`](super::CompiledModel::cut_plans)) —
+    /// and otherwise the engine's own re-blocked plan, built once per
+    /// layer instance into its cache (the fallback re-block). The
+    /// shared plan is never modified.
     ///
     /// Crate-visible so the pipelined executor can resolve every
     /// layer's plan against its owning stage engine up front.
     pub(crate) fn resolve_plan(&self, planned: PlannedLayer<'_>) -> Arc<LayerPlan> {
-        let fits = |plan: &LayerPlan| plan.blocks().len() >= self.fan_out().min(plan.rows());
         match planned.plan {
-            Some(plan) if fits(plan) => Arc::clone(plan),
+            Some(plan) if plan_fits(plan, self.fan_out()) => Arc::clone(plan),
             _ => self.plan_for(planned.layer),
         }
     }
@@ -1561,7 +1571,7 @@ mod tests {
         let batch: Vec<Vec<Q8p8>> = (0..5)
             .map(|i| quantize(&layer.sample_activations(i)))
             .collect();
-        // The serving default walks the shared plan as is.
+        // A one-thread engine walks the one-block plan as is.
         let narrow = NativeCpu::with_threads(1);
         let want = narrow.run_layer_batch_planned(planned, &batch, true);
         assert_eq!(narrow.plan_builds(), 0);

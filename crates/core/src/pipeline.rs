@@ -325,7 +325,7 @@ impl<'m> PipelinedStack<'m> {
     /// which gains nothing from overlap but pays the per-chunk plan
     /// re-stream.
     fn policy_chunk_frames(&self, batch: usize) -> usize {
-        if crate::backend::default_threads() <= 1 {
+        if crate::backend::host_cores() <= 1 {
             return batch;
         }
         let blocks = batch.div_ceil(LANE_WIDTH);

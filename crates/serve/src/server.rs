@@ -8,6 +8,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use eie_core::backend::host_cores;
 use eie_core::fixed::Q8p8;
 use eie_core::{
     percentile, run_stack_planned, BackendKind, CompiledModel, ModelArtifactError, PipelinedStack,
@@ -27,6 +28,10 @@ use crate::queue::{MicroBatchQueue, PushError};
 /// use eie_serve::ServerConfig;
 /// use eie_core::BackendKind;
 ///
+/// // The default kernel takes each worker's share of the cores:
+/// // `ModelServer::start` resolves `NativeCpu(0)` to
+/// // `NativeCpu(max(1, cores / workers))`.
+/// assert_eq!(ServerConfig::default().backend, BackendKind::NativeCpu(0));
 /// let cfg = ServerConfig::default()
 ///     .with_backend(BackendKind::NativeCpu(1))
 ///     .with_workers(2)
@@ -37,10 +42,13 @@ use crate::queue::{MicroBatchQueue, PushError};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerConfig {
-    /// Backend each worker instantiates (default: single-threaded
-    /// `NativeCpu` — the worker pool, not the kernel, provides the
-    /// parallelism; `NativeCpu(0)` inside several workers would
-    /// oversubscribe the cores).
+    /// Backend each worker instantiates. The default, `NativeCpu(0)`,
+    /// is resolved once by [`ModelServer::start`] to
+    /// `NativeCpu(max(1, cores / workers))` per worker
+    /// ([`BackendKind::per_worker`]): the workers split the host's
+    /// cores, so a one-worker server fans every dispatch out over all
+    /// of them and `workers ≥ cores` keeps one kernel thread each. An
+    /// explicit `NativeCpu(t)` is kept as given.
     pub backend: BackendKind,
     /// Worker threads, one [`Backend`](eie_core::Backend) each.
     pub workers: usize,
@@ -72,7 +80,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            backend: BackendKind::NativeCpu(1),
+            backend: BackendKind::NativeCpu(0),
             workers: 2,
             max_batch: 8,
             max_wait_us: 200,
@@ -784,10 +792,13 @@ pub struct ModelServer {
 }
 
 impl ModelServer {
-    /// Starts the server: builds the model's execution plans (when the
-    /// configured backend walks plans), spawns the worker pool and
-    /// begins accepting requests. On return the model is fully resident:
-    /// the first request pays a dispatch, not a decode.
+    /// Starts the server: resolves the backend for its workers
+    /// ([`BackendKind::per_worker`] — `NativeCpu(0)` becomes each
+    /// worker's share of the cores, `t` threads), builds the model's
+    /// execution plans cut into at least `t` blocks (when the backend
+    /// walks plans), spawns the worker pool and begins accepting
+    /// requests. On return the model is fully resident: the first
+    /// request pays a dispatch, not a decode.
     ///
     /// # Panics
     ///
@@ -804,7 +815,7 @@ impl ModelServer {
     /// latency. The chaos harness's entry point; `None` is exactly
     /// `start`.
     pub fn start_with_faults(
-        model: CompiledModel,
+        mut model: CompiledModel,
         config: ServerConfig,
         faults: Option<Arc<FaultPlan>>,
     ) -> Self {
@@ -817,15 +828,23 @@ impl ModelServer {
             "a topology requires the native-cpu backend, not {}",
             config.backend
         );
+        let config = ServerConfig {
+            backend: config.backend.per_worker(host_cores(), config.workers),
+            ..config
+        };
         // Build the plans here, on the caller's thread, whenever the
-        // workers will walk them: the model's largest allocation is then
-        // made (and, once the server is dropped, freed) by the
-        // long-lived thread that loaded it rather than inside a worker's
-        // short-lived malloc arena, every worker's `planned_layers()`
-        // is a cache hit, and the first request never queues behind a
-        // build. Backends that stream the layers get no plan.
-        if config.backend.instantiate(model.config()).wants_plans() {
-            model.planned_layers();
+        // workers will walk them (the native kernel is the backend that
+        // does): the model's largest allocation is then made (and, once
+        // the server is dropped, freed) by the long-lived thread that
+        // loaded it rather than inside a worker's short-lived malloc
+        // arena, every worker's `planned_layers()` is a cache hit, and
+        // the first request never queues behind a build. Cut for the
+        // kernel's threads, the one shared plan is what every worker
+        // engine walks: a coarser one would be re-blocked into a
+        // private copy per worker. Backends that stream the layers get
+        // no plan.
+        if let BackendKind::NativeCpu(threads) = config.backend {
+            model.cut_plans(threads);
         }
         let model = Arc::new(model);
         let queue = Arc::new(MicroBatchQueue::new(config.queue_depth));
@@ -871,7 +890,9 @@ impl ModelServer {
         &self.model
     }
 
-    /// The serving policy.
+    /// The serving policy, with the backend as resolved at start
+    /// (`NativeCpu(0)` reads back as `NativeCpu(t)`, the threads each
+    /// worker's kernel runs).
     pub fn config(&self) -> &ServerConfig {
         &self.config
     }

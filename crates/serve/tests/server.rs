@@ -1,7 +1,11 @@
 //! ModelServer behaviour: lifecycle, batching, backpressure, shutdown.
 
+use eie_core::backend::host_cores;
+use eie_core::fixed::Q8p8;
 use eie_core::nn::zoo::{random_sparse, sample_activations};
-use eie_core::{BackendKind, CompiledModel, EieConfig, Topology};
+use eie_core::{
+    run_stack_planned, BackendKind, CompiledModel, EieConfig, Functional, NativeCpu, Topology,
+};
 use eie_serve::{ModelServer, ServerConfig, SubmitError};
 
 fn small_model() -> CompiledModel {
@@ -265,6 +269,110 @@ fn topology_routed_serving_is_bit_exact_and_counts_every_request() {
     let stats = server.shutdown();
     assert_eq!(stats.requests, 21);
     assert!(stats.frames_per_second() > 0.0);
+}
+
+#[test]
+fn the_default_kernel_takes_each_workers_share_of_the_cores() {
+    let cores = host_cores();
+    for workers in [1, 2, 3] {
+        let server =
+            ModelServer::start(small_model(), ServerConfig::default().with_workers(workers));
+        let want = BackendKind::NativeCpu((cores / workers).max(1));
+        assert_eq!(server.config().backend, want, "{workers} workers");
+        server.shutdown();
+    }
+    // An explicit count is kept as given.
+    let server = ModelServer::start(
+        small_model(),
+        ServerConfig::default().with_backend(BackendKind::NativeCpu(3)),
+    );
+    assert_eq!(server.config().backend, BackendKind::NativeCpu(3));
+    server.shutdown();
+    // A pipelined worker's stage engines get the same resolved count.
+    let server = ModelServer::start(
+        small_model(),
+        ServerConfig::default()
+            .with_workers(1)
+            .with_topology(Topology::single().with_stages(2)),
+    );
+    assert_eq!(server.config().backend, BackendKind::NativeCpu(cores));
+    let input = &inputs(1)[0];
+    let golden = server
+        .model()
+        .infer(BackendKind::Functional)
+        .submit_one(input);
+    let served = server.submit(input).unwrap().wait().unwrap();
+    assert_eq!(served.outputs[..], *golden.outputs(0));
+    server.shutdown();
+}
+
+/// The shared plan is cut for the kernel's threads at start, so a
+/// `t`-thread engine walks it as is: single items and lane batches
+/// alike, with no private re-block.
+#[test]
+fn start_cuts_the_shared_plan_for_the_kernel_threads() {
+    for backend in [BackendKind::NativeCpu(0), BackendKind::NativeCpu(3)] {
+        let config = ServerConfig::default()
+            .with_workers(1)
+            .with_backend(backend);
+        let server = ModelServer::start(small_model(), config);
+        let BackendKind::NativeCpu(threads) = server.config().backend else {
+            unreachable!("a native backend resolves to a native backend")
+        };
+        let model = server.model();
+        assert_eq!(model.plans_built(), model.num_layers(), "built by start");
+        for i in 0..model.num_layers() {
+            let plan = model.plan(i);
+            assert!(
+                plan.blocks().len() >= threads.min(plan.rows()),
+                "{backend}: layer {i} has {} blocks for {threads} threads",
+                plan.blocks().len()
+            );
+        }
+        let engine = NativeCpu::with_threads(threads);
+        let planned = model.planned_layers();
+        let batch: Vec<Vec<Q8p8>> = inputs(9).iter().map(|i| Q8p8::from_f32_slice(i)).collect();
+        let golden = run_stack_planned(&Functional::new(), &planned, &batch);
+        let single = run_stack_planned(&engine, &planned, &batch[..1]);
+        let fused = run_stack_planned(&engine, &planned, &batch);
+        assert_eq!(single[0].outputs, golden[0].outputs);
+        for (got, want) in fused.iter().zip(&golden) {
+            assert_eq!(got.outputs, want.outputs);
+        }
+        assert_eq!(
+            engine.plan_builds(),
+            0,
+            "{backend}: a private plan was built"
+        );
+        server.shutdown();
+    }
+}
+
+/// A one-worker server on the default kernel answers micro-batches
+/// around the lane width bit-exactly: the coalescing cap is the batch
+/// size and the window long enough that every batch fills.
+#[test]
+fn one_worker_default_server_is_bit_exact_at_every_batch_size() {
+    let model = small_model();
+    for n in [1, 2, 7, 8, 9, 13] {
+        let requests = inputs(n);
+        let golden = model.infer(BackendKind::Functional).submit(&requests);
+        let config = ServerConfig::default()
+            .with_workers(1)
+            .with_max_batch(n)
+            .with_max_wait_us(5_000_000);
+        let server = ModelServer::start(model.clone(), config);
+        let responses: Vec<_> = requests
+            .iter()
+            .map(|input| server.submit(input).expect("submit"))
+            .collect();
+        for (i, response) in responses.into_iter().enumerate() {
+            let result = response.wait().expect("request failed");
+            assert_eq!(result.outputs[..], *golden.outputs(i), "batch {n} item {i}");
+            assert_eq!(result.coalesced, n, "batch {n} did not fill");
+        }
+        server.shutdown();
+    }
 }
 
 #[test]
