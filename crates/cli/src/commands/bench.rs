@@ -5,7 +5,7 @@ use std::time::Instant;
 use eie_core::prelude::*;
 use eie_core::BackendKind;
 
-use crate::commands::{load_model, parse_backend, parse_layout, sample_batch};
+use crate::commands::{load_model, parse_backend, sample_batch};
 use crate::opts::Opts;
 use crate::outln;
 use crate::CliError;
@@ -20,10 +20,6 @@ OPTIONS:
                       [default: native]
     --batch <N>       Batch size per iteration [default: 16]
     --iters <N>       Serving iterations (best is reported) [default: 5]
-    --shards <S>      Split each native dispatch into S row shards
-                      (native backend only)
-    --stages <N|auto> Pipeline the layer stack into N stages, `auto` =
-                      one stage per layer (native backend only)
     --density <D>     Input activation density [default: 0.35]
     --seed <N>        Input sampling seed [default: 1]
     -h, --help        Show this help";
@@ -37,7 +33,6 @@ pub fn run(mut opts: Opts) -> Result<(), CliError> {
         Some(name) => parse_backend(&name)?,
         None => BackendKind::NativeCpu(0),
     };
-    let topology = parse_layout(&mut opts, backend)?;
     let batch_size: usize = opts.parsed(&["--batch"])?.unwrap_or(16);
     let iters: usize = opts.parsed(&["--iters"])?.unwrap_or(5);
     let density: f64 = opts.parsed(&["--density"])?.unwrap_or(0.35);
@@ -74,11 +69,7 @@ pub fn run(mut opts: Opts) -> Result<(), CliError> {
 
     // Serving throughput: repeated batches, best and mean.
     let batch = sample_batch(&model, batch_size, density, false, seed);
-    let mut job = model.infer(backend);
-    if let Some(topology) = topology {
-        outln!("layout    {topology}");
-        job = job.topology(topology);
-    }
+    let job = model.infer(backend);
     let mut results: Vec<JobResult> = Vec::with_capacity(iters);
     for _ in 0..iters {
         results.push(job.submit(&batch));

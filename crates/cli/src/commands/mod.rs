@@ -47,49 +47,6 @@ pub fn parse_backend(name: &str) -> Result<BackendKind, CliError> {
     }
 }
 
-/// Parses the execution-layout options `run` and `bench` share:
-/// `--shards S` (row shards per native dispatch) and `--stages auto|N`
-/// (pipeline stage count, `auto` = one stage per layer).
-///
-/// Layout is a property of the native plan executor, so either on a
-/// non-native backend is a usage error (exit 2) — as are zero counts
-/// and a stage value that is neither `auto` nor a number.
-pub fn parse_layout(
-    opts: &mut crate::opts::Opts,
-    backend: BackendKind,
-) -> Result<Option<Topology>, CliError> {
-    let shards: Option<usize> = opts.parsed(&["--shards"])?;
-    let stages = match opts.value(&["--stages"])?.as_deref() {
-        None => None,
-        Some("auto") => Some(0usize),
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(0) | Err(_) => {
-                return Err(CliError::Usage(format!(
-                    "--stages expects `auto` or a positive stage count, got {raw:?}"
-                )))
-            }
-            Ok(n) => Some(n),
-        },
-    };
-    if shards == Some(0) {
-        return Err(CliError::Usage("--shards must be positive".into()));
-    }
-    if (shards.is_some() || stages.is_some()) && !matches!(backend, BackendKind::NativeCpu(_)) {
-        return Err(CliError::Usage(format!(
-            "--shards/--stages shape the native plan executor \
-             and need --backend native, not {backend}"
-        )));
-    }
-    Ok(match (shards, stages) {
-        (None, None) => None,
-        (shards, stages) => Some(
-            Topology::single()
-                .with_shards(shards.unwrap_or(1))
-                .with_stages(stages.unwrap_or(1)),
-        ),
-    })
-}
-
 /// Loads an artifact, mapping failures to runtime errors.
 pub fn load_model(path: &str) -> Result<CompiledModel, CliError> {
     CompiledModel::load(path).map_err(|e| CliError::Runtime(format!("cannot load {path}: {e}")))
@@ -143,47 +100,6 @@ mod tests {
         assert!(parse_backend("gpu").is_err());
         assert!(parse_backend("native:x").is_err());
         assert!(parse_backend("streaming:x").is_err());
-    }
-
-    #[test]
-    fn layout_options_parse_and_validate() {
-        let native = BackendKind::NativeCpu(0);
-        let layout = |args: &[&str], backend| {
-            let mut opts = crate::opts::Opts::new(args.iter().map(|s| s.to_string()).collect());
-            parse_layout(&mut opts, backend)
-        };
-
-        assert_eq!(layout(&[], native).unwrap(), None);
-        let topology = layout(&["--shards", "2", "--stages", "auto"], native)
-            .unwrap()
-            .expect("topology requested");
-        assert_eq!((topology.shards(), topology.stages()), (2, 0));
-        let topology = layout(&["--stages", "3"], native).unwrap();
-        assert_eq!(topology.expect("stages alone").stages(), 3);
-
-        // Usage errors (exit 2): zero counts, bad stage words, layout
-        // on a backend with no plan executor.
-        for bad in [
-            &["--shards", "0"][..],
-            &["--stages", "0"],
-            &["--stages", "fast"],
-        ] {
-            assert!(
-                matches!(layout(bad, native), Err(CliError::Usage(_))),
-                "{bad:?}"
-            );
-        }
-        for backend in [
-            BackendKind::Functional,
-            BackendKind::CycleAccurate,
-            BackendKind::NativeStreaming(0),
-        ] {
-            let err = layout(&["--shards", "2"], backend).unwrap_err();
-            assert!(
-                matches!(&err, CliError::Usage(msg) if msg.contains("native")),
-                "{err:?}"
-            );
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use eie_core::BackendKind;
 
-use crate::commands::{load_model, parse_backend, parse_layout, sample_batch};
+use crate::commands::{load_model, parse_backend, sample_batch};
 use crate::opts::Opts;
 use crate::outln;
 use crate::CliError;
@@ -16,10 +16,6 @@ OPTIONS:
     --backend <B>     cycle | functional | native[:threads] | streaming[:threads]
                       [default: native]
     --batch <N>       Batch size [default: 4]
-    --shards <S>      Split each native dispatch into S row shards
-                      (native backend only)
-    --stages <N|auto> Pipeline the layer stack into N stages, `auto` =
-                      one stage per layer (native backend only)
     --density <D>     Input activation density in [0, 1] [default: 0.35]
     --signed          Sample signed activations (embedding/LSTM inputs)
     --seed <N>        Input sampling seed [default: 1]
@@ -36,7 +32,6 @@ pub fn run(mut opts: Opts) -> Result<(), CliError> {
         Some(name) => parse_backend(&name)?,
         None => BackendKind::NativeCpu(0),
     };
-    let topology = parse_layout(&mut opts, backend)?;
     let batch_size: usize = opts.parsed(&["--batch"])?.unwrap_or(4);
     let density: f64 = opts.parsed(&["--density"])?.unwrap_or(0.35);
     let signed = opts.flag("--signed");
@@ -56,11 +51,7 @@ pub fn run(mut opts: Opts) -> Result<(), CliError> {
     let model = load_model(path)?;
     outln!("loaded    {model}");
     let batch = sample_batch(&model, batch_size, density, signed, seed);
-    let mut job = model.infer(backend);
-    if let Some(topology) = topology {
-        outln!("layout    {topology}");
-        job = job.topology(topology);
-    }
+    let job = model.infer(backend);
     let result = job.submit(&batch);
     outln!("served    {result}");
     if let Some(uj) = result.energy_per_frame_uj() {

@@ -28,10 +28,6 @@
 //!   `huffman-packed`, `bit-plane`): alternate byte streams that all
 //!   decode back to the same [`EncodedLayer`], trading stored bytes
 //!   against decode cost without touching any executor,
-//! * [`Topology`] — the execution layout layer: a plan's blocks fan
-//!   out as contiguous row shards owned by independent worker groups,
-//!   and a topology describes shard → group and layer → stage ownership
-//!   for the sharded/pipelined executors,
 //! * decoding back to [`CsrMatrix`] for golden-model verification.
 //!
 //! # Example
@@ -71,7 +67,7 @@ pub use encode::{
 };
 pub use kmeans::kmeans1d;
 pub use pipeline::{CodebookStrategy, CompilePipeline};
-pub use plan::{LayerPlan, PlanBlock, PlanEntry, Topology, BLOCK_ACCUMULATORS, LANE_WIDTH};
+pub use plan::{LayerPlan, PlanBlock, PlanEntry, BLOCK_ACCUMULATORS, LANE_WIDTH};
 pub use serialize::{DecodeLayerError, MAGIC};
 pub use stats::{huffman_bits, EncodingStats};
 

@@ -3,10 +3,9 @@
 //!
 //! Deep Compression + EIE is a fixed sequence of stages — **prune** →
 //! **quantize** (codebook fit) → **encode** (interleaved CSC) →
-//! **validate** → **pack** (binary image). Historically the repo had
-//! three half-overlapping entry points into that sequence
-//! (`Engine::compress`, `CompiledModel::compile`, the free
-//! [`compress`](crate::compress) function); all of them now delegate to
+//! **validate** → **pack** (binary image). Every entry point into that
+//! sequence (`CompiledModel::compile`, the free
+//! [`compress`](crate::compress) function) delegates to
 //! [`CompilePipeline`], so there is exactly one implementation of the
 //! model-build path and every artifact — whatever API produced it — went
 //! through the same validation.

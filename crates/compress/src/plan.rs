@@ -74,143 +74,6 @@ impl PlanEntry {
     }
 }
 
-/// How a compiled network's execution is laid out across worker groups:
-/// how many contiguous **row shards** split each layer's plan blocks, how
-/// many pipeline **stages** split the layer stack, and how many threads
-/// each shard's worker group owns.
-///
-/// A topology is a pure description of ownership — shard `i` is owned
-/// by worker group `i` of a stage, stage `s` owns a contiguous span of
-/// layers — that engines and executors resolve against what they
-/// actually have (block count, layer depth, available cores) via
-/// [`Topology::contiguous_ranges`] and [`Topology::stage_spans`]. The
-/// default ([`Topology::single`]) is one shard × one stage: exactly
-/// the single-pool execution path, unchanged.
-///
-/// Both axes partition **contiguously**: a shard owns a contiguous run
-/// of plan blocks and a stage owns a contiguous run of layers. Contiguity
-/// is what makes the shard merge a pure gather (a shard's accumulators
-/// are one span of the PE-major axis) and the stage hand-off a single
-/// activation stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Topology {
-    shards: u32,
-    /// `0` = auto: one stage per layer.
-    stages: u32,
-    /// `0` = auto: the executor divides its available threads.
-    group_threads: u32,
-}
-
-impl Topology {
-    /// The degenerate topology: one shard, one stage — the single-pool
-    /// execution path.
-    pub fn single() -> Self {
-        Self {
-            shards: 1,
-            stages: 1,
-            group_threads: 0,
-        }
-    }
-
-    /// Splits each layer's plan blocks across `shards` row-shard worker
-    /// groups.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "topology needs at least one shard");
-        self.shards = shards as u32;
-        self
-    }
-
-    /// Splits the layer stack across `stages` pipeline stages; `0`
-    /// means *auto* — one stage per layer, resolved by
-    /// [`Topology::stages_for`].
-    pub fn with_stages(mut self, stages: usize) -> Self {
-        self.stages = stages as u32;
-        self
-    }
-
-    /// Pins the thread count of every shard worker group; `0` means
-    /// *auto* — the executor divides what the host offers.
-    pub fn with_group_threads(mut self, threads: usize) -> Self {
-        self.group_threads = threads as u32;
-        self
-    }
-
-    /// Row-shard worker groups per stage.
-    pub fn shards(&self) -> usize {
-        self.shards as usize
-    }
-
-    /// Requested pipeline stages (`0` = auto, one per layer).
-    pub fn stages(&self) -> usize {
-        self.stages as usize
-    }
-
-    /// Threads per shard worker group (`0` = auto).
-    pub fn group_threads(&self) -> usize {
-        self.group_threads as usize
-    }
-
-    /// The stage count resolved against a concrete network depth:
-    /// auto becomes one stage per layer, and a request deeper than the
-    /// network clamps to `depth`.
-    pub fn stages_for(&self, depth: usize) -> usize {
-        let depth = depth.max(1);
-        if self.stages == 0 {
-            depth
-        } else {
-            (self.stages as usize).min(depth)
-        }
-    }
-
-    /// Whether this topology resolves to the plain single-pool path for
-    /// a `depth`-layer network (one shard, one stage).
-    pub fn is_single(&self, depth: usize) -> bool {
-        self.shards == 1 && self.stages_for(depth) == 1
-    }
-
-    /// The contiguous layer spans `[first, end)` owned by each pipeline
-    /// stage of a `depth`-layer network, in stage order (resolved via
-    /// [`Topology::stages_for`]).
-    pub fn stage_spans(&self, depth: usize) -> Vec<(usize, usize)> {
-        Self::contiguous_ranges(depth, self.stages_for(depth))
-    }
-
-    /// Splits `n` items into at most `parts` contiguous non-empty
-    /// ranges — the one chunking rule shards, stages and the native
-    /// dispatcher's thread ranges all share.
-    pub fn contiguous_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
-        let parts = parts.clamp(1, n.max(1));
-        let chunk = n.div_ceil(parts).max(1);
-        (0..n.div_ceil(chunk))
-            .map(|r| (r * chunk, ((r + 1) * chunk).min(n)))
-            .collect()
-    }
-}
-
-impl Default for Topology {
-    fn default() -> Self {
-        Self::single()
-    }
-}
-
-impl fmt::Display for Topology {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} shard(s) × ", self.shards)?;
-        match self.stages {
-            0 => write!(f, "auto stages")?,
-            n => write!(f, "{n} stage(s)")?,
-        }
-        if self.group_threads > 0 {
-            write!(f, ", {} thread(s)/group", self.group_threads)?;
-        }
-        Ok(())
-    }
-}
-
 /// One column-major block of a [`LayerPlan`]: a contiguous run of at
 /// most [`BLOCK_ACCUMULATORS`] accumulators of the layer's PE-major
 /// accumulator axis, with every real entry that feeds them — all PEs'
@@ -329,7 +192,7 @@ impl PlanBlock {
 /// column. Walking columns in ascending order therefore hands every
 /// `Accum32` the identical saturating-add sequence whatever the order or
 /// grouping of entries *within* a column — merging slices, cutting
-/// blocks anywhere, and fanning blocks out over threads or shards cannot
+/// blocks anywhere, and fanning blocks out over threads cannot
 /// reorder any accumulator's adds. And `lut[code] * a` is the same `i32`
 /// product the streaming kernel computes via `codebook[code]`. The plan
 /// property tests pin both against the functional golden model,
@@ -384,8 +247,8 @@ impl LayerPlan {
     }
 
     /// [`LayerPlan::build`] cut into at least `min_blocks` blocks (at
-    /// most one per row): blocks are the unit a multi-thread or sharded
-    /// engine fans out over. A server cuts its shared plan once for its
+    /// most one per row): blocks are the unit a multi-thread engine fans
+    /// out over. A server cuts its shared plan once for its
     /// kernel's threads; an engine handed a coarser plan re-blocks it
     /// once into a private copy.
     ///
@@ -924,40 +787,5 @@ mod tests {
             s.contains("rail-free post-ReLU always, signed always"),
             "{s}"
         );
-    }
-
-    #[test]
-    fn topology_resolution_and_display() {
-        let t = Topology::single();
-        assert!(t.is_single(5));
-        assert_eq!(t.stages_for(5), 1);
-        assert_eq!(t.stage_spans(3), vec![(0, 3)]);
-
-        let t = Topology::single().with_shards(3).with_stages(0);
-        assert!(!t.is_single(1));
-        assert_eq!(t.stages_for(5), 5); // auto: one stage per layer
-        assert_eq!(t.stages_for(1), 1);
-        assert_eq!(
-            Topology::contiguous_ranges(8, t.shards()),
-            vec![(0, 3), (3, 6), (6, 8)]
-        );
-        // More parts than items clamp to non-empty ranges.
-        assert_eq!(Topology::contiguous_ranges(2, 3), vec![(0, 1), (1, 2)]);
-        assert_eq!(t.to_string(), "3 shard(s) × auto stages");
-
-        let t = Topology::single()
-            .with_shards(2)
-            .with_stages(4)
-            .with_group_threads(2);
-        assert_eq!(t.stages_for(3), 3); // deeper than the net clamps
-        assert_eq!(t.stage_spans(3), vec![(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(t.to_string(), "2 shard(s) × 4 stage(s), 2 thread(s)/group");
-        assert_eq!(Topology::default(), Topology::single());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_rejected() {
-        let _ = Topology::single().with_shards(0);
     }
 }

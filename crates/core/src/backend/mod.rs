@@ -493,13 +493,6 @@ impl CompiledModel {
         &self.layers
     }
 
-    /// The layers as a reference vector — the shape the execution core
-    /// ([`run_stack_quantized`](crate::run_stack_quantized)) and the
-    /// legacy `Engine` network shims consume.
-    pub fn layer_refs(&self) -> Vec<&EncodedLayer> {
-        self.layers.iter().collect()
-    }
-
     /// One encoded layer.
     ///
     /// # Panics
@@ -576,24 +569,6 @@ impl CompiledModel {
     /// Output dimension (last layer's rows).
     pub fn output_dim(&self) -> usize {
         self.layers[self.layers.len() - 1].rows()
-    }
-
-    /// Runs a batch of `f32` input vectors end to end on the chosen
-    /// backend (quantizing to Q8.8 first), aggregating a
-    /// [`BatchResult`](crate::BatchResult).
-    ///
-    /// Deprecated thin shim: [`CompiledModel::infer`] is the one
-    /// inference surface — `model.infer(kind).submit(batch)` returns a
-    /// [`JobResult`](crate::JobResult) whose `.batch` field is this
-    /// method's return value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is empty or an item's length differs from
-    /// [`CompiledModel::input_dim`].
-    #[deprecated(since = "0.1.0", note = "use CompiledModel::infer(kind).submit(batch)")]
-    pub fn run_batch(&self, kind: BackendKind, batch: &[Vec<f32>]) -> crate::BatchResult {
-        self.infer(kind).submit(batch).batch
     }
 }
 
@@ -727,12 +702,6 @@ mod tests {
         let result = model.infer(BackendKind::Functional).submit(&batch);
         assert_eq!(result.batch_size(), 2);
         assert_eq!(result.outputs(0).len(), 8);
-        // The deprecated shim stays a bit-exact alias of the job surface.
-        #[allow(deprecated)]
-        let legacy = model.run_batch(BackendKind::Functional, &batch);
-        for i in 0..batch.len() {
-            assert_eq!(legacy.outputs(i), result.outputs(i));
-        }
     }
 
     #[test]

@@ -63,8 +63,8 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
 use eie_compress::{
-    EncodedLayer, LayerPlan, PeSlice, PlanBlock, PlanEntry, Topology, BLOCK_ACCUMULATORS,
-    CODEBOOK_SIZE, LANE_WIDTH,
+    EncodedLayer, LayerPlan, PeSlice, PlanBlock, PlanEntry, BLOCK_ACCUMULATORS, CODEBOOK_SIZE,
+    LANE_WIDTH,
 };
 use eie_fixed::{Accum32, Q8p8};
 use eie_sim::broadcast_schedule;
@@ -89,10 +89,20 @@ pub fn host_cores() -> usize {
 }
 
 /// Whether `plan` has a block for every range an engine fanning out
-/// over `fan_out` ranges dispatches (at most one range per row): the
+/// over `threads` ranges dispatches (at most one range per row): the
 /// test a caller's plan must pass to be walked as is.
-pub(crate) fn plan_fits(plan: &LayerPlan, fan_out: usize) -> bool {
-    plan.blocks().len() >= fan_out.min(plan.rows())
+pub(crate) fn plan_fits(plan: &LayerPlan, threads: usize) -> bool {
+    plan.blocks().len() >= threads.min(plan.rows())
+}
+
+/// Splits `n` items into at most `parts` contiguous non-empty ranges —
+/// the native dispatcher's per-thread block ranges.
+fn contiguous_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
+    let parts = parts.clamp(1, n.max(1));
+    let chunk = n.div_ceil(parts).max(1);
+    (0..n.div_ceil(chunk))
+        .map(|r| (r * chunk, ((r + 1) * chunk).min(n)))
+        .collect()
 }
 
 /// An optimized, multi-threaded interleaved-CSC SpMV kernel over the
@@ -144,11 +154,6 @@ struct PlanCacheMap {
 
 struct Inner {
     threads: usize,
-    /// Row-shard worker groups per layer ([`NativeCpu::with_shards`]):
-    /// each shard owns a contiguous run of plan blocks and a share of
-    /// the threads. `1` (the default) is the classic single-group
-    /// dispatch.
-    shards: usize,
     use_plans: bool,
     /// Spawned on the first parallel planned run; `threads - 1` parked
     /// workers (the session holder executes the remaining share).
@@ -169,7 +174,6 @@ impl std::fmt::Debug for NativeCpu {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NativeCpu")
             .field("threads", &self.inner.threads)
-            .field("shards", &self.inner.shards)
             .field("plans", &self.inner.use_plans)
             .field("cached_plans", &self.cached_plans())
             .finish()
@@ -193,47 +197,7 @@ impl NativeCpu {
         Self {
             inner: Arc::new(Inner {
                 threads,
-                shards: 1,
                 use_plans: true,
-                pool: OnceLock::new(),
-                plans: RwLock::new(PlanCacheMap::default()),
-                plan_builds: AtomicU64::new(0),
-                session: Mutex::new(Session::new()),
-            }),
-        }
-    }
-
-    /// Splits each layer's plan blocks across `shards` row-shard worker
-    /// groups (the in-process form of a [`Topology`] shard split):
-    /// shard `i` owns a contiguous run of blocks — one span of the
-    /// PE-major accumulator axis — subdivided among its group's share
-    /// of the threads, and the partial outputs merge at the gather
-    /// point. A plan with fewer blocks than the engine fans out over is
-    /// re-blocked once, through the engine's plan cache.
-    ///
-    /// The merge is bit-exact by construction: every accumulator
-    /// belongs to exactly one block, so no accumulator's saturating-add
-    /// stream crosses a shard boundary, and shard outputs land in
-    /// disjoint cells of the interleaved output (`row * num_pes + pe`)
-    /// — the same argument the per-thread ranges rely on, one grouping
-    /// level up. The shard proptests pin it against the unsharded
-    /// engine and the golden.
-    ///
-    /// More shards than a layer has rows clamp to one accumulator per
-    /// shard; more shards than threads run in successive waves on the
-    /// pool — the multi-process rehearsal shape, not a speedup on its
-    /// own.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn with_shards(self, shards: usize) -> Self {
-        assert!(shards > 0, "topology needs at least one shard");
-        Self {
-            inner: Arc::new(Inner {
-                threads: self.inner.threads,
-                shards,
-                use_plans: self.inner.use_plans,
                 pool: OnceLock::new(),
                 plans: RwLock::new(PlanCacheMap::default()),
                 plan_builds: AtomicU64::new(0),
@@ -250,7 +214,6 @@ impl NativeCpu {
         Self {
             inner: Arc::new(Inner {
                 threads: self.inner.threads,
-                shards: self.inner.shards,
                 use_plans: false,
                 pool: OnceLock::new(),
                 plans: RwLock::new(PlanCacheMap::default()),
@@ -263,11 +226,6 @@ impl NativeCpu {
     /// The configured worker count.
     pub fn threads(&self) -> usize {
         self.inner.threads
-    }
-
-    /// The configured row-shard worker-group count (1 = unsharded).
-    pub fn shards(&self) -> usize {
-        self.inner.shards
     }
 
     /// Whether runs execute pre-decoded plans (`false` only for the
@@ -303,12 +261,6 @@ impl NativeCpu {
         cache.bytes = 0;
     }
 
-    /// How many blocks this engine fans a layer out over: one per
-    /// thread, and at least one per shard.
-    fn fan_out(&self) -> usize {
-        self.inner.threads.max(self.inner.shards)
-    }
-
     /// The plan this engine runs `planned` with: the caller's plan (a
     /// model's shared one) when it has a block for every range the
     /// engine fans out over — always, for a model a `ModelServer`
@@ -317,12 +269,9 @@ impl NativeCpu {
     /// and otherwise the engine's own re-blocked plan, built once per
     /// layer instance into its cache (the fallback re-block). The
     /// shared plan is never modified.
-    ///
-    /// Crate-visible so the pipelined executor can resolve every
-    /// layer's plan against its owning stage engine up front.
-    pub(crate) fn resolve_plan(&self, planned: PlannedLayer<'_>) -> Arc<LayerPlan> {
+    fn resolve_plan(&self, planned: PlannedLayer<'_>) -> Arc<LayerPlan> {
         match planned.plan {
-            Some(plan) if plan_fits(plan, self.fan_out()) => Arc::clone(plan),
+            Some(plan) if plan_fits(plan, self.inner.threads) => Arc::clone(plan),
             _ => self.plan_for(planned.layer),
         }
     }
@@ -345,7 +294,7 @@ impl NativeCpu {
         {
             return Arc::clone(plan);
         }
-        let plan = Arc::new(LayerPlan::build_with_blocks(layer, self.fan_out()));
+        let plan = Arc::new(LayerPlan::build_with_blocks(layer, self.inner.threads));
         let size = plan.resident_bytes();
         let mut cache = self.inner.plans.write().expect("plan cache poisoned");
         if let Some(existing) = cache.plans.get(&id) {
@@ -420,73 +369,25 @@ impl NativeCpu {
         fused_runs(outputs, start.elapsed().as_secs_f64())
     }
 
-    /// The lean chunk entry for the pipelined executor
-    /// (`crate::pipeline`): raw `[item][global_row]` outputs with no
-    /// per-item [`BackendRun`] wrapping — timing and bookkeeping are the
-    /// owning stage's job, and interior pipeline layers would discard
-    /// them anyway. Executes the identical kernels (and so stays
-    /// bit-exact with every other entry point).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chunk is empty, an item's length differs from the
-    /// plan's input dimension, or a pool worker panicked.
-    pub(crate) fn run_chunk_planned(
-        &self,
-        plan: &Arc<LayerPlan>,
-        chunk: &[Vec<Q8p8>],
-        relu: bool,
-    ) -> Vec<Vec<Q8p8>> {
-        assert!(!chunk.is_empty(), "chunk must be non-empty");
-        for item in chunk {
-            assert_eq!(
-                item.len(),
-                plan.cols(),
-                "activation length mismatches the plan's input dimension"
-            );
-        }
-        self.planned(plan, chunk, relu)
-    }
-
-    /// The shard-addressable dispatch table for an `n`-block plan: the
-    /// engine's shard count carves the block list into contiguous shard
-    /// ranges ([`Topology::contiguous_ranges`] — shard `i` is worker
-    /// group `i`), and each shard range is subdivided among its group's
-    /// share of the threads. One shard (the default) reduces exactly to
-    /// the classic per-thread chunking.
+    /// The dispatch table for an `n`-block plan: the block list cut
+    /// into one contiguous range per thread (fewer when the plan has
+    /// fewer blocks).
     fn dispatch_ranges(&self, n: usize) -> Vec<(usize, usize)> {
-        let threads = self.inner.threads.min(n.max(1));
-        let shard_ranges = Topology::contiguous_ranges(n, self.inner.shards);
-        let groups = shard_ranges.len();
-        let mut ranges = Vec::new();
-        for (g, &(first, end)) in shard_ranges.iter().enumerate() {
-            // Threads split across groups as evenly as they go; a group
-            // never drops below one thread, so shards > threads yields
-            // more ranges than threads (run in waves below).
-            let group = (threads / groups + usize::from(g < threads % groups)).max(1);
-            for (a, b) in Topology::contiguous_ranges(end - first, group) {
-                ranges.push((first + a, first + b));
-            }
-        }
-        ranges
+        contiguous_ranges(n, self.inner.threads)
     }
 
-    /// The shared fan-out: build the shard-addressable dispatch table,
-    /// hand every range but the wave leader's to pool workers, run the
-    /// leader's range inline, wait, and let `gather` merge each range's
-    /// outputs from its worker's scratch.
+    /// The shared fan-out: build the dispatch table, hand every range
+    /// but the first to pool workers, run the first inline, wait, and
+    /// let `gather` merge each range's outputs from its worker's
+    /// scratch.
     ///
     /// **Merge point.** Ranges hold whole plan blocks, so every
     /// accumulator's saturating-add stream runs inside exactly one
     /// range; `gather` writes each range's finished values into
     /// disjoint cells of the interleaved output. The merge therefore
     /// reorders no adds and overlaps no writes — bit-exact for any
-    /// shard × thread split, which the shard proptests pin.
-    ///
-    /// With at most `threads` ranges (shards ≤ threads) everything
-    /// completes in one wave, scratch addressed by worker slot; more
-    /// shard ranges than threads run in successive waves, each wave's
-    /// scratch gathered before the slots are reused.
+    /// thread count, which the plan proptests pin. There are at most
+    /// `threads` ranges, so scratch is addressed by worker slot.
     ///
     /// Returns `true` if a pool worker panicked — the run is drained
     /// (the latch released, every mailbox idle) and gathering stopped;
@@ -510,32 +411,28 @@ impl NativeCpu {
             .inner
             .pool
             .get_or_init(|| WorkerPool::new(self.inner.threads - 1));
-        let slots = pool.len() + 1; // the session holder runs one range inline
-        for wave in ranges.chunks(slots) {
-            session.latch.reset(wave.len() - 1);
-            for (w, &blocks) in wave.iter().enumerate().skip(1) {
-                pool.submit(
-                    w - 1,
-                    Task {
-                        plan: Arc::clone(plan),
-                        input: input.clone(),
-                        blocks,
-                        relu,
-                        latch: Arc::clone(&session.latch),
-                    },
-                );
-            }
-            run_block_range(plan, &input, wave[0], relu, &mut session.local);
-            if session.latch.wait() {
-                // Gather nothing further: a dead range would leave
-                // silently wrong (partial) outputs. The caller
-                // re-raises the panic.
-                return true;
-            }
-            gather(plan, wave[0], &session.local);
-            for (w, &blocks) in wave.iter().enumerate().skip(1) {
-                pool.with_scratch(w - 1, |scratch| gather(plan, blocks, scratch));
-            }
+        session.latch.reset(ranges.len() - 1);
+        for (w, &blocks) in ranges.iter().enumerate().skip(1) {
+            pool.submit(
+                w - 1,
+                Task {
+                    plan: Arc::clone(plan),
+                    input: input.clone(),
+                    blocks,
+                    relu,
+                    latch: Arc::clone(&session.latch),
+                },
+            );
+        }
+        run_block_range(plan, &input, ranges[0], relu, &mut session.local);
+        if session.latch.wait() {
+            // Gather nothing further: a dead range would leave silently
+            // wrong (partial) outputs. The caller re-raises the panic.
+            return true;
+        }
+        gather(plan, ranges[0], &session.local);
+        for (w, &blocks) in ranges.iter().enumerate().skip(1) {
+            pool.with_scratch(w - 1, |scratch| gather(plan, blocks, scratch));
         }
         drop(input); // release the schedule Arc for next-call reuse
         false
@@ -1007,8 +904,8 @@ fn mac_span<const RAIL_FREE: bool>(
 /// Which instantiation of the lane walk a batch dispatches to on this
 /// host: `"avx2"` when the CPU has it, `"baseline"` (the same
 /// body at the build's default target features) otherwise. Recorded by
-/// `kernel_sweep` and `scaling_sweep` so committed numbers say what
-/// they measured, and printed by `eie serve` / `eie inspect`.
+/// `kernel_sweep` so committed numbers say what they measured, and
+/// printed by `eie serve` / `eie inspect`.
 pub fn lane_isa() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
@@ -1536,8 +1433,7 @@ mod tests {
     #[test]
     fn multi_block_layers_match_golden_on_every_path() {
         // 8791 rows: three plan blocks whose cuts fall inside PE
-        // slices (NT-Wd's shape), walked single, fused, threaded and
-        // sharded.
+        // slices (NT-Wd's shape), walked single, fused and threaded.
         let m = eie_nn::zoo::random_sparse(8791, 40, 0.03, 5);
         let enc = compress(&m, CompressConfig::with_pes(64));
         let batch: Vec<Vec<Q8p8>> = (0..9)
@@ -1547,12 +1443,12 @@ mod tests {
             .iter()
             .map(|acts| functional::execute(&enc, acts, false))
             .collect();
-        for (threads, shards) in [(1, 1), (2, 1), (3, 2), (1, 7)] {
-            let engine = NativeCpu::with_threads(threads).with_shards(shards);
+        for threads in [1, 2, 3] {
+            let engine = NativeCpu::with_threads(threads);
             assert_eq!(engine.run_layer(&enc, &batch[0], false).outputs, want[0]);
             let runs = engine.run_layer_batch(&enc, &batch, false);
             for (i, run) in runs.iter().enumerate() {
-                assert_eq!(run.outputs, want[i], "item {i} ({threads}t/{shards}s)");
+                assert_eq!(run.outputs, want[i], "item {i} ({threads}t)");
             }
         }
     }
@@ -1576,7 +1472,7 @@ mod tests {
         let want = narrow.run_layer_batch_planned(planned, &batch, true);
         assert_eq!(narrow.plan_builds(), 0);
         // A wider engine needs a block per range: one build, cached.
-        let wide = NativeCpu::with_threads(2).with_shards(3);
+        let wide = NativeCpu::with_threads(3);
         for _ in 0..3 {
             let got = wide.run_layer_batch_planned(planned, &batch, true);
             for (g, w) in got.iter().zip(&want) {
@@ -1610,63 +1506,22 @@ mod tests {
     }
 
     #[test]
-    fn sharded_dispatch_is_bit_exact_for_any_shard_thread_split() {
-        // Shards regroup whole plan blocks across worker groups; no
-        // accumulator's add stream crosses a boundary, so every split —
-        // including more shards than threads (wave scheduling) and a
-        // block cut that falls inside PE slices — must reproduce the
-        // unsharded outputs exactly.
-        let layer = Benchmark::Alex6.generate_scaled(4, 64);
-        let enc = compress(&layer.weights, CompressConfig::with_pes(8));
-        let acts = quantize(&layer.sample_activations(3));
-        let batch: Vec<Vec<Q8p8>> = (0..9)
-            .map(|i| quantize(&layer.sample_activations(i)))
-            .collect();
-        let baseline = NativeCpu::with_threads(1);
-        let single = baseline.run_layer(&enc, &acts, false).outputs;
-        let fused = baseline.run_layer_batch(&enc, &batch, true);
-        for threads in [1, 2, 4] {
-            for shards in [1, 2, 3, 7, 8, 16] {
-                let sharded = NativeCpu::with_threads(threads).with_shards(shards);
-                assert_eq!(sharded.shards(), shards);
-                let s = sharded.run_layer(&enc, &acts, false);
-                assert_eq!(s.outputs, single, "single {shards}s/{threads}t");
-                let sb = sharded.run_layer_batch(&enc, &batch, true);
-                for i in 0..batch.len() {
-                    assert_eq!(
-                        sb[i].outputs, fused[i].outputs,
-                        "batch item {i} {shards}s/{threads}t"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dispatch_ranges_tile_the_block_list_per_shard() {
-        // 8 blocks, 2 shards, 4 threads: each shard's range subdivides
-        // among its group's two threads.
-        let engine = NativeCpu::with_threads(4).with_shards(2);
+    fn dispatch_ranges_tile_the_block_list() {
+        // One contiguous range per thread, the remainder on the last.
+        let engine = NativeCpu::with_threads(4);
         assert_eq!(
             engine.dispatch_ranges(8),
             vec![(0, 2), (2, 4), (4, 6), (6, 8)]
         );
-        // One shard reduces to the classic per-thread chunking.
-        let flat = NativeCpu::with_threads(4);
         assert_eq!(
-            flat.dispatch_ranges(8),
-            vec![(0, 2), (2, 4), (4, 6), (6, 8)]
+            NativeCpu::with_threads(3).dispatch_ranges(8),
+            vec![(0, 3), (3, 6), (6, 8)]
         );
-        // More shards than threads: one range per shard, run in waves.
-        let waves = NativeCpu::with_threads(1).with_shards(3);
-        assert_eq!(waves.dispatch_ranges(8), vec![(0, 3), (3, 6), (6, 8)]);
-        // Uneven thread share: the remainder lands on the first groups.
-        let uneven = NativeCpu::with_threads(3).with_shards(2);
-        assert_eq!(uneven.dispatch_ranges(8), vec![(0, 2), (2, 4), (4, 8)]);
-        // Ranges always cover the axis exactly, in order.
-        for (threads, shards, blocks) in [(5, 3, 17), (2, 7, 4), (8, 1, 3)] {
-            let engine = NativeCpu::with_threads(threads).with_shards(shards);
-            let ranges = engine.dispatch_ranges(blocks);
+        // Never more ranges than blocks or threads, and the ranges
+        // always cover the axis exactly, in order.
+        for (threads, blocks) in [(5, 17), (2, 4), (8, 3), (1, 9), (3, 0)] {
+            let ranges = NativeCpu::with_threads(threads).dispatch_ranges(blocks);
+            assert!(ranges.len() <= threads.min(blocks));
             let mut next = 0;
             for (a, b) in ranges {
                 assert_eq!(a, next);
@@ -1675,12 +1530,6 @@ mod tests {
             }
             assert_eq!(next, blocks);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn rejects_zero_shards() {
-        let _ = NativeCpu::new().with_shards(0);
     }
 
     #[test]

@@ -12,12 +12,9 @@
 //! The protocol is deliberately channel-free: a `Mutex<Slot>` +
 //! `Condvar` pair per worker is a fixed-size mailbox (no queue-node
 //! allocation per send, unlike `mpsc`), and a shared [`Latch`] counts
-//! the in-flight tasks of one wave back to zero. The backend holds
+//! the in-flight tasks of one run back to zero. The backend holds
 //! its session lock for the whole run, so at most one task is ever
-//! pending per worker — the mailbox can never overflow. A sharded
-//! dispatch with more shard ranges than pool slots reuses the same
-//! discipline in successive waves: each wave's latch releases (and its
-//! scratch is gathered) before the next wave's submits.
+//! pending per worker — the mailbox can never overflow.
 //!
 //! Lifecycle: the owning backend distributes one [`Task`] per busy
 //! worker, runs its own share of the plan blocks inline, waits on the
@@ -161,11 +158,6 @@ impl WorkerPool {
             workers: shared,
             handles,
         }
-    }
-
-    /// Number of pool threads.
-    pub(super) fn len(&self) -> usize {
-        self.workers.len()
     }
 
     /// Hands `task` to worker `i`'s mailbox and wakes it.

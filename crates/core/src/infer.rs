@@ -37,20 +37,18 @@ use std::ops::{Bound, RangeBounds};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use eie_compress::{EncodedLayer, Topology};
-use eie_energy::EnergyReport;
+use eie_compress::EncodedLayer;
+use eie_energy::{EnergyReport, LayerActivity};
 use eie_fixed::Q8p8;
 use eie_sim::SimStats;
 
 use crate::backend::{Backend, BackendKind, BackendRun, CompiledModel, PlannedLayer};
-use crate::engine::activity_from_stats;
-use crate::pipeline::PipelinedStack;
 use crate::{BatchResult, EieConfig};
 
 impl CompiledModel {
     /// Starts an inference job on this model for the given backend — the
-    /// single entry point that replaced the four `Engine::run_*`
-    /// methods.
+    /// single execution entry point for layers, networks and batches on
+    /// every backend.
     ///
     /// The job defaults to the whole layer stack, the model's compiled
     /// configuration, and energy pricing on (a no-op on backends without
@@ -63,7 +61,6 @@ impl CompiledModel {
             first: 0,
             end: self.num_layers(),
             price_energy: true,
-            topology: None,
             engine: OnceLock::new(),
         }
     }
@@ -84,9 +81,6 @@ pub struct InferenceJob<'m> {
     first: usize,
     end: usize,
     price_energy: bool,
-    /// Sharded/pipelined execution layout ([`InferenceJob::topology`]);
-    /// `None` runs the classic single-engine layer-at-a-time loop.
-    topology: Option<Topology>,
     /// The instantiated backend, built on the first submit and reused
     /// across submits of the same job — a looping caller keeps the
     /// `NativeCpu` engine (worker pool, plan cache, warm scratch) alive
@@ -157,22 +151,6 @@ impl<'m> InferenceJob<'m> {
         self
     }
 
-    /// Routes the job through the sharded/pipelined executor
-    /// ([`PipelinedStack`]): the selected layers are carved into
-    /// `topology.stages()` stages (each with its own row-sharded
-    /// engine) and the batch streams between them through bounded
-    /// queues. Outputs stay bit-exact with the default path; latency
-    /// percentiles become degenerate (the batch completes as a unit)
-    /// and no energy report is produced.
-    ///
-    /// Only meaningful on [`BackendKind::NativeCpu`];
-    /// [`InferenceJob::submit`] panics for other backends (the CLI
-    /// validates this combination up front).
-    pub fn topology(mut self, topology: Topology) -> Self {
-        self.topology = Some(topology);
-        self
-    }
-
     /// The backend this job will execute on.
     pub fn backend(&self) -> BackendKind {
         self.backend
@@ -187,9 +165,6 @@ impl<'m> InferenceJob<'m> {
     /// first selected layer's input dimension, or the execution
     /// configuration's PE count mismatches the compiled layers.
     pub fn submit(&self, inputs: &[Vec<f32>]) -> JobResult {
-        if let Some(topology) = self.topology {
-            return self.submit_pipelined(inputs, &topology);
-        }
         let backend = self
             .engine
             .get_or_init(|| Arc::from(self.backend.instantiate(&self.config)));
@@ -218,55 +193,6 @@ impl<'m> InferenceJob<'m> {
         (self.first..self.end)
             .map(|i| self.model.planned_layer(i))
             .collect()
-    }
-
-    /// The topology-routed submit: quantize, stream the batch through a
-    /// [`PipelinedStack`], wrap the result in the unified [`JobResult`]
-    /// shape (fused semantics: every item reports the batch's wall
-    /// time; no activity statistics, so no energy report).
-    fn submit_pipelined(&self, inputs: &[Vec<f32>], topology: &Topology) -> JobResult {
-        let threads = match self.backend {
-            BackendKind::NativeCpu(t) => t,
-            other => panic!("a topology requires the native-cpu backend, not {other}"),
-        };
-        assert!(!inputs.is_empty(), "batch must be non-empty");
-        for i in self.first..self.end {
-            assert_eq!(
-                self.model.layers()[i].num_pes(),
-                self.config.num_pes,
-                "layer compressed for a different PE count"
-            );
-        }
-        let layers = self.assemble_layers(true);
-        let quantized: Vec<Vec<Q8p8>> = inputs
-            .iter()
-            .map(|acts| Q8p8::from_f32_slice(acts))
-            .collect();
-        let stack = PipelinedStack::new(&layers, topology, threads);
-        let run = stack.run(&quantized);
-        let n = run.outputs.len();
-        let amortized_s = run.wall_s / n as f64;
-        let items = run
-            .outputs
-            .into_iter()
-            .map(|outputs| BackendRun {
-                outputs,
-                latency_s: run.wall_s,
-                amortized_s,
-                stats: None,
-            })
-            .collect();
-        JobResult {
-            backend: self.backend,
-            clock_hz: self.config.clock_hz,
-            batch: BatchResult {
-                backend: "native-pipelined",
-                items,
-                wall_s: run.wall_s,
-                energy: None,
-            },
-            phases: run.phases,
-        }
     }
 
     /// Submits a single input vector — shorthand for a batch of one.
@@ -585,15 +511,29 @@ fn chain_stack(
     (items, phases)
 }
 
+/// Converts simulator statistics into the energy model's activity counts.
+fn activity_from_stats(stats: &SimStats) -> LayerActivity {
+    LayerActivity {
+        cycles: stats.total_cycles,
+        num_pes: stats.num_pes(),
+        spmat_row_reads: stats.spmat_row_reads(),
+        ptr_bank_reads: stats.ptr_bank_reads(),
+        macs: stats.total_macs(),
+        dest_reads: stats.pe.iter().map(|p| p.dest_reads).sum(),
+        dest_writes: stats.pe.iter().map(|p| p.dest_writes).sum(),
+        queue_pushes: stats.pe.iter().map(|p| p.queue_pushes).sum(),
+        queue_pops: stats.pe.iter().map(|p| p.queue_pops).sum(),
+        output_writes: stats.pe.iter().map(|p| p.output_writes).sum(),
+        input_reads: stats.broadcasts,
+    }
+}
+
 /// The shared execution core: quantize → chain the stack on an
 /// already-instantiated backend → aggregate per-item, per-layer and
 /// whole-batch views (`kind` names the backend in the result).
 ///
-/// Every public execution surface funnels here: [`InferenceJob::submit`]
-/// directly (with its cached engine), and the deprecated
-/// `Engine::run_batch` / `Engine::run_network_batch` shims through
-/// their layer slices (instantiating per call).
-pub(crate) fn execute_stack(
+/// [`InferenceJob::submit`] funnels here with its cached engine.
+fn execute_stack(
     config: &EieConfig,
     kind: BackendKind,
     backend: &dyn Backend,
@@ -772,36 +712,37 @@ mod tests {
     }
 
     #[test]
-    fn topology_jobs_match_the_default_path_bit_for_bit() {
+    fn activity_conversion_sums_pe_counters() {
         let model = two_layer_model();
-        let inputs = batch(5);
-        let baseline = model.infer(BackendKind::NativeCpu(1)).submit(&inputs);
-        for topology in [
-            Topology::single().with_shards(3),
-            Topology::single().with_stages(2),
-            Topology::single().with_stages(0).with_shards(2),
-        ] {
-            let job = model
-                .infer(BackendKind::NativeCpu(1))
-                .topology(topology)
-                .submit(&inputs);
-            assert_eq!(job.batch_size(), 5);
-            assert_eq!(job.layer_phases().len(), 2);
-            assert!(job.energy().is_none());
-            for i in 0..5 {
-                assert_eq!(job.outputs(i), baseline.outputs(i), "{topology} diverged");
-            }
-        }
+        let job = model
+            .infer(BackendKind::CycleAccurate)
+            .layer(0)
+            .submit(&batch(1));
+        let stats = job.stats(0).expect("cycle backend reports stats");
+        let act = activity_from_stats(stats);
+        assert_eq!(act.num_pes, 4);
+        assert_eq!(act.macs, stats.total_macs());
+        assert!(act.spmat_row_reads > 0);
+        assert!(act.dest_writes >= act.macs); // every MAC writes
     }
 
     #[test]
-    #[should_panic(expected = "requires the native-cpu backend")]
-    fn topology_rejects_non_native_backends() {
+    fn cycle_batch_matches_per_item_jobs_and_prices_energy() {
         let model = two_layer_model();
-        let _ = model
-            .infer(BackendKind::Functional)
-            .topology(Topology::single().with_stages(2))
-            .submit(&batch(1));
+        let inputs = batch(3);
+        let job = model.infer(BackendKind::CycleAccurate).submit(&inputs);
+        let (mut wall_us, mut uj) = (0.0, 0.0);
+        for (i, item) in inputs.iter().enumerate() {
+            let single = model.infer(BackendKind::CycleAccurate).submit_one(item);
+            assert_eq!(job.outputs(i), single.outputs(0));
+            assert!((job.latency_us(i) - single.time_us()).abs() < 1e-9);
+            wall_us += single.time_us();
+            uj += single.energy().unwrap().total_uj();
+        }
+        // The modelled hardware runs items back to back, and energy
+        // pricing is linear in activity.
+        assert!((job.time_us() - wall_us).abs() < 1e-9);
+        assert!((job.energy().unwrap().total_uj() - uj).abs() / uj < 1e-9);
     }
 
     #[test]

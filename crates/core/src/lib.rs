@@ -54,9 +54,7 @@ pub mod backend;
 mod batch;
 mod benchmarks;
 mod config;
-mod engine;
 pub mod infer;
-pub mod pipeline;
 pub mod prelude;
 
 pub use artifact::{ModelArtifactError, MODEL_EXTENSION, MODEL_MAGIC, MODEL_VERSION};
@@ -67,14 +65,7 @@ pub use backend::{
 pub use batch::{percentile, BatchResult};
 pub use benchmarks::BenchmarkInstance;
 pub use config::EieConfig;
-pub use engine::{activity_from_stats, Engine, ExecutionResult, NetworkResult};
 pub use infer::{run_stack_planned, run_stack_quantized, InferenceJob, JobResult, LayerPhase};
-pub use pipeline::{run_stack_pipelined, PipelineRun, PipelinedStack, QUEUE_DEPTH};
-
-// The execution-layout type is a first-class core concept (the
-// topology knob on `InferenceJob` and `PipelinedStack`), so it is
-// re-exported at the root alongside the executors that consume it.
-pub use eie_compress::Topology;
 
 /// The Deep Compression pipeline (re-export of `eie-compress`).
 pub mod compress {

@@ -12,16 +12,15 @@
 
 pub use crate::backend::lane_isa;
 pub use crate::{
-    activity_from_stats, percentile, run_stack_pipelined, Backend, BackendKind, BackendRun,
-    BatchResult, BenchmarkInstance, CompiledModel, CycleAccurate, EieConfig, Engine,
-    ExecutionResult, Functional, InferenceJob, JobResult, LayerPhase, ModelArtifactError,
-    NativeCpu, NetworkResult, PipelineRun, PipelinedStack, PlannedLayer,
+    percentile, Backend, BackendKind, BackendRun, BatchResult, BenchmarkInstance, CompiledModel,
+    CycleAccurate, EieConfig, Functional, InferenceJob, JobResult, LayerPhase, ModelArtifactError,
+    NativeCpu, PlannedLayer,
 };
 
 pub use eie_compress::{
     compress, decode_any, encode_with_codebook, BitPlane, Codebook, CodebookStrategy,
     CompilePipeline, CompressConfig, CscNibble, EncodedLayer, EncodingStats, HuffmanPacked,
-    LayerPlan, Topology, WeightCodec, WeightCodecKind, LANE_WIDTH,
+    LayerPlan, WeightCodec, WeightCodecKind, LANE_WIDTH,
 };
 pub use eie_energy::{platform::Platform, EnergyReport, LayerActivity, PeModel, SramModel};
 pub use eie_fixed::{Accum32, Fix16, Precision, Q8p8, QFormat};

@@ -12,7 +12,7 @@
 //! like 13), where a tail-block bug would show, and on the block
 //! structure's own corners: multi-block layers, block cuts inside a PE
 //! slice, empty slices, and clamping rows that straddle a block
-//! boundary, across thread × shard fan-outs.
+//! boundary, across thread fan-outs.
 //!
 //! The rail-free lanes are held to the same oracle from both sides: the
 //! *proof* (`PlanBlock::rail_free_for`, the predicate the kernel itself
@@ -312,35 +312,27 @@ fn block_case(rows: usize, cols: usize, pes: usize, density: f64, batch: usize) 
 
 type Case = (EncodedLayer, Vec<Vec<Q8p8>>);
 
-/// Asserts every thread × shard fan-out of the plan engine — through
-/// its own cache and through a model's shared plan — reproduces the
-/// functional golden, single and batched.
+/// Asserts every thread fan-out of the plan engine — through its own
+/// cache and through a model's shared plan — reproduces the functional
+/// golden, single and batched.
 fn assert_fan_outs_match_golden(enc: &EncodedLayer, batch: &[Vec<Q8p8>], relu: bool) {
     let golden = Functional::new().run_layer_batch(enc, batch, relu);
     let config = EieConfig::default().with_num_pes(enc.num_pes());
     let model = CompiledModel::from_layers(config, vec![enc.clone()]);
     for threads in [1usize, 2, 3] {
-        for shards in [1usize, 2, 3, 7] {
-            let engine = NativeCpu::with_threads(threads).with_shards(shards);
-            let own = engine.run_layer_batch(enc, batch, relu);
-            let shared = engine.run_layer_batch_planned(model.planned_layer(0), batch, relu);
-            let solo = engine.run_layer_planned(model.planned_layer(0), &batch[0], relu);
-            assert_eq!(solo.outputs, golden[0].outputs, "solo {threads}t/{shards}s");
-            for i in 0..batch.len() {
-                assert_eq!(
-                    own[i].outputs, golden[i].outputs,
-                    "item {i} {threads}t/{shards}s"
-                );
-                assert_eq!(
-                    shared[i].outputs, golden[i].outputs,
-                    "item {i} {threads}t/{shards}s"
-                );
-            }
-            // However often the engine re-blocked for itself, it did so
-            // once, and never through the model's shared cache.
-            assert_eq!(engine.plan_builds(), 1, "{threads}t/{shards}s");
-            assert_eq!(model.plans_built(), 1);
+        let engine = NativeCpu::with_threads(threads);
+        let own = engine.run_layer_batch(enc, batch, relu);
+        let shared = engine.run_layer_batch_planned(model.planned_layer(0), batch, relu);
+        let solo = engine.run_layer_planned(model.planned_layer(0), &batch[0], relu);
+        assert_eq!(solo.outputs, golden[0].outputs, "solo {threads}t");
+        for i in 0..batch.len() {
+            assert_eq!(own[i].outputs, golden[i].outputs, "item {i} {threads}t");
+            assert_eq!(shared[i].outputs, golden[i].outputs, "item {i} {threads}t");
         }
+        // However often the engine re-blocked for itself, it did so
+        // once, and never through the model's shared cache.
+        assert_eq!(engine.plan_builds(), 1, "{threads}t");
+        assert_eq!(model.plans_built(), 1);
     }
 }
 

@@ -1,14 +1,15 @@
-//! Property tests of the execution topology: sharding a dispatch and
-//! pipelining a stack are *scheduling* changes, never numerical ones.
+//! Property tests of the threaded stack dispatch: fanning a layer's
+//! plan blocks out over threads is a *scheduling* change, never a
+//! numerical one.
 //!
-//! For random layer stacks, PE counts, shard counts (including more
-//! shards than PEs), stage counts and lane-remainder batches, the
-//! sharded pool and the pipelined executor must produce `Q8p8` outputs
-//! bit-identical to the unsharded [`run_stack_planned`] baseline and to
-//! the functional golden model — including on saturation-heavy inputs
-//! near the `Accum32` rails fed *through* ReLU into a second layer,
-//! where any change to a single add's order or a shard boundary that
-//! splits an accumulator chain would be observable.
+//! For random layer stacks, PE counts, thread counts and lane-remainder
+//! batches, `NativeCpu::with_threads(t)` over plans cut for `t` threads
+//! ([`CompiledModel::cut_plans`], as `ModelServer` cuts them) must
+//! produce `Q8p8` outputs bit-identical to the functional golden model —
+//! including on saturation-heavy inputs near the `Accum32` rails fed
+//! *through* ReLU into a second layer, where any change to a single
+//! add's order or a range boundary that splits an accumulator chain
+//! would be observable.
 
 use eie_core::prelude::*;
 use eie_core::run_stack_planned;
@@ -26,12 +27,9 @@ fn nonzero_sparse(rows: usize, cols: usize, density: f64, seed: u64) -> CsrMatri
     m
 }
 
-/// Strategy: a 1–3 layer chained stack, a PE count from {1, 2, 4}, a
-/// lane-remainder batch, and a shard count from the issue's
-/// {1, 2, 3, 7} (7 exceeds every drawn PE count: the degenerate
-/// more-shards-than-PEs split must collapse, not crash).
-#[allow(clippy::type_complexity)]
-fn arb_case() -> impl Strategy<Value = (CompiledModel, Vec<Vec<Q8p8>>, usize, usize)> {
+/// Strategy: a 1–3 layer chained stack, a PE count from {1, 2, 4} and a
+/// lane-remainder batch.
+fn arb_case() -> impl Strategy<Value = (CompiledModel, Vec<Vec<Q8p8>>)> {
     (
         proptest::collection::vec(4usize..28, 2..=4),
         0.1f64..0.5,
@@ -42,128 +40,78 @@ fn arb_case() -> impl Strategy<Value = (CompiledModel, Vec<Vec<Q8p8>>, usize, us
         // Every remainder class of the lane kernel's tail block plus a
         // larger non-multiple.
         prop_oneof![1usize..=LANE_WIDTH + 1, Just(13usize)],
-        prop_oneof![Just(1usize), Just(2), Just(3), Just(7)],
-        0usize..=4,
     )
-        .prop_map(
-            |(dims, density, seed, pes, act_density, act_seed, batch, shards, stages)| {
-                let weights: Vec<CsrMatrix> = dims
-                    .windows(2)
-                    .enumerate()
-                    .map(|(i, w)| nonzero_sparse(w[1], w[0], density, seed.wrapping_add(i as u64)))
-                    .collect();
-                let refs: Vec<&CsrMatrix> = weights.iter().collect();
-                let model = CompiledModel::compile(EieConfig::default().with_num_pes(pes), &refs);
-                let items = (0..batch as u64)
-                    .map(|i| {
-                        Q8p8::from_f32_slice(&eie_core::nn::zoo::sample_activations(
-                            dims[0],
-                            act_density,
-                            true,
-                            act_seed.wrapping_add(i),
-                        ))
-                    })
-                    .collect();
-                (model, items, shards, stages)
-            },
-        )
+        .prop_map(|(dims, density, seed, pes, act_density, act_seed, batch)| {
+            let weights: Vec<CsrMatrix> = dims
+                .windows(2)
+                .enumerate()
+                .map(|(i, w)| nonzero_sparse(w[1], w[0], density, seed.wrapping_add(i as u64)))
+                .collect();
+            let refs: Vec<&CsrMatrix> = weights.iter().collect();
+            let model = CompiledModel::compile(EieConfig::default().with_num_pes(pes), &refs);
+            let items = (0..batch as u64)
+                .map(|i| {
+                    Q8p8::from_f32_slice(&eie_core::nn::zoo::sample_activations(
+                        dims[0],
+                        act_density,
+                        true,
+                        act_seed.wrapping_add(i),
+                    ))
+                })
+                .collect();
+            (model, items)
+        })
 }
 
-/// Asserts unsharded baseline == functional golden == sharded pool ==
-/// pipelined executor (run + pinned chunk granularities), item by item.
-fn assert_topology_agrees(
-    model: &CompiledModel,
+/// Cuts the model's plans for `threads` and asserts the threaded
+/// stack equals the functional golden, item by item.
+fn assert_threads_agree(
+    mut model: CompiledModel,
     batch: &[Vec<Q8p8>],
-    shards: usize,
-    stages: usize,
     threads: usize,
 ) -> Result<(), TestCaseError> {
-    let planned = model.planned_layers();
-    let golden: Vec<Vec<Q8p8>> = run_stack_planned(&Functional::new(), &planned, batch)
-        .into_iter()
-        .map(|run| run.outputs)
-        .collect();
-    let baseline = run_stack_planned(&NativeCpu::with_threads(threads), &planned, batch);
-    for (i, run) in baseline.iter().enumerate() {
+    let golden = run_stack_planned(&Functional::new(), &model.planned_layers(), batch);
+    model.cut_plans(threads);
+    let engine = NativeCpu::with_threads(threads);
+    let runs = run_stack_planned(&engine, &model.planned_layers(), batch);
+    prop_assert_eq!(runs.len(), batch.len());
+    for (i, (run, want)) in runs.iter().zip(&golden).enumerate() {
         prop_assert_eq!(
             &run.outputs,
-            &golden[i],
-            "unsharded baseline diverged from golden at item {} ({} threads)",
+            &want.outputs,
+            "threaded stack diverged from golden at item {} ({} threads)",
             i,
             threads
         );
     }
-
-    let sharded = NativeCpu::with_threads(threads).with_shards(shards);
-    let sharded_runs = run_stack_planned(&sharded, &planned, batch);
-    for (i, run) in sharded_runs.iter().enumerate() {
-        prop_assert_eq!(
-            &run.outputs,
-            &golden[i],
-            "sharded pool diverged at item {} ({} shards, {} threads)",
-            i,
-            shards,
-            threads
-        );
-    }
-
-    let topology = Topology::single().with_shards(shards).with_stages(stages);
-    let stack = PipelinedStack::new(&planned, &topology, threads);
-    let piped = stack.run(batch);
-    prop_assert_eq!(piped.outputs.len(), batch.len());
-    for (i, out) in piped.outputs.iter().enumerate() {
-        prop_assert_eq!(
-            out,
-            &golden[i],
-            "pipelined diverged at item {} ({}, {} threads)",
-            i,
-            topology,
-            threads
-        );
-    }
-    // Chunk granularity is scheduling only: single-item chunks maximise
-    // queue traffic, lane-width chunks exercise the tail block.
-    for chunk_frames in [1usize, LANE_WIDTH] {
-        let chunked = stack.run_chunked(batch, chunk_frames);
-        for (i, out) in chunked.outputs.iter().enumerate() {
-            prop_assert_eq!(
-                out,
-                &golden[i],
-                "pipelined chunk {} diverged at item {} ({})",
-                chunk_frames,
-                i,
-                topology
-            );
-        }
-    }
+    // The cut plans fit the engine: it never re-blocked a private copy.
+    prop_assert_eq!(engine.plan_builds(), 0);
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random stacks × PEs × shards × stages × batch shapes: every
-    /// topology reproduces the unsharded planned baseline and the
-    /// golden model bit for bit.
+    /// Random stacks × PEs × threads × batch shapes: every thread
+    /// count reproduces the golden model bit for bit.
     #[test]
-    fn sharded_and_pipelined_stacks_are_bit_exact(
-        (model, batch, shards, stages) in arb_case(),
-        threads in 1usize..4,
+    fn threaded_stacks_are_bit_exact(
+        (model, batch) in arb_case(),
+        threads in 1usize..=3,
     ) {
-        assert_topology_agrees(&model, &batch, shards, stages, threads)?;
+        assert_threads_agree(model, &batch, threads)?;
     }
 
     /// Near-rail weights and activations: layer-0 accumulators clamp,
-    /// ReLU gates the clamped values into layer 1, and every topology
-    /// must still agree on every bit — shard boundaries and stage
-    /// handoffs may never split or reorder one item's add chain.
+    /// ReLU gates the clamped values into layer 1, and every thread
+    /// count must still agree on every bit — range boundaries may never
+    /// split or reorder one item's add chain.
     #[test]
     fn saturating_stacks_pin_the_add_order(
         seed in any::<u64>(),
         pes in prop_oneof![Just(1usize), Just(2), Just(4)],
         batch in prop_oneof![1usize..=LANE_WIDTH + 1, Just(13usize)],
-        shards in prop_oneof![Just(1usize), Just(2), Just(3), Just(7)],
-        stages in 0usize..=3,
+        threads in 1usize..=3,
     ) {
         let mut state = seed | 1;
         let mut next = move || {
@@ -215,6 +163,6 @@ proptest! {
             first.iter().any(|v| *v == Q8p8::MAX || *v == Q8p8::MIN),
             "saturation strategy produced no clamped layer-0 outputs"
         );
-        assert_topology_agrees(&model, &items, shards, stages, 2)?;
+        assert_threads_agree(model, &items, threads)?;
     }
 }

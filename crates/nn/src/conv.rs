@@ -302,14 +302,13 @@ impl WinogradConv3x3 {
     /// stride 2, runs the 16 reductions per tile, inverse-transforms.
     ///
     /// The per-position reduction `U^{(i,j)} · v^{(i,j)}` is exactly the
-    /// product EIE accelerates; callers with an [`Engine`] can substitute
-    /// the simulator for `gemv` (see the `winograd_conv` example).
+    /// product EIE accelerates; callers holding an `eie-core` compiled
+    /// model can substitute the simulator for `gemv` (see the
+    /// `winograd_conv` example).
     ///
     /// # Panics
     ///
     /// Panics if the input is smaller than 4×4 or has odd output size.
-    ///
-    /// [`Engine`]: https://docs.rs/eie-core
     pub fn forward(&self, input: &FeatureMap) -> FeatureMap {
         self.forward_with(input, |pos, v| self.u[pos].gemv(v))
     }

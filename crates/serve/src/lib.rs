@@ -57,7 +57,7 @@
 //! ## Fault model
 //!
 //! Parts of a serving node fail without taking the node down, and
-//! every failure a caller can see is **typed** (DESIGN.md §12):
+//! every failure a caller can see is **typed** (DESIGN.md §11):
 //!
 //! * Requests may carry a **deadline** ([`SubmitOptions`], or the v2
 //!   INFER frame); once lapsed they are answered `DEADLINE_EXCEEDED`

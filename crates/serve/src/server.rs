@@ -11,8 +11,7 @@ use std::time::{Duration, Instant};
 use eie_core::backend::host_cores;
 use eie_core::fixed::Q8p8;
 use eie_core::{
-    percentile, run_stack_planned, BackendKind, CompiledModel, ModelArtifactError, PipelinedStack,
-    PlannedLayer, Topology,
+    percentile, run_stack_planned, BackendKind, CompiledModel, ModelArtifactError, PlannedLayer,
 };
 
 use crate::fault::FaultPlan;
@@ -61,12 +60,6 @@ pub struct ServerConfig {
     /// [`ModelServer::submit`] blocks and [`ModelServer::try_submit`]
     /// sheds load.
     pub queue_depth: usize,
-    /// Execution layout inside each worker
-    /// ([`ServerConfig::with_topology`]): a non-single topology routes
-    /// micro-batches through the sharded/pipelined executor
-    /// ([`PipelinedStack`]) instead of the single-engine stack loop.
-    /// Requires a [`BackendKind::NativeCpu`] backend.
-    pub topology: Topology,
     /// Worker quarantine-and-respawn cycles the server will pay for
     /// before degrading to shed-load (see the module docs on the fault
     /// model). Counted across all workers.
@@ -85,7 +78,6 @@ impl Default for ServerConfig {
             max_batch: 8,
             max_wait_us: 200,
             queue_depth: 256,
-            topology: Topology::single(),
             restart_budget: 8,
             restart_backoff_us: 500,
         }
@@ -138,18 +130,6 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the per-worker execution topology: each worker runs its
-    /// micro-batches through a sharded/pipelined [`PipelinedStack`]
-    /// instead of the single-engine stack loop. Outputs stay bit-exact
-    /// (the executor shares the kernels and the chaining semantics);
-    /// only the parallel layout changes. [`ModelServer::start`] panics
-    /// if a non-single topology is paired with a backend other than
-    /// [`BackendKind::NativeCpu`].
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
-    }
-
     /// Sets the worker restart budget (`0` = the first panic degrades
     /// the server).
     pub fn with_restart_budget(mut self, restart_budget: u32) -> Self {
@@ -170,11 +150,7 @@ impl fmt::Display for ServerConfig {
             f,
             "{} × {}, batch ≤{}, wait ≤{} µs, queue ≤{}",
             self.workers, self.backend, self.max_batch, self.max_wait_us, self.queue_depth
-        )?;
-        if self.topology != Topology::single() {
-            write!(f, ", topology {}", self.topology)?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -822,12 +798,6 @@ impl ModelServer {
         assert!(config.workers > 0, "server needs at least one worker");
         assert!(config.max_batch > 0, "max_batch must be non-zero");
         assert!(config.queue_depth > 0, "queue_depth must be non-zero");
-        assert!(
-            config.topology == Topology::single()
-                || matches!(config.backend, BackendKind::NativeCpu(_)),
-            "a topology requires the native-cpu backend, not {}",
-            config.backend
-        );
         let config = ServerConfig {
             backend: config.backend.per_worker(host_cores(), config.workers),
             ..config
@@ -1093,15 +1063,12 @@ fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One worker: build its executor (a backend instance, or — under a
-/// non-single [`ServerConfig::topology`] — a [`PipelinedStack`] with
-/// per-stage engines), resolve the model's planned layers (already built
-/// into the model's shared cache by [`ModelServer::start_with_faults`],
-/// so every worker — and every respawn — scans the same pre-decoded
-/// arrays without building any), then claim → execute →
-/// answer micro-batches until the queue closes and drains. Both
-/// executors share the kernels and the chaining semantics, so served
-/// outputs are bit-identical either way.
+/// One worker: instantiate its backend, resolve the model's planned
+/// layers (already built into the model's shared cache by
+/// [`ModelServer::start_with_faults`], so every worker — and every
+/// respawn — scans the same pre-decoded arrays without building any),
+/// then claim → execute → answer micro-batches until the queue closes
+/// and drains.
 ///
 /// # Quarantine
 ///
@@ -1132,23 +1099,14 @@ fn worker_loop(
     faults: Option<Arc<FaultPlan>>,
 ) {
     let max_wait = Duration::from_micros(config.max_wait_us);
-    let pipelined = config.topology != Topology::single();
     let mut consecutive_restarts = 0u32;
     'respawn: loop {
-        let backend = (!pipelined).then(|| config.backend.instantiate(model.config()));
-        let layers: Vec<PlannedLayer<'_>> =
-            if pipelined || backend.as_deref().is_some_and(|b| b.wants_plans()) {
-                model.planned_layers()
-            } else {
-                model.layers().iter().map(PlannedLayer::unplanned).collect()
-            };
-        let stack = pipelined.then(|| {
-            let threads = match config.backend {
-                BackendKind::NativeCpu(t) => t,
-                other => unreachable!("ModelServer::start rejected topology × {other}"),
-            };
-            PipelinedStack::new(&layers, &config.topology, threads)
-        });
+        let backend = config.backend.instantiate(model.config());
+        let layers: Vec<PlannedLayer<'_>> = if backend.wants_plans() {
+            model.planned_layers()
+        } else {
+            model.layers().iter().map(PlannedLayer::unplanned).collect()
+        };
         while let Some(mut batch) = queue.pop_batch(config.max_batch, max_wait) {
             if batch.is_empty() {
                 continue;
@@ -1183,15 +1141,10 @@ fn worker_loop(
                 if fault.panic {
                     panic!("injected worker panic");
                 }
-                let outputs: Vec<Vec<Q8p8>> = match (&stack, &backend) {
-                    (Some(stack), _) => stack.run(&inputs).outputs,
-                    (None, Some(backend)) => run_stack_planned(backend.as_ref(), &layers, &inputs)
-                        .into_iter()
-                        .map(|run| run.outputs)
-                        .collect(),
-                    (None, None) => unreachable!("worker has neither executor"),
-                };
-                outputs
+                run_stack_planned(backend.as_ref(), &layers, &inputs)
+                    .into_iter()
+                    .map(|run| run.outputs)
+                    .collect::<Vec<Vec<Q8p8>>>()
             }));
             let outputs = match executed {
                 Ok(outputs) => {

@@ -3,9 +3,7 @@
 use eie_core::backend::host_cores;
 use eie_core::fixed::Q8p8;
 use eie_core::nn::zoo::{random_sparse, sample_activations};
-use eie_core::{
-    run_stack_planned, BackendKind, CompiledModel, EieConfig, Functional, NativeCpu, Topology,
-};
+use eie_core::{run_stack_planned, BackendKind, CompiledModel, EieConfig, Functional, NativeCpu};
 use eie_serve::{ModelServer, ServerConfig, SubmitError};
 
 fn small_model() -> CompiledModel {
@@ -230,48 +228,6 @@ fn micro_batches_coalesce_under_concurrent_load() {
 }
 
 #[test]
-fn topology_routed_serving_is_bit_exact_and_counts_every_request() {
-    // A sharded, pipelined worker must serve the same bits as the
-    // Functional golden model, under concurrent producers, and the
-    // merged stats must still account for every request.
-    let w1 = random_sparse(40, 32, 0.25, 61);
-    let w2 = random_sparse(48, 40, 0.2, 62);
-    let w3 = random_sparse(12, 48, 0.3, 63);
-    let model = CompiledModel::compile(EieConfig::default().with_num_pes(4), &[&w1, &w2, &w3])
-        .with_name("topology serve test");
-    let golden = model.infer(BackendKind::Functional);
-    let server = ModelServer::start(
-        model.clone(),
-        ServerConfig::default()
-            .with_workers(2)
-            .with_max_batch(6)
-            .with_backend(BackendKind::NativeCpu(1))
-            .with_topology(Topology::single().with_shards(2).with_stages(2)),
-    );
-    std::thread::scope(|scope| {
-        for t in 0..3u64 {
-            let server = &server;
-            let golden = &golden;
-            scope.spawn(move || {
-                for i in 0..7u64 {
-                    let input = sample_activations(32, 0.5, false, 2000 + t * 100 + i);
-                    let result = server.submit(&input).expect("submit").wait().unwrap();
-                    let expected = golden.submit_one(&input);
-                    assert_eq!(
-                        result.outputs[..],
-                        *expected.outputs(0),
-                        "pipelined serving diverged (producer {t}, request {i})"
-                    );
-                }
-            });
-        }
-    });
-    let stats = server.shutdown();
-    assert_eq!(stats.requests, 21);
-    assert!(stats.frames_per_second() > 0.0);
-}
-
-#[test]
 fn the_default_kernel_takes_each_workers_share_of_the_cores() {
     let cores = host_cores();
     for workers in [1, 2, 3] {
@@ -288,13 +244,8 @@ fn the_default_kernel_takes_each_workers_share_of_the_cores() {
     );
     assert_eq!(server.config().backend, BackendKind::NativeCpu(3));
     server.shutdown();
-    // A pipelined worker's stage engines get the same resolved count.
-    let server = ModelServer::start(
-        small_model(),
-        ServerConfig::default()
-            .with_workers(1)
-            .with_topology(Topology::single().with_stages(2)),
-    );
+    // A lone worker's engine gets every core and serves the same bits.
+    let server = ModelServer::start(small_model(), ServerConfig::default().with_workers(1));
     assert_eq!(server.config().backend, BackendKind::NativeCpu(cores));
     let input = &inputs(1)[0];
     let golden = server
@@ -373,15 +324,4 @@ fn one_worker_default_server_is_bit_exact_at_every_batch_size() {
         }
         server.shutdown();
     }
-}
-
-#[test]
-#[should_panic(expected = "a topology requires the native-cpu backend")]
-fn start_rejects_a_topology_on_a_non_native_backend() {
-    ModelServer::start(
-        small_model(),
-        ServerConfig::default()
-            .with_backend(BackendKind::Functional)
-            .with_topology(Topology::single().with_shards(2)),
-    );
 }

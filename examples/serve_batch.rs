@@ -4,10 +4,9 @@
 //! Compiles a two-layer feed-forward model, saves the versioned `.eie`
 //! artifact, then walks the two halves of the redesigned execution API:
 //!
-//! 1. **`CompiledModel::infer`** — the builder-style inference job that
-//!    replaced the old `Engine::run_*` methods: one surface for the
-//!    host-speed `NativeCpu` kernel, the functional golden model, and
-//!    the cycle-accurate simulator (with energy).
+//! 1. **`CompiledModel::infer`** — the builder-style inference job:
+//!    one surface for the host-speed `NativeCpu` kernel, the functional
+//!    golden model, and the cycle-accurate simulator (with energy).
 //! 2. **`ModelServer`** — the `eie-serve` request/response lifecycle:
 //!    a bounded queue feeding backend workers through a dynamic
 //!    micro-batcher, with per-request latency and queue-time metrics.
