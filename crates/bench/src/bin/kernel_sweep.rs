@@ -8,8 +8,9 @@
 //! * **plan** — the column-major packed [`LayerPlan`] on the persistent
 //!   pool: the single-item walk at batch 1, the batch-lane vectorized
 //!   walk above it (fixed-width, 32-byte-aligned `[i32; LANE_WIDTH]`
-//!   MACs; the recorded `simd` field is the instantiation the host
-//!   dispatched to, `lane_isa()`).
+//!   MACs, two per entry decode in 16-item lane blocks above
+//!   `LANE_WIDTH` items; the recorded `simd` field is the instantiation
+//!   the host dispatched to, `lane_isa()`).
 //!
 //! Each thread count walks the plan a server with that many kernel
 //! threads shares between its workers: the model's plan cut once for
@@ -36,11 +37,11 @@
 //!
 //! Output: a table + story on stdout (and `results/kernel_sweep.txt`),
 //! plus the machine-readable **`BENCH_kernel.json`** at the repo root —
-//! the recorded perf trajectory (schema `eie-kernel-sweep/v5`,
+//! the recorded perf trajectory (schema `eie-kernel-sweep/v6`,
 //! documented in `EXPERIMENTS.md`). Only a full-scale non-quick run
 //! touches that file: `--quick` (the CI smoke: one layer, bounded
-//! iterations, batches 1 and 8, at 1 and — where the host has them —
-//! 2 threads) writes
+//! iterations, batches 1, 8 and 16, at 1 and — where the host has them
+//! — 2 threads) writes
 //! `results/kernel_sweep_quick.json`, and an `EIE_SCALE`'d run writes
 //! `results/kernel_sweep_scaled.json`, so the committed scale-1 record
 //! is never clobbered.
@@ -51,7 +52,7 @@ use std::mem::{size_of, size_of_val};
 use std::time::Instant;
 
 use eie_bench::*;
-use eie_core::backend::host_cores;
+use eie_core::backend::{host_cores, lane_block_items};
 use eie_core::baselines::TimingHarness;
 use eie_core::compress::{Entry, PlanEntry};
 
@@ -177,9 +178,10 @@ fn rail_free_share(plan: &LayerPlan, items: &[Vec<Q8p8>]) -> f64 {
 /// columns it visits: `(stored entries walked, useful MACs)`.
 ///
 /// A fused walk visits a column once per group of items that share the
-/// pass (the whole batch for streaming, one lane block for the plan) if
-/// any item of the group is live there; a useful MAC is one real entry
-/// times one item's non-zero activation.
+/// pass (the whole batch for streaming, one lane block of the size the
+/// dispatch uses for the plan — `lane_block_items`) if any item of the
+/// group is live there; a useful MAC is one real entry times one item's
+/// non-zero activation.
 fn walk_cost(
     col_stored: &[usize],
     col_real: &[usize],
@@ -209,6 +211,10 @@ struct Headline {
     /// lane block (below 1: lanes lose — they pad to [`LANE_WIDTH`] and
     /// give up the per-item zero-skip). The dispatcher's crossover.
     lane_over_single: Vec<(usize, f64)>,
+    /// Per-frame throughput of one fused 16-item pass over two 8-item
+    /// passes (batch 16 over batch 8 on the plan kernel), where both
+    /// are swept: what decoding each entry once per sixteen items buys.
+    fused16_over_2x_b8: Option<f64>,
 }
 
 fn main() {
@@ -230,7 +236,8 @@ fn main() {
     };
     let available = host_cores();
     // Quick adds 2 threads (where the host has them): CI holds the
-    // 2-thread Alex-7 batch-8 cell to ≥ 1.25× the 1-thread one.
+    // 2-thread Alex-7 batch-8 cell to ≥ 1.25× the 1-thread one, and the
+    // 1-thread batch-16 cell to ≤ 0.85× batch 8's µs/frame.
     let mut thread_counts = vec![1usize];
     if available > 1 {
         thread_counts.push(if quick { 2 } else { available });
@@ -238,10 +245,15 @@ fn main() {
     let benchmarks: &[Benchmark] = if quick {
         &[Benchmark::Alex7]
     } else {
-        &[Benchmark::Alex6, Benchmark::Alex7, Benchmark::NtWe]
+        &[
+            Benchmark::Alex6,
+            Benchmark::Alex7,
+            Benchmark::Alex8,
+            Benchmark::NtWe,
+        ]
     };
     let batches: &[usize] = if quick {
-        &[1, 8]
+        &[1, 8, 16]
     } else {
         &[1, 2, 3, 4, 8, 16, 32]
     };
@@ -374,15 +386,17 @@ fn main() {
         }
 
         // µs per frame by [setup][batch][kernel]. A neighbour holding a
-        // core for a second skews whichever cells it lands on, so each
-        // batch's thread × kernel cells are measured in interleaved
+        // core for a second skews whichever cells it lands on, so the
+        // batch × thread × kernel cells are measured in interleaved
         // passes and keep their best: every cell gets a shot at every
         // noise window, including those of the cells its ratios are
-        // taken against.
-        const PASSES: usize = 3;
+        // taken against (batch 16 against batch 8, 2 threads against 1).
+        // The committed record takes three times the passes of the CI
+        // smoke: on a shared host a slow phase can outlast five.
+        let passes = if quick { 5 } else { 15 };
         let mut us = vec![vec![[f64::INFINITY; KERNELS.len()]; batches.len()]; setups.len()];
-        for (bi, &b) in batches.iter().enumerate() {
-            for _ in 0..PASSES {
+        for _ in 0..passes {
+            for (bi, &b) in batches.iter().enumerate() {
                 for (si, (_, planned, engines)) in setups.iter().enumerate() {
                     for (k, engine) in engines.iter().enumerate() {
                         let pass = if b == 1 {
@@ -420,14 +434,15 @@ fn main() {
                     let us = us[si][bi][k];
                     fps[bi][k] = 1e6 / us;
                     // The streaming kernel fuses the whole batch into
-                    // one pass; the plan walks once per lane block (a
-                    // single item is its own pass either way).
+                    // one pass; the plan walks once per lane block of
+                    // the dispatch's size (a single item is its own pass
+                    // either way).
                     let items = if b == 1 {
                         std::slice::from_ref(acts)
                     } else {
                         &batch[..b]
                     };
-                    let group = if k == 0 { b } else { LANE_WIDTH };
+                    let group = if k == 0 { b } else { lane_block_items(b) };
                     let (resident, entry_bytes, extents) = walked[k];
                     let (entries, macs) = walk_cost(extents, &col_real, items, group);
                     let bytes_touched = (entries * entry_bytes) as f64 / b as f64;
@@ -497,6 +512,8 @@ fn main() {
                 .filter(|&bi| batches[bi] <= LANE_WIDTH)
                 .map(|bi| (batches[bi], fps[bi][1] / fps[0][1]))
                 .collect();
+            let plan_fps = |n| batches.iter().position(|&b| b == n).map(|bi| fps[bi][1]);
+            let fused16_over_2x_b8 = plan_fps(16).zip(plan_fps(8)).map(|(f16, f8)| f16 / f8);
             let candidate = Headline {
                 layer: name.to_string(),
                 threads,
@@ -504,6 +521,7 @@ fn main() {
                 batch: batches[ref_bi],
                 batch_speedup: fps[ref_bi][1] / fps[ref_bi][0],
                 lane_over_single,
+                fused16_over_2x_b8,
             };
             // The near-rail row is the fallback's record, not a headline.
             if name != "near-rail"
@@ -523,9 +541,11 @@ fn main() {
     let _ = writeln!(
         out,
         "\nHeadline: {} fused batch-{} {} plan-over-streaming at {} thread(s) \
-         (single-item {}; one lane pass over N single walks per frame: {}; {} lanes). A \
-         single item walks one contiguous run of 2-byte entries per live column; a batch \
-         applies each entry to a {LANE_WIDTH}-item block as one fixed-width MAC — wrapping \
+         (single-item {}; one lane pass over N single walks per frame: {}; one fused \
+         16-item pass over two 8-item passes: {}; {} lanes). A single item walks one \
+         contiguous run of 2-byte entries per live column; a batch applies each entry to a \
+         {LANE_WIDTH}-item block as one fixed-width MAC, or above {LANE_WIDTH} items to a \
+         16-item block as two off one decode — wrapping \
          where the block's bound proves the dispatch rail-free, saturating otherwise; \
          streaming re-decodes the compressed stream per call.",
         hl.layer,
@@ -538,6 +558,7 @@ fn main() {
             .map(|(n, ratio)| format!("N={n} {}", x(*ratio)))
             .collect::<Vec<_>>()
             .join(", "),
+        hl.fused16_over_2x_b8.map_or("-".into(), x),
         lane_isa(),
     );
     emit("kernel_sweep", &out);
@@ -545,7 +566,7 @@ fn main() {
     // ---- machine-readable record ------------------------------------
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"eie-kernel-sweep/v5\",");
+    let _ = writeln!(json, "  \"schema\": \"eie-kernel-sweep/v6\",");
     let _ = writeln!(json, "  \"scale_divisor\": {},", scale_divisor());
     let _ = writeln!(json, "  \"pes\": {},", config.num_pes);
     let _ = writeln!(json, "  \"threads_available\": {available},");
@@ -567,7 +588,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"headline\": {{\"layer\": \"{}\", \"threads\": {}, \"batch\": {}, \
-         \"single_item_speedup\": {:.3}, \"batch_speedup\": {:.3}{}}},",
+         \"single_item_speedup\": {:.3}, \"batch_speedup\": {:.3}{}{}}},",
         hl.layer,
         hl.threads,
         hl.batch,
@@ -576,7 +597,10 @@ fn main() {
         hl.lane_over_single
             .iter()
             .map(|(n, ratio)| format!(", \"lane_b{n}_over_{n}x_single\": {ratio:.3}"))
-            .collect::<String>()
+            .collect::<String>(),
+        hl.fused16_over_2x_b8
+            .map(|ratio| format!(", \"fused16_over_2x_b8\": {ratio:.3}"))
+            .unwrap_or_default()
     );
     json.push_str("  \"results\": [\n");
     for (i, c) in cells.iter().enumerate() {

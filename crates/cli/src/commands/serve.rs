@@ -31,7 +31,18 @@ use crate::opts::Opts;
 use crate::outln;
 use crate::CliError;
 
-const HELP: &str = "eie serve — serve .eie artifacts under load, locally or over TCP
+/// The usage text, its serving-policy defaults read from
+/// [`ServerConfig::default`] so `--help` cannot drift from what runs.
+fn help() -> String {
+    let ServerConfig {
+        workers,
+        max_batch,
+        max_wait_us,
+        queue_depth,
+        ..
+    } = ServerConfig::default();
+    format!(
+        "eie serve — serve .eie artifacts under load, locally or over TCP
 
 USAGE:
     eie serve <MODEL.eie> [OPTIONS]                          local self-driving load
@@ -42,10 +53,10 @@ SERVING POLICY (local and --listen):
     --backend <B>       Worker backend: cycle | functional | native[:threads] | streaming[:threads]
                         [default: native — each worker's kernel gets
                         max(1, cores / workers) threads]
-    --workers <N>       Worker threads per model, one backend each [default: 2]
-    --max-batch <N>     Micro-batch coalescing cap [default: 8]
-    --max-wait-us <N>   Straggler-collection window, µs (0 = none) [default: 200]
-    --queue-depth <N>   Bounded queue depth (admission-control point) [default: 256]
+    --workers <N>       Worker threads per model, one backend each [default: {workers}]
+    --max-batch <N>     Micro-batch coalescing cap [default: {max_batch}]
+    --max-wait-us <N>   Straggler-collection window, µs (0 = none) [default: {max_wait_us}]
+    --queue-depth <N>   Bounded queue depth (admission-control point) [default: {queue_depth}]
 
 NETWORK NODE (--listen):
     --model <NAME=PATH> Register PATH under NAME (repeatable); a bare PATH
@@ -80,11 +91,13 @@ FAULT TOLERANCE:
     EIE_FAULTS=<SPEC>   (--listen, env) Install a deterministic fault
                         plan, e.g. \"panic@3,stall@5:2000,latency:100\" —
                         chaos testing only
-    -h, --help          Show this help";
+    -h, --help          Show this help"
+    )
+}
 
 pub fn run(mut opts: Opts) -> Result<(), CliError> {
     if opts.wants_help() {
-        outln!("{HELP}");
+        outln!("{}", help());
         return Ok(());
     }
     let listen = opts.value(&["--listen"])?;
@@ -105,16 +118,21 @@ fn parse_policy(opts: &mut Opts) -> Result<ServerConfig, CliError> {
         Some(name) => parse_backend(&name)?,
         None => BackendKind::NativeCpu(0),
     };
-    let workers: usize = opts.parsed(&["--workers"])?.unwrap_or(2);
-    let max_batch: usize = opts.parsed(&["--max-batch"])?.unwrap_or(8);
-    let max_wait_us: u64 = opts.parsed(&["--max-wait-us"])?.unwrap_or(200);
-    let queue_depth: usize = opts.parsed(&["--queue-depth"])?.unwrap_or(256);
+    let defaults = ServerConfig::default();
+    let workers: usize = opts.parsed(&["--workers"])?.unwrap_or(defaults.workers);
+    let max_batch: usize = opts.parsed(&["--max-batch"])?.unwrap_or(defaults.max_batch);
+    let max_wait_us: u64 = opts
+        .parsed(&["--max-wait-us"])?
+        .unwrap_or(defaults.max_wait_us);
+    let queue_depth: usize = opts
+        .parsed(&["--queue-depth"])?
+        .unwrap_or(defaults.queue_depth);
     if workers == 0 || max_batch == 0 || queue_depth == 0 {
         return Err(CliError::Usage(
             "--workers, --max-batch and --queue-depth must be positive".into(),
         ));
     }
-    Ok(ServerConfig::default()
+    Ok(defaults
         .with_backend(backend)
         .with_workers(workers)
         .with_max_batch(max_batch)

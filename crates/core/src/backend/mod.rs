@@ -38,7 +38,7 @@ use crate::EieConfig;
 pub use cycle::CycleAccurate;
 pub use functional::Functional;
 use native::plan_fits;
-pub use native::{host_cores, lane_isa, NativeCpu};
+pub use native::{host_cores, lane_block_items, lane_isa, NativeCpu};
 
 /// Validates one activation vector against a layer's input dimension —
 /// the shared entry-point check every backend applies before touching

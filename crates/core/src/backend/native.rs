@@ -31,16 +31,21 @@
 //! trade the paper frames EIE against.
 //!
 //! The fused kernel is **batch-lane vectorized**: activations are
-//! transposed once per batch into zero-padded [`LANE_WIDTH`]-item lane
-//! blocks, and each plan entry is applied to a whole lane block as
-//! one fixed-width, 32-byte-aligned `[i32; LANE_WIDTH]` MAC — a shape
-//! the autovectorizer can prove. The walk is **one safe body compiled
-//! twice**: at the build's baseline features and, on x86-64, under
-//! `#[target_feature(enable = "avx2")]`, where the same loops become
-//! one 256-bit add per entry; the host picks per block walk (see
-//! [`lane_isa`]). Because every batch item's `Accum32` chain is
-//! independent and a padded lane adds a zero product (a no-op),
-//! vectorizing across the batch cannot change any item's add sequence.
+//! transposed once per batch into zero-padded lane blocks of one
+//! [`LANE_WIDTH`]-item stripe — or, for a dispatch of more than
+//! `LANE_WIDTH` items, of two ([`lane_block_items`]) — and each plan
+//! entry is applied to a whole lane block as one fixed-width,
+//! 32-byte-aligned `[i32; LANE_WIDTH]` MAC per stripe, off a single
+//! decode of the entry — a shape the autovectorizer can prove. Two
+//! stripes per decode is what lets a 16-item dispatch walk the plan
+//! once instead of twice. The walk is **one safe body compiled twice**
+//! (and instantiated per stripe count): at the build's baseline
+//! features and, on x86-64, under `#[target_feature(enable = "avx2")]`,
+//! where the same loops become one 256-bit add per stripe per entry;
+//! the host picks per block walk (see [`lane_isa`]). Because every
+//! batch item's `Accum32` chain is independent and a padded lane adds
+//! a zero product (a no-op), vectorizing across the batch cannot
+//! change any item's add sequence.
 //!
 //! **Rail-free blocks.** Saturation is what the hardware's adder does
 //! for free and a CPU pays for on every MAC (baseline x86-64 has no
@@ -337,7 +342,12 @@ impl NativeCpu {
             }
             TaskInput::Single(Arc::clone(&session.single))
         } else {
-            exclusive(&mut session.lanes).fill(items, plan.cols());
+            let lanes = exclusive(&mut session.lanes);
+            if lane_block_items(b) > LANE_WIDTH {
+                lanes.fill::<MAX_STRIPES, _>(items, plan.cols());
+            } else {
+                lanes.fill::<1, _>(items, plan.cols());
+            }
             TaskInput::Lanes(Arc::clone(&session.lanes))
         };
         let mut outputs: Vec<Vec<Q8p8>> = (0..b).map(|_| vec![Q8p8::ZERO; plan.rows()]).collect();
@@ -494,26 +504,48 @@ impl Stripe {
     const ZERO: Self = Self([0; LANE_WIDTH]);
 }
 
+/// The most [`Stripe`]s one lane block carries: a dispatch of more than
+/// [`LANE_WIDTH`] items walks lane blocks of `2 × LANE_WIDTH`, so each
+/// plan entry decoded serves sixteen items instead of eight.
+const MAX_STRIPES: usize = 2;
+
+/// The items one lane block of a `batch`-item dispatch holds — the
+/// group that shares one decode of each plan entry: [`LANE_WIDTH`] up to
+/// `LANE_WIDTH` items, `MAX_STRIPES × LANE_WIDTH` above. `kernel_sweep`
+/// prices each walk by it.
+pub fn lane_block_items(batch: usize) -> usize {
+    if batch > LANE_WIDTH {
+        MAX_STRIPES * LANE_WIDTH
+    } else {
+        LANE_WIDTH
+    }
+}
+
 /// The batch-lane schedule: activations transposed once per batch into
-/// [`LANE_WIDTH`]-item lane blocks, so the kernel can apply one weight
-/// to a whole block as a fixed-width vector MAC.
+/// lane blocks of `stripes × LANE_WIDTH` items (`stripes` is 1 up to
+/// [`LANE_WIDTH`] items, [`MAX_STRIPES`] above), so the kernel can apply
+/// one weight to a whole block as `stripes` fixed-width vector MACs.
 ///
-/// Layouts (`blocks = batch.div_ceil(LANE_WIDTH)`):
-/// * `acts[lb * cols + j].0[k]` — item `lb * LANE_WIDTH + k`'s raw
-///   activation for column `j`; the last block's missing items are
-///   zero (a zero product is a saturating-add no-op, so padded lanes
-///   cannot perturb real items and their own lanes are discarded at
-///   gather).
+/// Layouts (`blocks = batch.div_ceil(stripes * LANE_WIDTH)`; item `i`
+/// sits in stripe `g = i / LANE_WIDTH`, lane `i % LANE_WIDTH`, and stripe
+/// `g` is stripe `g % stripes` of lane block `g / stripes`):
+/// * `acts[(lb * cols + j) * stripes + s].0[k]` — the raw activation for
+///   column `j` of the item in stripe `s`, lane `k` of block `lb`; the
+///   last block's missing items are zero (a zero product is a
+///   saturating-add no-op, so padded lanes cannot perturb real items
+///   and their own lanes are discarded at gather).
 /// * `live[lb * cols + j]` — non-zero when *any* item of block `lb` has
 ///   a non-zero activation in column `j` (the lane analogue of the
 ///   broadcast schedule's zero-skip: a dead column costs one byte test
-///   per block instead of `entries × LANE_WIDTH` MACs).
+///   per block instead of `entries × stripes` MACs).
 #[derive(Debug, Default)]
 pub(super) struct LaneSchedule {
     acts: Vec<Stripe>,
     live: Vec<u8>,
     cols: usize,
     blocks: usize,
+    /// Stripes per lane block: 1 or [`MAX_STRIPES`].
+    stripes: usize,
     /// Real items (the last lane block may be padded).
     batch: usize,
     /// Over the whole batch: one item that breaks a block's bound sends
@@ -522,35 +554,40 @@ pub(super) struct LaneSchedule {
 }
 
 impl LaneSchedule {
-    /// Rebuilds the schedule in place from a batch (buffers reused —
-    /// steady state allocates nothing once grown to high water).
-    fn fill<I: AsRef<[Q8p8]>>(&mut self, batch: &[I], cols: usize) {
-        let blocks = batch.len().div_ceil(LANE_WIDTH);
+    /// Rebuilds the schedule in place from a batch, in lane blocks of
+    /// `S` stripes (buffers reused — steady state allocates nothing
+    /// once grown to high water).
+    fn fill<const S: usize, I: AsRef<[Q8p8]>>(&mut self, batch: &[I], cols: usize) {
+        let blocks = batch.len().div_ceil(S * LANE_WIDTH);
         self.cols = cols;
         self.blocks = blocks;
+        self.stripes = S;
         self.batch = batch.len();
         self.acts.clear();
-        self.acts.resize(blocks * cols, Stripe::ZERO);
+        self.acts.resize(blocks * cols * S, Stripe::ZERO);
         self.live.clear();
         self.live.resize(blocks * cols, 0);
         self.range = (0, 0);
         for (i, item) in batch.iter().enumerate() {
-            let (lb, k) = (i / LANE_WIDTH, i % LANE_WIDTH);
-            let base = lb * cols;
+            let (g, k) = (i / LANE_WIDTH, i % LANE_WIDTH);
+            let (lb, s) = (g / S, g % S);
             for (j, &a) in item.as_ref().iter().enumerate() {
                 if !a.is_zero() {
-                    self.acts[base + j].0[k] = a.raw() as i32;
-                    self.live[base + j] = 1;
+                    self.acts[(lb * cols + j) * S + s].0[k] = a.raw() as i32;
+                    self.live[lb * cols + j] = 1;
                     widen(&mut self.range, a.raw());
                 }
             }
         }
     }
 
-    /// Lane block `lb`'s transposed activations (`cols` stripes).
+    /// Lane block `lb`'s transposed activations (`cols` rows of `S`
+    /// stripes).
     #[inline]
-    fn acts_block(&self, lb: usize) -> &[Stripe] {
-        &self.acts[lb * self.cols..][..self.cols]
+    fn acts_block<const S: usize>(&self, lb: usize) -> &[[Stripe; S]] {
+        self.acts[lb * self.cols * S..][..self.cols * S]
+            .as_chunks()
+            .0
     }
 
     /// Lane block `lb`'s per-column any-live mask (`cols` long).
@@ -601,8 +638,9 @@ impl Task {
 /// field is below that bound for every bit pattern, so the inner loops
 /// index without a bounds check, safely. A single item walks `single`
 /// (16 KiB of `i32`s); the lane kernel gives every lane block its own
-/// `BLOCK_ACCUMULATORS` of `stripes` (128 KiB, of which a block touches
-/// its own accumulator count). Both grow to the high-water mark, then
+/// `BLOCK_ACCUMULATORS` rows of `stripes` (128 KiB a stripe, of which a
+/// block touches its own accumulator count), plus one spare stripe for
+/// [`line_aligned`]. Both grow to the high-water mark, then
 /// steady-state runs allocate nothing.
 #[derive(Debug, Default)]
 pub(super) struct WorkerScratch {
@@ -626,7 +664,9 @@ fn run_block_range(
             (1, s.range)
         }
         TaskInput::Lanes(schedule) => {
-            let stripes = schedule.blocks * BLOCK_ACCUMULATORS;
+            // One spare stripe, so the walk can start on a 64-byte line
+            // ([`line_aligned`]).
+            let stripes = schedule.blocks * schedule.stripes * BLOCK_ACCUMULATORS + 1;
             if scratch.stripes.len() < stripes {
                 scratch.stripes.resize(stripes, Stripe::ZERO);
             }
@@ -666,11 +706,25 @@ fn run_block_range(
                     rail_free,
                     relu,
                 };
-                block_lanes(walk, &mut scratch.stripes, out);
+                let accum = line_aligned(&mut scratch.stripes);
+                if schedule.stripes == 1 {
+                    block_lanes::<1>(walk, accum, out);
+                } else {
+                    block_lanes::<MAX_STRIPES>(walk, accum, out);
+                }
             }
         }
         offset += span;
     }
+}
+
+/// `stripes` from its first 64-byte cache-line boundary: a two-stripe
+/// accumulator row is one whole line there, where from a line's middle
+/// every entry touches two (the two-stripe walk of full-scale Alex-7
+/// measured ≈ 1.4–1.6× slower so).
+fn line_aligned(stripes: &mut [Stripe]) -> &mut [Stripe] {
+    let skew = stripes.as_ptr() as usize % 64 / std::mem::size_of::<Stripe>();
+    &mut stripes[skew..]
 }
 
 /// The steady-state single-item kernel: for every live column, one
@@ -736,7 +790,7 @@ struct LaneWalk<'a> {
 /// baseline features otherwise (and always, off x86-64). Both are the
 /// same safe source, so they cannot disagree by construction; the
 /// module's tests hold them stripe-for-stripe equal anyway.
-fn block_lanes(walk: LaneWalk<'_>, accum: &mut [Stripe], out: &mut [Q8p8]) {
+fn block_lanes<const S: usize>(walk: LaneWalk<'_>, accum: &mut [Stripe], out: &mut [Q8p8]) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: `block_lanes_avx2` is a safe function whose only
@@ -744,11 +798,11 @@ fn block_lanes(walk: LaneWalk<'_>, accum: &mut [Stripe], out: &mut [Q8p8]) {
         // detected on this CPU by the condition one line above.
         #[allow(unsafe_code)]
         unsafe {
-            block_lanes_avx2(walk, accum, out)
+            block_lanes_avx2::<S>(walk, accum, out)
         };
         return;
     }
-    block_lanes_body(walk, accum, out);
+    block_lanes_body::<S>(walk, accum, out);
 }
 
 /// [`block_lanes_body`] compiled with AVX2 enabled: the body, the MAC
@@ -756,32 +810,34 @@ fn block_lanes(walk: LaneWalk<'_>, accum: &mut [Stripe], out: &mut [Q8p8]) {
 /// generated inside this function, under its target features.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn block_lanes_avx2(walk: LaneWalk<'_>, accum: &mut [Stripe], out: &mut [Q8p8]) {
-    block_lanes_body(walk, accum, out);
+fn block_lanes_avx2<const S: usize>(walk: LaneWalk<'_>, accum: &mut [Stripe], out: &mut [Q8p8]) {
+    block_lanes_body::<S>(walk, accum, out);
 }
 
-/// The one lane walk: one plan entry × one [`LANE_WIDTH`]-item
-/// activation block per MAC step, as a fixed-width [`Stripe`]
-/// multiply-accumulate ([`mac_span`]) — wrapping when the caller proved
-/// the block `rail_free` for this batch, saturating otherwise. Lane
-/// blocks outermost, live columns ascending inside.
+/// The one lane walk: one plan entry × one lane block of `S` stripes
+/// (`S × LANE_WIDTH` items) per MAC step, as `S` fixed-width [`Stripe`]
+/// multiply-accumulates off one entry decode ([`mac_span`]) — wrapping
+/// when the caller proved the block `rail_free` for this batch,
+/// saturating otherwise. Lane blocks outermost, live columns ascending
+/// inside.
 ///
-/// **Add-order invariant.** For any one item (one lane `k` of one lane
-/// block `lb`), accumulator `(acc, lb, k)` receives at most one product
-/// per column, from columns in ascending order — exactly the
-/// single-item kernel's sequence. Other lanes of the vector belong to
-/// other items (independent accumulator chains), and a lane whose item
-/// has a zero activation (or doesn't exist, in a padded tail block)
-/// adds a zero product — a no-op under either add, and inside the
-/// rail-free bound (which is taken over the whole batch). So
-/// vectorizing across the batch cannot change any item's saturation
-/// behaviour.
+/// **Add-order invariant.** For any one item (one lane `k` of stripe `s`
+/// of one lane block `lb`), accumulator `(acc, lb, s, k)` receives at
+/// most one product per column, from columns in ascending order —
+/// exactly the single-item kernel's sequence. Other lanes and stripes
+/// belong to other items (independent accumulator chains), and a lane
+/// whose item has a zero activation (or doesn't exist, in a padded tail
+/// block) adds a zero product — a no-op under either add, and inside
+/// the rail-free bound (which is taken over the whole batch). So
+/// vectorizing across the batch, at either stripe count, cannot change
+/// any item's saturation behaviour.
 ///
-/// Accumulators are lane-aligned — stripe `lb * BLOCK_ACCUMULATORS + acc`,
-/// lane `k` — and written back to `[acc * batch + item]`, dropping
-/// padded lanes.
+/// Accumulators are lane-aligned — stripe
+/// `(lb * BLOCK_ACCUMULATORS + acc) * S + s`, lane `k`, so one entry's
+/// `S` stripes are adjacent — and written back to
+/// `[acc * batch + item]`, dropping padded lanes.
 #[inline(always)]
-fn block_lanes_body(walk: LaneWalk<'_>, accum: &mut [Stripe], out: &mut [Q8p8]) {
+fn block_lanes_body<const S: usize>(walk: LaneWalk<'_>, accum: &mut [Stripe], out: &mut [Q8p8]) {
     let LaneWalk {
         block,
         lut,
@@ -790,29 +846,30 @@ fn block_lanes_body(walk: LaneWalk<'_>, accum: &mut [Stripe], out: &mut [Q8p8]) 
         relu,
     } = walk;
     let (accs, batch) = (block.accumulators(), schedule.batch);
+    let rows = accum.as_chunks_mut::<S>().0;
     for lb in 0..schedule.blocks {
-        let acc: &mut [Stripe; BLOCK_ACCUMULATORS] = (&mut accum[lb * BLOCK_ACCUMULATORS..]
+        let acc: &mut [[Stripe; S]; BLOCK_ACCUMULATORS] = (&mut rows[lb * BLOCK_ACCUMULATORS..]
             [..BLOCK_ACCUMULATORS])
             .try_into()
             .expect("scratch holds a whole block of stripes per lane block");
-        acc[..accs].fill(Stripe::ZERO);
+        acc[..accs].fill([Stripe::ZERO; S]);
         let live = schedule.live_block(lb);
-        for (j, a) in schedule.acts_block(lb).iter().enumerate() {
+        for (j, a) in schedule.acts_block::<S>(lb).iter().enumerate() {
             if live[j] == 0 {
                 continue;
             }
             if rail_free {
-                mac_span::<true>(block.col(j), lut, a, acc);
+                mac_span::<true, S>(block.col(j), lut, a, acc);
             } else {
-                mac_span::<false>(block.col(j), lut, a, acc);
+                mac_span::<false, S>(block.col(j), lut, a, acc);
             }
         }
     }
     for r in 0..accs {
         let row_out = &mut out[r * batch..][..batch];
         for (i, slot) in row_out.iter_mut().enumerate() {
-            let (lb, k) = (i / LANE_WIDTH, i % LANE_WIDTH);
-            *slot = writeback(accum[lb * BLOCK_ACCUMULATORS + r].0[k], relu);
+            let (g, k) = (i / LANE_WIDTH, i % LANE_WIDTH);
+            *slot = writeback(rows[g / S * BLOCK_ACCUMULATORS + r][g % S].0[k], relu);
         }
     }
 }
@@ -831,73 +888,80 @@ fn accumulate<const RAIL_FREE: bool>(acc: i32, p: i32) -> i32 {
     }
 }
 
-/// One lane step: a product stripe accumulated into an accumulator
-/// stripe, lane by lane — a fixed-width loop with no early exit, which
-/// vectorizes to one plain add per vector when `RAIL_FREE` and to a
-/// synthesized saturating add (overflow detect plus a rail blend)
-/// otherwise.
+/// One lane step: `S` product stripes accumulated into an entry's `S`
+/// accumulator stripes, lane by lane — fixed-width loops with no early
+/// exit, which vectorize to one plain add per vector when `RAIL_FREE`
+/// and to a synthesized saturating add (overflow detect plus a rail
+/// blend) otherwise.
 #[inline(always)]
-fn add_stripe<const RAIL_FREE: bool>(acc: &mut Stripe, products: &Stripe) {
-    for (slot, &p) in acc.0.iter_mut().zip(&products.0) {
-        *slot = accumulate::<RAIL_FREE>(*slot, p);
+fn add_stripes<const RAIL_FREE: bool, const S: usize>(
+    acc: &mut [Stripe; S],
+    products: &[Stripe; S],
+) {
+    for (stripe, product) in acc.iter_mut().zip(products) {
+        for (slot, &p) in stripe.0.iter_mut().zip(&product.0) {
+            *slot = accumulate::<RAIL_FREE>(*slot, p);
+        }
     }
 }
 
-/// One weight times one activation block. Raw weights and activations
-/// are i16-range Q8.8, so every product fits `i32` exactly; only the
-/// accumulate can saturate.
+/// One weight times one lane block's `S` activation stripes. Raw
+/// weights and activations are i16-range Q8.8, so every product fits
+/// `i32` exactly; only the accumulate can saturate.
 ///
 /// A plain loop into a local on purpose: `a.0.map(..)` compiles, under
 /// `target_feature`, to an out-of-line `core::array` call built at
 /// baseline features (measured −15 % on the lane walk).
 #[inline(always)]
-fn product_stripe(w: i32, a: &Stripe) -> Stripe {
-    let mut products = Stripe::ZERO;
-    for (p, &ak) in products.0.iter_mut().zip(&a.0) {
-        *p = w * ak;
+fn product_stripes<const S: usize>(w: i32, a: &[Stripe; S]) -> [Stripe; S] {
+    let mut products = [Stripe::ZERO; S];
+    for (product, stripe) in products.iter_mut().zip(a) {
+        for (p, &ak) in product.0.iter_mut().zip(&stripe.0) {
+            *p = w * ak;
+        }
     }
     products
 }
 
-/// One column's MAC span: every plan entry of the run times one
-/// [`LANE_WIDTH`]-item activation block, accumulated into the
-/// lane-aligned stripes.
+/// One column's MAC span: every plan entry of the run times one lane
+/// block's `S` activation stripes, accumulated into the lane-aligned
+/// accumulator stripes — one entry decode per `S × LANE_WIDTH` items.
 ///
 /// A long run keeps the multiply out of the per-entry loop: a column
 /// has only [`CODEBOOK_SIZE`] distinct `weight × activation-block`
-/// product stripes, computed up front (16 stripes for a 366-entry
-/// Alex-7 run), and the entry step is one stripe add — walked four
-/// entries at a time like [`block_single`], in the same order. A run
-/// shorter than the table multiplies per entry instead, into a local
-/// stripe first so that the multiply stays one vector operation rather
-/// than eight scalar ones folded into the add. The products are the
+/// product rows, computed up front (16 rows of `S` stripes for a
+/// 366-entry Alex-7 run), and the entry step is `S` stripe adds —
+/// walked four entries at a time like [`block_single`], in the same
+/// order. A run shorter than the table multiplies per entry instead,
+/// into a local first so that the multiply stays vector operations
+/// rather than scalar ones folded into the add. The products are the
 /// same `i32`s either way.
 #[inline(always)]
-fn mac_span<const RAIL_FREE: bool>(
+fn mac_span<const RAIL_FREE: bool, const S: usize>(
     entries: &[PlanEntry],
     lut: &[i32; CODEBOOK_SIZE],
-    a: &Stripe,
-    accum: &mut [Stripe; BLOCK_ACCUMULATORS],
+    a: &[Stripe; S],
+    accum: &mut [[Stripe; S]; BLOCK_ACCUMULATORS],
 ) {
     if entries.len() < CODEBOOK_SIZE {
         for e in entries {
-            let products = product_stripe(lut[e.code()], a);
-            add_stripe::<RAIL_FREE>(&mut accum[e.accumulator()], &products);
+            let products = product_stripes(lut[e.code()], a);
+            add_stripes::<RAIL_FREE, S>(&mut accum[e.accumulator()], &products);
         }
         return;
     }
-    let mut products = [Stripe::ZERO; CODEBOOK_SIZE];
-    for (stripe, &w) in products.iter_mut().zip(lut) {
-        *stripe = product_stripe(w, a);
+    let mut products = [[Stripe::ZERO; S]; CODEBOOK_SIZE];
+    for (row, &w) in products.iter_mut().zip(lut) {
+        *row = product_stripes(w, a);
     }
     let (quads, rest) = entries.as_chunks::<4>();
     for quad in quads {
         for e in quad {
-            add_stripe::<RAIL_FREE>(&mut accum[e.accumulator()], &products[e.code()]);
+            add_stripes::<RAIL_FREE, S>(&mut accum[e.accumulator()], &products[e.code()]);
         }
     }
     for e in rest {
-        add_stripe::<RAIL_FREE>(&mut accum[e.accumulator()], &products[e.code()]);
+        add_stripes::<RAIL_FREE, S>(&mut accum[e.accumulator()], &products[e.code()]);
     }
 }
 
@@ -1406,11 +1470,13 @@ mod tests {
 
     #[test]
     fn lane_kernel_matches_golden_at_remainder_batches() {
-        // Every congruence class around LANE_WIDTH, including exact
-        // multiples, one-off remainders, and a lone spillover lane.
+        // Every batch from 2 through 33: each remainder class of the
+        // one-stripe blocks (up to LANE_WIDTH) and of the two-stripe
+        // blocks above it, exact multiples, and a lone spillover lane
+        // into a third block.
         let layer = Benchmark::Alex6.generate_scaled(3, 96);
         let enc = compress(&layer.weights, CompressConfig::with_pes(8));
-        for b in [2usize, 7, 8, 9, 13, 16, 17] {
+        for b in 2..=4 * LANE_WIDTH + 1 {
             let batch: Vec<Vec<Q8p8>> = (0..b)
                 .map(|i| quantize(&layer.sample_activations(i as u64)))
                 .collect();
@@ -1540,14 +1606,15 @@ mod tests {
         assert_eq!(isa == "avx2", std::arch::is_x86_feature_detected!("avx2"));
     }
 
-    /// Walks the first block of `plan` for `items` through the baseline
-    /// body and through the dispatcher (the AVX2 instantiation, where
-    /// the host has it), holds the two stripe-for-stripe equal — padded
-    /// lanes included — and equal to an `i64` reference that clamps like
-    /// `Accum32`. `lut` is a parameter so a test can plant any `i32` as
-    /// a product; `rail_free` of `None` asks the block, as
-    /// `run_block_range` does. Returns `(rail_free, clamped)`.
-    fn assert_lane_walks_agree(
+    /// Walks the first block of `plan` for `items` in lane blocks of `S`
+    /// stripes through the baseline body and through the dispatcher (the
+    /// AVX2 instantiation, where the host has it), holds the two
+    /// stripe-for-stripe equal — padded lanes included — and equal to an
+    /// `i64` reference that clamps like `Accum32`. `lut` is a parameter
+    /// so a test can plant any `i32` as a product; `rail_free` of `None`
+    /// asks the block, as `run_block_range` does. Returns
+    /// `(rail_free, clamped)`.
+    fn assert_lane_walks_agree<const S: usize>(
         plan: &LayerPlan,
         lut: &[i32; CODEBOOK_SIZE],
         items: &[Vec<Q8p8>],
@@ -1556,7 +1623,7 @@ mod tests {
         let block = &plan.blocks()[0];
         let (accs, b) = (block.accumulators(), items.len());
         let mut schedule = LaneSchedule::default();
-        schedule.fill(items, plan.cols());
+        schedule.fill::<S, _>(items, plan.cols());
         let (max, min) = schedule.range;
         let rail_free = rail_free.unwrap_or_else(|| block.rail_free_for(max, min));
         let input = LaneWalk {
@@ -1566,23 +1633,30 @@ mod tests {
             rail_free,
             relu: false,
         };
+        let stripe = |i: usize, acc: usize| {
+            let g = i / LANE_WIDTH;
+            (
+                (g / S * BLOCK_ACCUMULATORS + acc) * S + g % S,
+                i % LANE_WIDTH,
+            )
+        };
         let walk = |kernel: fn(LaneWalk<'_>, &mut [Stripe], &mut [Q8p8])| {
-            let mut stripes = vec![Stripe::ZERO; schedule.blocks * BLOCK_ACCUMULATORS];
+            let mut stripes = vec![Stripe::ZERO; schedule.blocks * S * BLOCK_ACCUMULATORS];
             let mut out = vec![Q8p8::ZERO; accs * b];
             kernel(input, &mut stripes, &mut out);
             (stripes, out)
         };
-        let baseline = walk(block_lanes_body);
-        let dispatched = walk(block_lanes);
+        let baseline = walk(block_lanes_body::<S>);
+        let dispatched = walk(block_lanes::<S>);
         assert!(baseline == dispatched, "instantiations diverged, batch {b}");
 
         let (rails, mut clamped) = (i32::MIN as i64..=i32::MAX as i64, false);
-        let mut want = vec![Stripe::ZERO; schedule.blocks * BLOCK_ACCUMULATORS];
+        let mut want = vec![Stripe::ZERO; schedule.blocks * S * BLOCK_ACCUMULATORS];
         for (i, item) in items.iter().enumerate() {
-            let (lb, k) = (i / LANE_WIDTH, i % LANE_WIDTH);
             for (j, a) in item.iter().enumerate() {
                 for e in block.col(j) {
-                    let acc = &mut want[lb * BLOCK_ACCUMULATORS + e.accumulator()].0[k];
+                    let (at, k) = stripe(i, e.accumulator());
+                    let acc = &mut want[at].0[k];
                     let exact = *acc as i64 + lut[e.code()] as i64 * a.raw() as i64;
                     clamped |= !rails.contains(&exact);
                     *acc = exact.clamp(*rails.start(), *rails.end()) as i32;
@@ -1592,8 +1666,8 @@ mod tests {
         assert!(baseline.0 == want, "walk diverged from the reference");
         for (r, row) in baseline.1.chunks(b).enumerate() {
             for (i, &got) in row.iter().enumerate() {
-                let acc = want[i / LANE_WIDTH * BLOCK_ACCUMULATORS + r].0[i % LANE_WIDTH];
-                assert_eq!(got, writeback(acc, false), "row {r} item {i}");
+                let (at, k) = stripe(i, r);
+                assert_eq!(got, writeback(want[at].0[k], false), "row {r} item {i}");
             }
         }
         (rail_free, clamped)
@@ -1634,21 +1708,30 @@ mod tests {
     #[test]
     fn both_instantiations_agree_on_rail_free_and_saturating_blocks() {
         // Column runs shorter (9 of 12 rows) and longer (30 of 40) than
-        // the codebook, every lane-remainder batch, and weights ×
-        // activations either nowhere near a rail (|w|, |a| < 2) or
-        // brushing it within two adds (|w|, |a| ≈ 100..127).
+        // the codebook, every lane-remainder batch at one and two
+        // stripes per lane block, and weights × activations either
+        // nowhere near a rail (|w|, |a| < 2) or brushing it within two
+        // adds (|w|, |a| ≈ 100..127).
         for rows in [12, 40] {
-            for batch in (1..=9).chain([13]) {
+            for batch in (1..=17).chain([24, 25, 33]) {
                 let seed = (rows * 31 + batch) as u64;
                 let (enc, items) = dense_case((rows, 10, batch), (0.5, 2), seed);
                 let plan = LayerPlan::build(&enc);
-                let (rail_free, clamped) = assert_lane_walks_agree(&plan, plan.lut(), &items, None);
-                assert!(rail_free && !clamped, "small case {rows}x{batch}");
+                let one = assert_lane_walks_agree::<1>(&plan, plan.lut(), &items, None);
+                let two = assert_lane_walks_agree::<2>(&plan, plan.lut(), &items, None);
+                assert!(
+                    one == (true, false) && two == one,
+                    "small case {rows}x{batch}"
+                );
 
                 let (enc, items) = dense_case((rows, 10, batch), (100.0, 28), seed);
                 let plan = LayerPlan::build(&enc);
-                let (rail_free, clamped) = assert_lane_walks_agree(&plan, plan.lut(), &items, None);
-                assert!(!rail_free && clamped, "near-rail case {rows}x{batch}");
+                let one = assert_lane_walks_agree::<1>(&plan, plan.lut(), &items, None);
+                let two = assert_lane_walks_agree::<2>(&plan, plan.lut(), &items, None);
+                assert!(
+                    one == (false, true) && two == one,
+                    "near-rail case {rows}x{batch}"
+                );
             }
         }
     }
@@ -1673,12 +1756,16 @@ mod tests {
         for (j, &len) in LENS.iter().enumerate() {
             assert_eq!(plan.blocks()[0].col(j).len(), len);
         }
-        let items: Vec<Vec<Q8p8>> = (0..3)
+        let items: Vec<Vec<Q8p8>> = (0..11)
             .map(|i| quantize(&eie_nn::zoo::sample_activations(LENS.len(), 0.8, true, i)))
             .collect();
-        let (rail_free, _) = assert_lane_walks_agree(&plan, plan.lut(), &items, None);
-        assert!(rail_free);
-        assert_lane_walks_agree(&plan, plan.lut(), &items, Some(false));
+        for items in [&items[..3], &items[..]] {
+            let (rail_free, _) = assert_lane_walks_agree::<1>(&plan, plan.lut(), items, None);
+            assert!(rail_free);
+            assert_lane_walks_agree::<1>(&plan, plan.lut(), items, Some(false));
+            assert_lane_walks_agree::<2>(&plan, plan.lut(), items, None);
+            assert_lane_walks_agree::<2>(&plan, plan.lut(), items, Some(false));
+        }
         let engine = NativeCpu::with_threads(1);
         for item in &items {
             let got = engine.run_layer(&enc, item, false).outputs;
@@ -1688,8 +1775,8 @@ mod tests {
 
     /// The saturating add of both instantiations, exhaustively around
     /// the rails: every accumulator value × product of the sets below,
-    /// in every lane position, through the per-entry and the striped
-    /// form. The property suites only reach the rails through whole
+    /// in every lane of one- and two-stripe lane blocks, through the
+    /// per-entry and the striped form. The property suites only reach the rails through whole
     /// layers; this reaches every sign and overflow combination.
     #[test]
     fn saturating_step_is_exact_at_every_rail_adjacent_value_in_both_instantiations() {
@@ -1700,8 +1787,8 @@ mod tests {
         // Code `c + 1`'s LUT slot holds `products[c]` outright (`ACCS`
         // is its prefix) and the activations are one-hot 1s, so column
         // 0 moves accumulator `i * n + c` from zero to `accs[i]` and
-        // column 1 adds `products[c]` to it, in one lane; the other
-        // seven add zero.
+        // column 1 adds `products[c]` to it, in one lane; every other
+        // lane adds zero.
         let mut lut = [0i32; CODEBOOK_SIZE];
         lut[1..=n].copy_from_slice(&products);
         let centroids: Vec<f32> = (1..=n).map(|c| c as f32).collect();
@@ -1723,10 +1810,20 @@ mod tests {
             );
             let plan = LayerPlan::build(&enc);
             assert_eq!(plan.blocks()[0].col(1).len(), accs.len() * n);
-            for lane in 0..LANE_WIDTH {
-                let mut items = vec![vec![Q8p8::ZERO; 2]; LANE_WIDTH];
+            let one_hot = |width: usize, lane: usize| {
+                let mut items = vec![vec![Q8p8::ZERO; 2]; width];
                 items[lane] = vec![Q8p8::from_raw(1); 2];
-                let (_, clamped) = assert_lane_walks_agree(&plan, &lut, &items, Some(false));
+                items
+            };
+            for lane in 0..LANE_WIDTH {
+                let items = one_hot(LANE_WIDTH, lane);
+                let (_, clamped) = assert_lane_walks_agree::<1>(&plan, &lut, &items, Some(false));
+                assert_eq!(clamped, accs != [0], "only a zero accumulator stays inside");
+            }
+            for lane in 0..MAX_STRIPES * LANE_WIDTH {
+                let items = one_hot(MAX_STRIPES * LANE_WIDTH, lane);
+                let (_, clamped) =
+                    assert_lane_walks_agree::<MAX_STRIPES>(&plan, &lut, &items, Some(false));
                 assert_eq!(clamped, accs != [0], "only a zero accumulator stays inside");
             }
         }
@@ -1738,13 +1835,20 @@ mod tests {
         assert_eq!(std::mem::size_of::<Stripe>(), 32);
         let (enc, items) = dense_case((12, 10, 9), (0.5, 2), 7);
         let plan = LayerPlan::build(&enc);
+        // Nine items: one lane block of two stripes, walked from the
+        // scratch's first 64-byte line so each accumulator row is one
+        // whole line.
+        assert_eq!(lane_block_items(items.len()), MAX_STRIPES * LANE_WIDTH);
         let mut schedule = LaneSchedule::default();
-        schedule.fill(&items, plan.cols());
+        schedule.fill::<MAX_STRIPES, _>(&items, plan.cols());
         let input = TaskInput::Lanes(Arc::new(schedule));
         let mut scratch = WorkerScratch::default();
         run_block_range(&plan, &input, (0, 1), false, &mut scratch);
-        assert_eq!(scratch.stripes.len(), 2 * BLOCK_ACCUMULATORS);
+        assert_eq!(scratch.stripes.len(), 2 * BLOCK_ACCUMULATORS + 1);
         assert_eq!(scratch.stripes.as_ptr() as usize % 32, 0);
+        let walked = line_aligned(&mut scratch.stripes);
+        assert_eq!(walked.as_ptr() as usize % 64, 0);
+        assert!(walked.len() >= 2 * BLOCK_ACCUMULATORS);
     }
 
     #[test]

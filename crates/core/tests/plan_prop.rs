@@ -8,8 +8,9 @@
 //! saturation-heavy inputs near the `Accum32` limits, where any
 //! reordering, dropped-padding, or lane-padding mistake would change
 //! which saturating add clamps first, at every lane-remainder batch
-//! size (each congruence class mod [`LANE_WIDTH`] plus a non-multiple
-//! like 13), where a tail-block bug would show, and on the block
+//! size (each congruence class mod [`LANE_WIDTH`], at one and at two
+//! stripes per lane block, plus multi-block batches), where a
+//! tail-block bug would show, and on the block
 //! structure's own corners: multi-block layers, block cuts inside a PE
 //! slice, empty slices, and clamping rows that straddle a block
 //! boundary, across thread fan-outs.
@@ -37,10 +38,17 @@ fn arb_case() -> impl Strategy<Value = (EncodedLayer, Vec<Vec<Q8p8>>)> {
         prop_oneof![Just(1usize), Just(2), Just(3), Just(4), Just(8)],
         0.1f64..1.0,
         any::<u64>(),
-        // Every batch size through one past the lane width (covers each
-        // remainder class of the lane kernel's padded tail block), plus
-        // a larger non-multiple.
-        prop_oneof![1usize..=LANE_WIDTH + 1, Just(13usize)],
+        // Every batch size through one past two lane widths (each
+        // remainder class of the padded tail block, at one stripe per
+        // lane block up to LANE_WIDTH items and two above), plus
+        // batches of two and three 16-item blocks whose last block is
+        // half full (24), one item past half (25) or one item (33).
+        prop_oneof![
+            17 => 1usize..=2 * LANE_WIDTH + 1,
+            1 => Just(24usize),
+            1 => Just(25),
+            1 => Just(33)
+        ],
     )
         .prop_map(
             |(rows, cols, density, seed, pes, act_density, act_seed, batch)| {
@@ -78,7 +86,12 @@ fn arb_saturating_case() -> impl Strategy<Value = (EncodedLayer, Vec<Vec<Q8p8>>)
         prop_oneof![Just(1usize), Just(2), Just(4)],
         // Lane-remainder batches for the saturation cases too: padded
         // tail lanes must stay no-ops even when real lanes clamp.
-        prop_oneof![1usize..=LANE_WIDTH + 1, Just(13usize)],
+        prop_oneof![
+            17 => 1usize..=2 * LANE_WIDTH + 1,
+            1 => Just(24usize),
+            1 => Just(25),
+            1 => Just(33)
+        ],
     )
         .prop_map(|(rows, cols, seed, pes, batch)| {
             let mut state = seed | 1;
@@ -522,7 +535,7 @@ fn the_proof_is_sound_on_inputs_from_the_i16_extremes() {
             CompressConfig::with_pes(pes),
         );
         let act_scale = [64i64, 2_000, 12_000, 32_767][next() as usize % 4];
-        let batch = [1, 3, LANE_WIDTH, LANE_WIDTH + 1][next() as usize % 4];
+        let batch = [1, 3, LANE_WIDTH, LANE_WIDTH + 1, 2 * LANE_WIDTH + 1][next() as usize % 5];
         let items: Vec<Vec<Q8p8>> = (0..batch)
             .map(|_| {
                 (0..cols)
@@ -589,7 +602,7 @@ fn one_hot_item_sends_the_whole_batch_down_the_saturating_path() {
         &CsrMatrix::from_triplets(rows, cols, &cells),
         CompressConfig::with_pes(4),
     );
-    for batch in (1..=LANE_WIDTH + 1).chain([13]) {
+    for batch in (1..=2 * LANE_WIDTH + 1).chain([24, 25, 33]) {
         let mut items: Vec<Vec<Q8p8>> = (0..batch - 1)
             .map(|i| {
                 (0..cols)

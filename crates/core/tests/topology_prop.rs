@@ -37,9 +37,14 @@ fn arb_case() -> impl Strategy<Value = (CompiledModel, Vec<Vec<Q8p8>>)> {
         prop_oneof![Just(1usize), Just(2), Just(4)],
         0.2f64..1.0,
         any::<u64>(),
-        // Every remainder class of the lane kernel's tail block plus a
-        // larger non-multiple.
-        prop_oneof![1usize..=LANE_WIDTH + 1, Just(13usize)],
+        // Every remainder class of the lane kernel's tail block, at one
+        // and at two stripes per lane block, plus multi-block batches.
+        prop_oneof![
+            17 => 1usize..=2 * LANE_WIDTH + 1,
+            1 => Just(24usize),
+            1 => Just(25),
+            1 => Just(33)
+        ],
     )
         .prop_map(|(dims, density, seed, pes, act_density, act_seed, batch)| {
             let weights: Vec<CsrMatrix> = dims
@@ -110,59 +115,92 @@ proptest! {
     fn saturating_stacks_pin_the_add_order(
         seed in any::<u64>(),
         pes in prop_oneof![Just(1usize), Just(2), Just(4)],
-        batch in prop_oneof![1usize..=LANE_WIDTH + 1, Just(13usize)],
+        batch in prop_oneof![
+            17 => 1usize..=2 * LANE_WIDTH + 1,
+            1 => Just(24usize),
+            1 => Just(25),
+            1 => Just(33)
+        ],
         threads in 1usize..=3,
     ) {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let (mid, cols) = (12usize, 16usize);
-        // Dense-ish near-rail weights with mixed signs: two same-sign
-        // products already brush the Accum32 limit.
-        let mut stack_weights = Vec::new();
-        for (rows, cols) in [(mid, cols), (8, mid)] {
-            let mut triplets = Vec::new();
-            for r in 0..rows {
-                for c in 0..cols {
-                    if next() % 4 == 0 {
-                        continue;
-                    }
-                    let sign = if next() % 2 == 0 { 1.0 } else { -1.0 };
-                    triplets.push((r, c, sign * (100.0 + (next() % 28) as f32)));
-                }
-            }
-            if triplets.is_empty() {
-                triplets.push((0, 0, 127.0));
-            }
-            stack_weights.push(CsrMatrix::from_triplets(rows, cols, &triplets));
-        }
-        let refs: Vec<&CsrMatrix> = stack_weights.iter().collect();
-        let model = CompiledModel::compile(EieConfig::default().with_num_pes(pes), &refs);
-        let items: Vec<Vec<Q8p8>> = (0..batch)
-            .map(|_| {
-                (0..cols)
-                    .map(|_| {
-                        if next() % 5 == 0 {
-                            Q8p8::ZERO
-                        } else {
-                            let sign = if next() % 2 == 0 { 1.0 } else { -1.0 };
-                            Q8p8::from_f32(sign * (90.0 + (next() % 38) as f32))
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        // The case is only interesting if layer 0 actually clamps
-        // before ReLU feeds it forward.
-        let first = Functional::new().run_layer(model.layer(0), &items[0], false).outputs;
-        prop_assert!(
-            first.iter().any(|v| *v == Q8p8::MAX || *v == Q8p8::MIN),
-            "saturation strategy produced no clamped layer-0 outputs"
-        );
-        assert_threads_agree(model, &items, threads)?;
+        saturating_stack(seed, pes, batch, threads)?;
     }
+}
+
+/// The saturating stack at the two-stripe boundaries on every fan-out
+/// and PE count, deterministically: one short of a full 16-item lane
+/// block, full, one past it, and one past two.
+#[test]
+fn saturating_stacks_pin_the_add_order_around_two_stripe_blocks() {
+    for batch in [15, 16, 17, 33] {
+        for (pes, threads) in [(1, 1), (2, 2), (4, 3)] {
+            let seed = (batch * 131 + pes * 7 + threads) as u64;
+            if let Err(e) = saturating_stack(seed, pes, batch, threads) {
+                panic!("batch {batch}, {pes} PEs, {threads} threads: {e:?}");
+            }
+        }
+    }
+}
+
+/// One near-rail two-layer stack of `batch` items from `seed`, cut for
+/// `threads` and checked against the golden model.
+fn saturating_stack(
+    seed: u64,
+    pes: usize,
+    batch: usize,
+    threads: usize,
+) -> Result<(), TestCaseError> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let (mid, cols) = (12usize, 16usize);
+    // Dense-ish near-rail weights with mixed signs: two same-sign
+    // products already brush the Accum32 limit.
+    let mut stack_weights = Vec::new();
+    for (rows, cols) in [(mid, cols), (8, mid)] {
+        let mut triplets = Vec::new();
+        for r in 0..rows {
+            for c in 0..cols {
+                if next() % 4 == 0 {
+                    continue;
+                }
+                let sign = if next() % 2 == 0 { 1.0 } else { -1.0 };
+                triplets.push((r, c, sign * (100.0 + (next() % 28) as f32)));
+            }
+        }
+        if triplets.is_empty() {
+            triplets.push((0, 0, 127.0));
+        }
+        stack_weights.push(CsrMatrix::from_triplets(rows, cols, &triplets));
+    }
+    let refs: Vec<&CsrMatrix> = stack_weights.iter().collect();
+    let model = CompiledModel::compile(EieConfig::default().with_num_pes(pes), &refs);
+    let items: Vec<Vec<Q8p8>> = (0..batch)
+        .map(|_| {
+            (0..cols)
+                .map(|_| {
+                    if next() % 5 == 0 {
+                        Q8p8::ZERO
+                    } else {
+                        let sign = if next() % 2 == 0 { 1.0 } else { -1.0 };
+                        Q8p8::from_f32(sign * (90.0 + (next() % 38) as f32))
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    // The case is only interesting if layer 0 actually clamps
+    // before ReLU feeds it forward.
+    let first = Functional::new()
+        .run_layer(model.layer(0), &items[0], false)
+        .outputs;
+    prop_assert!(
+        first.iter().any(|v| *v == Q8p8::MAX || *v == Q8p8::MIN),
+        "saturation strategy produced no clamped layer-0 outputs"
+    );
+    assert_threads_agree(model, &items, threads)
 }

@@ -58,19 +58,33 @@ impl<const FRAC: u32> Fix16<FRAC> {
         self.0
     }
 
-    /// Quantizes an `f32`, rounding to nearest and saturating.
+    /// Quantizes an `f32`, rounding to nearest (ties away from zero) and
+    /// saturating; NaN is zero.
+    ///
+    /// Written without a libm call or a float-to-int conversion, so that
+    /// [`Fix16::from_f32_slice`] vectorizes: at baseline x86-64 features
+    /// `f64::round` is a libm call, and quantizing a 9 216-wide input
+    /// through it cost ≈ 60 µs of every submission on a 2-vCPU Xeon
+    /// (≈ 8 µs this way).
+    /// Every step is exact. Scaling by `2^FRAC` is; the clamp bounds are
+    /// integers, so clamping commutes with rounding; below `2^22` adding
+    /// `1.5 × 2^23` rounds to the nearest integer, ties to even, and that
+    /// integer is the sum's bit pattern minus the constant's; and the
+    /// remainder `x − even` is exactly `±½` only at a tie, where a tie
+    /// the even rounding took toward zero is moved one step away.
+    /// `reference` in the tests is the `f64::round` definition this
+    /// replaced: they agree on every tie and a bit-pattern sweep, and
+    /// `from_f32_matches_round_half_away_on_every_f32` (ignored; run it
+    /// with `--release -- --ignored`) checks all 2^32 patterns.
     pub fn from_f32(value: f32) -> Self {
-        if value.is_nan() {
-            return Self::ZERO;
-        }
-        let scaled = (value as f64 * (1i64 << FRAC) as f64).round();
-        if scaled >= i16::MAX as f64 {
-            Self::MAX
-        } else if scaled <= i16::MIN as f64 {
-            Self::MIN
-        } else {
-            Self(scaled as i16)
-        }
+        const MAGIC: f32 = 12_582_912.0; // 1.5 × 2^23
+        let x = (value * (1i64 << FRAC) as f32).clamp(i16::MIN as f32, i16::MAX as f32);
+        let x = if x.is_nan() { 0.0 } else { x };
+        let biased = x + MAGIC;
+        let even = biased.to_bits() as i32 - MAGIC.to_bits() as i32;
+        let rest = x - (biased - MAGIC);
+        let away = (rest == 0.5 && x > 0.0) as i32 - (rest == -0.5 && x < 0.0) as i32;
+        Self((even + away) as i16)
     }
 
     /// Quantizes a whole `f32` slice (the activation-vector case) —
@@ -199,6 +213,65 @@ mod tests {
         assert_eq!(Q8p8::from_f32(1.0 / 512.0).raw(), 1);
         assert_eq!(Q8p8::from_f32(-1.0 / 512.0).raw(), -1);
         assert_eq!(Q8p8::from_f32(0.0009).raw(), 0);
+    }
+
+    /// The rounding `from_f32` used to spell out with `f64::round`.
+    fn reference<const FRAC: u32>(value: f32) -> i16 {
+        if value.is_nan() {
+            return 0;
+        }
+        let scaled = (value as f64 * (1i64 << FRAC) as f64).round();
+        scaled.clamp(i16::MIN as f64, i16::MAX as f64) as i16
+    }
+
+    #[test]
+    fn from_f32_matches_round_half_away_on_every_tie_and_a_bit_pattern_sweep() {
+        fn check<const FRAC: u32>(value: f32) {
+            let got = Fix16::<FRAC>::from_f32(value).raw();
+            assert_eq!(
+                got,
+                reference::<FRAC>(value),
+                "{value:e} ({:#x})",
+                value.to_bits()
+            );
+        }
+        // Every half-LSB tie across the range and past both rails, with
+        // the neighbouring bit patterns on either side of it.
+        for n in -70_000i32..70_000 {
+            for tie in [(n as f32 + 0.5) / 256.0, (n as f32 + 0.5) / 4096.0] {
+                for bits in tie.to_bits() - 2..=tie.to_bits() + 2 {
+                    check::<8>(f32::from_bits(bits));
+                    check::<12>(f32::from_bits(bits));
+                }
+            }
+        }
+        // A stride through all 2^32 patterns: zeros, subnormals, both
+        // infinities' neighbourhoods and NaNs included.
+        for bits in (0..=u32::MAX)
+            .step_by(4_099)
+            .chain([0x7f80_0000, 0xff80_0000, 0x8000_0000])
+        {
+            check::<8>(f32::from_bits(bits));
+            check::<12>(f32::from_bits(bits));
+        }
+    }
+
+    #[test]
+    #[ignore = "sweeps all 2^32 f32 patterns: about a minute in release"]
+    fn from_f32_matches_round_half_away_on_every_f32() {
+        for bits in 0..=u32::MAX {
+            let value = f32::from_bits(bits);
+            assert_eq!(
+                Q8p8::from_f32(value).raw(),
+                reference::<8>(value),
+                "{bits:#x}"
+            );
+            assert_eq!(
+                Q4p12::from_f32(value).raw(),
+                reference::<12>(value),
+                "{bits:#x}"
+            );
+        }
     }
 
     #[test]

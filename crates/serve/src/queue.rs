@@ -13,6 +13,16 @@
 //!   stragglers before running what it has. Under load batches fill
 //!   instantly (no added latency); when idle a lone request waits at
 //!   most `max_wait`.
+//! * **Whole lane blocks** — a batch of more than [`LANE_WIDTH`]
+//!   requests runs the native kernel's two-stripe lane block, whose
+//!   cost does not depend on how many of its sixteen lanes are real. So
+//!   once a collecting batch passes `LANE_WIDTH`, its window slides:
+//!   it stays open while stragglers keep arriving, each within
+//!   `max_wait` of the last, up to `max_batch`. A closed loop of
+//!   sixteen clients then refills a whole block instead of splitting
+//!   across two dispatches, where the left-out requests would wait out
+//!   a whole dispatch in the queue. Traffic that never queues more
+//!   than `LANE_WIDTH` requests sees the fixed window unchanged.
 //! * **Graceful shutdown** — [`MicroBatchQueue::close`] stops new
 //!   arrivals but lets workers drain every queued request;
 //!   `pop_batch` returns `None` only once the queue is closed *and*
@@ -21,6 +31,8 @@
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+use eie_core::compress::LANE_WIDTH;
 
 /// A queue entry: generic over the request payload so the queue logic
 /// stays independently testable.
@@ -107,8 +119,10 @@ impl<T> MicroBatchQueue<T> {
 
     /// Claims the next micro-batch: blocks until at least one request is
     /// queued, then coalesces up to `max_batch` requests, waiting at
-    /// most `max_wait` for a short batch to fill. Returns `None` once
-    /// the queue is closed and fully drained — the worker's exit signal.
+    /// most `max_wait` for a short batch to fill — measured from the
+    /// latest arrival once more than [`LANE_WIDTH`] are in (see the
+    /// module docs). Returns `None` once the queue is closed and fully
+    /// drained — the worker's exit signal.
     pub fn pop_batch(&self, max_batch: usize, max_wait: Duration) -> Option<Vec<T>> {
         debug_assert!(max_batch > 0);
         let mut state = self.state.lock().expect("queue poisoned");
@@ -123,25 +137,29 @@ impl<T> MicroBatchQueue<T> {
             state = self.not_empty.wait(state).expect("queue poisoned");
         }
         // Phase 2: coalesce. A full batch, a closed queue, or an elapsed
-        // wait each end the collection window.
+        // wait each end the collection window. Past `LANE_WIDTH` items
+        // the window slides: every arrival extends it to `max_wait`
+        // after itself.
         if state.queue.len() < max_batch && !state.closed && !max_wait.is_zero() {
-            let deadline = Instant::now() + max_wait;
+            let mut deadline = Instant::now() + max_wait;
+            let mut seen = state.queue.len();
             while state.queue.len() < max_batch && !state.closed {
                 let now = Instant::now();
+                if state.queue.len() > seen.max(LANE_WIDTH) {
+                    deadline = deadline.max(now + max_wait);
+                }
+                seen = state.queue.len();
                 let Some(remaining) = deadline
                     .checked_duration_since(now)
                     .filter(|d| !d.is_zero())
                 else {
                     break;
                 };
-                let (guard, timeout) = self
+                state = self
                     .not_empty
                     .wait_timeout(state, remaining)
-                    .expect("queue poisoned");
-                state = guard;
-                if timeout.timed_out() {
-                    break;
-                }
+                    .expect("queue poisoned")
+                    .0;
             }
         }
         let take = state.queue.len().min(max_batch);
@@ -225,6 +243,48 @@ mod tests {
         let batch = q.pop_batch(2, Duration::from_secs(2)).unwrap();
         producer.join().unwrap();
         assert_eq!(batch, vec![1, 2]);
+    }
+
+    /// Pushes `items` one every `gap`, from another thread.
+    fn trickle(
+        q: &std::sync::Arc<MicroBatchQueue<usize>>,
+        items: std::ops::Range<usize>,
+        gap: Duration,
+    ) -> std::thread::JoinHandle<()> {
+        let q = q.clone();
+        std::thread::spawn(move || {
+            for i in items {
+                std::thread::sleep(gap);
+                q.push(i).unwrap();
+            }
+        })
+    }
+
+    #[test]
+    fn window_slides_only_past_one_lane_stripe() {
+        let (window, gap) = (Duration::from_millis(150), Duration::from_millis(60));
+        // Nine queued, then one every 60 ms: each arrival past
+        // LANE_WIDTH re-opens the 150 ms window, so the batch fills to
+        // 2 × LANE_WIDTH over ≈ 420 ms instead of leaving at 150.
+        let q = std::sync::Arc::new(MicroBatchQueue::new(64));
+        for i in 0..=LANE_WIDTH {
+            q.push(i).unwrap();
+        }
+        let producer = trickle(&q, LANE_WIDTH + 1..2 * LANE_WIDTH, gap);
+        let started = Instant::now();
+        let batch = q.pop_batch(2 * LANE_WIDTH, window).unwrap();
+        producer.join().unwrap();
+        assert_eq!(batch, (0..2 * LANE_WIDTH).collect::<Vec<_>>());
+        assert!(started.elapsed() > window * 2);
+        // One queued and the same trickle behind it: the window stays
+        // fixed below LANE_WIDTH, so the batch leaves after 150 ms with
+        // the few that made it.
+        let q = std::sync::Arc::new(MicroBatchQueue::new(64));
+        q.push(0).unwrap();
+        let producer = trickle(&q, 1..LANE_WIDTH, gap);
+        let batch = q.pop_batch(2 * LANE_WIDTH, window).unwrap();
+        producer.join().unwrap();
+        assert!(batch.len() < LANE_WIDTH, "{batch:?}");
     }
 
     #[test]

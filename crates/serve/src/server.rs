@@ -9,6 +9,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use eie_core::backend::host_cores;
+use eie_core::compress::LANE_WIDTH;
 use eie_core::fixed::Q8p8;
 use eie_core::{
     percentile, run_stack_planned, BackendKind, CompiledModel, ModelArtifactError, PlannedLayer,
@@ -25,19 +26,23 @@ use crate::queue::{MicroBatchQueue, PushError};
 ///
 /// ```
 /// use eie_serve::ServerConfig;
+/// use eie_core::compress::LANE_WIDTH;
 /// use eie_core::BackendKind;
 ///
 /// // The default kernel takes each worker's share of the cores:
 /// // `ModelServer::start` resolves `NativeCpu(0)` to
 /// // `NativeCpu(max(1, cores / workers))`.
 /// assert_eq!(ServerConfig::default().backend, BackendKind::NativeCpu(0));
+/// // A full dispatch is one two-stripe lane block: each plan entry
+/// // the kernel decodes serves 16 items.
+/// assert_eq!(ServerConfig::default().max_batch, 2 * LANE_WIDTH);
 /// let cfg = ServerConfig::default()
 ///     .with_backend(BackendKind::NativeCpu(1))
 ///     .with_workers(2)
-///     .with_max_batch(16)
+///     .with_max_batch(8)
 ///     .with_max_wait_us(150)
 ///     .with_queue_depth(64);
-/// assert_eq!(cfg.max_batch, 16);
+/// assert_eq!(cfg.max_batch, 8);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerConfig {
@@ -51,7 +56,9 @@ pub struct ServerConfig {
     pub backend: BackendKind,
     /// Worker threads, one [`Backend`](eie_core::Backend) each.
     pub workers: usize,
-    /// Most requests one micro-batch may coalesce.
+    /// Most requests one micro-batch may coalesce; defaults to
+    /// `2 × LANE_WIDTH` = 16, the largest lane block the native kernel
+    /// walks in one pass.
     pub max_batch: usize,
     /// How long a worker holds a short batch open for stragglers, µs.
     /// `0` disables the wait: every pop takes only what is queued.
@@ -70,12 +77,19 @@ pub struct ServerConfig {
     pub restart_backoff_us: u64,
 }
 
+/// The default micro-batch cap: `2 × LANE_WIDTH`, the native kernel's
+/// largest lane block. A dispatch of more than [`LANE_WIDTH`] items
+/// applies each plan entry to two 8-item stripes off one decode, so a
+/// full 16 pays for the plan walk once where two dispatches of 8 would
+/// pay twice.
+const DEFAULT_MAX_BATCH: usize = 2 * LANE_WIDTH;
+
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             backend: BackendKind::NativeCpu(0),
             workers: 2,
-            max_batch: 8,
+            max_batch: DEFAULT_MAX_BATCH,
             max_wait_us: 200,
             queue_depth: 256,
             restart_budget: 8,

@@ -325,3 +325,34 @@ fn one_worker_default_server_is_bit_exact_at_every_batch_size() {
         server.shutdown();
     }
 }
+
+/// The default cap is one two-stripe lane block: a one-worker default
+/// server coalesces up to sixteen requests per dispatch and answers
+/// batches around that bound bit-exactly. The window outlasts the
+/// submissions, and shutdown closes it, so each dispatch holds
+/// `min(remaining, 16)`.
+#[test]
+fn one_worker_default_server_fills_sixteen_item_lane_blocks() {
+    let model = small_model();
+    for n in [15, 16, 17, 33] {
+        let requests = inputs(n);
+        let golden = model.infer(BackendKind::Functional).submit(&requests);
+        let config = ServerConfig::default()
+            .with_workers(1)
+            .with_max_wait_us(5_000_000);
+        assert_eq!(config.max_batch, 16);
+        let server = ModelServer::start(model.clone(), config);
+        let responses: Vec<_> = requests
+            .iter()
+            .map(|input| server.submit(input).expect("submit"))
+            .collect();
+        let stats = server.shutdown();
+        for (i, response) in responses.into_iter().enumerate() {
+            let result = response.wait().expect("request failed");
+            assert_eq!(result.outputs[..], *golden.outputs(i), "batch {n} item {i}");
+            let dispatch = (n - i / 16 * 16).min(16);
+            assert_eq!(result.coalesced, dispatch, "batch {n} item {i}");
+        }
+        assert_eq!(stats.max_coalesced, n.min(16), "batch {n}");
+    }
+}
