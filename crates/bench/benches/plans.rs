@@ -1,36 +1,16 @@
-//! Criterion micro-benchmarks of the execution-plan hot path: plan
-//! build cost (paid once per layer) versus the steady-state win of the
-//! plan kernel over the streaming kernel, single-item and fused-batch.
-//!
-//! `kernel_sweep` is the recorded experiment (BENCH_kernel.json); these
-//! benches are the developer-loop view of the same comparison, gated in
-//! CI with `cargo bench --no-run` so the plan path can't rot
-//! unbenchmarked.
+//! Criterion micro-benchmark of plan build cost — paid once per layer
+//! instance, on the cold path. The steady-state walks are benched in
+//! `lanes.rs` and recorded by `kernel_sweep` (BENCH_kernel.json); this
+//! bench is gated in CI with `cargo bench --no-run` so the plan build
+//! can't rot unbenchmarked.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use eie_core::prelude::*;
 
-fn setup() -> (EncodedLayer, Vec<Q8p8>, Vec<Vec<Q8p8>>) {
-    // A 1024×1024 layer at AlexNet-FC7 density: large enough that the
-    // kernels stream past the caches, small enough for stable benches.
+fn bench_plan_build(c: &mut Criterion) {
+    // A 1024×1024 layer at AlexNet-FC7 density.
     let sparse = random_sparse(1024, 1024, 0.09, 42);
     let enc = compress(&sparse, CompressConfig::with_pes(8));
-    let acts = Q8p8::from_f32_slice(&eie_core::nn::zoo::sample_activations(1024, 0.35, false, 7));
-    let batch: Vec<Vec<Q8p8>> = (0..16u64)
-        .map(|i| {
-            Q8p8::from_f32_slice(&eie_core::nn::zoo::sample_activations(
-                1024,
-                0.35,
-                false,
-                8 + i,
-            ))
-        })
-        .collect();
-    (enc, acts, batch)
-}
-
-fn bench_plan_build(c: &mut Criterion) {
-    let (enc, _, _) = setup();
     let mut group = c.benchmark_group("plan_build");
     group.throughput(Throughput::Elements(enc.total_entries() as u64));
     group.bench_function(BenchmarkId::new("layer_plan_build", "1024x1024@9%"), |b| {
@@ -39,32 +19,5 @@ fn bench_plan_build(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_plan_vs_streaming(c: &mut Criterion) {
-    let (enc, acts, batch) = setup();
-    let mut group = c.benchmark_group("plan_vs_streaming");
-    for threads in [1usize, 4] {
-        let plan = NativeCpu::with_threads(threads);
-        let stream = plan.clone().without_plans();
-        // Warm outside the measurement: plan built, pool spawned,
-        // scratch at its high-water mark.
-        let _ = plan.run_layer(&enc, &acts, false);
-        let _ = stream.run_layer(&enc, &acts, false);
-
-        group.bench_function(BenchmarkId::new("single_streaming", threads), |b| {
-            b.iter(|| stream.run_layer(&enc, &acts, false))
-        });
-        group.bench_function(BenchmarkId::new("single_plan", threads), |b| {
-            b.iter(|| plan.run_layer(&enc, &acts, false))
-        });
-        group.bench_function(BenchmarkId::new("batch16_streaming", threads), |b| {
-            b.iter(|| stream.run_layer_batch(&enc, &batch, false))
-        });
-        group.bench_function(BenchmarkId::new("batch16_plan", threads), |b| {
-            b.iter(|| plan.run_layer_batch(&enc, &batch, false))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_plan_build, bench_plan_vs_streaming);
+criterion_group!(benches, bench_plan_build);
 criterion_main!(benches);

@@ -1,16 +1,12 @@
 //! Kernel sweep: the reproducible perf baseline of the native hot path.
 //!
 //! Measures layer throughput across a batch-size sweep (1, 2, 3, 4, 8,
-//! 16, 32) for two kernels:
-//!
-//! * **streaming** — per-call entry-stream decode, scoped threads (the
-//!   pre-plan code path, kept alive as `NativeCpu::without_plans`),
-//! * **plan** — the column-major packed [`LayerPlan`] on the persistent
-//!   pool: the single-item walk at batch 1, the batch-lane vectorized
-//!   walk above it (fixed-width, 32-byte-aligned `[i32; LANE_WIDTH]`
-//!   MACs, two per entry decode in 16-item lane blocks above
-//!   `LANE_WIDTH` items; the recorded `simd` field is the instantiation
-//!   the host dispatched to, `lane_isa()`).
+//! 16, 32) of `NativeCpu`'s one kernel: the column-major packed
+//! [`LayerPlan`] walked on the persistent pool — the single-item walk at
+//! batch 1, the batch-lane vectorized walk above it (fixed-width,
+//! 32-byte-aligned `[i32; LANE_WIDTH]` MACs, two per entry decode in
+//! 16-item lane blocks above `LANE_WIDTH` items; the recorded `simd`
+//! field is the instantiation the host dispatched to, `lane_isa()`).
 //!
 //! Each thread count walks the plan a server with that many kernel
 //! threads shares between its workers: the model's plan cut once for
@@ -20,24 +16,24 @@
 //! walks, the bytes of live columns' runs it touches per frame, the
 //! achieved GB/s and GMAC/s, and the share of walked entries that took
 //! the rail-free (wrapping) path — from the same public predicate the
-//! kernel asks. **Roof probes** run first and put every plan cell
-//! against the host instead of against the last PR: `roof_stream_gbps`
+//! kernel asks. **Roof probes** run first and put every cell against
+//! the host instead of against the last PR: `roof_stream_gbps`
 //! (a sequential `u16` read of a plan-sized buffer — the most an entry
 //! stream can deliver) and `roof_lane_steps_per_s` /
 //! `roof_single_steps_per_s` (the kernel's own rail-free entry step on
 //! an L1-resident block of accumulators, through the same dispatcher,
-//! as a full lane block and as one item); a plan cell's `roof_share` is
+//! as a full lane block and as one item); a cell's `roof_share` is
 //! the larger of its GB/s over the stream roof and its entry steps/s
 //! over its step roof — whichever wall it is closer to. The zoo layers prove
 //! rail-free on their inputs; one synthetic **near-rail** row (dense-ish
 //! weights around ±2.0, full-scale mixed-sign inputs) does not, and
-//! keeps the saturating fallback's cost on the record. Both kernels are
+//! keeps the saturating fallback's cost on the record. Both walks are
 //! asserted bit-exact against the functional golden model — at batch 1
 //! and at the largest swept batch — before any number is recorded.
 //!
 //! Output: a table + story on stdout (and `results/kernel_sweep.txt`),
 //! plus the machine-readable **`BENCH_kernel.json`** at the repo root —
-//! the recorded perf trajectory (schema `eie-kernel-sweep/v6`,
+//! the recorded perf trajectory (schema `eie-kernel-sweep/v7`,
 //! documented in `EXPERIMENTS.md`). Only a full-scale non-quick run
 //! touches that file: `--quick` (the CI smoke: one layer, bounded
 //! iterations, batches 1, 8 and 16, at 1 and — where the host has them
@@ -54,7 +50,7 @@ use std::time::Instant;
 use eie_bench::*;
 use eie_core::backend::{host_cores, lane_block_items};
 use eie_core::baselines::TimingHarness;
-use eie_core::compress::{Entry, PlanEntry};
+use eie_core::compress::PlanEntry;
 
 /// One measured cell of the sweep.
 struct Cell {
@@ -65,12 +61,9 @@ struct Cell {
     threads: usize,
     /// Batch size of the run (1 = single-item path).
     batch: usize,
-    /// `"streaming"` or `"plan"`.
-    kernel: &'static str,
     us_per_frame: f64,
     frames_per_second: f64,
-    /// Resident bytes of the structure the kernel walks (the plan, or
-    /// the in-memory entry stream and its 64 extent indexes).
+    /// Resident bytes of the plan the kernel walks.
     plan_bytes: usize,
     /// `plan_bytes` over the layer's real (non-padding) entries.
     bytes_per_entry: f64,
@@ -78,12 +71,10 @@ struct Cell {
     bytes_touched: f64,
     gbps: f64,
     gmacs: f64,
-    /// Entries walked with wrapping adds ÷ entries walked (0 for the
-    /// streaming kernel, which always saturates).
+    /// Entries walked with wrapping adds ÷ entries walked.
     rail_free_share: f64,
     /// The larger of `gbps` ÷ the stream roof and entry steps/s ÷ the
-    /// cell's step roof (0 for the streaming kernel, which walks a
-    /// different structure than the roofs were probed for).
+    /// cell's step roof.
     roof_share: f64,
 }
 
@@ -174,46 +165,39 @@ fn rail_free_share(plan: &LayerPlan, items: &[Vec<Q8p8>]) -> f64 {
     proved.map(|b| b.num_entries()).sum::<usize>() as f64 / plan.total_entries().max(1) as f64
 }
 
-/// What one kernel's walk of a batch costs, from the extents of the
-/// columns it visits: `(stored entries walked, useful MACs)`.
+/// What the plan walk of a batch costs, from the extents of the
+/// columns it visits: `(entries walked, useful MACs)`.
 ///
-/// A fused walk visits a column once per group of items that share the
-/// pass (the whole batch for streaming, one lane block of the size the
-/// dispatch uses for the plan — `lane_block_items`) if any item of the
-/// group is live there; a useful MAC is one real entry times one item's
-/// non-zero activation.
-fn walk_cost(
-    col_stored: &[usize],
-    col_real: &[usize],
-    batch: &[Vec<Q8p8>],
-    group: usize,
-) -> (usize, usize) {
+/// A walk visits a column once per lane block of the size the dispatch
+/// uses (`lane_block_items`; a single item is its own pass) if any item
+/// of the block is live there; a useful MAC is one entry times one
+/// item's non-zero activation.
+fn walk_cost(col_entries: &[usize], batch: &[Vec<Q8p8>], group: usize) -> (usize, usize) {
     let (mut entries, mut macs) = (0, 0);
     for items in batch.chunks(group) {
-        for (j, (&stored, &real)) in col_stored.iter().zip(col_real).enumerate() {
+        for (j, &n) in col_entries.iter().enumerate() {
             let live = items.iter().filter(|item| !item[j].is_zero()).count();
-            entries += if live > 0 { stored } else { 0 };
-            macs += live * real;
+            entries += if live > 0 { n } else { 0 };
+            macs += live * n;
         }
     }
     (entries, macs)
 }
 
-/// The per-(layer, threads) headline inputs.
+/// The headline: Alex-7 — the layer both the full and the quick sweep
+/// run — at one thread, as ratios of its own cells, which cancel the
+/// host's speed.
 struct Headline {
-    layer: String,
+    layer: &'static str,
     threads: usize,
-    single_speedup: f64,
-    batch: usize,
-    batch_speedup: f64,
     /// `(N, ratio)`: per-frame throughput of one lane pass over a batch
     /// of N against N single-item walks, for the swept N up to one full
     /// lane block (below 1: lanes lose — they pad to [`LANE_WIDTH`] and
     /// give up the per-item zero-skip). The dispatcher's crossover.
     lane_over_single: Vec<(usize, f64)>,
     /// Per-frame throughput of one fused 16-item pass over two 8-item
-    /// passes (batch 16 over batch 8 on the plan kernel), where both
-    /// are swept: what decoding each entry once per sixteen items buys.
+    /// passes (batch 16 over batch 8), where both are swept: what
+    /// decoding each entry once per sixteen items buys.
     fused16_over_2x_b8: Option<f64>,
 }
 
@@ -258,11 +242,10 @@ fn main() {
         &[1, 2, 3, 4, 8, 16, 32]
     };
     let max_batch = *batches.last().expect("batch sweep is non-empty");
-    const KERNELS: [&str; 2] = ["streaming", "plan"];
 
     let mut table = TextTable::new(
         format!(
-            "Kernel sweep: streaming vs plan (lanes: {}), scale 1/{}, EIE = {}",
+            "Kernel sweep: plan walks (lanes: {}), scale 1/{}, EIE = {}",
             lane_isa(),
             scale_divisor(),
             config
@@ -271,10 +254,8 @@ fn main() {
             "layer",
             "threads",
             "mode",
-            "kernel",
             "µs/frame",
             "frames/s",
-            "speedup",
             "B/entry",
             "GB/s",
             "GMAC/s",
@@ -314,24 +295,15 @@ fn main() {
         let (name, batch, acts) = (*name, batch, &batch[0]);
         let enc = model.layer(0);
         let (rows, cols) = (enc.rows(), enc.cols());
-        // What each kernel walks: stored entries per column, and the
-        // entry stream's resident bytes.
-        let col_real: Vec<usize> = (0..cols)
+        // What the walk visits: the plan's entries per column.
+        let col_entries: Vec<usize> = (0..cols)
             .map(|j| model.plan(0).blocks().iter().map(|b| b.col(j).len()).sum())
             .collect();
-        let col_stored: Vec<usize> = (0..cols)
-            .map(|j| enc.slices().iter().map(|s| s.col_entries(j).len()).sum())
-            .collect();
-        let stream_bytes: usize = enc
-            .slices()
-            .iter()
-            .map(|s| size_of_val(s.entries()) + size_of_val(s.col_ptr()))
-            .sum();
 
         // Per thread count, the plan a server with that many kernel
         // threads shares between its workers — cut once for the
         // fan-out, walked as is, no engine-private re-block — and the
-        // two kernels' engines.
+        // engine that walks it.
         let served: Vec<CompiledModel> = thread_counts
             .iter()
             .map(|&threads| {
@@ -340,219 +312,158 @@ fn main() {
                 cut
             })
             .collect();
-        let setups: Vec<(usize, PlannedLayer<'_>, [NativeCpu; 2])> = thread_counts
+        let setups: Vec<(usize, PlannedLayer<'_>, NativeCpu)> = thread_counts
             .iter()
             .zip(&served)
             .map(|(&threads, cut)| {
-                let plan = NativeCpu::with_threads(threads);
                 (
                     threads,
                     cut.planned_layer(0),
-                    [plan.clone().without_plans(), plan],
+                    NativeCpu::with_threads(threads),
                 )
             })
             .collect();
         // Warm every engine and refuse to record perf of wrong answers:
-        // both kernels must agree bit-exactly with the functional golden
+        // both walks must agree bit-exactly with the functional golden
         // at batch 1 and at the largest swept batch (covering the lane
-        // kernel's padded tail blocks).
+        // walk's padded tail blocks).
         let golden = Functional::new();
         let want = golden.run_layer(enc, acts, false).outputs;
         let want_b = golden.run_layer_batch(enc, batch, false);
-        for (threads, planned, engines) in &setups {
-            for (kernel, engine) in KERNELS.iter().zip(engines) {
+        for (threads, planned, engine) in &setups {
+            assert!(
+                engine.run_layer_planned(*planned, acts, false).outputs == want,
+                "{name}: the single-item walk diverged"
+            );
+            let runs = engine.run_layer_batch_planned(*planned, batch, false);
+            for i in 0..max_batch {
                 assert!(
-                    engine.run_layer_planned(*planned, acts, false).outputs == want,
-                    "{name}: single-item {kernel} kernel diverged"
+                    runs[i].outputs == want_b[i].outputs,
+                    "{name}: batch item {i} diverged on the lane walk"
                 );
-                let runs = engine.run_layer_batch_planned(*planned, batch, false);
-                for i in 0..max_batch {
-                    assert!(
-                        runs[i].outputs == want_b[i].outputs,
-                        "{name}: batch item {i} diverged on the {kernel} kernel"
-                    );
-                }
             }
             assert_eq!(
-                engines[1].plan_builds(),
+                engine.plan_builds(),
                 0,
                 "{name}: the shared plan was re-blocked"
             );
             println!(
-                "verified: streaming/plan bit-exact against the functional golden on {} \
+                "verified: plan bit-exact against the functional golden on {} \
                  (single + batch {max_batch}, {threads}t)",
                 name
             );
         }
 
-        // µs per frame by [setup][batch][kernel]. A neighbour holding a
-        // core for a second skews whichever cells it lands on, so the
-        // batch × thread × kernel cells are measured in interleaved
-        // passes and keep their best: every cell gets a shot at every
-        // noise window, including those of the cells its ratios are
-        // taken against (batch 16 against batch 8, 2 threads against 1).
-        // The committed record takes three times the passes of the CI
+        // µs per frame by [setup][batch]. A neighbour holding a core
+        // for a second skews whichever cells it lands on, so the batch
+        // × thread cells are measured in interleaved passes and keep
+        // their best: every cell gets a shot at every noise window,
+        // including those of the cells its ratios are taken against
+        // (batch 16 against batch 8, 2 threads against 1). The
+        // committed record takes three times the passes of the CI
         // smoke: on a shared host a slow phase can outlast five.
         let passes = if quick { 5 } else { 15 };
-        let mut us = vec![vec![[f64::INFINITY; KERNELS.len()]; batches.len()]; setups.len()];
+        let mut us = vec![vec![f64::INFINITY; batches.len()]; setups.len()];
         for _ in 0..passes {
             for (bi, &b) in batches.iter().enumerate() {
-                for (si, (_, planned, engines)) in setups.iter().enumerate() {
-                    for (k, engine) in engines.iter().enumerate() {
-                        let pass = if b == 1 {
-                            harness.measure_us(|| engine.run_layer_planned(*planned, acts, false))
-                        } else {
-                            harness.measure_us(|| {
-                                engine.run_layer_batch_planned(*planned, &batch[..b], false)
-                            }) / b as f64
-                        };
-                        us[si][bi][k] = us[si][bi][k].min(pass);
-                    }
+                for (si, (_, planned, engine)) in setups.iter().enumerate() {
+                    let pass = if b == 1 {
+                        harness.measure_us(|| engine.run_layer_planned(*planned, acts, false))
+                    } else {
+                        harness.measure_us(|| {
+                            engine.run_layer_batch_planned(*planned, &batch[..b], false)
+                        }) / b as f64
+                    };
+                    us[si][bi] = us[si][bi].min(pass);
                 }
             }
         }
 
         for (si, &(threads, planned, _)) in setups.iter().enumerate() {
             let layer_plan = planned.plan.expect("a cut model's layer carries its plan");
-            let walked = [
-                (stream_bytes, size_of::<Entry>(), &col_stored),
-                (
-                    layer_plan.resident_bytes(),
-                    size_of::<PlanEntry>(),
-                    &col_real,
-                ),
-            ];
-            // fps by [batch index][kernel index] for the speedup math.
-            let mut fps = vec![[0.0f64; KERNELS.len()]; batches.len()];
+            let plan_bytes = layer_plan.resident_bytes();
+            let bytes_per_entry = plan_bytes as f64 / layer_plan.total_entries() as f64;
+            let fps: Vec<f64> = us[si].iter().map(|us| 1e6 / us).collect();
             for (bi, &b) in batches.iter().enumerate() {
                 let mode = if b == 1 {
                     "single".to_string()
                 } else {
                     format!("batch{b}")
                 };
-                for (k, kernel) in KERNELS.iter().enumerate() {
-                    let us = us[si][bi][k];
-                    fps[bi][k] = 1e6 / us;
-                    // The streaming kernel fuses the whole batch into
-                    // one pass; the plan walks once per lane block of
-                    // the dispatch's size (a single item is its own pass
-                    // either way).
-                    let items = if b == 1 {
-                        std::slice::from_ref(acts)
-                    } else {
-                        &batch[..b]
-                    };
-                    let group = if k == 0 { b } else { lane_block_items(b) };
-                    let (resident, entry_bytes, extents) = walked[k];
-                    let (entries, macs) = walk_cost(extents, &col_real, items, group);
-                    let bytes_touched = (entries * entry_bytes) as f64 / b as f64;
-                    let bytes_per_entry = resident as f64 / layer_plan.total_entries() as f64;
-                    let gbps = bytes_touched / (us * 1e3);
-                    let gmacs = macs as f64 / b as f64 / (us * 1e3);
-                    let (rail_free_share, roof_share) = if k == 0 {
-                        (0.0, 0.0)
-                    } else {
-                        let steps_per_s = entries as f64 / (us * b as f64 * 1e-6);
-                        // The step roofs are one thread's; blocks fan
-                        // out over threads, so a cell is placed
-                        // against that many.
-                        let step_roof =
-                            threads as f64 * if b == 1 { single_roof } else { lane_roof };
-                        (
-                            rail_free_share(layer_plan, items),
-                            (gbps / stream_roof).max(steps_per_s / step_roof),
-                        )
-                    };
-                    cells.push(Cell {
-                        layer: name,
-                        rows,
-                        cols,
-                        pes: config.num_pes,
-                        threads,
-                        batch: b,
-                        kernel,
-                        us_per_frame: us,
-                        frames_per_second: fps[bi][k],
-                        plan_bytes: resident,
-                        bytes_per_entry,
-                        bytes_touched,
-                        gbps,
-                        gmacs,
-                        rail_free_share,
-                        roof_share,
-                    });
-                    table.row(vec![
-                        name.into(),
-                        threads.to_string(),
-                        mode.clone(),
-                        (*kernel).into(),
-                        f(us, 1),
-                        f(fps[bi][k], 0),
-                        if k == 0 {
-                            "-".into()
-                        } else {
-                            x(fps[bi][k] / fps[bi][0])
-                        },
-                        f(bytes_per_entry, 2),
-                        f(gbps, 2),
-                        f(gmacs, 2),
-                        f(rail_free_share, 2),
-                        if k == 0 { "-".into() } else { f(roof_share, 2) },
-                    ]);
-                }
+                let us = us[si][bi];
+                let items = if b == 1 {
+                    std::slice::from_ref(acts)
+                } else {
+                    &batch[..b]
+                };
+                let (entries, macs) = walk_cost(&col_entries, items, lane_block_items(b));
+                let bytes_touched = (entries * size_of::<PlanEntry>()) as f64 / b as f64;
+                let gbps = bytes_touched / (us * 1e3);
+                let gmacs = macs as f64 / b as f64 / (us * 1e3);
+                let steps_per_s = entries as f64 / (us * b as f64 * 1e-6);
+                // The step roofs are one thread's; blocks fan out over
+                // threads, so a cell is placed against that many.
+                let step_roof = threads as f64 * if b == 1 { single_roof } else { lane_roof };
+                let rail_free_share = rail_free_share(layer_plan, items);
+                let roof_share = (gbps / stream_roof).max(steps_per_s / step_roof);
+                cells.push(Cell {
+                    layer: name,
+                    rows,
+                    cols,
+                    pes: config.num_pes,
+                    threads,
+                    batch: b,
+                    us_per_frame: us,
+                    frames_per_second: fps[bi],
+                    plan_bytes,
+                    bytes_per_entry,
+                    bytes_touched,
+                    gbps,
+                    gmacs,
+                    rail_free_share,
+                    roof_share,
+                });
+                table.row(vec![
+                    name.into(),
+                    threads.to_string(),
+                    mode,
+                    f(us, 1),
+                    f(fps[bi], 0),
+                    f(bytes_per_entry, 2),
+                    f(gbps, 2),
+                    f(gmacs, 2),
+                    f(rail_free_share, 2),
+                    f(roof_share, 2),
+                ]);
             }
-            // Headline by the fused-batch win at the reference batch
-            // (16, or the largest swept in quick mode): that is the
-            // number this kernel exists for.
-            let ref_bi = batches
-                .iter()
-                .position(|&b| b == 16)
-                .unwrap_or(batches.len() - 1);
-            let lane_over_single: Vec<(usize, f64)> = (1..batches.len())
-                .filter(|&bi| batches[bi] <= LANE_WIDTH)
-                .map(|bi| (batches[bi], fps[bi][1] / fps[0][1]))
-                .collect();
-            let plan_fps = |n| batches.iter().position(|&b| b == n).map(|bi| fps[bi][1]);
-            let fused16_over_2x_b8 = plan_fps(16).zip(plan_fps(8)).map(|(f16, f8)| f16 / f8);
-            let candidate = Headline {
-                layer: name.to_string(),
-                threads,
-                single_speedup: fps[0][1] / fps[0][0],
-                batch: batches[ref_bi],
-                batch_speedup: fps[ref_bi][1] / fps[ref_bi][0],
-                lane_over_single,
-                fused16_over_2x_b8,
-            };
-            // The near-rail row is the fallback's record, not a headline.
-            if name != "near-rail"
-                && headline
-                    .as_ref()
-                    .map(|h| candidate.batch_speedup > h.batch_speedup)
-                    .unwrap_or(true)
-            {
-                headline = Some(candidate);
+            if name == Benchmark::Alex7.name() && threads == 1 {
+                let plan_fps = |n| batches.iter().position(|&b| b == n).map(|bi| fps[bi]);
+                headline = Some(Headline {
+                    layer: name,
+                    threads,
+                    lane_over_single: (1..batches.len())
+                        .filter(|&bi| batches[bi] <= LANE_WIDTH)
+                        .map(|bi| (batches[bi], fps[bi] / fps[0]))
+                        .collect(),
+                    fused16_over_2x_b8: plan_fps(16).zip(plan_fps(8)).map(|(f16, f8)| f16 / f8),
+                });
             }
         }
         eprintln!("[{name}] done in {:.1}s", started.elapsed().as_secs_f64());
     }
 
-    let hl = headline.expect("at least one benchmark ran");
+    let hl = headline.expect("Alex-7 is swept at one thread");
     let mut out = table.render();
     let _ = writeln!(
         out,
-        "\nHeadline: {} fused batch-{} {} plan-over-streaming at {} thread(s) \
-         (single-item {}; one lane pass over N single walks per frame: {}; one fused \
-         16-item pass over two 8-item passes: {}; {} lanes). A single item walks one \
-         contiguous run of 2-byte entries per live column; a batch applies each entry to a \
-         {LANE_WIDTH}-item block as one fixed-width MAC, or above {LANE_WIDTH} items to a \
-         16-item block as two off one decode — wrapping \
-         where the block's bound proves the dispatch rail-free, saturating otherwise; \
-         streaming re-decodes the compressed stream per call.",
+        "\nHeadline: {} at {} thread(s): one lane pass over N single walks per frame: {}; \
+         one fused 16-item pass over two 8-item passes: {} ({} lanes). A single item walks \
+         one contiguous run of 2-byte entries per live column; a batch applies each entry \
+         to a {LANE_WIDTH}-item block as one fixed-width MAC, or above {LANE_WIDTH} items \
+         to a 16-item block as two off one decode — wrapping where the block's bound \
+         proves the dispatch rail-free, saturating otherwise.",
         hl.layer,
-        hl.batch,
-        x(hl.batch_speedup),
         hl.threads,
-        x(hl.single_speedup),
         hl.lane_over_single
             .iter()
             .map(|(n, ratio)| format!("N={n} {}", x(*ratio)))
@@ -566,7 +477,7 @@ fn main() {
     // ---- machine-readable record ------------------------------------
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"eie-kernel-sweep/v6\",");
+    let _ = writeln!(json, "  \"schema\": \"eie-kernel-sweep/v7\",");
     let _ = writeln!(json, "  \"scale_divisor\": {},", scale_divisor());
     let _ = writeln!(json, "  \"pes\": {},", config.num_pes);
     let _ = writeln!(json, "  \"threads_available\": {available},");
@@ -587,13 +498,9 @@ fn main() {
     let _ = writeln!(json, "  \"roof_single_steps_per_s\": {single_roof:.0},");
     let _ = writeln!(
         json,
-        "  \"headline\": {{\"layer\": \"{}\", \"threads\": {}, \"batch\": {}, \
-         \"single_item_speedup\": {:.3}, \"batch_speedup\": {:.3}{}{}}},",
+        "  \"headline\": {{\"layer\": \"{}\", \"threads\": {}{}{}}},",
         hl.layer,
         hl.threads,
-        hl.batch,
-        hl.single_speedup,
-        hl.batch_speedup,
         hl.lane_over_single
             .iter()
             .map(|(n, ratio)| format!(", \"lane_b{n}_over_{n}x_single\": {ratio:.3}"))
@@ -607,7 +514,7 @@ fn main() {
         let _ = write!(
             json,
             "    {{\"layer\": \"{}\", \"rows\": {}, \"cols\": {}, \"pes\": {}, \
-             \"threads\": {}, \"batch\": {}, \"kernel\": \"{}\", \
+             \"threads\": {}, \"batch\": {}, \
              \"us_per_frame\": {:.3}, \"frames_per_second\": {:.1}, \
              \"plan_bytes\": {}, \"bytes_per_entry\": {:.3}, \"bytes_touched\": {:.0}, \
              \"gbps\": {:.3}, \"gmacs\": {:.3}, \"rail_free_share\": {:.3}, \
@@ -618,7 +525,6 @@ fn main() {
             c.pes,
             c.threads,
             c.batch,
-            c.kernel,
             c.us_per_frame,
             c.frames_per_second,
             c.plan_bytes,

@@ -16,7 +16,7 @@ USAGE:
     eie bench <MODEL.eie> [OPTIONS]
 
 OPTIONS:
-    --backend <B>     cycle | functional | native[:threads] | streaming[:threads]
+    --backend <B>     cycle | functional | native[:threads]
                       [default: native]
     --batch <N>       Batch size per iteration [default: 16]
     --iters <N>       Serving iterations (best is reported) [default: 5]

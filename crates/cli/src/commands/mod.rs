@@ -11,15 +11,12 @@ use eie_core::BackendKind;
 
 use crate::CliError;
 
-/// Parses a backend name: `cycle`, `functional`, `native[:threads]`, or
-/// `streaming[:threads]` (the plan-less native baseline — the A/B knob
-/// for `eie bench`).
+/// Parses a backend name: `cycle`, `functional` or `native[:threads]`.
 pub fn parse_backend(name: &str) -> Result<BackendKind, CliError> {
     match name {
         "cycle" | "cycle-accurate" => Ok(BackendKind::CycleAccurate),
         "functional" | "golden" => Ok(BackendKind::Functional),
         "native" | "native-cpu" => Ok(BackendKind::NativeCpu(0)),
-        "streaming" | "native-streaming" => Ok(BackendKind::NativeStreaming(0)),
         other => {
             if let Some(threads) = other
                 .strip_prefix("native:")
@@ -30,18 +27,9 @@ pub fn parse_backend(name: &str) -> Result<BackendKind, CliError> {
                     .map_err(|_| CliError::Usage(format!("bad thread count in {other:?}")))?;
                 return Ok(BackendKind::NativeCpu(threads));
             }
-            if let Some(threads) = other
-                .strip_prefix("streaming:")
-                .or_else(|| other.strip_prefix("native-streaming:"))
-            {
-                let threads: usize = threads
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad thread count in {other:?}")))?;
-                return Ok(BackendKind::NativeStreaming(threads));
-            }
             Err(CliError::Usage(format!(
                 "unknown backend {other:?} \
-                 (expected cycle | functional | native[:threads] | streaming[:threads])"
+                 (expected cycle | functional | native[:threads])"
             )))
         }
     }
@@ -89,17 +77,15 @@ mod tests {
             parse_backend("native:3").unwrap(),
             BackendKind::NativeCpu(3)
         );
-        assert_eq!(
-            parse_backend("streaming").unwrap(),
-            BackendKind::NativeStreaming(0)
-        );
-        assert_eq!(
-            parse_backend("streaming:2").unwrap(),
-            BackendKind::NativeStreaming(2)
-        );
         assert!(parse_backend("gpu").is_err());
         assert!(parse_backend("native:x").is_err());
-        assert!(parse_backend("streaming:x").is_err());
+        // No name selects anything but the three kinds above.
+        for name in ["streaming", "streaming:2", concat!("native", "-streaming")] {
+            assert!(
+                matches!(parse_backend(name), Err(CliError::Usage(_))),
+                "{name:?} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ USAGE:
     eie run <MODEL.eie> [OPTIONS]
 
 OPTIONS:
-    --backend <B>     cycle | functional | native[:threads] | streaming[:threads]
+    --backend <B>     cycle | functional | native[:threads]
                       [default: native]
     --batch <N>       Batch size [default: 4]
     --density <D>     Input activation density in [0, 1] [default: 0.35]

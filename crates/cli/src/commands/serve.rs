@@ -50,7 +50,7 @@ USAGE:
     eie serve --connect <ADDR> --model <NAME=PATH>... [OPTIONS]  load-generator client
 
 SERVING POLICY (local and --listen):
-    --backend <B>       Worker backend: cycle | functional | native[:threads] | streaming[:threads]
+    --backend <B>       Worker backend: cycle | functional | native[:threads]
                         [default: native — each worker's kernel gets
                         max(1, cores / workers) threads]
     --workers <N>       Worker threads per model, one backend each [default: {workers}]

@@ -194,7 +194,7 @@ impl PlanBlock {
 /// grouping of entries *within* a column — merging slices, cutting
 /// blocks anywhere, and fanning blocks out over threads cannot
 /// reorder any accumulator's adds. And `lut[code] * a` is the same `i32`
-/// product the streaming kernel computes via `codebook[code]`. The plan
+/// product the hardware MAC forms from the decoded `codebook[code]`. The plan
 /// property tests pin both against the functional golden model,
 /// including near the `Accum32` rails where add order is observable.
 ///
@@ -424,7 +424,7 @@ impl LayerPlan {
 
     /// The raw Q8.8 multiplicand of each codebook code, widened to
     /// `i32`: `lut()[entry.code()] * activation` is the exact product
-    /// the streaming kernel computes via `codebook[code]`.
+    /// the hardware MAC forms from the decoded `codebook[code]`.
     pub fn lut(&self) -> &[i32; CODEBOOK_SIZE] {
         &self.lut
     }

@@ -78,11 +78,6 @@ pub enum BackendKind {
     /// [`BackendKind::per_worker`]), executing cached pre-decoded
     /// [`LayerPlan`]s on a persistent worker pool.
     NativeCpu(usize),
-    /// The native kernel with plans disabled: per-call entry-stream
-    /// decode and scoped threads, exactly the pre-plan code path. The
-    /// measured A/B baseline (`kernel_sweep`, `eie bench
-    /// --backend streaming`), not a serving configuration.
-    NativeStreaming(usize),
 }
 
 impl BackendKind {
@@ -93,10 +88,6 @@ impl BackendKind {
             BackendKind::Functional => Box::new(Functional::new()),
             BackendKind::NativeCpu(0) => Box::new(NativeCpu::new()),
             BackendKind::NativeCpu(threads) => Box::new(NativeCpu::with_threads(threads)),
-            BackendKind::NativeStreaming(0) => Box::new(NativeCpu::new().without_plans()),
-            BackendKind::NativeStreaming(threads) => {
-                Box::new(NativeCpu::with_threads(threads).without_plans())
-            }
         }
     }
 
@@ -130,8 +121,6 @@ impl fmt::Display for BackendKind {
             BackendKind::Functional => write!(f, "functional"),
             BackendKind::NativeCpu(0) => write!(f, "native-cpu"),
             BackendKind::NativeCpu(t) => write!(f, "native-cpu({t})"),
-            BackendKind::NativeStreaming(0) => write!(f, "native-streaming"),
-            BackendKind::NativeStreaming(t) => write!(f, "native-streaming({t})"),
         }
     }
 }
@@ -212,7 +201,7 @@ impl BackendRun {
 /// multi-layer chaining (ReLU between layers) lives in exactly one
 /// place, the inference core behind
 /// [`CompiledModel::infer`](CompiledModel::infer) and
-/// [`run_stack_quantized`](crate::run_stack_quantized), so a second
+/// [`run_stack_planned`](crate::run_stack_planned), so a second
 /// network path cannot drift from the served one.
 ///
 /// Implementations must be bit-exact with the functional golden model:
@@ -639,11 +628,7 @@ mod tests {
                 "{cores} cores, {workers} workers, {kind}"
             );
         }
-        for kind in [
-            BackendKind::Functional,
-            BackendKind::CycleAccurate,
-            BackendKind::NativeStreaming(0),
-        ] {
+        for kind in [BackendKind::Functional, BackendKind::CycleAccurate] {
             assert_eq!(kind.per_worker(8, 1), kind);
         }
         assert_eq!(auto.to_string(), "native-cpu");
@@ -682,7 +667,8 @@ mod tests {
         let l1 = compress(&w1, cfg.compress_config());
         let l2 = compress(&w2, cfg.compress_config());
         let backend = Functional::new();
-        let runs = crate::run_stack_quantized(&backend, &[&l1, &l2], &[quantize(&[1.0, 1.0])]);
+        let layers = [PlannedLayer::unplanned(&l1), PlannedLayer::unplanned(&l2)];
+        let runs = crate::run_stack_planned(&backend, &layers, &[quantize(&[1.0, 1.0])]);
         // Layer 1 raw: [-1, 1] → ReLU → [0, 1]; layer 2: 0 + 1 = 1.
         assert_eq!(runs[0].outputs.len(), 1);
         assert_eq!(runs[0].outputs[0].to_f32(), 1.0);

@@ -56,11 +56,10 @@
 //! bits, since the two adds agree whenever the exact sum fits — and a
 //! block that cannot be proved keeps the saturating instantiation.
 //!
-//! One measured A/B baseline is retained: the pre-plan streaming
-//! kernel behind [`NativeCpu::without_plans`] (and
-//! `BackendKind::NativeStreaming`) — `kernel_sweep` and the property
-//! tests hold it, the two plan walks and the functional golden model
-//! bit-exact against each other.
+//! There is one way to execute a layer: walk its plan on the pool. The
+//! single-item walk and the lane walk are the two shapes of that walk;
+//! `kernel_sweep` and the property tests hold both bit-exact against
+//! the functional golden model before anything is timed.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,11 +67,9 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
 use eie_compress::{
-    EncodedLayer, LayerPlan, PeSlice, PlanBlock, PlanEntry, BLOCK_ACCUMULATORS, CODEBOOK_SIZE,
-    LANE_WIDTH,
+    EncodedLayer, LayerPlan, PlanBlock, PlanEntry, BLOCK_ACCUMULATORS, CODEBOOK_SIZE, LANE_WIDTH,
 };
 use eie_fixed::{Accum32, Q8p8};
-use eie_sim::broadcast_schedule;
 
 use super::pool::{Latch, WorkerPool};
 use super::{check_activation_batch, check_activations, Backend, BackendRun, PlannedLayer};
@@ -112,7 +109,8 @@ fn contiguous_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
 
 /// An optimized, multi-threaded interleaved-CSC SpMV kernel over the
 /// compressed [`EncodedLayer`] format, executing pre-decoded
-/// [`LayerPlan`]s on a persistent worker pool.
+/// [`LayerPlan`]s on a persistent worker pool — walking a plan is its
+/// only way to execute a layer.
 ///
 /// Bit-exactness with the hardware comes from preserving its arithmetic
 /// structure exactly: the format stores strictly increasing rows within
@@ -121,9 +119,8 @@ fn contiguous_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
 /// (ascending) order — so every `Accum32` sees the *same sequence of
 /// saturating adds* as the cycle model, regardless of how entries are
 /// ordered or grouped within a column, how plan blocks are spread
-/// across threads, whether items share a fused pass, or whether the
-/// walk runs over the plan or the compressed stream (plans drop only
-/// padding entries, which add a raw zero — a proven no-op under
+/// across threads, or whether items share a fused pass (plans drop
+/// only padding entries, which add a raw zero — a proven no-op under
 /// saturating addition; see [`LayerPlan`]).
 ///
 /// Single items split the plan's blocks across the pool; batches run
@@ -159,7 +156,6 @@ struct PlanCacheMap {
 
 struct Inner {
     threads: usize,
-    use_plans: bool,
     /// Spawned on the first parallel planned run; `threads - 1` parked
     /// workers (the session holder executes the remaining share).
     pool: OnceLock<WorkerPool>,
@@ -179,7 +175,6 @@ impl std::fmt::Debug for NativeCpu {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NativeCpu")
             .field("threads", &self.inner.threads)
-            .field("plans", &self.inner.use_plans)
             .field("cached_plans", &self.cached_plans())
             .finish()
     }
@@ -202,24 +197,6 @@ impl NativeCpu {
         Self {
             inner: Arc::new(Inner {
                 threads,
-                use_plans: true,
-                pool: OnceLock::new(),
-                plans: RwLock::new(PlanCacheMap::default()),
-                plan_builds: AtomicU64::new(0),
-                session: Mutex::new(Session::new()),
-            }),
-        }
-    }
-
-    /// Disables execution plans: every run decodes the compressed entry
-    /// stream with per-call scoped threads, exactly as the pre-plan
-    /// kernel did. This is the measured baseline for `kernel_sweep` and
-    /// the plan property tests, not a serving configuration.
-    pub fn without_plans(self) -> Self {
-        Self {
-            inner: Arc::new(Inner {
-                threads: self.inner.threads,
-                use_plans: false,
                 pool: OnceLock::new(),
                 plans: RwLock::new(PlanCacheMap::default()),
                 plan_builds: AtomicU64::new(0),
@@ -231,12 +208,6 @@ impl NativeCpu {
     /// The configured worker count.
     pub fn threads(&self) -> usize {
         self.inner.threads
-    }
-
-    /// Whether runs execute pre-decoded plans (`false` only for the
-    /// [`NativeCpu::without_plans`] streaming baseline).
-    pub fn uses_plans(&self) -> bool {
-        self.inner.use_plans
     }
 
     /// Number of layer plans currently cached by this engine.
@@ -733,7 +704,7 @@ fn line_aligned(stripes: &mut [Stripe]) -> &mut [Stripe] {
 /// nibble decoding, no padding test and no per-PE loop; a dead column's
 /// run is never touched. Each accumulator receives at
 /// most one product per column and columns ascend, so its add sequence
-/// is identical to the streaming kernel's (see [`LayerPlan`]).
+/// is identical to the cycle model's (see [`LayerPlan`]).
 /// `RAIL_FREE` selects the add and nothing else ([`accumulate`]).
 ///
 /// The run is walked four entries at a time, then its remainder — the
@@ -997,52 +968,6 @@ fn gather(
     }
 }
 
-// --------------------------------------------------------------------
-// The pre-plan streaming kernel, retained verbatim as the measured A/B
-// baseline (`NativeCpu::without_plans`): per-call entry-stream decode,
-// per-call allocation, scoped threads per layer.
-// --------------------------------------------------------------------
-
-/// The decoded codebook as raw `i32` multiplicands — hoisting the
-/// fixed-point wrappers out of the inner loops.
-fn raw_codebook(codebook: &[Q8p8; CODEBOOK_SIZE]) -> [i32; CODEBOOK_SIZE] {
-    let mut raw = [0i32; CODEBOOK_SIZE];
-    for (slot, w) in raw.iter_mut().zip(codebook) {
-        *slot = w.raw() as i32;
-    }
-    raw
-}
-
-/// Accumulates every scheduled column of one PE slice and writes back
-/// the slice's local outputs — the per-item unit of work.
-///
-/// The loop body is exactly the hardware MAC on raw values —
-/// `acc = acc.saturating_add(w_raw * a_raw)`, the definition of
-/// [`Accum32::mac`] — with one bit-exact shortcut: padding entries
-/// (`code == 0`) decode to a raw-zero weight, and saturating-adding zero
-/// never changes an accumulator, so they only advance the row cursor.
-fn run_slice(
-    slice: &PeSlice,
-    codebook: &[i32; CODEBOOK_SIZE],
-    schedule: &[(u32, i32)],
-    relu: bool,
-) -> Vec<Q8p8> {
-    let mut accum = vec![0i32; slice.local_rows()];
-    for &(j, a) in schedule {
-        let mut cursor = 0usize;
-        for e in slice.col_entries(j as usize) {
-            let row = cursor + e.zrun as usize;
-            cursor = row + 1;
-            if e.code == 0 {
-                continue;
-            }
-            let acc = &mut accum[row];
-            *acc = acc.saturating_add(codebook[e.code as usize] * a);
-        }
-    }
-    accum.into_iter().map(|acc| writeback(acc, relu)).collect()
-}
-
 /// The shift-saturate(-ReLU) writeback stage (identical rounding and
 /// clamping to the hardware's, via [`Accum32::to_fix16`]).
 fn writeback(acc_raw: i32, relu: bool) -> Q8p8 {
@@ -1052,169 +977,6 @@ fn writeback(acc_raw: i32, relu: bool) -> Q8p8 {
     } else {
         v
     }
-}
-
-/// The batch analogue of the broadcast schedule: for every column, the
-/// `(item, activation)` pairs with a non-zero activation — computed once
-/// and shared read-only by every slice worker.
-fn batch_schedule(batch: &[Vec<Q8p8>], cols: usize) -> Vec<Vec<(u32, i32)>> {
-    let mut per_col: Vec<Vec<(u32, i32)>> = vec![Vec::new(); cols];
-    for (i, item) in batch.iter().enumerate() {
-        for (j, &a) in item.iter().enumerate() {
-            if !a.is_zero() {
-                per_col[j].push((i as u32, a.raw() as i32));
-            }
-        }
-    }
-    per_col
-}
-
-/// The fused batch kernel for one slice: decodes the compressed entry
-/// stream **once** and applies each entry to every live item, instead of
-/// re-walking the stream per item. Returns `[item][local_row]` outputs.
-///
-/// Per-accumulator add order is identical to [`run_slice`]: the outer
-/// loop visits columns in ascending (broadcast) order and entries in
-/// storage order, and each `(item, row)` accumulator only ever sees its
-/// own item's products — so fusion cannot change saturation behaviour.
-fn run_slice_batch(
-    slice: &PeSlice,
-    codebook: &[i32; CODEBOOK_SIZE],
-    schedule: &[Vec<(u32, i32)>],
-    batch: usize,
-    relu: bool,
-) -> Vec<Vec<Q8p8>> {
-    let rows = slice.local_rows();
-    // [row][item] so one entry's updates touch one contiguous stripe.
-    let mut accum = vec![0i32; rows * batch];
-    for (j, live) in schedule.iter().enumerate() {
-        if live.is_empty() {
-            continue;
-        }
-        let mut cursor = 0usize;
-        for e in slice.col_entries(j) {
-            let row = cursor + e.zrun as usize;
-            cursor = row + 1;
-            if e.code == 0 {
-                continue; // padding adds a raw zero: bit-exact to skip
-            }
-            let w = codebook[e.code as usize];
-            let stripe = &mut accum[row * batch..(row + 1) * batch];
-            for &(i, a) in live {
-                let acc = &mut stripe[i as usize];
-                *acc = acc.saturating_add(w * a);
-            }
-        }
-    }
-    (0..batch)
-        .map(|i| {
-            (0..rows)
-                .map(|r| writeback(accum[r * batch + i], relu))
-                .collect()
-        })
-        .collect()
-}
-
-/// Interleaves per-slice local outputs back into global row order.
-fn interleave(layer: &EncodedLayer, locals: Vec<Vec<Q8p8>>) -> Vec<Q8p8> {
-    let n = layer.num_pes();
-    let mut outputs = vec![Q8p8::ZERO; layer.rows()];
-    for (pe, local) in locals.into_iter().enumerate() {
-        for (row, v) in local.into_iter().enumerate() {
-            outputs[row * n + pe] = v;
-        }
-    }
-    outputs
-}
-
-/// The per-item broadcast schedule on raw activation values.
-fn raw_schedule(acts: &[Q8p8]) -> Vec<(u32, i32)> {
-    broadcast_schedule(acts)
-        .into_iter()
-        .map(|(j, a)| (j, a.raw() as i32))
-        .collect()
-}
-
-/// One full layer, serially (used below one slice per worker).
-fn execute_serial(layer: &EncodedLayer, acts: &[Q8p8], relu: bool) -> Vec<Q8p8> {
-    let schedule = raw_schedule(acts);
-    let codebook = raw_codebook(&layer.codebook().to_fix16::<8>());
-    let locals = layer
-        .slices()
-        .iter()
-        .map(|s| run_slice(s, &codebook, &schedule, relu))
-        .collect();
-    interleave(layer, locals)
-}
-
-/// One full layer with its PE slices spread over `threads` scoped
-/// workers (the pre-plan baseline path).
-fn execute_sliced(layer: &EncodedLayer, acts: &[Q8p8], relu: bool, threads: usize) -> Vec<Q8p8> {
-    let n = layer.num_pes();
-    if threads <= 1 || n <= 1 {
-        return execute_serial(layer, acts, relu);
-    }
-    let schedule = raw_schedule(acts);
-    let codebook = raw_codebook(&layer.codebook().to_fix16::<8>());
-    let mut locals: Vec<Vec<Q8p8>> = vec![Vec::new(); n];
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (slices, out) in layer.slices().chunks(chunk).zip(locals.chunks_mut(chunk)) {
-            let (schedule, codebook) = (&schedule, &codebook);
-            scope.spawn(move || {
-                for (slice, slot) in slices.iter().zip(out.iter_mut()) {
-                    *slot = run_slice(slice, codebook, schedule, relu);
-                }
-            });
-        }
-    });
-    interleave(layer, locals)
-}
-
-/// One fused whole-batch layer pass, slices spread over `threads`
-/// scoped workers (the pre-plan baseline path). Returns
-/// `[item][global_row]` outputs.
-fn execute_batch_fused(
-    layer: &EncodedLayer,
-    batch: &[Vec<Q8p8>],
-    relu: bool,
-    threads: usize,
-) -> Vec<Vec<Q8p8>> {
-    let n = layer.num_pes();
-    let b = batch.len();
-    let schedule = batch_schedule(batch, layer.cols());
-    let codebook = raw_codebook(&layer.codebook().to_fix16::<8>());
-    // [pe][item][local_row] partial outputs.
-    let mut locals: Vec<Vec<Vec<Q8p8>>> = vec![Vec::new(); n];
-    if threads <= 1 || n <= 1 {
-        // Same fast path as `execute_sliced`: no spawn/join overhead
-        // when there is nothing to parallelize over.
-        for (slice, slot) in layer.slices().iter().zip(locals.iter_mut()) {
-            *slot = run_slice_batch(slice, &codebook, &schedule, b, relu);
-        }
-    } else {
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (slices, out) in layer.slices().chunks(chunk).zip(locals.chunks_mut(chunk)) {
-                let (schedule, codebook) = (&schedule, &codebook);
-                scope.spawn(move || {
-                    for (slice, slot) in slices.iter().zip(out.iter_mut()) {
-                        *slot = run_slice_batch(slice, codebook, schedule, b, relu);
-                    }
-                });
-            }
-        });
-    }
-    // Interleave [pe][item][local] → [item][global_row].
-    let mut outputs: Vec<Vec<Q8p8>> = (0..b).map(|_| vec![Q8p8::ZERO; layer.rows()]).collect();
-    for (pe, per_item) in locals.into_iter().enumerate() {
-        for (i, local) in per_item.into_iter().enumerate() {
-            for (row, v) in local.into_iter().enumerate() {
-                outputs[i][row * n + pe] = v;
-            }
-        }
-    }
-    outputs
 }
 
 /// The session-holder side of one run: reusable schedule buffers, the
@@ -1275,7 +1037,7 @@ impl Backend for NativeCpu {
     }
 
     fn wants_plans(&self) -> bool {
-        self.inner.use_plans
+        true
     }
 
     fn run_layer_planned(
@@ -1285,11 +1047,6 @@ impl Backend for NativeCpu {
         relu: bool,
     ) -> BackendRun {
         check_activations(planned.layer, acts);
-        if !self.inner.use_plans {
-            let start = Instant::now();
-            let outputs = execute_sliced(planned.layer, acts, relu, self.inner.threads);
-            return BackendRun::solo(outputs, start.elapsed().as_secs_f64(), None);
-        }
         let mut runs = self.timed(planned, &[acts], relu);
         runs.pop().expect("one item in, one run out")
     }
@@ -1304,16 +1061,7 @@ impl Backend for NativeCpu {
         if batch.is_empty() {
             return Vec::new();
         }
-        if self.inner.use_plans {
-            return self.timed(planned, batch, relu);
-        }
-        if batch.len() == 1 {
-            // A lone item keeps slice-level parallelism and true latency.
-            return vec![self.run_layer(planned.layer, &batch[0], relu)];
-        }
-        let start = Instant::now();
-        let outputs = execute_batch_fused(planned.layer, batch, relu, self.inner.threads);
-        fused_runs(outputs, start.elapsed().as_secs_f64())
+        self.timed(planned, batch, relu)
     }
 }
 
@@ -1337,21 +1085,6 @@ mod tests {
         for threads in [1, 2, 3, 8, 16] {
             let run = NativeCpu::with_threads(threads).run_layer(&enc, &acts, false);
             assert_eq!(run.outputs, expected, "diverged at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn streaming_baseline_matches_golden_model_across_thread_counts() {
-        let layer = Benchmark::Alex6.generate_scaled(4, 64);
-        let enc = compress(&layer.weights, CompressConfig::with_pes(8));
-        let acts = quantize(&layer.sample_activations(2));
-        let expected = functional::execute(&enc, &acts, false);
-        for threads in [1, 3, 8] {
-            let backend = NativeCpu::with_threads(threads).without_plans();
-            assert!(!backend.uses_plans());
-            let run = backend.run_layer(&enc, &acts, false);
-            assert_eq!(run.outputs, expected, "diverged at {threads} threads");
-            assert_eq!(backend.plan_builds(), 0, "baseline must not build plans");
         }
     }
 
@@ -1446,7 +1179,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_and_streaming_kernels_are_bit_exact() {
+    fn plan_kernels_are_bit_exact_with_golden() {
         let layer = Benchmark::Vgg6.generate_scaled(3, 96);
         let enc = compress(&layer.weights, CompressConfig::with_pes(8));
         let batch: Vec<Vec<Q8p8>> = (0..5)
@@ -1454,15 +1187,16 @@ mod tests {
             .collect();
         for threads in [1, 4] {
             let plan = NativeCpu::with_threads(threads);
-            let stream = NativeCpu::with_threads(threads).without_plans();
             for relu in [false, true] {
+                let golden: Vec<_> = batch
+                    .iter()
+                    .map(|acts| functional::execute(&enc, acts, relu))
+                    .collect();
                 let p = plan.run_layer(&enc, &batch[0], relu);
-                let s = stream.run_layer(&enc, &batch[0], relu);
-                assert_eq!(p.outputs, s.outputs, "single diverged ({threads}t)");
+                assert_eq!(p.outputs, golden[0], "single diverged ({threads}t)");
                 let pb = plan.run_layer_batch(&enc, &batch, relu);
-                let sb = stream.run_layer_batch(&enc, &batch, relu);
                 for i in 0..batch.len() {
-                    assert_eq!(pb[i].outputs, sb[i].outputs, "batch item {i} ({threads}t)");
+                    assert_eq!(pb[i].outputs, golden[i], "batch item {i} ({threads}t)");
                 }
             }
         }
@@ -1856,7 +1590,7 @@ mod tests {
         assert!(NativeCpu::new().threads() >= 1);
         assert_eq!(NativeCpu::with_threads(5).threads(), 5);
         assert_eq!(NativeCpu::default().threads(), NativeCpu::new().threads());
-        assert!(NativeCpu::new().uses_plans());
+        assert!(NativeCpu::new().wants_plans());
         let dbg = format!("{:?}", NativeCpu::with_threads(2));
         assert!(dbg.contains("threads"), "{dbg}");
     }

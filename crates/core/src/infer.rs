@@ -37,7 +37,6 @@ use std::ops::{Bound, RangeBounds};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use eie_compress::EncodedLayer;
 use eie_energy::{EnergyReport, LayerActivity};
 use eie_fixed::Q8p8;
 use eie_sim::SimStats;
@@ -181,8 +180,8 @@ impl<'m> InferenceJob<'m> {
 
     /// The job's planned-layer list. Plans are fetched (building lazily
     /// into the model's shared cache) only for backends that execute
-    /// them; the cycle model, the golden model and the streaming
-    /// baseline stream the compressed artifact and would ignore them.
+    /// them; the cycle model and the golden model walk the compressed
+    /// layer and would ignore them.
     fn assemble_layers(&self, wants_plans: bool) -> Vec<PlannedLayer<'_>> {
         if !wants_plans {
             return self.model.layers()[self.first..self.end]
@@ -408,30 +407,6 @@ impl fmt::Display for JobResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.batch.fmt(f)
     }
-}
-
-/// Runs a quantized batch through a feed-forward layer stack on an
-/// already-instantiated backend, layer-at-a-time over the whole batch
-/// (ReLU between layers, none after the last).
-///
-/// This wraps the layers unplanned; callers holding a
-/// [`CompiledModel`] should prefer [`run_stack_planned`] with
-/// [`CompiledModel::planned_layers`] so plan-aware backends skip their
-/// own cache lookup.
-///
-/// # Panics
-///
-/// Panics if `layers` or `batch` is empty, or dimensions mismatch.
-pub fn run_stack_quantized(
-    backend: &dyn Backend,
-    layers: &[&EncodedLayer],
-    batch: &[Vec<Q8p8>],
-) -> Vec<BackendRun> {
-    let planned: Vec<PlannedLayer<'_>> = layers
-        .iter()
-        .map(|layer| PlannedLayer::unplanned(layer))
-        .collect();
-    chain_stack(backend, &planned, batch).0
 }
 
 /// Runs a quantized batch through a stack of planned layers on an
@@ -679,9 +654,7 @@ mod tests {
         // Non-plan backends never trigger plan builds.
         let fresh = two_layer_model();
         let _ = fresh.infer(BackendKind::Functional).submit(&batch(1));
-        let _ = fresh
-            .infer(BackendKind::NativeStreaming(1))
-            .submit(&batch(1));
+        let _ = fresh.infer(BackendKind::CycleAccurate).submit(&batch(1));
         assert_eq!(fresh.plans_built(), 0);
     }
 

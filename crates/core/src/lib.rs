@@ -65,7 +65,7 @@ pub use backend::{
 pub use batch::{percentile, BatchResult};
 pub use benchmarks::BenchmarkInstance;
 pub use config::EieConfig;
-pub use infer::{run_stack_planned, run_stack_quantized, InferenceJob, JobResult, LayerPhase};
+pub use infer::{run_stack_planned, InferenceJob, JobResult, LayerPhase};
 
 /// The Deep Compression pipeline (re-export of `eie-compress`).
 pub mod compress {

@@ -3,8 +3,7 @@
 //!
 //! For random layers, PE counts and batch shapes, the plan walks of
 //! `NativeCpu` (single-item and batch-lane vectorized) must produce
-//! `Q8p8` outputs bit-identical to the streaming kernel they replaced
-//! (`without_plans`) and to the functional golden model — including on
+//! `Q8p8` outputs bit-identical to the functional golden model — including on
 //! saturation-heavy inputs near the `Accum32` limits, where any
 //! reordering, dropped-padding, or lane-padding mistake would change
 //! which saturating add clamps first, at every lane-remainder batch
@@ -185,21 +184,18 @@ fn check_proof(plan: &LayerPlan, items: &[Vec<Q8p8>]) -> Vec<(bool, bool)> {
         .collect()
 }
 
-/// Asserts plan NativeCpu == streaming NativeCpu == functional golden,
-/// item by item, single and batched (the lane kernel), both writeback
-/// modes.
-fn assert_plan_streaming_golden_agree(
+/// Asserts plan NativeCpu == functional golden, item by item, single
+/// and batched (the lane kernel), both writeback modes.
+fn assert_plan_golden_agree(
     enc: &EncodedLayer,
     batch: &[Vec<Q8p8>],
     threads: usize,
 ) -> Result<(), TestCaseError> {
     let golden = Functional::new();
     let plan = NativeCpu::with_threads(threads);
-    let stream = plan.clone().without_plans();
     for relu in [false, true] {
         let want = golden.run_layer(enc, &batch[0], relu);
         let p = plan.run_layer(enc, &batch[0], relu);
-        let s = stream.run_layer(enc, &batch[0], relu);
         prop_assert_eq!(
             &p.outputs,
             &want.outputs,
@@ -207,16 +203,8 @@ fn assert_plan_streaming_golden_agree(
             relu,
             threads
         );
-        prop_assert_eq!(
-            &s.outputs,
-            &want.outputs,
-            "streaming single diverged from golden (relu={}, {} threads)",
-            relu,
-            threads
-        );
         let want_b = golden.run_layer_batch(enc, batch, relu);
         let p_b = plan.run_layer_batch(enc, batch, relu);
-        let s_b = stream.run_layer_batch(enc, batch, relu);
         for i in 0..batch.len() {
             prop_assert_eq!(
                 &p_b[i].outputs,
@@ -224,14 +212,6 @@ fn assert_plan_streaming_golden_agree(
                 "lane batch item {} of {} diverged (relu={}, {} threads)",
                 i,
                 batch.len(),
-                relu,
-                threads
-            );
-            prop_assert_eq!(
-                &s_b[i].outputs,
-                &want_b[i].outputs,
-                "streaming batch item {} diverged (relu={}, {} threads)",
-                i,
                 relu,
                 threads
             );
@@ -246,11 +226,11 @@ fn assert_plan_streaming_golden_agree(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Random layers × PE counts × batch shapes: the plan kernel, the
-    /// streaming kernel and the golden model are bit-identical.
+    /// Random layers × PE counts × batch shapes: the plan kernel and
+    /// the golden model are bit-identical.
     #[test]
-    fn plan_streaming_and_golden_bit_exact((enc, batch) in arb_case(), threads in 1usize..5) {
-        assert_plan_streaming_golden_agree(&enc, &batch, threads)?;
+    fn plan_and_golden_bit_exact((enc, batch) in arb_case(), threads in 1usize..5) {
+        assert_plan_golden_agree(&enc, &batch, threads)?;
     }
 
     /// Saturation-heavy inputs near the `Accum32` rails: the add-order
@@ -260,7 +240,7 @@ proptest! {
     fn saturating_inputs_pin_the_add_order((enc, batch) in arb_saturating_case(), threads in 1usize..4) {
         // The case is only interesting if something actually clamps;
         // near-rail products guarantee plenty of saturated outputs.
-        assert_plan_streaming_golden_agree(&enc, &batch, threads)?;
+        assert_plan_golden_agree(&enc, &batch, threads)?;
         let out = Functional::new().run_layer(&enc, &batch[0], false).outputs;
         prop_assert!(
             out.iter().any(|v| *v == Q8p8::MAX || *v == Q8p8::MIN),
