@@ -30,10 +30,10 @@
 
 use std::fmt;
 
+use crate::cursor::ByteCursor;
 use crate::huffman::{Histogram, HuffmanCode};
 use crate::serialize::{
-    layer_header_bytes, read_layer_header, write_layer_header, DecodeLayerError, LayerHeader,
-    Reader, MAGIC,
+    layer_header_bytes, read_layer_header, write_layer_header, DecodeLayerError, LayerHeader, MAGIC,
 };
 use crate::{EncodedLayer, Entry, PeSlice};
 
@@ -217,7 +217,7 @@ impl WeightCodec for HuffmanPacked {
     }
 
     fn decode(&self, bytes: &[u8]) -> Result<EncodedLayer, DecodeLayerError> {
-        let mut r = Reader::new(bytes, "magic");
+        let mut r = ByteCursor::new(bytes, "magic");
         let h = read_layer_header(&mut r, &HUFFMAN_MAGIC)?;
         let shapes = read_pe_shapes(&mut r, &h)?;
         let total: usize = shapes.iter().map(|s| s.n_entries).sum();
@@ -275,7 +275,7 @@ impl WeightCodec for BitPlane {
     }
 
     fn decode(&self, bytes: &[u8]) -> Result<EncodedLayer, DecodeLayerError> {
-        let mut r = Reader::new(bytes, "magic");
+        let mut r = ByteCursor::new(bytes, "magic");
         let h = read_layer_header(&mut r, &BITPLANE_MAGIC)?;
         let shapes = read_pe_shapes(&mut r, &h)?;
         let total: usize = shapes.iter().map(|s| s.n_entries).sum();
@@ -402,7 +402,10 @@ fn write_pe_shapes(layer: &EncodedLayer, out: &mut Vec<u8>) {
 /// (row partition must cover the layer; the entry total cannot exceed
 /// the matrix), so corrupt counts fail here instead of driving huge
 /// allocations downstream.
-fn read_pe_shapes(r: &mut Reader<'_>, h: &LayerHeader) -> Result<Vec<PeShape>, DecodeLayerError> {
+fn read_pe_shapes(
+    r: &mut ByteCursor<'_>,
+    h: &LayerHeader,
+) -> Result<Vec<PeShape>, DecodeLayerError> {
     let mut shapes = Vec::with_capacity(h.num_pes.min(r.remaining() / 8 + 1));
     let mut total_local = 0usize;
     let mut total_entries = 0u64;
@@ -492,7 +495,7 @@ fn write_code_table(code: Option<&HuffmanCode>, out: &mut Vec<u8>) {
 /// [`DecodeLayerError::BadStream`] before any decoder table is indexed,
 /// never a shift overflow.
 fn read_code_table(
-    r: &mut Reader<'_>,
+    r: &mut ByteCursor<'_>,
     section: &'static str,
 ) -> Result<Option<HuffmanCode>, DecodeLayerError> {
     r.enter(section);
@@ -533,7 +536,7 @@ fn write_stream(code: Option<&HuffmanCode>, data: &[u8], out: &mut Vec<u8>) {
 /// the output), padding bits must be zero, and the decoded symbols must
 /// re-encode to exactly `bit_len` bits.
 fn read_stream(
-    r: &mut Reader<'_>,
+    r: &mut ByteCursor<'_>,
     section: &'static str,
     code: Option<&HuffmanCode>,
     count: usize,
@@ -615,7 +618,7 @@ type Planes<'a> = Vec<(u32, &'a [u8])>;
 /// must carry at least one set bit and zero padding bits, so the
 /// encoding stays canonical (encode ∘ decode is the identity on bytes).
 fn take_planes<'a>(
-    r: &mut Reader<'a>,
+    r: &mut ByteCursor<'a>,
     section: &'static str,
     count: usize,
 ) -> Result<Planes<'a>, DecodeLayerError> {
@@ -789,7 +792,7 @@ mod tests {
     /// One stream, taken and spread (the decoder takes both streams
     /// before spreading either).
     fn read_planes(
-        r: &mut Reader<'_>,
+        r: &mut ByteCursor<'_>,
         section: &'static str,
         count: usize,
     ) -> Result<Vec<u8>, DecodeLayerError> {
@@ -849,7 +852,7 @@ mod tests {
                     image.len(),
                     1 + mask.count_ones() as usize * count.div_ceil(8)
                 );
-                let mut r = Reader::new(&image, "planes");
+                let mut r = ByteCursor::new(&image, "planes");
                 assert_eq!(read_planes(&mut r, "planes", count).as_ref(), Ok(&data));
                 assert_eq!(r.remaining(), 0);
                 assert_eq!(read_planes_bitwise(&image, count).as_ref(), Some(&data));
@@ -860,15 +863,16 @@ mod tests {
                 for bit in (0..image.len() * 8).step_by(step) {
                     let mut corrupt = image.clone();
                     corrupt[bit / 8] ^= 0x80 >> (bit % 8);
-                    let got = read_planes(&mut Reader::new(&corrupt, "planes"), "planes", count);
+                    let got =
+                        read_planes(&mut ByteCursor::new(&corrupt, "planes"), "planes", count);
                     assert_eq!(got.ok(), read_planes_bitwise(&corrupt, count), "flip {bit}");
                 }
                 for other in [count + 1, count + 8, count.saturating_sub(1)] {
-                    let got = read_planes(&mut Reader::new(&image, "planes"), "planes", other);
+                    let got = read_planes(&mut ByteCursor::new(&image, "planes"), "planes", other);
                     assert_eq!(got.ok(), read_planes_bitwise(&image, other));
                 }
                 let cut = &image[..image.len() / 2];
-                let got = read_planes(&mut Reader::new(cut, "planes"), "planes", count);
+                let got = read_planes(&mut ByteCursor::new(cut, "planes"), "planes", count);
                 assert_eq!(got.ok(), read_planes_bitwise(cut, count));
             }
         }

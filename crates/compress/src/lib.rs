@@ -28,6 +28,9 @@
 //!   `huffman-packed`, `bit-plane`): alternate byte streams that all
 //!   decode back to the same [`EncodedLayer`], trading stored bytes
 //!   against decode cost without touching any executor,
+//! * [`ByteCursor`] — the one bounds-checked little-endian cursor every
+//!   untrusted byte stream is parsed with (layer images here, the `.eie`
+//!   container and the wire frames downstream),
 //! * decoding back to [`CsrMatrix`] for golden-model verification.
 //!
 //! # Example
@@ -50,6 +53,7 @@
 
 mod codebook;
 pub mod codec;
+mod cursor;
 mod encode;
 pub mod huffman;
 mod kmeans;
@@ -61,6 +65,7 @@ mod stats;
 
 pub use codebook::{Codebook, CODEBOOK_SIZE, WEIGHT_BITS};
 pub use codec::{decode_any, BitPlane, CscNibble, HuffmanPacked, WeightCodec, WeightCodecKind};
+pub use cursor::{ByteCursor, Truncated};
 pub use encode::{
     compress, encode_with_codebook, CompressConfig, EncodedLayer, Entry, PeSlice,
     ValidateLayerError,

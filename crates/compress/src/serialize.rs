@@ -22,6 +22,7 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::cursor::{ByteCursor, Truncated};
 use crate::encode::ValidateLayerError;
 use crate::{Codebook, EncodedLayer, Entry, PeSlice};
 
@@ -96,89 +97,9 @@ impl From<ValidateLayerError> for DecodeLayerError {
     }
 }
 
-/// A little-endian byte cursor that knows which layout section it is in,
-/// so truncation errors name the field group that ran dry. Shared by the
-/// CSC-nibble image below and the alternate codecs in `codec.rs`.
-pub(crate) struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    section: &'static str,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(bytes: &'a [u8], section: &'static str) -> Self {
-        Self {
-            bytes,
-            pos: 0,
-            section,
-        }
-    }
-
-    /// Marks the start of a layout section for error attribution.
-    pub(crate) fn enter(&mut self, section: &'static str) {
-        self.section = section;
-    }
-
-    /// Bytes not yet consumed.
-    pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeLayerError> {
-        if n > self.remaining() {
-            return Err(DecodeLayerError::Truncated {
-                offset: self.pos,
-                section: self.section,
-            });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Takes `count` fixed-size records as one bounds-checked block. A
-    /// count the remaining bytes cannot hold — counts come straight from
-    /// untrusted header fields — is a truncation error here, before the
-    /// caller reserves anything for the records.
-    pub(crate) fn records(
-        &mut self,
-        count: usize,
-        size: usize,
-    ) -> Result<std::slice::ChunksExact<'a, u8>, DecodeLayerError> {
-        let bytes = self.take(count.saturating_mul(size))?;
-        Ok(bytes.chunks_exact(size))
-    }
-
-    /// Reads a section of `count` little-endian `u32`s.
-    pub(crate) fn u32s(
-        &mut self,
-        section: &'static str,
-        count: usize,
-    ) -> Result<Vec<u32>, DecodeLayerError> {
-        self.enter(section);
-        let words = self.records(count, 4)?;
-        Ok(words
-            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            .collect())
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, DecodeLayerError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, DecodeLayerError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, DecodeLayerError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn f32(&mut self) -> Result<f32, DecodeLayerError> {
-        let b = self.take(4)?;
-        Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+impl From<Truncated> for DecodeLayerError {
+    fn from(Truncated { offset, section }: Truncated) -> Self {
+        DecodeLayerError::Truncated { offset, section }
     }
 }
 
@@ -216,7 +137,7 @@ pub(crate) fn write_layer_header(layer: &EncodedLayer, magic: &[u8; 4], out: &mu
 /// Reads and validates the shared codec header, rejecting a wrong magic
 /// and every impossible field value.
 pub(crate) fn read_layer_header(
-    r: &mut Reader<'_>,
+    r: &mut ByteCursor<'_>,
     magic: &[u8; 4],
 ) -> Result<LayerHeader, DecodeLayerError> {
     r.enter("magic");
@@ -305,7 +226,7 @@ impl EncodedLayer {
     /// Returns a [`DecodeLayerError`] on malformed bytes or any encoding
     /// invariant violation.
     pub fn from_bytes(bytes: &[u8]) -> Result<EncodedLayer, DecodeLayerError> {
-        let mut r = Reader::new(bytes, "magic");
+        let mut r = ByteCursor::new(bytes, "magic");
         let h = read_layer_header(&mut r, &MAGIC)?;
 
         // Every PE costs at least its 8-byte header, which bounds the

@@ -54,7 +54,7 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use eie_compress::{DecodeLayerError, EncodedLayer, WeightCodecKind};
+use eie_compress::{ByteCursor, DecodeLayerError, EncodedLayer, Truncated, WeightCodecKind};
 
 use crate::{CompiledModel, EieConfig};
 
@@ -196,6 +196,12 @@ impl From<std::io::Error> for ModelArtifactError {
     }
 }
 
+impl From<Truncated> for ModelArtifactError {
+    fn from(Truncated { offset, section }: Truncated) -> Self {
+        ModelArtifactError::Truncated { offset, section }
+    }
+}
+
 /// The reflected CRC-32/IEEE polynomial (zlib's).
 const CRC_POLY: u32 = 0xEDB8_8320;
 
@@ -251,53 +257,6 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
-}
-
-/// A little-endian cursor with section attribution (the container
-/// counterpart of the layer-image reader in `eie-compress`).
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    section: &'static str,
-}
-
-impl<'a> Reader<'a> {
-    fn enter(&mut self, section: &'static str) {
-        self.section = section;
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ModelArtifactError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(ModelArtifactError::Truncated {
-                offset: self.pos,
-                section: self.section,
-            });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ModelArtifactError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, ModelArtifactError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, ModelArtifactError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn f64(&mut self) -> Result<f64, ModelArtifactError> {
-        let b = self.take(8)?;
-        Ok(f64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
 }
 
 impl CompiledModel {
@@ -404,11 +363,7 @@ impl CompiledModel {
     /// Returns a [`ModelArtifactError`] naming the first problem found;
     /// corrupt bytes never reach a backend.
     pub fn from_bytes(bytes: &[u8]) -> Result<CompiledModel, ModelArtifactError> {
-        let mut r = Reader {
-            bytes,
-            pos: 0,
-            section: "magic",
-        };
+        let mut r = ByteCursor::new(bytes, "magic");
         if r.take(4)? != MODEL_MAGIC {
             return Err(ModelArtifactError::BadMagic);
         }
@@ -428,7 +383,7 @@ impl CompiledModel {
         let stored_crc = r.u32()?;
         r.enter("payload");
         let payload = r.take(payload_len)?;
-        if r.pos != bytes.len() {
+        if r.remaining() != 0 {
             return Err(ModelArtifactError::BadHeader {
                 field: "trailing bytes",
             });
@@ -441,11 +396,7 @@ impl CompiledModel {
             });
         }
 
-        let mut r = Reader {
-            bytes: payload,
-            pos: 0,
-            section: "config",
-        };
+        let mut r = ByteCursor::new(payload, "config");
         let num_pes = r.u32()? as usize;
         let fifo_depth = r.u32()? as usize;
         let spmat_width_bits = r.u32()?;
@@ -550,7 +501,7 @@ impl CompiledModel {
             }
             layers.push(layer);
         }
-        if r.pos != payload.len() {
+        if r.remaining() != 0 {
             return Err(ModelArtifactError::BadHeader {
                 field: "payload length",
             });

@@ -23,16 +23,19 @@
 //!   guess. Other errors (unknown model, wrong input length) are
 //!   per-request and leave the connection open.
 //! * **Shutdown drains.** A SHUTDOWN frame (or
-//!   [`NetServer::request_shutdown`]) stops the accept loop, lets every
-//!   handler finish its in-flight request, then drains each resident
-//!   model's queue — every accepted request is answered before the
-//!   process lets go.
+//!   [`NetServer::request_shutdown`]) stops the accept loop, which then
+//!   shuts the read half of every open connection. Handlers block in
+//!   plain reads (no timeout, no poll): an idle one wakes at once with
+//!   end-of-stream and closes; one with a request in flight still writes
+//!   its response over the open write half, then closes without reading
+//!   another frame. Last, each resident model's queue drains — every
+//!   accepted request is answered before the process lets go.
 
 use std::fmt;
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -43,9 +46,6 @@ use crate::registry::{ModelRegistry, RegistryError};
 use crate::server::{RequestError, ServerError, ServerStats, SubmitError, SubmitOptions};
 
 use eie_core::fixed::Q8p8;
-
-/// How often a blocked handler wakes to check the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(200);
 
 /// Connection-level policy of a [`NetServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,38 +125,6 @@ impl Ctx {
     fn begin_shutdown(&self) {
         self.shutdown.fire();
         let _ = TcpStream::connect(self.addr);
-    }
-}
-
-/// A `Read` adapter that turns the socket's periodic read timeout into
-/// "keep waiting, unless shutdown fired". [`read_frame`] can then block
-/// across quiet stretches without ever losing partially-read frame
-/// state, and still notices a drain promptly.
-struct ShutdownAwareStream<'a> {
-    stream: &'a TcpStream,
-    shutdown: &'a ShutdownSignal,
-}
-
-impl Read for ShutdownAwareStream<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            match self.stream.read(buf) {
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if self.shutdown.is_fired() {
-                        return Err(io::Error::new(
-                            io::ErrorKind::ConnectionAborted,
-                            "server shutting down",
-                        ));
-                    }
-                }
-                other => return other,
-            }
-        }
     }
 }
 
@@ -302,42 +270,51 @@ impl Drop for NetServer {
 }
 
 fn accept_loop(listener: TcpListener, ctx: &Arc<Ctx>) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    let reap = |handlers: &mut Vec<JoinHandle<()>>, ctx: &Arc<Ctx>, all: bool| {
-        // Reap finished handlers so a long-lived node doesn't
-        // accumulate one parked JoinHandle per connection ever served —
-        // counting the ones that panicked instead of propagating (one
-        // broken connection must not take the node down).
-        let mut kept = Vec::new();
-        for handler in handlers.drain(..) {
-            if all || handler.is_finished() {
-                if handler.join().is_err() {
-                    ctx.handler_panics.fetch_add(1, Ordering::Relaxed);
-                }
-            } else {
-                kept.push(handler);
+    // Each handler owns its stream; the loop keeps a weak handle to it,
+    // so a closed connection still closes its socket on handler exit.
+    let mut conns: Vec<(Weak<TcpStream>, JoinHandle<()>)> = Vec::new();
+    // Joins finished handlers (all of them once draining) so a
+    // long-lived node doesn't accumulate one parked JoinHandle per
+    // connection ever served — counting the ones that panicked instead
+    // of propagating (one broken connection must not take the node
+    // down).
+    let reap = |conns: &mut Vec<(Weak<TcpStream>, JoinHandle<()>)>, all: bool| {
+        let (done, kept) = std::mem::take(conns)
+            .into_iter()
+            .partition(|(_, handler)| all || handler.is_finished());
+        *conns = kept;
+        for (_, handler) in done {
+            if handler.join().is_err() {
+                ctx.handler_panics.fetch_add(1, Ordering::Relaxed);
             }
         }
-        *handlers = kept;
     };
     for stream in listener.incoming() {
         if ctx.shutdown.is_fired() {
             break;
         }
         let Ok(stream) = stream else { continue };
+        let stream = Arc::new(stream);
+        let weak = Arc::downgrade(&stream);
         let ctx_conn = Arc::clone(ctx);
         let handler = thread::Builder::new()
             .name("eie-net-conn".into())
             .spawn(move || handle_connection(&stream, &ctx_conn))
             .expect("spawn connection handler");
-        handlers.push(handler);
-        reap(&mut handlers, ctx, false);
+        conns.push((weak, handler));
+        reap(&mut conns, false);
     }
-    reap(&mut handlers, ctx, true);
+    // Drain: closing each read half ends an idle handler's blocking
+    // read with EOF; the write half stays open, so a response still
+    // being computed goes out before its handler exits.
+    for stream in conns.iter().filter_map(|(weak, _)| weak.upgrade()) {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
+    reap(&mut conns, true);
 }
 
 /// One connection's request→response loop. Returning closes the stream.
-fn handle_connection(stream: &TcpStream, ctx: &Ctx) {
+fn handle_connection(mut stream: &TcpStream, ctx: &Ctx) {
     if let Some(plan) = ctx.registry.fault_plan() {
         if plan.next_connection_panics() {
             panic!("injected connection-handler panic");
@@ -346,22 +323,29 @@ fn handle_connection(stream: &TcpStream, ctx: &Ctx) {
     // The write timeout is the slow-client grace: a peer that stops
     // reading long enough to block a response write this long gets
     // evicted instead of pinning this handler thread.
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err()
-        || stream
-            .set_write_timeout(Some(ctx.policy.write_grace))
-            .is_err()
+    if stream
+        .set_write_timeout(Some(ctx.policy.write_grace))
+        .is_err()
     {
         return;
     }
-    let mut reader = ShutdownAwareStream {
-        stream,
-        shutdown: &ctx.shutdown,
-    };
     loop {
-        let body = match read_frame(&mut reader) {
+        // Draining: serve no further frame (Linux still delivers bytes
+        // that arrive after the read half closed). The FIN goes out
+        // ahead of any reset the final close sends for unread bytes, so
+        // the peer reads a clean end of stream.
+        if ctx.shutdown.is_fired() {
+            let _ = stream.shutdown(Shutdown::Write);
+            return;
+        }
+        let body = match read_frame(&mut stream) {
             Ok(Some(body)) => body,
-            // Peer closed between frames, or shutdown fired while idle.
+            // Peer closed between frames, or the drain closed the read
+            // half of an idle connection.
             Ok(None) | Err(FrameError::Io(_)) => return,
+            // A frame the drain cut in half: close silently, the peer
+            // is not malformed.
+            Err(_) if ctx.shutdown.is_fired() => return,
             // Framing is broken: answer typed, then close (the stream
             // position cannot be trusted past a malformed frame).
             Err(e) => {

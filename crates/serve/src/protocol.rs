@@ -47,6 +47,8 @@ use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
 
+use eie_core::compress::{ByteCursor, Truncated};
+
 /// Magic bytes heading every frame body ("EIE Wire").
 pub const FRAME_MAGIC: [u8; 4] = *b"EIEW";
 
@@ -350,108 +352,33 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// A little-endian cursor over one frame body, with section attribution
-/// for truncation errors (the wire counterpart of the readers in the
-/// artifact and layer-image codecs).
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    section: &'static str,
+impl From<Truncated> for FrameError {
+    fn from(Truncated { offset, section }: Truncated) -> Self {
+        FrameError::Truncated { offset, section }
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self {
-            bytes,
-            pos: 0,
-            section: "magic",
-        }
+/// The strict tail check: a valid frame's payload is consumed exactly.
+fn finish(r: &ByteCursor<'_>) -> Result<(), FrameError> {
+    if r.remaining() != 0 {
+        return Err(FrameError::BadPayload {
+            field: "trailing bytes",
+        });
     }
+    Ok(())
+}
 
-    fn enter(&mut self, section: &'static str) {
-        self.section = section;
+/// Reads one field of the append-only stats tail: a frame from an older
+/// writer simply ends sooner, decoding as zero. A *partial* field is
+/// still truncation — appended fields are all-or-nothing.
+fn tail<'a, T: Default>(
+    r: &mut ByteCursor<'a>,
+    read: impl FnOnce(&mut ByteCursor<'a>) -> Result<T, Truncated>,
+) -> Result<T, Truncated> {
+    if r.remaining() == 0 {
+        return Ok(T::default());
     }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(FrameError::Truncated {
-                offset: self.pos,
-                section: self.section,
-            });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, FrameError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("take(8)")))
-    }
-
-    fn i16(&mut self) -> Result<i16, FrameError> {
-        let b = self.take(2)?;
-        Ok(i16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn f32(&mut self) -> Result<f32, FrameError> {
-        let b = self.take(4)?;
-        Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn f64(&mut self) -> Result<f64, FrameError> {
-        let b = self.take(8)?;
-        Ok(f64::from_le_bytes(b.try_into().expect("take(8)")))
-    }
-
-    /// The strict tail check: a valid frame's payload is consumed
-    /// exactly.
-    fn finish(self) -> Result<(), FrameError> {
-        if self.pos != self.bytes.len() {
-            return Err(FrameError::BadPayload {
-                field: "trailing bytes",
-            });
-        }
-        Ok(())
-    }
-
-    /// Reads a `u64` from the append-only stats tail: a frame from an
-    /// older writer simply ends sooner, decoding as zero. A *partial*
-    /// field is still truncation — appended fields are all-or-nothing.
-    fn tail_u64(&mut self) -> Result<u64, FrameError> {
-        if self.pos == self.bytes.len() {
-            return Ok(0);
-        }
-        self.u64()
-    }
-
-    /// `tail_u64` for a `u32` field.
-    fn tail_u32(&mut self) -> Result<u32, FrameError> {
-        if self.pos == self.bytes.len() {
-            return Ok(0);
-        }
-        self.u32()
-    }
-
-    /// Discards bytes a newer writer appended past the fields this
-    /// build knows (the append-only forward-compatibility half).
-    fn skip_tail(&mut self) {
-        self.pos = self.bytes.len();
-    }
+    read(r)
 }
 
 /// Header at the base version: every frame whose shape is unchanged
@@ -482,8 +409,8 @@ fn frame(body: Vec<u8>) -> Vec<u8> {
 
 /// Validates magic + version, returning the version, kind and payload
 /// reader.
-fn open_body(body: &[u8]) -> Result<(u8, u8, Reader<'_>), FrameError> {
-    let mut r = Reader::new(body);
+fn open_body(body: &[u8]) -> Result<(u8, u8, ByteCursor<'_>), FrameError> {
+    let mut r = ByteCursor::new(body, "magic");
     if r.take(4)? != FRAME_MAGIC {
         return Err(FrameError::BadMagic);
     }
@@ -571,17 +498,14 @@ impl Request {
                 };
                 r.enter("input");
                 let n = r.u32()? as usize;
-                // n is bounded by the already-enforced MAX_BODY, but cap
-                // the pre-allocation to what the body could actually hold.
-                let mut input = Vec::with_capacity(n.min(r.bytes.len() / 4 + 1));
-                for _ in 0..n {
-                    let v = r.f32()?;
-                    if !v.is_finite() {
-                        return Err(FrameError::BadPayload {
-                            field: "input activation",
-                        });
-                    }
-                    input.push(v);
+                let input: Vec<f32> = r
+                    .records(n, 4)?
+                    .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                    .collect();
+                if !input.iter().all(|v| v.is_finite()) {
+                    return Err(FrameError::BadPayload {
+                        field: "input activation",
+                    });
                 }
                 Request::Infer {
                     model,
@@ -594,7 +518,7 @@ impl Request {
             KIND_SHUTDOWN => Request::Shutdown,
             other => return Err(FrameError::UnknownKind(other)),
         };
-        r.finish()?;
+        finish(&r)?;
         Ok(request)
     }
 }
@@ -680,10 +604,10 @@ impl Response {
                 let worker = r.u32()?;
                 r.enter("outputs");
                 let n = r.u32()? as usize;
-                let mut outputs = Vec::with_capacity(n.min(r.bytes.len() / 2 + 1));
-                for _ in 0..n {
-                    outputs.push(r.i16()?);
-                }
+                let outputs = r
+                    .records(n, 2)?
+                    .map(|b| i16::from_le_bytes([b[0], b[1]]))
+                    .collect();
                 Response::Output(OutputReport {
                     outputs,
                     queue_us,
@@ -730,22 +654,24 @@ impl Response {
                     // The append-only tail: zero when an older server
                     // stops short, extra fields from a newer server are
                     // skipped below.
-                    accepted: r.tail_u64()?,
-                    shed: r.tail_u64()?,
-                    expired: r.tail_u64()?,
-                    failed: r.tail_u64()?,
-                    retries_upstream: r.tail_u64()?,
-                    worker_restarts: r.tail_u64()?,
-                    degraded: r.tail_u32()?,
-                    slow_client_evictions: r.tail_u64()?,
+                    accepted: tail(&mut r, ByteCursor::u64)?,
+                    shed: tail(&mut r, ByteCursor::u64)?,
+                    expired: tail(&mut r, ByteCursor::u64)?,
+                    failed: tail(&mut r, ByteCursor::u64)?,
+                    retries_upstream: tail(&mut r, ByteCursor::u64)?,
+                    worker_restarts: tail(&mut r, ByteCursor::u64)?,
+                    degraded: tail(&mut r, ByteCursor::u32)?,
+                    slow_client_evictions: tail(&mut r, ByteCursor::u64)?,
                 };
-                r.skip_tail();
+                // Discard what a newer writer appended past the fields
+                // this build knows (the forward-compatibility half).
+                r.take(r.remaining())?;
                 Response::Stats(report)
             }
             KIND_OK => Response::Ok,
             other => return Err(FrameError::UnknownKind(other)),
         };
-        r.finish()?;
+        finish(&r)?;
         Ok(response)
     }
 }

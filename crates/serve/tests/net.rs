@@ -1,8 +1,11 @@
 //! The network-serving acceptance tests: concurrent clients × multiple
 //! models over a real loopback socket, bit-exact against one-at-a-time
 //! functional golden runs; deterministic shed-load under a tiny queue
-//! bound; clean drain on shutdown.
+//! bound; clean drain on shutdown, prompt with idle connections open and
+//! answering the request in flight.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -10,8 +13,11 @@ use std::time::{Duration, Instant};
 use eie_core::fixed::Q8p8;
 use eie_core::nn::zoo::{random_sparse, sample_activations};
 use eie_core::{BackendKind, CompiledModel, EieConfig};
-use eie_serve::protocol::Response;
-use eie_serve::{Client, ModelRegistry, NetServer, ServerConfig};
+use eie_serve::protocol::{read_frame, Request, Response};
+use eie_serve::{
+    Client, ClientError, ClientTimeouts, FaultPlan, ModelRegistry, NetServer, ServerConfig,
+    ServerError,
+};
 
 fn stack_model(dims: &[usize], seed: u64) -> CompiledModel {
     let weights: Vec<_> = dims
@@ -169,5 +175,121 @@ fn overload_is_shed_as_a_typed_frame_and_accepted_work_completes() {
     assert_eq!(
         stats.requests, 3,
         "2 fillers + 1 retry; the shed request never counts"
+    );
+}
+
+fn handler_panics(errors: &[ServerError]) -> Vec<&ServerError> {
+    errors
+        .iter()
+        .filter(|e| matches!(e, ServerError::HandlerPanicked { .. }))
+        .collect()
+}
+
+/// A connection left open after its answer parks its handler in a
+/// blocking read. Stopping the node must wake that read at once (the
+/// drain shuts the read half) instead of waiting out a poll interval,
+/// and the client must then see the connection end, not hang.
+#[test]
+fn stop_returns_promptly_with_an_idle_connection_open() {
+    let model = stack_model(&[16, 12], 3);
+    let registry = ModelRegistry::new(ServerConfig::default().with_workers(1));
+    registry.register_model("m", &model).unwrap();
+    let server = NetServer::bind("127.0.0.1:0", registry).unwrap();
+    let mut client = Client::connect_with(
+        server.local_addr(),
+        ClientTimeouts::all(Duration::from_secs(5)),
+    )
+    .unwrap();
+    let input = sample_activations(16, 0.5, true, 1);
+    let served = client.infer_outputs("m", &input).unwrap();
+    let golden = model.infer(BackendKind::Functional).submit_one(&input);
+    assert_eq!(served, golden.outputs(0));
+
+    let started = Instant::now();
+    let stats = server.stop();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(50),
+        "stop took {took:?} with one idle connection open"
+    );
+    assert_eq!(stats.requests, 1);
+    assert!(handler_panics(&stats.errors).is_empty(), "{stats}");
+
+    match client.infer("m", &input) {
+        Err(ClientError::Disconnected) => {}
+        other => panic!("expected the stopped node to disconnect, got {other:?}"),
+    }
+}
+
+/// Shutdown requested while a request is being computed: the drain
+/// shuts the connection's read half, yet the request in flight still
+/// gets its bit-exact answer over the open write half. The connection
+/// then ends — a second request, pipelined behind the first and so
+/// already in the server's socket buffer, is not served: the peer reads
+/// a clean end of stream (what [`Client`] reports as
+/// `ClientError::Disconnected`) — and no handler died on the way.
+#[test]
+fn request_in_flight_is_answered_across_the_drain() {
+    let model = stack_model(&[20, 14, 9], 5);
+    // Hold the first dispatch long enough to shut down under it.
+    let plan = Arc::new(FaultPlan::new().stall_dispatch(0, Duration::from_millis(300)));
+    let registry = ModelRegistry::new(ServerConfig::default().with_workers(1))
+        .with_fault_plan(Arc::clone(&plan));
+    registry.register_model("m", &model).unwrap();
+    let server = NetServer::bind("127.0.0.1:0", registry).unwrap();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let input = sample_activations(20, 0.5, true, 2);
+    let mut frames = Request::infer("m", input.clone()).to_frame();
+    frames.extend(Request::infer("m", input.clone()).to_frame());
+    raw.write_all(&frames).unwrap();
+
+    // Wait until the worker holds the first request in its stalled
+    // dispatch, then drain under it.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while plan.dispatches() == 0 {
+        assert!(Instant::now() < deadline, "the request never dispatched");
+        thread::sleep(Duration::from_millis(1));
+    }
+    server.request_shutdown();
+
+    let body = read_frame(&mut raw).unwrap().expect("the in-flight answer");
+    let golden = model.infer(BackendKind::Functional).submit_one(&input);
+    match Response::from_body(&body).unwrap() {
+        Response::Output(out) => {
+            let served: Vec<Q8p8> = out.outputs.into_iter().map(Q8p8::from_raw).collect();
+            assert_eq!(served, golden.outputs(0), "in-flight answer diverged");
+        }
+        other => panic!("expected the in-flight OUTPUT, got {other:?}"),
+    }
+    assert!(
+        matches!(read_frame(&mut raw), Ok(None)),
+        "the pipelined request must end in a disconnect, not an answer"
+    );
+
+    let stats = server.stop();
+    assert_eq!(stats.requests, 1);
+    assert!(handler_panics(&stats.errors).is_empty(), "{stats}");
+}
+
+/// A drain that cuts a frame in half closes the connection silently:
+/// the peer sent nothing malformed, so it gets no MALFORMED answer,
+/// just the end of the stream.
+#[test]
+fn drain_mid_frame_closes_without_a_malformed_answer() {
+    let server =
+        NetServer::bind("127.0.0.1:0", ModelRegistry::new(ServerConfig::default())).unwrap();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let frame = Request::infer("m", vec![0.5; 8]).to_frame();
+    raw.write_all(&frame[..frame.len() / 2]).unwrap();
+    // Give the handler time to block inside the frame's body.
+    thread::sleep(Duration::from_millis(20));
+
+    let stats = server.stop();
+    assert!(handler_panics(&stats.errors).is_empty(), "{stats}");
+    assert!(
+        matches!(read_frame(&mut raw), Ok(None)),
+        "a frame cut by the drain must end the stream unanswered"
     );
 }
