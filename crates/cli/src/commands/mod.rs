@@ -1,6 +1,5 @@
 //! The four subcommands, plus the helpers they share.
 
-pub mod bench;
 pub mod compress;
 pub mod inspect;
 pub mod run;

@@ -1,11 +1,7 @@
-//! `eie serve` — serve artifacts under load, locally or over TCP.
+//! `eie serve` — serve artifacts over TCP.
 //!
-//! Three modes share one subcommand:
+//! Two modes share one subcommand, and one of them must be named:
 //!
-//! * **Local** (default): load one `.eie` into a [`ModelServer`] and
-//!   drive it with a generated request stream at a target QPS,
-//!   reporting the latency distribution (p50/p95/p99), queue time,
-//!   coalescing behaviour and throughput.
 //! * **`--listen <addr>`**: put a [`ModelRegistry`] of named artifacts
 //!   behind a TCP listener speaking the EIE wire protocol
 //!   ([`eie_serve::protocol`]), with LRU-by-bytes eviction past
@@ -22,11 +18,11 @@ use eie_core::backend::{host_cores, lane_isa};
 use eie_core::{BackendKind, CompiledModel};
 use eie_serve::protocol::{ErrorCode, Response};
 use eie_serve::{
-    Client, ClientTimeouts, FaultPlan, ModelRegistry, ModelServer, NetPolicy, NetServer,
-    RetryPolicy, ServerConfig, ServerStats, SubmitOptions,
+    Client, ClientTimeouts, FaultPlan, ModelRegistry, NetPolicy, NetServer, RetryPolicy,
+    ServerConfig, ServerStats,
 };
 
-use crate::commands::{load_model, parse_backend, sample_batch};
+use crate::commands::{load_model, parse_backend};
 use crate::opts::Opts;
 use crate::outln;
 use crate::CliError;
@@ -42,14 +38,13 @@ fn help() -> String {
         ..
     } = ServerConfig::default();
     format!(
-        "eie serve — serve .eie artifacts under load, locally or over TCP
+        "eie serve — serve .eie artifacts over TCP
 
 USAGE:
-    eie serve <MODEL.eie> [OPTIONS]                          local self-driving load
     eie serve --listen <ADDR> --model <NAME=PATH>... [OPTIONS]   network serving node
     eie serve --connect <ADDR> --model <NAME=PATH>... [OPTIONS]  load-generator client
 
-SERVING POLICY (local and --listen):
+SERVING POLICY (--listen):
     --backend <B>       Worker backend: cycle | functional | native[:threads]
                         [default: native — each worker's kernel gets
                         max(1, cores / workers) threads]
@@ -64,24 +59,20 @@ NETWORK NODE (--listen):
     --budget-bytes <N>  Resident-artifact byte budget: past it, cold models
                         are evicted LRU [default: unbounded]
 
-LOAD GENERATION (local and --connect):
-    --requests <N>      Requests to drive (per connection when --connect)
-                        [default: 256]
-    --clients <N>       Concurrent client connections (--connect) [default: 4]
-    --qps <Q>           Target offered rate, requests/s, local mode only
-                        (0 = unthrottled, backpressure-paced) [default: 0]
+LOAD GENERATION (--connect):
+    --requests <N>      Requests to drive per connection [default: 256]
+    --clients <N>       Concurrent client connections [default: 4]
     --density <D>       Input activation density in [0, 1] [default: 0.35]
     --signed            Sample signed activations (embedding/LSTM inputs)
     --seed <N>          Input sampling seed [default: 1]
     --verify            Re-check every response against a one-at-a-time
                         functional golden run (exit 1 on divergence)
     --shutdown          After the load, ask the server to drain and exit
-                        (--connect)
 
 FAULT TOLERANCE:
     --deadline-ms <N>   Per-request deadline, ms; lapsed requests are
                         answered DEADLINE_EXCEEDED, never executed
-                        (local and --connect) [default: none]
+                        (--connect) [default: none]
     --retries <N>       Attempts per request (--connect): transport
                         failures, OVERLOADED and WORKER_FAILED retry
                         with deterministic exponential backoff
@@ -108,7 +99,9 @@ pub fn run(mut opts: Opts) -> Result<(), CliError> {
         )),
         (Some(addr), None) => run_listen(&addr, opts),
         (None, Some(addr)) => run_connect(&addr, opts),
-        (None, None) => run_local(opts),
+        (None, None) => Err(CliError::Usage(
+            "serve needs a mode: --listen <ADDR> or --connect <ADDR> (see --help)".into(),
+        )),
     }
 }
 
@@ -171,7 +164,7 @@ fn collect_models(opts: &mut Opts) -> Result<Vec<(String, String)>, CliError> {
 }
 
 /// The start-up line naming the threads each worker's kernel runs
-/// (`backend` as [`ModelServer::start`] resolves it).
+/// (`backend` as [`eie_serve::ModelServer::start`] resolves it).
 fn print_kernel_threads(backend: BackendKind) {
     if let BackendKind::NativeCpu(threads) = backend {
         outln!("kernel threads: {threads} per worker");
@@ -523,130 +516,19 @@ fn drive_connection(
     Ok(tally)
 }
 
-/// The original self-driving mode: one model, in-process server,
-/// generated load.
-fn run_local(mut opts: Opts) -> Result<(), CliError> {
-    let config = parse_policy(&mut opts)?;
-    let requests: usize = opts.parsed(&["--requests"])?.unwrap_or(256);
-    let qps: f64 = opts.parsed(&["--qps"])?.unwrap_or(0.0);
-    let density: f64 = opts.parsed(&["--density"])?.unwrap_or(0.35);
-    let signed = opts.flag("--signed");
-    let seed: u64 = opts.parsed(&["--seed"])?.unwrap_or(1);
-    let verify = opts.flag("--verify");
-    let deadline_ms: Option<u64> = opts.parsed(&["--deadline-ms"])?;
-    let positional = opts.finish(1)?;
-    let path = positional
-        .first()
-        .ok_or_else(|| CliError::Usage("serve needs a model file (see --help)".into()))?;
-    if requests == 0 {
-        return Err(CliError::Usage("--requests must be positive".into()));
-    }
-    let deadline = match deadline_ms {
-        Some(0) => return Err(CliError::Usage("--deadline-ms must be positive".into())),
-        Some(ms) => Some(Duration::from_millis(ms)),
-        None => None,
-    };
-    if !(0.0..=1.0).contains(&density) {
-        return Err(CliError::Usage("--density must be in [0, 1]".into()));
-    }
-    if qps < 0.0 {
-        return Err(CliError::Usage("--qps must be non-negative".into()));
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let model = load_model(path)?;
-    outln!("loaded    {model}");
-    let golden = verify.then(|| model.clone());
-    outln!("serving   {config}");
-    outln!("lanes: {}", lane_isa());
-
-    let inputs = sample_batch(&model, requests, density, signed, seed);
-    let server = ModelServer::start(model, config);
-    print_kernel_threads(server.config().backend);
-    let served = server.model();
-    if served.plans_built() == served.num_layers() {
-        let blocks: Vec<String> = (0..served.num_layers())
-            .map(|i| served.plan(i).blocks().len().to_string())
-            .collect();
-        outln!("plan blocks: {} (shared, per layer)", blocks.join(" / "));
-    }
-    outln!(
-        "load      {requests} requests at {}",
-        if qps > 0.0 {
-            format!("{qps:.0} requests/s target")
-        } else {
-            "max speed (backpressure-paced)".to_string()
-        }
-    );
-
-    // Open-loop pacing against absolute deadlines so a slow submit does
-    // not silently shift the whole schedule; qps 0 submits back to back
-    // and lets the bounded queue pace the stream.
-    let started = Instant::now();
-    let interval = (qps > 0.0).then(|| Duration::from_secs_f64(1.0 / qps));
-    let mut responses = Vec::with_capacity(requests);
-    for (i, input) in inputs.iter().enumerate() {
-        if let Some(interval) = interval {
-            let deadline = started + interval * i as u32;
-            if let Some(wait) = deadline.checked_duration_since(Instant::now()) {
-                std::thread::sleep(wait);
+    #[test]
+    fn a_bare_artifact_without_a_mode_is_a_usage_error() {
+        let opts = Opts::new(vec!["model.eie".to_string()]);
+        match run(opts) {
+            Err(CliError::Usage(msg)) => {
+                assert!(msg.contains("--listen"), "{msg}");
+                assert!(msg.contains("--connect"), "{msg}");
             }
+            other => panic!("expected a usage error, got {other:?}"),
         }
-        let mut submit_opts = SubmitOptions::default();
-        if let Some(budget) = deadline {
-            submit_opts = submit_opts.with_deadline(Instant::now() + budget);
-        }
-        let response = match server.submit_with(input, submit_opts) {
-            Ok(response) => response,
-            // A pre-expired deadline is a typed answer, not a CLI
-            // failure; nothing to wait on.
-            Err(eie_serve::SubmitError::DeadlineExceeded) => continue,
-            Err(e) => {
-                return Err(CliError::Runtime(format!(
-                    "submit failed at request {i}: {e}"
-                )))
-            }
-        };
-        responses.push((i, response));
     }
-    let offered_s = started.elapsed().as_secs_f64();
-
-    let results: Vec<_> = responses.into_iter().map(|(i, r)| (i, r.wait())).collect();
-    let stats = server.shutdown();
-
-    let answered: Vec<_> = results
-        .iter()
-        .filter_map(|(i, r)| r.as_ref().ok().map(|result| (*i, result)))
-        .collect();
-    if let Some(golden) = &golden {
-        let job = golden.infer(BackendKind::Functional);
-        for (i, result) in &answered {
-            if job.submit_one(&inputs[*i]).outputs(0) != &result.outputs[..] {
-                return Err(CliError::Runtime(format!(
-                    "verification FAILED: served output diverged from the \
-                     one-at-a-time functional golden run at request {i}"
-                )));
-            }
-        }
-        outln!(
-            "verified  {} responses bit-exact against the functional golden model",
-            answered.len()
-        );
-    }
-
-    outln!(
-        "offered   {:.0} requests/s over {:.1} ms",
-        requests as f64 / offered_s,
-        offered_s * 1e3
-    );
-    print_serving_stats(&stats);
-    // Every request must have a disposition: answered, or typed as
-    // expired/failed. With no deadline and no faults this degenerates
-    // to the old exact answered == offered check.
-    if stats.requests + stats.expired + stats.failed != requests as u64 {
-        return Err(CliError::Runtime(format!(
-            "server answered {} of {requests} requests ({} expired, {} failed)",
-            stats.requests, stats.expired, stats.failed
-        )));
-    }
-    Ok(())
 }

@@ -1,16 +1,13 @@
 //! `eie` — the model-lifecycle command-line tool.
 //!
 //! The `.eie` artifact is the deployment unit of this reproduction:
-//! compress once, then inspect/run/bench the same file anywhere. Four
+//! compress once, then inspect/run/serve the same file anywhere. Four
 //! subcommands cover that lifecycle:
 //!
 //! ```text
 //! eie compress --zoo alex7 -o model.eie     build a versioned artifact
 //! eie inspect model.eie                     headers, layers, footprint
 //! eie run model.eie --backend native        run a batch from the file
-//! eie bench model.eie --iters 10            load + batch throughput
-//! eie serve model.eie --qps 2000            live serving under load:
-//!                                           micro-batching, p50/p95/p99
 //! eie serve --listen 127.0.0.1:7070 \
 //!           --model fc6=a.eie --model fc7=b.eie
 //!                                           network node: multi-model
@@ -18,6 +15,9 @@
 //! eie serve --connect 127.0.0.1:7070 \
 //!           --model fc6=a.eie --verify      load-generator client
 //! ```
+//!
+//! Speed is measured elsewhere: `kernel_sweep`, `codec_sweep` and the
+//! paper binaries in `eie-bench`, and the end-to-end `benchmark/`.
 //!
 //! Every subcommand takes `--help`. Exit codes: `0` success, `1`
 //! runtime failure (unreadable/corrupt artifact, failed verification),
@@ -43,7 +43,7 @@ macro_rules! outln {
 }
 pub(crate) use outln;
 
-const USAGE: &str = "eie — compress, inspect, run and bench EIE model artifacts
+const USAGE: &str = "eie — compress, inspect, run and serve EIE model artifacts
 
 USAGE:
     eie <COMMAND> [OPTIONS]
@@ -52,10 +52,9 @@ COMMANDS:
     compress    Compile a model into a versioned .eie artifact
     inspect     Print an artifact's header, topology and footprint
     run         Load an artifact and run a batch on a backend
-    bench       Measure artifact load and batch throughput
-    serve       Serve artifacts under load: local self-driving mode,
-                --listen (multi-model TCP node with LRU registry), or
-                --connect (concurrent load-generator client)
+    serve       Serve artifacts over TCP: --listen (multi-model node
+                with LRU registry) or --connect (concurrent
+                load-generator client)
 
 Run `eie <COMMAND> --help` for per-command options.";
 
@@ -75,7 +74,6 @@ fn main() -> ExitCode {
         "compress" => commands::compress::run(opts),
         "inspect" => commands::inspect::run(opts),
         "run" => commands::run::run(opts),
-        "bench" => commands::bench::run(opts),
         "serve" => commands::serve::run(opts),
         other => Err(CliError::Usage(format!(
             "unknown command {other:?}\n\n{USAGE}"

@@ -2,7 +2,7 @@
 //!
 //! Supports `--flag`, `--key value`, `--key=value` and positional
 //! operands, with typed extraction and "unknown option" detection. This
-//! is deliberately minimal — the `eie` tool has four small subcommands
+//! is deliberately minimal — the `eie` tool has a few small subcommands
 //! and the workspace builds offline, so a vendored `clap` would be all
 //! cost and no benefit.
 
@@ -34,29 +34,6 @@ impl Opts {
         }
     }
 
-    /// Consumes `--name value` or `--name=value` (the last occurrence
-    /// wins if repeated). `aliases` lets `-o` stand for `--output`.
-    pub fn value(&mut self, names: &[&str]) -> Result<Option<String>, String> {
-        let mut found = None;
-        while let Some(i) = self.raw.iter().position(|a| {
-            names.contains(&a.as_str())
-                || names
-                    .iter()
-                    .any(|n| a.starts_with(n) && a[n.len()..].starts_with('='))
-        }) {
-            let arg = self.raw.remove(i);
-            found = Some(if let Some(eq) = arg.find('=') {
-                arg[eq + 1..].to_string()
-            } else {
-                if i >= self.raw.len() || self.raw[i].starts_with("--") {
-                    return Err(format!("option {arg} needs a value"));
-                }
-                self.raw.remove(i)
-            });
-        }
-        Ok(found)
-    }
-
     /// Consumes every `--name value` / `--name=value` occurrence, in
     /// command-line order — for repeatable options like
     /// `--model name=path --model name=path`.
@@ -79,6 +56,12 @@ impl Opts {
             });
         }
         Ok(found)
+    }
+
+    /// Consumes `--name value` or `--name=value` (the last occurrence
+    /// wins if repeated). `aliases` lets `-o` stand for `--output`.
+    pub fn value(&mut self, names: &[&str]) -> Result<Option<String>, String> {
+        Ok(self.values(names)?.pop())
     }
 
     /// Consumes `--name value` and parses it.
@@ -130,6 +113,11 @@ mod tests {
             Some("native:2".to_string())
         );
         assert_eq!(o.finish(1).unwrap(), vec!["model.eie".to_string()]);
+
+        // Repeated, in both spellings: the last occurrence wins.
+        let mut o = opts(&["--batch", "4", "--batch=8"]);
+        assert_eq!(o.parsed::<usize>(&["--batch"]).unwrap(), Some(8));
+        assert!(o.finish(0).unwrap().is_empty());
     }
 
     #[test]
