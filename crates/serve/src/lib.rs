@@ -90,6 +90,6 @@ pub use fault::{DispatchFault, FaultPlan, FaultyStream};
 pub use net::{CallStats, Client, ClientError, ClientTimeouts, NetPolicy, NetServer, RetryPolicy};
 pub use registry::{ModelRegistry, RegistryError, RegistryStats};
 pub use server::{
-    InferenceResponse, ModelServer, RequestError, RequestResult, ServerConfig, ServerError,
-    ServerStats, SubmitError, SubmitOptions,
+    Histogram, InferenceResponse, ModelServer, RequestError, RequestResult, ServerConfig,
+    ServerError, ServerStats, SubmitError, SubmitOptions,
 };

@@ -142,7 +142,7 @@ pub struct OutputReport {
     pub worker: u32,
 }
 
-/// The payload of [`Response::Stats`]: reservoir percentiles, queue
+/// The payload of [`Response::Stats`]: latency percentiles, queue
 /// depth and registry occupancy in one snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StatsReport {
@@ -166,13 +166,14 @@ pub struct StatsReport {
     pub loads: u64,
     /// Models evicted since startup.
     pub evictions: u64,
-    /// Median end-to-end request latency, µs (reservoir-sampled).
+    /// Median end-to-end request latency, µs (from the servers'
+    /// histograms: within 1/64 relative of the exact value).
     pub p50_us: f64,
     /// 95th-percentile request latency, µs.
     pub p95_us: f64,
     /// 99th-percentile request latency, µs.
     pub p99_us: f64,
-    /// Mean server-side queue time, µs.
+    /// Mean server-side queue time, µs (exact).
     pub mean_queue_us: f64,
     /// Aggregate throughput since startup, frames/s.
     pub frames_per_second: f64,

@@ -11,9 +11,7 @@ use std::time::{Duration, Instant};
 use eie_core::backend::host_cores;
 use eie_core::compress::LANE_WIDTH;
 use eie_core::fixed::Q8p8;
-use eie_core::{
-    percentile, run_stack_planned, BackendKind, CompiledModel, ModelArtifactError, PlannedLayer,
-};
+use eie_core::{run_stack_planned, BackendKind, CompiledModel, ModelArtifactError, PlannedLayer};
 
 use crate::fault::FaultPlan;
 use crate::queue::{MicroBatchQueue, PushError};
@@ -407,137 +405,116 @@ struct FaultCounters {
     degraded: AtomicBool,
 }
 
-/// Per-worker reservoir capacity. Two reservoirs of `f64` per worker
-/// bound the metrics memory at ~256 KiB/worker however long the server
-/// runs; 16 Ki samples keep the p99 estimate tight (±~0.1% rank error).
-const RESERVOIR_CAP: usize = 16_384;
+/// Linear sub-buckets per power-of-two octave, as a bit count: 32
+/// buckets split each octave `[2^k, 2^(k+1))`, so a bucket is at most
+/// 1/32 of the values it holds wide and its midpoint lies within 1/64
+/// of each of them.
+const SUB_BITS: u32 = 5;
 
-/// A fixed-capacity uniform sample of a latency stream (Algorithm R):
-/// the first `RESERVOIR_CAP` values are kept verbatim, after which each
-/// new value replaces a random slot with probability `cap/seen` — so
-/// percentiles stay statistically valid at constant memory over an
-/// unbounded run.
-#[derive(Debug, Clone)]
-struct Reservoir {
-    samples: Vec<f64>,
-    seen: u64,
-    rng: u64,
-}
+/// Buckets covering every `u64` nanosecond count: values below 64 get
+/// a bucket each (exact), then 32 per octave up to `2^64`.
+const BUCKETS: usize = (64 - SUB_BITS as usize + 1) << SUB_BITS;
 
-impl Reservoir {
-    fn new(seed: u64) -> Self {
-        Self {
-            samples: Vec::new(),
-            // SplitMix64-style seeding keeps per-worker streams distinct.
-            seen: 0,
-            rng: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        xorshift64star(&mut self.rng)
-    }
-
-    fn push(&mut self, value: f64) {
-        self.seen += 1;
-        if self.samples.len() < RESERVOIR_CAP {
-            self.samples.push(value);
-        } else {
-            let slot = self.next_u64() % self.seen;
-            if (slot as usize) < RESERVOIR_CAP {
-                self.samples[slot as usize] = value;
-            }
-        }
-    }
-}
-
-/// xorshift64*: cheap, no external dependency, quality is ample for
-/// reservoir slot selection and merge-time source selection.
-fn xorshift64star(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
-/// Merges two uniform samples of two streams into one uniform sample of
-/// the combined stream: `pool` (a sample of `pool_seen` observations)
-/// absorbs `incoming` (a sample of `incoming_seen`).
+/// A fixed-size log-linear histogram of durations, kept in integer
+/// nanoseconds: exact `count`, `sum`, `min` and `max`, and bucket
+/// counts that merge exactly by addition (so a merged histogram does
+/// not depend on the order of its parts).
 ///
-/// While everything fits in [`RESERVOIR_CAP`] the union is kept exactly
-/// (a sub-capacity sample *is* its stream). Past capacity, each output
-/// slot draws its source hypergeometrically — from `pool` with
-/// probability proportional to the *remaining* unsampled weight of
-/// `pool_seen`, else from `incoming` — so each source contributes in
-/// proportion to its observed count, not its sample count. Reservoir
-/// samples are exchangeable, so consuming each source sequentially is
-/// itself uniform; the RNG is seeded from the two counts, keeping any
-/// given merge deterministic.
-fn merge_sample_pools(pool: &mut Vec<f64>, pool_seen: u64, incoming: &[f64], incoming_seen: u64) {
-    if incoming.is_empty() {
-        return;
-    }
-    if pool.is_empty() || pool.len() + incoming.len() <= RESERVOIR_CAP {
-        pool.extend_from_slice(incoming);
-        return;
-    }
-    let mut rng = pool_seen
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(incoming_seen)
-        | 1;
-    let target = RESERVOIR_CAP.min(pool.len() + incoming.len());
-    let source = std::mem::take(pool);
-    let (mut ia, mut ib) = (0usize, 0usize);
-    // Remaining stream weights behind each sample (≥ sample length —
-    // `seen` counts the whole stream the sample summarizes).
-    let mut wa = pool_seen.max(source.len() as u64);
-    let mut wb = incoming_seen.max(incoming.len() as u64);
-    pool.reserve(target);
-    for _ in 0..target {
-        let take_a = if ia >= source.len() {
-            false
-        } else if ib >= incoming.len() {
-            true
-        } else {
-            xorshift64star(&mut rng) % (wa + wb) < wa
-        };
-        if take_a {
-            pool.push(source[ia]);
-            ia += 1;
-            wa = wa.saturating_sub(1).max((source.len() - ia) as u64);
-        } else {
-            pool.push(incoming[ib]);
-            ib += 1;
-            wb = wb.saturating_sub(1).max((incoming.len() - ib) as u64);
-        }
-    }
+/// Percentiles follow the nearest-rank rule of [`eie_core::percentile`]
+/// and report the ranked value's bucket midpoint clamped to
+/// `[min, max]`, within 1/64 relative of the exact value; the lowest
+/// and highest ranks report the exact `min` and `max`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Histogram {
+    counts: Box<[u64; BUCKETS]>,
+    count: u64,
+    sum: u128,
+    min: u64,
+    max: u64,
 }
 
-/// Per-worker tallies, published through a shared `Mutex` so a live
-/// snapshot ([`ModelServer::stats_snapshot`]) and the final merge
-/// ([`ModelServer::shutdown`]) read the same numbers. The lock is taken
-/// once per micro-batch, not per request, so it costs the hot path one
-/// uncontended lock per batch.
-#[derive(Debug)]
-struct WorkerStats {
-    requests: u64,
-    batches: u64,
-    max_coalesced: usize,
-    latencies_us: Reservoir,
-    queue_us: Reservoir,
-}
-
-impl WorkerStats {
-    fn new(worker: usize) -> Self {
+impl Default for Histogram {
+    fn default() -> Self {
         Self {
-            requests: 0,
-            batches: 0,
-            max_coalesced: 0,
-            latencies_us: Reservoir::new(worker as u64 + 1),
-            queue_us: Reservoir::new((worker as u64 + 1) << 32),
+            counts: Box::new([0; BUCKETS]),
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
         }
+    }
+}
+
+impl Histogram {
+    /// The bucket of a nanosecond count: the octave from the highest
+    /// set bit, then the next `SUB_BITS` bits below it.
+    fn bucket(ns: u64) -> usize {
+        let shift = (u64::BITS - ns.leading_zeros()).saturating_sub(SUB_BITS + 1);
+        ((shift as usize) << SUB_BITS) + (ns >> shift) as usize
+    }
+
+    /// The midpoint of a bucket's inclusive value range.
+    fn midpoint(bucket: usize) -> u64 {
+        let shift = (bucket >> SUB_BITS).saturating_sub(1);
+        let lo = ((bucket - (shift << SUB_BITS)) as u64) << shift;
+        lo + ((1u64 << shift) - 1) / 2
+    }
+
+    fn record(&mut self, d: Duration) {
+        let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        self.counts[Self::bucket(ns)] += 1;
+        self.count += 1;
+        self.sum += u128::from(ns);
+        self.min = self.min.min(ns);
+        self.max = self.max.max(ns);
+    }
+
+    fn merge(&mut self, other: &Histogram) {
+        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
+    /// The `p`-th percentile, µs (nearest-rank; `0.0` when empty).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `0.0..=100.0`.
+    pub fn percentile_us(&self, p: f64) -> f64 {
+        assert!((0.0..=100.0).contains(&p), "percentile must be in 0..=100");
+        if self.count == 0 {
+            return 0.0;
+        }
+        let rank = ((p / 100.0) * self.count as f64).ceil() as u64;
+        let ns = if rank <= 1 {
+            self.min
+        } else if rank >= self.count {
+            self.max
+        } else {
+            let mut below = 0;
+            let bucket = self
+                .counts
+                .iter()
+                .position(|&c| {
+                    below += c;
+                    below >= rank
+                })
+                .expect("the bucket counts sum to `count`");
+            Self::midpoint(bucket).clamp(self.min, self.max)
+        };
+        ns as f64 / 1e3
+    }
+
+    /// The exact mean, µs (`0.0` when empty).
+    pub fn mean_us(&self) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        self.sum as f64 / self.count as f64 / 1e3
     }
 }
 
@@ -551,18 +528,10 @@ pub struct ServerStats {
     pub batches: u64,
     /// Largest micro-batch observed.
     pub max_coalesced: usize,
-    /// Sampled per-request end-to-end latencies, µs. Exact below
-    /// 16 Ki requests total; a uniform reservoir sample beyond, so the
-    /// percentile accessors stay valid at constant memory over
-    /// unbounded runs. Per-worker reservoirs merge **weighted by each
-    /// worker's observed request count** (not per-sample), so the
-    /// merged pool is a uniform sample of the server's whole traffic
-    /// and p50/p95/p99 stay unbiased across workers with unequal
-    /// traffic shares.
-    pub latencies_us: Vec<f64>,
-    /// Sampled per-request queue times, µs (same reservoir policy and
-    /// traffic-weighted merge).
-    pub queue_us: Vec<f64>,
+    /// End-to-end latency of every served request, submit to answer.
+    pub latency: Histogram,
+    /// Queue time of every served request, submit to dispatch.
+    pub queue: Histogram,
     /// Server lifetime from start to the end of the shutdown drain, s.
     pub wall_s: f64,
     /// Requests admitted past input validation. Accounting invariant
@@ -593,54 +562,18 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    /// Folds one worker's tallies in. **Merge semantics:** sample pools
-    /// merge weighted by each side's observed request count
-    /// ([`merge_sample_pools`]), so a worker that served 99% of the
-    /// traffic contributes ~99% of the merged pool however its
-    /// reservoir was bounded — percentiles are over *traffic*, not over
-    /// per-worker samples. Pinned by a unit test.
-    fn absorb(&mut self, w: &WorkerStats) {
-        let pool_seen = self.requests;
-        self.requests += w.requests;
-        self.batches += w.batches;
-        self.max_coalesced = self.max_coalesced.max(w.max_coalesced);
-        merge_sample_pools(
-            &mut self.latencies_us,
-            pool_seen,
-            &w.latencies_us.samples,
-            w.latencies_us.seen,
-        );
-        merge_sample_pools(
-            &mut self.queue_us,
-            pool_seen,
-            &w.queue_us.samples,
-            w.queue_us.seen,
-        );
-    }
-
     /// Folds another aggregate in — how a multi-model front-end rolls
-    /// per-model statistics into one report. Counters add; the sample
-    /// pools merge weighted by each aggregate's request count (the same
-    /// traffic-share semantics as the worker merge); `wall_s` keeps the
-    /// longer lifetime (the models served concurrently, so lifetimes
-    /// overlap rather than add).
+    /// per-model statistics into one report. Counters and histogram
+    /// buckets add, so the result is exact and independent of merge
+    /// order; `max_coalesced` and `wall_s` keep the larger value (the
+    /// models served concurrently, so lifetimes overlap rather than
+    /// add).
     pub fn merge(&mut self, other: &ServerStats) {
-        let pool_seen = self.requests;
         self.requests += other.requests;
         self.batches += other.batches;
         self.max_coalesced = self.max_coalesced.max(other.max_coalesced);
-        merge_sample_pools(
-            &mut self.latencies_us,
-            pool_seen,
-            &other.latencies_us,
-            other.requests,
-        );
-        merge_sample_pools(
-            &mut self.queue_us,
-            pool_seen,
-            &other.queue_us,
-            other.requests,
-        );
+        self.latency.merge(&other.latency);
+        self.queue.merge(&other.queue);
         self.wall_s = self.wall_s.max(other.wall_s);
         self.accepted += other.accepted;
         self.shed += other.shed;
@@ -662,9 +595,10 @@ impl ServerStats {
     }
 
     /// The `p`-th percentile of end-to-end request latency, µs
-    /// (nearest-rank; `0.0` with no completed requests).
+    /// (nearest-rank, within 1/64 relative; `0.0` with no completed
+    /// requests).
     pub fn percentile_latency_us(&self, p: f64) -> f64 {
-        percentile(&self.latencies_us, p)
+        self.latency.percentile_us(p)
     }
 
     /// Median request latency, µs.
@@ -684,10 +618,7 @@ impl ServerStats {
 
     /// Mean queue time, µs (`0.0` with no completed requests).
     pub fn mean_queue_us(&self) -> f64 {
-        if self.queue_us.is_empty() {
-            return 0.0;
-        }
-        self.queue_us.iter().sum::<f64>() / self.queue_us.len() as f64
+        self.queue.mean_us()
     }
 
     /// Aggregate throughput over the server's lifetime, frames/s.
@@ -770,13 +701,12 @@ pub struct ModelServer {
     model: Arc<CompiledModel>,
     queue: Arc<MicroBatchQueue<Request>>,
     workers: Vec<JoinHandle<()>>,
-    /// One shared tally per worker, written once per micro-batch; read
-    /// by [`ModelServer::stats_snapshot`] and [`ModelServer::shutdown`].
-    worker_stats: Vec<Arc<Mutex<WorkerStats>>>,
+    /// The server's one tally of requests, batches and latencies: every
+    /// worker writes it once per micro-batch, and
+    /// [`ModelServer::stats_snapshot`] clones it. The fault counters
+    /// live apart as atomics because admission reads them.
+    tally: Arc<Mutex<ServerStats>>,
     counters: Arc<FaultCounters>,
-    /// Workers found dead at shutdown (thread death, not a caught
-    /// panic); surfaced as [`ServerError::WorkerLost`].
-    lost_workers: Mutex<usize>,
     config: ServerConfig,
     started: Instant,
 }
@@ -833,20 +763,18 @@ impl ModelServer {
         let model = Arc::new(model);
         let queue = Arc::new(MicroBatchQueue::new(config.queue_depth));
         let counters = Arc::new(FaultCounters::default());
-        let worker_stats: Vec<Arc<Mutex<WorkerStats>>> = (0..config.workers)
-            .map(|worker| Arc::new(Mutex::new(WorkerStats::new(worker))))
-            .collect();
+        let tally = Arc::new(Mutex::new(ServerStats::default()));
         let workers = (0..config.workers)
             .map(|worker| {
                 let model = Arc::clone(&model);
                 let queue = Arc::clone(&queue);
-                let stats = Arc::clone(&worker_stats[worker]);
+                let tally = Arc::clone(&tally);
                 let counters = Arc::clone(&counters);
                 let faults = faults.clone();
                 std::thread::Builder::new()
                     .name(format!("eie-serve-{worker}"))
                     .spawn(move || {
-                        worker_loop(worker, &model, config, &queue, &stats, &counters, faults)
+                        worker_loop(worker, &model, config, &queue, &tally, &counters, faults)
                     })
                     .expect("spawn serving worker")
             })
@@ -855,9 +783,8 @@ impl ModelServer {
             model,
             queue,
             workers,
-            worker_stats,
+            tally,
             counters,
-            lost_workers: Mutex::new(0),
             config,
             started: Instant::now(),
         }
@@ -999,16 +926,13 @@ impl ModelServer {
         ))
     }
 
-    /// A live view of the aggregate serving statistics: every worker's
-    /// published tallies merged over the server's lifetime *so far*,
-    /// without stopping anything — the number behind a serving
-    /// front-end's STATS endpoint. Requests inside a micro-batch a
-    /// worker is still executing are not yet counted.
+    /// A live view of the aggregate serving statistics over the
+    /// server's lifetime *so far*, without stopping anything — the
+    /// number behind a serving front-end's STATS endpoint. Requests
+    /// inside a micro-batch a worker is still executing are not yet
+    /// counted.
     pub fn stats_snapshot(&self) -> ServerStats {
-        let mut stats = ServerStats::default();
-        for worker in &self.worker_stats {
-            stats.absorb(&worker.lock().expect("worker stats poisoned"));
-        }
+        let mut stats = self.tally.lock().expect("server tally poisoned").clone();
         stats.wall_s = self.started.elapsed().as_secs_f64();
         stats.accepted = self.counters.accepted.load(Ordering::Relaxed);
         stats.shed = self.counters.shed.load(Ordering::Relaxed);
@@ -1017,13 +941,6 @@ impl ModelServer {
         stats.retries_upstream = self.counters.retries_upstream.load(Ordering::Relaxed);
         stats.worker_restarts = self.counters.restarts.load(Ordering::Relaxed);
         stats.degraded = u64::from(self.counters.degraded.load(Ordering::Relaxed));
-        let lost = *self
-            .lost_workers
-            .lock()
-            .expect("lost-worker tally poisoned");
-        if lost > 0 {
-            stats.errors.push(ServerError::WorkerLost { workers: lost });
-        }
         stats
     }
 
@@ -1039,13 +956,16 @@ impl ModelServer {
         self.queue.close();
         // Take the handles so the Drop impl (which runs when `self` goes
         // out of scope here) finds nothing left to join.
-        for handle in std::mem::take(&mut self.workers) {
-            if handle.join().is_err() {
-                *self
-                    .lost_workers
-                    .lock()
-                    .expect("lost-worker tally poisoned") += 1;
-            }
+        let lost = std::mem::take(&mut self.workers)
+            .into_iter()
+            .filter_map(|handle| handle.join().err())
+            .count();
+        if lost > 0 {
+            self.tally
+                .lock()
+                .expect("server tally poisoned")
+                .errors
+                .push(ServerError::WorkerLost { workers: lost });
         }
         self.stats_snapshot()
     }
@@ -1108,7 +1028,7 @@ fn worker_loop(
     model: &CompiledModel,
     config: ServerConfig,
     queue: &MicroBatchQueue<Request>,
-    shared: &Mutex<WorkerStats>,
+    tally: &Mutex<ServerStats>,
     counters: &FaultCounters,
     faults: Option<Arc<FaultPlan>>,
 ) {
@@ -1187,20 +1107,26 @@ fn worker_loop(
             };
             let done = Instant::now();
             let coalesced = batch.len();
-            let mut stats = shared.lock().expect("worker stats poisoned");
+            // Record the batch before answering it, so a caller that
+            // has its answer sees it counted; send with the lock
+            // released, so no worker waits on another's replies.
+            let mut stats = tally.lock().expect("server tally poisoned");
+            stats.requests += coalesced as u64;
             stats.batches += 1;
             stats.max_coalesced = stats.max_coalesced.max(coalesced);
+            for request in &batch {
+                stats
+                    .queue
+                    .record(claimed.duration_since(request.submitted));
+                stats.latency.record(done.duration_since(request.submitted));
+            }
+            drop(stats);
             for (request, outputs) in batch.into_iter().zip(outputs) {
-                let queue_us = claimed.duration_since(request.submitted).as_secs_f64() * 1e6;
-                let latency_us = done.duration_since(request.submitted).as_secs_f64() * 1e6;
-                stats.requests += 1;
-                stats.queue_us.push(queue_us);
-                stats.latencies_us.push(latency_us);
                 // A dropped receiver (caller gave up) is not an error.
                 let _ = request.tx.send(Ok(RequestResult {
                     outputs,
-                    queue_us,
-                    latency_us,
+                    queue_us: claimed.duration_since(request.submitted).as_secs_f64() * 1e6,
+                    latency_us: done.duration_since(request.submitted).as_secs_f64() * 1e6,
                     coalesced,
                     worker,
                 }));
@@ -1213,114 +1139,121 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eie_core::percentile;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    #[test]
-    fn stats_merge_weights_samples_by_traffic_share() {
-        // Asserts the weighted reservoir merge (the old equal-weight
-        // concatenation is gone): worker A saw 4× the reservoir
-        // capacity of requests (its reservoir holds CAP samples of
-        // value 1000); worker B saw only 10 requests (10 samples of
-        // value 0). B is ~0.015% of traffic, so a traffic-weighted
-        // merge admits at most a handful of B's zeros into the bounded
-        // pool — the old concatenation kept all 10 regardless of
-        // traffic, biasing every low percentile toward the idle worker.
-        let mut a = WorkerStats::new(0);
-        for _ in 0..(4 * RESERVOIR_CAP as u64) {
-            a.requests += 1;
-            a.latencies_us.push(1000.0);
-            a.queue_us.push(1000.0);
-        }
-        let mut b = WorkerStats::new(1);
-        for _ in 0..10 {
-            b.requests += 1;
-            b.latencies_us.push(0.0);
-            b.queue_us.push(0.0);
-        }
-        let mut merged = ServerStats::default();
-        merged.absorb(&a);
-        merged.absorb(&b);
-        // Exact request counts survive the merge…
-        assert_eq!(merged.requests, 4 * RESERVOIR_CAP as u64 + 10);
-        // …and the merged pool stays bounded at reservoir capacity (a
-        // uniform sample of the union, not a concatenation).
-        assert_eq!(merged.latencies_us.len(), RESERVOIR_CAP);
-        // B's expected share of the pool is CAP × (10 / 65546) ≈ 2.5
-        // samples. Strictly fewer than the 10 the biased merge kept;
-        // a loose deterministic bound (the merge RNG is seeded from
-        // the observation counts) guards the proportionality.
-        let zeros = merged.latencies_us.iter().filter(|&&v| v == 0.0).count();
-        assert!(zeros < 10, "traffic weighting must down-sample B: {zeros}");
-        // The percentile view is over traffic: the idle worker no
-        // longer defines the distribution's low tail…
-        assert_eq!(merged.p50(), 1000.0);
-        assert_eq!(merged.percentile_latency_us(0.05), 1000.0);
-        // …while sub-capacity merges stay exact (nothing to weight).
-        let mut small = ServerStats::default();
-        let mut c = WorkerStats::new(2);
-        for _ in 0..4 {
-            c.requests += 1;
-            c.latencies_us.push(7.0);
-            c.queue_us.push(1.0);
-        }
-        small.absorb(&c);
-        small.absorb(&b);
-        assert_eq!(small.latencies_us.len(), 14);
-        assert_eq!(small.percentile_latency_us(1.0), 0.0);
+    const PS: [f64; 8] = [0.0, 1.0, 50.0, 90.0, 95.0, 99.0, 99.9, 100.0];
+
+    /// `n` seeded durations, log-uniform over 50 ns – 10 s.
+    fn stream(seed: u64, n: usize) -> Vec<Duration> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| Duration::from_nanos((50.0 * 2e8f64.powf(rng.gen::<f64>())) as u64))
+            .collect()
+    }
+
+    fn histogram(durations: &[Duration]) -> Histogram {
+        let mut h = Histogram::default();
+        durations.iter().for_each(|&d| h.record(d));
+        h
     }
 
     #[test]
-    fn aggregate_merge_is_also_traffic_weighted_and_bounded() {
-        // The public ServerStats::merge (multi-model roll-up) applies
-        // the same weighted semantics: two over-capacity aggregates
-        // merge into one capacity-bounded pool with contributions
-        // proportional to their request counts.
-        let mut hot = ServerStats {
-            requests: 9 * RESERVOIR_CAP as u64,
-            latencies_us: vec![500.0; RESERVOIR_CAP],
-            ..ServerStats::default()
-        };
-        let cold = ServerStats {
-            requests: RESERVOIR_CAP as u64,
-            latencies_us: vec![5.0; RESERVOIR_CAP],
-            wall_s: 2.0,
-            ..ServerStats::default()
-        };
-        hot.merge(&cold);
-        assert_eq!(hot.requests, 10 * RESERVOIR_CAP as u64);
-        assert_eq!(hot.latencies_us.len(), RESERVOIR_CAP);
-        assert_eq!(hot.wall_s, 2.0);
-        let cold_share =
-            hot.latencies_us.iter().filter(|&&v| v == 5.0).count() as f64 / RESERVOIR_CAP as f64;
-        // Cold served 10% of the traffic; its pool share must sit near
-        // that, nowhere near the 50% an equal-weight merge would give.
-        assert!(
-            (0.05..0.2).contains(&cold_share),
-            "cold share {cold_share} should be ≈0.1"
-        );
-        // p50 lands on the hot aggregate's latency.
-        assert_eq!(hot.p50(), 500.0);
+    fn histogram_percentiles_are_within_1_64_of_nearest_rank() {
+        for (seed, n) in [(1, 1), (2, 2), (3, 7), (4, 100), (5, 1000), (6, 20_000)] {
+            let durations = stream(seed, n);
+            let h = histogram(&durations);
+            let exact_us: Vec<f64> = durations
+                .iter()
+                .map(|d| d.as_nanos() as f64 / 1e3)
+                .collect();
+            for p in PS {
+                let (got, want) = (h.percentile_us(p), percentile(&exact_us, p));
+                assert!(
+                    (got - want).abs() <= want / 64.0,
+                    "seed {seed}, n {n}, p{p}: {got} µs against exact {want} µs"
+                );
+            }
+            // The lowest and highest ranks are exact (p1 is rank 1 up to
+            // n = 100).
+            assert_eq!(h.percentile_us(0.0), percentile(&exact_us, 0.0));
+            assert_eq!(h.percentile_us(100.0), percentile(&exact_us, 100.0));
+            if n <= 100 {
+                assert_eq!(h.percentile_us(1.0), percentile(&exact_us, 0.0));
+            }
+            assert_eq!(h.count, n as u64);
+            let mean = exact_us.iter().sum::<f64>() / n as f64;
+            assert!((h.mean_us() - mean).abs() <= mean * 1e-12);
+        }
     }
 
     #[test]
-    fn reservoir_is_exact_below_capacity_and_bounded_above() {
-        let mut r = Reservoir::new(7);
-        for i in 0..RESERVOIR_CAP {
-            r.push(i as f64);
+    fn histogram_is_exact_below_64_ns_and_takes_the_extremes() {
+        for bucket in 0..BUCKETS {
+            assert_eq!(Histogram::bucket(Histogram::midpoint(bucket)), bucket);
         }
-        assert_eq!(r.samples.len(), RESERVOIR_CAP);
-        // Exact while under capacity: insertion order preserved.
-        assert_eq!(r.samples[0], 0.0);
-        assert_eq!(r.samples[RESERVOIR_CAP - 1], (RESERVOIR_CAP - 1) as f64);
-        // Past capacity: memory stays bounded, the count keeps going,
-        // and replacement actually happens over a long stream.
-        for i in 0..(4 * RESERVOIR_CAP) {
-            r.push((RESERVOIR_CAP + i) as f64);
+        for ns in 0..64 {
+            assert_eq!(Histogram::midpoint(Histogram::bucket(ns)), ns);
         }
-        assert_eq!(r.samples.len(), RESERVOIR_CAP);
-        assert_eq!(r.seen, 5 * RESERVOIR_CAP as u64);
-        assert!(
-            r.samples.iter().any(|&v| v >= RESERVOIR_CAP as f64),
-            "no late sample ever replaced an early one"
-        );
+        let small: Vec<Duration> = (0..64).rev().map(Duration::from_nanos).collect();
+        let exact_us: Vec<f64> = (0..64).map(|ns| ns as f64 / 1e3).collect();
+        let h = histogram(&small);
+        for p in (0..=100).map(f64::from) {
+            assert_eq!(h.percentile_us(p), percentile(&exact_us, p));
+        }
+
+        let h = histogram(&[
+            Duration::ZERO,
+            Duration::from_nanos(u64::MAX),
+            Duration::MAX,
+        ]);
+        assert_eq!(Histogram::bucket(u64::MAX), BUCKETS - 1);
+        let max_us = u64::MAX as f64 / 1e3;
+        assert_eq!(h.percentile_us(0.0), 0.0);
+        assert!((h.percentile_us(50.0) - max_us).abs() <= max_us / 64.0);
+        assert_eq!(h.percentile_us(100.0), max_us);
+        assert_eq!(h.count, 3);
+    }
+
+    #[test]
+    fn histogram_merge_is_exact_and_order_independent() {
+        let (a, b) = (stream(11, 3000), stream(12, 500));
+        let union = histogram(&[a.clone(), b.clone()].concat());
+        let mut ab = histogram(&a);
+        ab.merge(&histogram(&b));
+        let mut ba = histogram(&b);
+        ba.merge(&histogram(&a));
+        // Bucket for bucket, and count, sum, min and max.
+        assert_eq!(ab, union);
+        assert_eq!(ba, union);
+        let mut with_empty = histogram(&a);
+        with_empty.merge(&Histogram::default());
+        assert_eq!(with_empty, histogram(&a));
+
+        // ServerStats::merge carries the same exactness.
+        let stats = |latency: Histogram| ServerStats {
+            requests: latency.count,
+            latency,
+            ..ServerStats::default()
+        };
+        let mut sab = stats(histogram(&a));
+        sab.merge(&stats(histogram(&b)));
+        let mut sba = stats(histogram(&b));
+        sba.merge(&stats(histogram(&a)));
+        assert_eq!(sab.requests, 3500);
+        assert_eq!(sab.latency, sba.latency);
+        assert_eq!(sab.p99(), union.percentile_us(99.0));
+    }
+
+    #[test]
+    fn empty_histogram_reads_zero() {
+        let h = Histogram::default();
+        for p in PS {
+            assert_eq!(h.percentile_us(p), 0.0);
+        }
+        assert_eq!(h.mean_us(), 0.0);
+        assert_eq!(ServerStats::default().p99(), 0.0);
+        assert_eq!(ServerStats::default().mean_queue_us(), 0.0);
     }
 }

@@ -158,7 +158,7 @@ fn lifetime_stats_survive_eviction() {
         .register_model("filler", &toy_model(24, 16, 51))
         .unwrap();
 
-    {
+    let before_eviction = {
         let server = registry.acquire("a").unwrap();
         for i in 0..5 {
             server
@@ -167,7 +167,8 @@ fn lifetime_stats_survive_eviction() {
                 .wait()
                 .unwrap();
         }
-    }
+        server.stats_snapshot()
+    };
     drop(registry.acquire("filler").unwrap());
     assert!(!registry.is_resident("a"));
 
@@ -176,6 +177,10 @@ fn lifetime_stats_survive_eviction() {
         stats.requests, 5,
         "evicted model's requests vanished from the snapshot"
     );
+    // The retired roll-up keeps the latency record exactly, not just
+    // the counts.
+    assert_eq!(stats.p50(), before_eviction.p50());
+    assert_eq!(stats.p99(), before_eviction.p99());
     assert_eq!(
         registry.drain().requests,
         5,
