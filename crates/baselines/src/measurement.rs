@@ -5,7 +5,7 @@ use std::fmt;
 use crate::{MvWorkload, TimingHarness};
 
 /// One measured CPU batch run: the baseline-side mirror of the engine's
-/// `BatchResult` accounting, so EIE-vs-CPU comparisons report the same
+/// `JobResult` accounting, so EIE-vs-CPU comparisons report the same
 /// quantities (per-frame latency and aggregate frames/s) on both sides.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaselineBatchRun {

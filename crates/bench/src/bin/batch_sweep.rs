@@ -42,8 +42,7 @@ fn main() {
         let layer = layer_at_scale(benchmark);
         // Build-once/load-many: compile (or reload) the .eie artifact
         // and serve every engine below from the same loaded model.
-        let model = model_at_scale(benchmark, config);
-        let enc = model.layer(0);
+        let mut model = model_at_scale(benchmark, config);
 
         // --- EIE cycle model: modelled latency, batch 1 and a small
         //     batch (per-frame time is flat — no batch dimension in HW).
@@ -61,8 +60,11 @@ fn main() {
         }
 
         // --- NativeCpu serving kernel at batch 1 / 16 / 64 ------------
-        // Time the backend on pre-quantized inputs so these rows measure
-        // the kernel alone, like the CPU baseline rows below do.
+        // Time the backend on pre-quantized inputs over the model's plan,
+        // cut for its threads before any clock starts, so these rows
+        // measure the kernel alone, like the CPU baseline rows below do.
+        model.cut_plans(native_threads);
+        let planned = model.planned_layer(0);
         let native = BackendKind::NativeCpu(native_threads).instantiate(&config);
         let mut native_fps = Vec::new();
         for batch in [1usize, 16, 64] {
@@ -71,7 +73,8 @@ fn main() {
                 .iter()
                 .map(|item| Q8p8::from_f32_slice(item))
                 .collect();
-            let wall_us = harness.measure_us(|| native.run_layer_batch(enc, &inputs, false));
+            let wall_us =
+                harness.measure_us(|| native.run_layer_batch_planned(planned, &inputs, false));
             let fps = batch as f64 / (wall_us * 1e-6);
             native_fps.push(fps);
             table.row(vec![

@@ -259,38 +259,13 @@ impl PeSlice {
 ///
 /// This is the artefact EIE loads into its SRAMs in I/O mode, and the input
 /// to both the cycle-accurate simulator and the functional reference.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncodedLayer {
     rows: usize,
     cols: usize,
     index_bits: u32,
     codebook: Codebook,
     slices: Vec<PeSlice>,
-    /// Process-unique content tag: assigned once per *constructed*
-    /// instance and shared by clones (whose content is identical). Lets
-    /// execution-plan caches key a layer in O(1) without hashing the
-    /// entry stream. Excluded from equality — two layers with equal
-    /// content but different ids still compare equal.
-    instance_id: u64,
-}
-
-/// Equality is content equality; [`EncodedLayer::instance_id`] is a
-/// cache key, not part of the layer's identity.
-impl PartialEq for EncodedLayer {
-    fn eq(&self, other: &Self) -> bool {
-        self.rows == other.rows
-            && self.cols == other.cols
-            && self.index_bits == other.index_bits
-            && self.codebook == other.codebook
-            && self.slices == other.slices
-    }
-}
-
-/// Allocates the next process-unique layer instance id.
-fn next_instance_id() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 impl EncodedLayer {
@@ -308,17 +283,7 @@ impl EncodedLayer {
             index_bits,
             codebook,
             slices,
-            instance_id: next_instance_id(),
         }
-    }
-
-    /// A process-unique tag for this layer's (immutable) content:
-    /// assigned at construction and shared by clones. Execution-plan
-    /// caches (the `NativeCpu` backend) use it as an O(1) key for "have
-    /// I already lowered this layer?" — two independently constructed
-    /// layers never share an id, even when their content is equal.
-    pub fn instance_id(&self) -> u64 {
-        self.instance_id
     }
 
     /// Output dimension (matrix rows).
@@ -577,7 +542,6 @@ pub fn encode_with_codebook(
         index_bits: config.index_bits,
         codebook,
         slices,
-        instance_id: next_instance_id(),
     }
 }
 
@@ -769,20 +733,6 @@ mod tests {
                 assert_eq!(total, rows, "rows={rows} n={n}");
             }
         }
-    }
-
-    #[test]
-    fn instance_ids_tag_construction_not_content() {
-        let m = random_sparse(16, 8, 0.4, 9);
-        let a = compress(&m, CompressConfig::with_pes(2));
-        let b = compress(&m, CompressConfig::with_pes(2));
-        // Equal content, distinct instances: ids differ, equality holds.
-        assert_eq!(a, b);
-        assert_ne!(a.instance_id(), b.instance_id());
-        // Clones share both content and id.
-        let c = a.clone();
-        assert_eq!(c.instance_id(), a.instance_id());
-        assert_eq!(c, a);
     }
 
     #[test]

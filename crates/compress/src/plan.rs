@@ -248,9 +248,9 @@ impl LayerPlan {
 
     /// [`LayerPlan::build`] cut into at least `min_blocks` blocks (at
     /// most one per row): blocks are the unit a multi-thread engine fans
-    /// out over. A server cuts its shared plan once for its
-    /// kernel's threads; an engine handed a coarser plan re-blocks it
-    /// once into a private copy.
+    /// out over. A model's plans are cut once for the threads of the
+    /// engines that walk them (`CompiledModel::cut_plans`); an engine
+    /// handed a coarser plan walks it as is, on fewer threads.
     ///
     /// The build decodes the entry stream once and never chases 64 read
     /// streams: extents start as an upper bound (stored entries per
@@ -488,7 +488,7 @@ impl LayerPlan {
     /// Resident size of the plan, bytes: every block's entries and
     /// extent index, the block table (which holds the rail-free bounds)
     /// and the LUT — the memory side of the build-once/run-many trade,
-    /// and what plan caches account.
+    /// and the `plan_bytes` the benches report.
     pub fn resident_bytes(&self) -> usize {
         let blocks: usize = self
             .blocks

@@ -37,7 +37,6 @@ use crate::EieConfig;
 
 pub use cycle::CycleAccurate;
 pub use functional::Functional;
-use native::plan_fits;
 pub use native::{host_cores, lane_block_items, lane_isa, NativeCpu};
 
 /// Validates one activation vector against a layer's input dimension —
@@ -130,10 +129,10 @@ impl fmt::Display for BackendKind {
 /// [`Backend::run_layer_planned`] / [`Backend::run_layer_batch_planned`].
 ///
 /// Callers that hold a [`CompiledModel`] get planned layers for free
-/// from its per-layer plan cache ([`CompiledModel::planned_layer`]);
-/// bare-layer callers use [`PlannedLayer::unplanned`] and the backend
-/// falls back to its own cache (plan-aware backends) or the compressed
-/// stream (everything else).
+/// from its per-layer plan slots ([`CompiledModel::planned_layer`]);
+/// bare-layer callers use [`PlannedLayer::unplanned`], and a
+/// plan-aware backend builds a plan for that one call (everything else
+/// walks the compressed stream).
 #[derive(Debug, Clone, Copy)]
 pub struct PlannedLayer<'a> {
     /// The compressed layer (always present — the artifact of record).
@@ -326,7 +325,8 @@ pub struct CompiledModel {
     /// Lazily-built execution plans, one slot per layer. Shared by
     /// every worker serving this model (behind the `Arc<CompiledModel>`
     /// a `ModelServer` hands out), so a model's layers are lowered at
-    /// most once per process however many backends execute them.
+    /// most once per process however many backends execute them; the
+    /// engines own no plans of their own.
     plans: PlanCache,
 }
 
@@ -501,18 +501,26 @@ impl CompiledModel {
     ///
     /// Panics if `i >= num_layers()`.
     pub fn plan(&self, i: usize) -> &Arc<LayerPlan> {
-        self.plans.0[i].get_or_init(|| Arc::new(LayerPlan::build(&self.layers[i])))
+        self.plan_cut(i, 1)
+    }
+
+    /// [`CompiledModel::plan`], built — if the slot is still empty —
+    /// cut into at least `min_blocks` blocks where the rows allow.
+    pub(crate) fn plan_cut(&self, i: usize, min_blocks: usize) -> &Arc<LayerPlan> {
+        self.plans.0[i]
+            .get_or_init(|| Arc::new(LayerPlan::build_with_blocks(&self.layers[i], min_blocks)))
     }
 
     /// Builds every layer's plan cut into at least `min_blocks` blocks
     /// where the rows allow ([`LayerPlan::build_with_blocks`]), so a
-    /// [`NativeCpu`] fanning out over `min_blocks` threads walks the
-    /// shared plan as is instead of re-blocking a private copy. A cached
-    /// plan already cut that finely is kept; a coarser one is rebuilt.
-    /// `ModelServer::start` calls this once, before spawning workers.
+    /// [`NativeCpu`] fanning out over `min_blocks` threads walks every
+    /// block range of the shared plan. A cached plan already cut that
+    /// finely is kept; a coarser one is rebuilt. `ModelServer::start`
+    /// calls this once, before spawning workers.
     pub fn cut_plans(&mut self, min_blocks: usize) {
         for (layer, slot) in self.layers.iter().zip(&mut self.plans.0) {
-            if !slot.get().is_some_and(|plan| plan_fits(plan, min_blocks)) {
+            let fits = |plan: &Arc<LayerPlan>| plan.blocks().len() >= min_blocks.min(plan.rows());
+            if !slot.get().is_some_and(fits) {
                 let plan = LayerPlan::build_with_blocks(layer, min_blocks);
                 *slot = OnceLock::from(Arc::new(plan));
             }

@@ -6,11 +6,12 @@
 //! This backend is that argument as code, with the decode and
 //! orchestration costs the paper's hardware never paid engineered out:
 //!
-//! * **Pre-decoded plans** — the first run of a layer lowers it into a
-//!   [`LayerPlan`] (zero runs expanded, padding dropped, the PE slices
-//!   merged into column-major blocks of 2-byte `accumulator << 4 | code`
-//!   entries behind a 16-entry LUT), cached per layer instance; every
-//!   later run walks one contiguous run per live column with no nibble
+//! * **Pre-decoded plans** — a layer runs as a [`LayerPlan`] (zero runs
+//!   expanded, padding dropped, the PE slices merged into column-major
+//!   blocks of 2-byte `accumulator << 4 | code` entries behind a
+//!   16-entry LUT), owned by the caller's
+//!   [`CompiledModel`](super::CompiledModel) and built once there; every
+//!   run walks one contiguous run per live column with no nibble
 //!   decoding and no padding test in the inner loop, and never touches
 //!   a dead column's bytes.
 //! * **A persistent worker pool** — spawned once (lazily) per backend
@@ -61,9 +62,7 @@
 //! `kernel_sweep` and the property tests hold both bit-exact against
 //! the functional golden model before anything is timed.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use eie_compress::{
@@ -88,13 +87,6 @@ pub fn host_cores() -> usize {
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
     })
-}
-
-/// Whether `plan` has a block for every range an engine fanning out
-/// over `threads` ranges dispatches (at most one range per row): the
-/// test a caller's plan must pass to be walked as is.
-pub(crate) fn plan_fits(plan: &LayerPlan, threads: usize) -> bool {
-    plan.blocks().len() >= threads.min(plan.rows())
 }
 
 /// Splits `n` items into at most `parts` contiguous non-empty ranges —
@@ -129,42 +121,24 @@ fn contiguous_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
 /// reports the batch's wall time as its latency — batching buys
 /// throughput, not latency, as in the paper.
 ///
-/// Clones share the same engine (plan cache, worker pool, scratch).
+/// The engine owns no plans. A planned layer is walked as handed, its
+/// blocks spread over `min(threads, blocks)` ranges — a model's plans
+/// are cut for the walking engine's threads by whoever fills them
+/// ([`CompiledModel::cut_plans`](super::CompiledModel::cut_plans) in a
+/// server, the job itself in
+/// [`InferenceJob::submit`](crate::InferenceJob::submit)). A bare layer
+/// ([`Backend::run_layer`] / [`Backend::run_layer_batch`]) gets a plan
+/// cut for the engine's threads, built for that call outside the timed
+/// region and dropped after it.
+///
 /// Concurrent calls on one engine serialize on its execution session;
 /// for parallel serving give each worker its own backend instance, as
 /// `eie-serve`'s `ModelServer` does.
-#[derive(Clone)]
 pub struct NativeCpu {
-    inner: Arc<Inner>,
-}
-
-/// Soft bound on the engine plan cache's resident bytes. Serving works
-/// through `CompiledModel`'s per-model cache; this engine-level cache
-/// only accumulates for bare-layer callers, and a caller that streams
-/// ever-new layer instances through one engine (each `compress` or
-/// artifact load mints a fresh `instance_id`) must not grow it without
-/// bound — past the cap the cache is flushed and rebuilds lazily.
-const PLAN_CACHE_MAX_BYTES: usize = 256 << 20;
-
-/// The engine-level plan cache: plans by
-/// [`EncodedLayer::instance_id`] plus their summed resident size.
-#[derive(Default)]
-struct PlanCacheMap {
-    plans: HashMap<u64, Arc<LayerPlan>>,
-    bytes: usize,
-}
-
-struct Inner {
     threads: usize,
     /// Spawned on the first parallel planned run; `threads - 1` parked
     /// workers (the session holder executes the remaining share).
     pool: OnceLock<WorkerPool>,
-    /// The warm path is one read-lock and a hash probe, never a decode
-    /// of the entry stream; bounded by [`PLAN_CACHE_MAX_BYTES`].
-    plans: RwLock<PlanCacheMap>,
-    /// How many plans this engine has built (monotonic; a warm engine
-    /// stops incrementing — asserted by tests).
-    plan_builds: AtomicU64,
     /// The single execution session: reusable schedule/scratch buffers
     /// plus the completion latch. Locked for the duration of one layer
     /// run, serializing concurrent callers.
@@ -174,8 +148,7 @@ struct Inner {
 impl std::fmt::Debug for NativeCpu {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NativeCpu")
-            .field("threads", &self.inner.threads)
-            .field("cached_plans", &self.cached_plans())
+            .field("threads", &self.threads)
             .finish()
     }
 }
@@ -195,98 +168,15 @@ impl NativeCpu {
     pub fn with_threads(threads: usize) -> Self {
         assert!(threads > 0, "threads must be non-zero");
         Self {
-            inner: Arc::new(Inner {
-                threads,
-                pool: OnceLock::new(),
-                plans: RwLock::new(PlanCacheMap::default()),
-                plan_builds: AtomicU64::new(0),
-                session: Mutex::new(Session::new()),
-            }),
+            threads,
+            pool: OnceLock::new(),
+            session: Mutex::new(Session::new()),
         }
     }
 
     /// The configured worker count.
     pub fn threads(&self) -> usize {
-        self.inner.threads
-    }
-
-    /// Number of layer plans currently cached by this engine.
-    pub fn cached_plans(&self) -> usize {
-        self.inner
-            .plans
-            .read()
-            .expect("plan cache poisoned")
-            .plans
-            .len()
-    }
-
-    /// Total plans this engine has built — stops growing once every
-    /// served layer is cached (the "no per-call decode" invariant, in
-    /// observable form).
-    pub fn plan_builds(&self) -> u64 {
-        self.inner.plan_builds.load(Ordering::Relaxed)
-    }
-
-    /// Drops every cached plan (they rebuild lazily). Useful when an
-    /// engine outlives the models it served; plans cost ~2 bytes per
-    /// non-zero weight while cached (the engine also flushes itself
-    /// past a 256 MiB soft cap).
-    pub fn clear_plan_cache(&self) {
-        let mut cache = self.inner.plans.write().expect("plan cache poisoned");
-        cache.plans.clear();
-        cache.bytes = 0;
-    }
-
-    /// The plan this engine runs `planned` with: the caller's plan (a
-    /// model's shared one) when it has a block for every range the
-    /// engine fans out over — always, for a model a `ModelServer`
-    /// started, which cuts its plans for its workers' thread count
-    /// ([`CompiledModel::cut_plans`](super::CompiledModel::cut_plans)) —
-    /// and otherwise the engine's own re-blocked plan, built once per
-    /// layer instance into its cache (the fallback re-block). The
-    /// shared plan is never modified.
-    fn resolve_plan(&self, planned: PlannedLayer<'_>) -> Arc<LayerPlan> {
-        match planned.plan {
-            Some(plan) if plan_fits(plan, self.inner.threads) => Arc::clone(plan),
-            _ => self.plan_for(planned.layer),
-        }
-    }
-
-    /// The cached plan for `layer`, building (and counting) it on the
-    /// first encounter of this layer instance, cut into a block per
-    /// range the engine fans out over. Past the soft byte cap
-    /// the cache flushes wholesale — crude, but it bounds residency for
-    /// callers that stream ever-new layer instances through one engine,
-    /// and a flushed plan simply rebuilds on next use.
-    fn plan_for(&self, layer: &EncodedLayer) -> Arc<LayerPlan> {
-        let id = layer.instance_id();
-        if let Some(plan) = self
-            .inner
-            .plans
-            .read()
-            .expect("plan cache poisoned")
-            .plans
-            .get(&id)
-        {
-            return Arc::clone(plan);
-        }
-        let plan = Arc::new(LayerPlan::build_with_blocks(layer, self.inner.threads));
-        let size = plan.resident_bytes();
-        let mut cache = self.inner.plans.write().expect("plan cache poisoned");
-        if let Some(existing) = cache.plans.get(&id) {
-            // A racing clone built the same plan first: adopt theirs so
-            // neither the byte accounting nor `plan_builds` counts the
-            // losing build (it is dropped here, never cached).
-            return Arc::clone(existing);
-        }
-        self.inner.plan_builds.fetch_add(1, Ordering::Relaxed);
-        if !cache.plans.is_empty() && cache.bytes + size > PLAN_CACHE_MAX_BYTES {
-            cache.plans.clear();
-            cache.bytes = 0;
-        }
-        cache.bytes += size;
-        cache.plans.insert(id, Arc::clone(&plan));
-        plan
+        self.threads
     }
 
     /// Runs `items` over a plan, splitting its blocks across the pool:
@@ -299,7 +189,7 @@ impl NativeCpu {
         relu: bool,
     ) -> Vec<Vec<Q8p8>> {
         let b = items.len();
-        let mut guard = self.inner.session.lock().expect("session poisoned");
+        let mut guard = self.session.lock().expect("session poisoned");
         let session = &mut *guard;
         let input = if let [item] = items {
             let schedule = exclusive(&mut session.single);
@@ -327,7 +217,7 @@ impl NativeCpu {
         });
         // Re-raise a worker panic *after* the session guard drops: the
         // run is fully drained (the latch released), so the session is
-        // reusable and clones of this engine keep working — the panic
+        // reusable and the engine keeps working — the panic
         // surfaces at this call site, as the old scoped-thread kernel's
         // did, without bricking the engine.
         drop(guard);
@@ -335,8 +225,9 @@ impl NativeCpu {
         outputs
     }
 
-    /// [`NativeCpu::planned`] over the plan resolved for `planned`,
-    /// wrapped into timed runs: one item is a solo run, more complete
+    /// [`NativeCpu::planned`] over the caller's plan — or, for a bare
+    /// layer, one cut for this engine's threads before the clock starts
+    /// — wrapped into timed runs: one item is a solo run, more complete
     /// as a unit.
     fn timed<I: AsRef<[Q8p8]>>(
         &self,
@@ -344,9 +235,16 @@ impl NativeCpu {
         items: &[I],
         relu: bool,
     ) -> Vec<BackendRun> {
-        let plan = self.resolve_plan(planned);
+        let built;
+        let plan = match planned.plan {
+            Some(plan) => plan,
+            None => {
+                built = Arc::new(LayerPlan::build_with_blocks(planned.layer, self.threads));
+                &built
+            }
+        };
         let start = Instant::now();
-        let outputs = self.planned(&plan, items, relu);
+        let outputs = self.planned(plan, items, relu);
         fused_runs(outputs, start.elapsed().as_secs_f64())
     }
 
@@ -354,7 +252,7 @@ impl NativeCpu {
     /// into one contiguous range per thread (fewer when the plan has
     /// fewer blocks).
     fn dispatch_ranges(&self, n: usize) -> Vec<(usize, usize)> {
-        contiguous_ranges(n, self.inner.threads)
+        contiguous_ranges(n, self.threads)
     }
 
     /// The shared fan-out: build the dispatch table, hand every range
@@ -388,10 +286,7 @@ impl NativeCpu {
             gather(plan, (0, n), &session.local);
             return false;
         }
-        let pool = self
-            .inner
-            .pool
-            .get_or_init(|| WorkerPool::new(self.inner.threads - 1));
+        let pool = self.pool.get_or_init(|| WorkerPool::new(self.threads - 1));
         session.latch.reset(ranges.len() - 1);
         for (w, &blocks) in ranges.iter().enumerate().skip(1) {
             pool.submit(
@@ -1136,49 +1031,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_engine_never_rebuilds_or_redecodes_a_layer() {
-        let layer = Benchmark::Alex7.generate_scaled(2, 64);
-        let enc = compress(&layer.weights, CompressConfig::with_pes(4));
-        let acts = quantize(&layer.sample_activations(1));
-        let batch: Vec<Vec<Q8p8>> = (0..3)
-            .map(|i| quantize(&layer.sample_activations(i)))
-            .collect();
-        let backend = NativeCpu::with_threads(2);
-        assert_eq!(backend.plan_builds(), 0);
-        let cold = backend.run_layer(&enc, &acts, false);
-        assert_eq!(backend.plan_builds(), 1);
-        assert_eq!(backend.cached_plans(), 1);
-        // Warm single, batch, and a clone of the same layer: the plan
-        // cache absorbs them all — no further decode of the stream.
-        let warm = backend.run_layer(&enc, &acts, false);
-        let _ = backend.run_layer_batch(&enc, &batch, true);
-        let clone = enc.clone();
-        let _ = backend.run_layer(&clone, &acts, false);
-        assert_eq!(backend.plan_builds(), 1, "warm runs must not rebuild");
-        assert_eq!(warm.outputs, cold.outputs);
-        // A *different* layer instance (equal content) is a new plan.
-        let other = compress(&layer.weights, CompressConfig::with_pes(4));
-        let _ = backend.run_layer(&other, &acts, false);
-        assert_eq!(backend.plan_builds(), 2);
-        backend.clear_plan_cache();
-        assert_eq!(backend.cached_plans(), 0);
-    }
-
-    #[test]
-    fn clones_share_the_plan_cache_and_pool() {
-        let layer = Benchmark::NtWd.generate_scaled(1, 32);
-        let enc = compress(&layer.weights, CompressConfig::with_pes(4));
-        let acts = quantize(&layer.sample_activations(4));
-        let backend = NativeCpu::with_threads(3);
-        let twin = backend.clone();
-        let a = backend.run_layer(&enc, &acts, false);
-        let b = twin.run_layer(&enc, &acts, false);
-        assert_eq!(a.outputs, b.outputs);
-        assert_eq!(backend.plan_builds(), 1, "clone must reuse the cache");
-        assert_eq!(twin.plan_builds(), 1);
-    }
-
-    #[test]
     fn plan_kernels_are_bit_exact_with_golden() {
         let layer = Benchmark::Vgg6.generate_scaled(3, 96);
         let enc = compress(&layer.weights, CompressConfig::with_pes(8));
@@ -1254,12 +1106,12 @@ mod tests {
     }
 
     #[test]
-    fn wider_engines_reblock_a_shared_plan_once_and_leave_it_untouched() {
+    fn wider_engines_walk_a_coarser_shared_plan_as_is() {
         let layer = Benchmark::Alex7.generate_scaled(8, 64);
         let enc = compress(&layer.weights, CompressConfig::with_pes(8));
-        let shared = Arc::new(LayerPlan::build(&enc));
+        let shared = Arc::new(LayerPlan::build_with_blocks(&enc, 2));
         let snapshot = (*shared).clone();
-        assert_eq!(shared.blocks().len(), 1);
+        assert_eq!(shared.blocks().len(), 2);
         let planned = super::PlannedLayer {
             layer: &enc,
             plan: Some(&shared),
@@ -1267,22 +1119,23 @@ mod tests {
         let batch: Vec<Vec<Q8p8>> = (0..5)
             .map(|i| quantize(&layer.sample_activations(i)))
             .collect();
-        // A one-thread engine walks the one-block plan as is.
-        let narrow = NativeCpu::with_threads(1);
-        let want = narrow.run_layer_batch_planned(planned, &batch, true);
-        assert_eq!(narrow.plan_builds(), 0);
-        // A wider engine needs a block per range: one build, cached.
-        let wide = NativeCpu::with_threads(3);
-        for _ in 0..3 {
-            let got = wide.run_layer_batch_planned(planned, &batch, true);
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.outputs, w.outputs);
+        let want: Vec<_> = batch
+            .iter()
+            .map(|acts| functional::execute(&enc, acts, true))
+            .collect();
+        // Every engine walks the two-block plan on min(threads, 2)
+        // ranges, single and fused, and leaves it as handed.
+        for threads in [1, 2, 3] {
+            let engine = NativeCpu::with_threads(threads);
+            let ranges = engine.dispatch_ranges(shared.blocks().len());
+            assert_eq!(ranges.len(), threads.min(2));
+            let got = engine.run_layer_batch_planned(planned, &batch, true);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(&g.outputs, w, "item {i} ({threads}t)");
             }
-            let solo = wide.run_layer_planned(planned, &batch[0], true);
-            assert_eq!(solo.outputs, want[0].outputs);
+            let solo = engine.run_layer_planned(planned, &batch[0], true);
+            assert_eq!(solo.outputs, want[0], "solo ({threads}t)");
         }
-        assert_eq!(wide.plan_builds(), 1, "re-blocked exactly once");
-        assert_eq!(wide.cached_plans(), 1);
         assert_eq!(*shared, snapshot, "the shared plan is never modified");
     }
 

@@ -19,7 +19,7 @@
 //! Lifecycle: the owning backend distributes one [`Task`] per busy
 //! worker, runs its own share of the plan blocks inline, waits on the
 //! latch, then harvests each worker's scratch under an uncontended
-//! lock. Dropping the pool (dropping the last backend clone) parks a
+//! lock. Dropping the pool (dropping its backend) parks a
 //! shutdown marker in every mailbox and joins the threads.
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -41,8 +41,8 @@ use eie_energy::{EnergyReport, LayerActivity};
 use eie_fixed::Q8p8;
 use eie_sim::SimStats;
 
-use crate::backend::{Backend, BackendKind, BackendRun, CompiledModel, PlannedLayer};
-use crate::{BatchResult, EieConfig};
+use crate::backend::{host_cores, Backend, BackendKind, BackendRun, CompiledModel, PlannedLayer};
+use crate::EieConfig;
 
 impl CompiledModel {
     /// Starts an inference job on this model for the given backend — the
@@ -82,10 +82,11 @@ pub struct InferenceJob<'m> {
     price_energy: bool,
     /// The instantiated backend, built on the first submit and reused
     /// across submits of the same job — a looping caller keeps the
-    /// `NativeCpu` engine (worker pool, plan cache, warm scratch) alive
-    /// instead of re-spawning it per call, the same warm shape the
-    /// serving workers have. Cleared by [`InferenceJob::config`]
-    /// (backends capture the configuration at instantiation).
+    /// `NativeCpu` engine (worker pool, warm scratch) alive instead of
+    /// re-spawning it per call, the same warm shape the serving workers
+    /// have; the plans it walks are the model's. Cleared by
+    /// [`InferenceJob::config`] (backends capture the configuration at
+    /// instantiation).
     engine: OnceLock<Arc<dyn Backend>>,
 }
 
@@ -158,6 +159,10 @@ impl<'m> InferenceJob<'m> {
     /// Submits a batch of `f32` input vectors and runs the job to
     /// completion, returning the unified [`JobResult`].
     ///
+    /// A plan-walking backend runs on the model's plans; any slot still
+    /// empty is filled here, cut for the engine's threads (`NativeCpu(0)`
+    /// counts the host's cores). The first build decides the cut.
+    ///
     /// # Panics
     ///
     /// Panics if the batch is empty, an item's length differs from the
@@ -179,18 +184,20 @@ impl<'m> InferenceJob<'m> {
     }
 
     /// The job's planned-layer list. Plans are fetched (building lazily
-    /// into the model's shared cache) only for backends that execute
-    /// them; the cycle model and the golden model walk the compressed
-    /// layer and would ignore them.
+    /// into the model's slots) only for backends that execute them; the
+    /// cycle model and the golden model walk the compressed layer and
+    /// would ignore them.
     fn assemble_layers(&self, wants_plans: bool) -> Vec<PlannedLayer<'_>> {
-        if !wants_plans {
-            return self.model.layers()[self.first..self.end]
-                .iter()
-                .map(PlannedLayer::unplanned)
-                .collect();
-        }
+        let threads = match self.backend {
+            BackendKind::NativeCpu(0) => host_cores(),
+            BackendKind::NativeCpu(threads) => threads,
+            _ => 1,
+        };
         (self.first..self.end)
-            .map(|i| self.model.planned_layer(i))
+            .map(|i| PlannedLayer {
+                layer: self.model.layer(i),
+                plan: wants_plans.then(|| self.model.plan_cut(i, threads)),
+            })
             .collect()
     }
 
@@ -224,20 +231,31 @@ impl LayerPhase {
 }
 
 /// The unified result of one [`InferenceJob`]: per-item outputs and
-/// latencies, a per-layer breakdown, and — on the cycle-accurate
-/// backend — merged activity statistics priced into an energy report.
+/// latencies as a distribution, aggregate frames/s over the whole batch,
+/// a per-layer breakdown, and — on the cycle-accurate backend — merged
+/// activity statistics priced into an energy report.
 ///
-/// The batched-distribution view (percentiles, frames/s, per-frame cost)
-/// lives in the embedded [`BatchResult`]; the accessors here delegate to
-/// it so callers need only one type.
+/// EIE's headline claim is latency *without* batching (§VI-B compares at
+/// batch 1, Table IV adds the CPU/GPU batch-64 columns the accelerator
+/// doesn't need); a job result makes that story measurable.
 #[derive(Debug, Clone)]
 pub struct JobResult {
     /// Which backend executed the job.
     backend: BackendKind,
+    /// The executing backend's report name ([`Backend::name`]).
+    name: &'static str,
     /// Clock the job was timed at, Hz (for cycle → wall conversions).
     clock_hz: f64,
-    /// The aggregated batch: per-item runs, wall time, energy.
-    pub batch: BatchResult,
+    /// Per-item runs, in batch order.
+    items: Vec<BackendRun>,
+    /// Whole-batch wall time, seconds: measured end to end for host
+    /// backends (so it reflects real parallel speed-up), the sum of
+    /// modelled item times for the cycle-accurate backend (the hardware
+    /// runs items back to back).
+    wall_s: f64,
+    /// Activity-priced energy over the whole batch (cycle-accurate
+    /// backend, with pricing enabled).
+    energy: Option<EnergyReport>,
     /// Per-layer breakdown of the selected stack, input to output.
     phases: Vec<LayerPhase>,
 }
@@ -250,7 +268,7 @@ impl JobResult {
 
     /// Number of items in the submitted batch.
     pub fn batch_size(&self) -> usize {
-        self.batch.batch_size()
+        self.items.len()
     }
 
     /// Output activations of item `i`, Q8.8.
@@ -259,7 +277,7 @@ impl JobResult {
     ///
     /// Panics if `i >= batch_size()`.
     pub fn outputs(&self, i: usize) -> &[Q8p8] {
-        self.batch.outputs(i)
+        &self.items[i].outputs
     }
 
     /// Output activations of item `i`, converted to `f32`.
@@ -268,7 +286,7 @@ impl JobResult {
     ///
     /// Panics if `i >= batch_size()`.
     pub fn outputs_f32(&self, i: usize) -> Vec<f32> {
-        self.batch.outputs(i).iter().map(|v| v.to_f32()).collect()
+        self.outputs(i).iter().map(|v| v.to_f32()).collect()
     }
 
     /// Item `i`'s end-to-end latency, µs (modelled hardware time on the
@@ -278,7 +296,7 @@ impl JobResult {
     ///
     /// Panics if `i >= batch_size()`.
     pub fn latency_us(&self, i: usize) -> f64 {
-        self.batch.items[i].latency_us()
+        self.items[i].latency_us()
     }
 
     /// Item `i`'s amortized per-item cost, µs: fused-batch wall time
@@ -292,7 +310,7 @@ impl JobResult {
     ///
     /// Panics if `i >= batch_size()`.
     pub fn amortized_latency_us(&self, i: usize) -> f64 {
-        self.batch.items[i].amortized_us()
+        self.items[i].amortized_us()
     }
 
     /// Item `i`'s cycle/activity statistics (cycle backend only), merged
@@ -302,14 +320,14 @@ impl JobResult {
     ///
     /// Panics if `i >= batch_size()`.
     pub fn stats(&self, i: usize) -> Option<&SimStats> {
-        self.batch.items[i].stats.as_ref()
+        self.items[i].stats.as_ref()
     }
 
     /// Activity statistics merged over the whole batch (cycle backend
     /// only).
     pub fn merged_stats(&self) -> Option<SimStats> {
         let mut total: Option<SimStats> = None;
-        for item in &self.batch.items {
+        for item in &self.items {
             match (&mut total, item.stats.as_ref()) {
                 (_, None) => return None,
                 (None, Some(s)) => total = Some(s.clone()),
@@ -339,7 +357,7 @@ impl JobResult {
     /// cycle backend (the hardware runs items back to back), measured
     /// end-to-end host time otherwise.
     pub fn time_us(&self) -> f64 {
-        self.batch.wall_time_us()
+        self.wall_s * 1e6
     }
 
     /// The theoretical (perfectly balanced, stall-free) time for the
@@ -352,32 +370,43 @@ impl JobResult {
 
     /// Aggregate inference throughput over the batch, frames/s.
     pub fn frames_per_second(&self) -> f64 {
-        self.batch.frames_per_second()
+        self.batch_size() as f64 / self.wall_s
     }
 
     /// Mean per-item latency, µs.
     pub fn mean_latency_us(&self) -> f64 {
-        self.batch.mean_latency_us()
+        self.items.iter().map(BackendRun::latency_us).sum::<f64>() / self.batch_size() as f64
     }
 
-    /// Amortized per-frame time, µs (batch wall over batch size).
+    /// Amortized per-frame time, µs: batch wall time over batch size —
+    /// the paper's Table IV convention, and the number to compare with
+    /// [`BaselineBatchRun::per_frame_us`](eie_baselines::BaselineBatchRun).
+    /// (Per-*item* latency can be larger: a fused host batch completes
+    /// as a unit, so each item's latency is the whole batch's wall.)
     pub fn per_frame_us(&self) -> f64 {
-        self.batch.per_frame_us()
+        self.time_us() / self.batch_size() as f64
+    }
+
+    /// The `p`-th percentile of per-item latency, µs (nearest-rank).
+    fn percentile_latency_us(&self, p: f64) -> f64 {
+        let latencies: Vec<f64> = self.items.iter().map(BackendRun::latency_us).collect();
+        percentile(&latencies, p)
     }
 
     /// Median per-item latency, µs.
     pub fn p50(&self) -> f64 {
-        self.batch.p50()
+        self.percentile_latency_us(50.0)
     }
 
     /// 95th-percentile per-item latency, µs.
     pub fn p95(&self) -> f64 {
-        self.batch.p95()
+        self.percentile_latency_us(95.0)
     }
 
-    /// 99th-percentile per-item latency, µs.
+    /// 99th-percentile per-item latency, µs — the tail-latency number
+    /// serving SLOs are written against.
     pub fn p99(&self) -> f64 {
-        self.batch.p99()
+        self.percentile_latency_us(99.0)
     }
 
     /// Sustained GOP/s on the compressed workload (cycle backend only).
@@ -388,12 +417,13 @@ impl JobResult {
     /// Activity-priced energy over the whole batch (cycle backend, with
     /// pricing enabled).
     pub fn energy(&self) -> Option<&EnergyReport> {
-        self.batch.energy.as_ref()
+        self.energy.as_ref()
     }
 
     /// Energy per frame, µJ (cycle backend, with pricing enabled).
     pub fn energy_per_frame_uj(&self) -> Option<f64> {
-        self.batch.energy_per_frame_uj()
+        self.energy()
+            .map(|e| e.total_uj() / self.batch_size() as f64)
     }
 
     /// Average power over the run, W (cycle backend, with pricing
@@ -403,9 +433,39 @@ impl JobResult {
     }
 }
 
+/// Nearest-rank percentile of an unsorted sample; `0.0` for an empty
+/// one — the shared latency-distribution helper behind
+/// [`JobResult::p50`] and the serving metrics.
+///
+/// # Panics
+///
+/// Panics if `p` is outside `0.0..=100.0` or a sample is NaN.
+pub fn percentile(samples: &[f64], p: f64) -> f64 {
+    assert!((0.0..=100.0).contains(&p), "percentile must be in 0..=100");
+    if samples.is_empty() {
+        return 0.0;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples are finite"));
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.saturating_sub(1)]
+}
+
 impl fmt::Display for JobResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.batch.fmt(f)
+        write!(
+            f,
+            "{} batch {}: {:.2} µs/frame, {:.0} frames/s (item p95 {:.2} µs)",
+            self.name,
+            self.batch_size(),
+            self.per_frame_us(),
+            self.frames_per_second(),
+            self.p95(),
+        )?;
+        if let Some(uj) = self.energy_per_frame_uj() {
+            write!(f, ", {uj:.3} µJ/frame")?;
+        }
+        Ok(())
     }
 }
 
@@ -553,13 +613,11 @@ fn execute_stack(
     };
     JobResult {
         backend: kind,
+        name: backend.name(),
         clock_hz: config.clock_hz,
-        batch: BatchResult {
-            backend: backend.name(),
-            items,
-            wall_s,
-            energy,
-        },
+        items,
+        wall_s,
+        energy,
         phases,
     }
 }
@@ -645,8 +703,13 @@ mod tests {
         let job = model.infer(BackendKind::NativeCpu(2));
         assert_eq!(model.plans_built(), 0);
         let first = job.submit(&batch(2));
-        // The native engine pulled both plans from the model's cache…
+        // The job filled both of the model's plan slots, cut for its
+        // engine's two threads…
         assert_eq!(model.plans_built(), 2);
+        for i in 0..2 {
+            let plan = model.plan(i);
+            assert!(plan.blocks().len() >= 2.min(plan.rows()), "layer {i}");
+        }
         let second = job.submit(&batch(2));
         assert_eq!(first.outputs(0), second.outputs(0));
         // …and resubmitting reuses engine and plans alike.
@@ -716,6 +779,111 @@ mod tests {
         // pricing is linear in activity.
         assert!((job.time_us() - wall_us).abs() < 1e-9);
         assert!((job.energy().unwrap().total_uj() - uj).abs() / uj < 1e-9);
+    }
+
+    fn run(latency_us: f64) -> BackendRun {
+        BackendRun {
+            outputs: vec![Q8p8::ONE],
+            latency_s: latency_us * 1e-6,
+            amortized_s: latency_us * 1e-6,
+            stats: None,
+        }
+    }
+
+    fn result(items: Vec<BackendRun>, wall_us: f64) -> JobResult {
+        JobResult {
+            backend: BackendKind::Functional,
+            name: "test",
+            clock_hz: 800e6,
+            items,
+            wall_s: wall_us * 1e-6,
+            energy: None,
+            phases: Vec::new(),
+        }
+    }
+
+    fn serial(latencies_us: &[f64]) -> JobResult {
+        let items = latencies_us.iter().map(|&l| run(l)).collect();
+        result(items, latencies_us.iter().sum())
+    }
+
+    #[test]
+    fn latency_distribution_metrics() {
+        let r = serial(&[1.0, 3.0, 2.0, 4.0]);
+        assert_eq!(r.batch_size(), 4);
+        assert!((r.mean_latency_us() - 2.5).abs() < 1e-12);
+        assert_eq!(r.percentile_latency_us(50.0), 2.0);
+        assert_eq!(r.percentile_latency_us(100.0), 4.0);
+        assert_eq!(r.percentile_latency_us(0.0), 1.0);
+        assert_eq!(r.outputs(0), &[Q8p8::ONE]);
+    }
+
+    #[test]
+    fn throughput_is_batch_over_wall() {
+        let r = serial(&[10.0, 10.0]);
+        assert!((r.time_us() - 20.0).abs() < 1e-9);
+        assert!((r.per_frame_us() - 10.0).abs() < 1e-9);
+        assert!((r.frames_per_second() - 1e5).abs() < 1e-3);
+    }
+
+    #[test]
+    fn display_reports_rate_without_energy() {
+        let r = serial(&[5.0]);
+        assert_eq!(
+            r.to_string(),
+            "test batch 1: 5.00 µs/frame, 200000 frames/s (item p95 5.00 µs)"
+        );
+        assert!(r.energy_per_frame_uj().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "percentile")]
+    fn rejects_out_of_range_percentile() {
+        let _ = serial(&[1.0]).percentile_latency_us(101.0);
+    }
+
+    #[test]
+    fn percentile_conveniences_match_the_general_form() {
+        let r = serial(&[4.0, 1.0, 3.0, 2.0, 5.0]);
+        assert_eq!(r.p50(), r.percentile_latency_us(50.0));
+        assert_eq!(r.p95(), r.percentile_latency_us(95.0));
+        assert_eq!(r.p99(), r.percentile_latency_us(99.0));
+        assert_eq!(r.p50(), 3.0);
+        assert_eq!(r.p99(), 5.0);
+    }
+
+    #[test]
+    fn amortized_distribution_separates_fused_items() {
+        // A fused batch of 4: every item stamped with the whole batch's
+        // 40 µs wall, amortized to 10 µs each.
+        let items: Vec<BackendRun> = (0..4)
+            .map(|_| BackendRun {
+                outputs: vec![Q8p8::ONE],
+                latency_s: 40.0e-6,
+                amortized_s: 10.0e-6,
+                stats: None,
+            })
+            .collect();
+        let r = result(items, 40.0);
+        // Latency percentiles are degenerate (by design: the batch
+        // completes as a unit)...
+        assert_eq!(r.p50(), r.p99());
+        assert_eq!(r.p99(), 40.0);
+        // ...while the amortized cost carries the per-frame number and
+        // sums back to the wall.
+        assert!((0..4).all(|i| r.amortized_latency_us(i) == 10.0));
+        let amortized: f64 = (0..4).map(|i| r.amortized_latency_us(i)).sum();
+        assert!((amortized - r.time_us()).abs() < 1e-9);
+        // Unfused runs keep amortized == latency.
+        assert_eq!(run(5.0).amortized_us(), run(5.0).latency_us());
+    }
+
+    #[test]
+    fn percentile_helper_is_nearest_rank() {
+        assert_eq!(percentile(&[], 99.0), 0.0);
+        assert_eq!(percentile(&[7.0], 0.0), 7.0);
+        assert_eq!(percentile(&[3.0, 1.0, 2.0], 50.0), 2.0);
+        assert_eq!(percentile(&[3.0, 1.0, 2.0], 100.0), 3.0);
     }
 
     #[test]

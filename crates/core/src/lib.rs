@@ -51,7 +51,6 @@
 
 mod artifact;
 pub mod backend;
-mod batch;
 mod benchmarks;
 mod config;
 pub mod infer;
@@ -62,10 +61,9 @@ pub use backend::{
     Backend, BackendKind, BackendRun, CompiledModel, CycleAccurate, Functional, NativeCpu,
     PlannedLayer,
 };
-pub use batch::{percentile, BatchResult};
 pub use benchmarks::BenchmarkInstance;
 pub use config::EieConfig;
-pub use infer::{run_stack_planned, InferenceJob, JobResult, LayerPhase};
+pub use infer::{percentile, run_stack_planned, InferenceJob, JobResult, LayerPhase};
 
 /// The Deep Compression pipeline (re-export of `eie-compress`).
 pub mod compress {

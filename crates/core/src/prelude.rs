@@ -12,9 +12,9 @@
 
 pub use crate::backend::lane_isa;
 pub use crate::{
-    percentile, Backend, BackendKind, BackendRun, BatchResult, BenchmarkInstance, CompiledModel,
-    CycleAccurate, EieConfig, Functional, InferenceJob, JobResult, LayerPhase, ModelArtifactError,
-    NativeCpu, PlannedLayer,
+    percentile, Backend, BackendKind, BackendRun, BenchmarkInstance, CompiledModel, CycleAccurate,
+    EieConfig, Functional, InferenceJob, JobResult, LayerPhase, ModelArtifactError, NativeCpu,
+    PlannedLayer,
 };
 
 pub use eie_compress::{

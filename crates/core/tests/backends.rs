@@ -180,10 +180,10 @@ fn native_batch_outpaces_functional_per_item_loop() {
 
     let mut native_s = f64::INFINITY;
     let mut result = native.submit(&batch);
-    native_s = native_s.min(result.batch.wall_s);
+    native_s = native_s.min(result.time_us() * 1e-6);
     for _ in 0..2 {
         result = native.submit(&batch);
-        native_s = native_s.min(result.batch.wall_s);
+        native_s = native_s.min(result.time_us() * 1e-6);
     }
 
     for (i, golden) in golden_outputs.iter().enumerate() {

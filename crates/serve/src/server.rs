@@ -647,14 +647,21 @@ impl fmt::Display for ServerStats {
         )?;
         // The fault tail only appears once something actually failed,
         // so healthy runs keep the familiar one-line shape.
-        if self.shed + self.expired + self.failed + self.worker_restarts + self.degraded > 0 {
+        let faults = self.shed
+            + self.expired
+            + self.failed
+            + self.worker_restarts
+            + self.slow_client_evictions
+            + self.degraded;
+        if faults > 0 {
             write!(
                 f,
-                "; faults: {} shed, {} expired, {} failed, {} restarts{}",
+                "; faults: {} shed, {} expired, {} failed, {} restarts, {} slow-client evictions{}",
                 self.shed,
                 self.expired,
                 self.failed,
                 self.worker_restarts,
+                self.slow_client_evictions,
                 if self.degraded > 0 { ", DEGRADED" } else { "" }
             )?;
         }
@@ -754,8 +761,8 @@ impl ModelServer {
         // arena, every worker's `planned_layers()` is a cache hit, and
         // the first request never queues behind a build. Cut for the
         // kernel's threads, the one shared plan is what every worker
-        // engine walks: a coarser one would be re-blocked into a
-        // private copy per worker. Backends that stream the layers get
+        // engine walks on all its threads: a coarser one would leave
+        // threads idle. Backends that stream the layers get
         // no plan.
         if let BackendKind::NativeCpu(threads) = config.backend {
             model.cut_plans(threads);
@@ -1255,5 +1262,22 @@ mod tests {
         assert_eq!(h.mean_us(), 0.0);
         assert_eq!(ServerStats::default().p99(), 0.0);
         assert_eq!(ServerStats::default().mean_queue_us(), 0.0);
+    }
+
+    #[test]
+    fn display_reports_a_node_that_only_evicted_slow_clients() {
+        let healthy = ServerStats::default().to_string();
+        assert!(!healthy.contains("faults"), "{healthy}");
+        let evicted = ServerStats {
+            slow_client_evictions: 2,
+            ..ServerStats::default()
+        }
+        .to_string();
+        assert!(
+            evicted.ends_with(
+                "; faults: 0 shed, 0 expired, 0 failed, 0 restarts, 2 slow-client evictions"
+            ),
+            "{evicted}"
+        );
     }
 }
