@@ -64,7 +64,7 @@ fn main() {
         // cut for its threads before any clock starts, so these rows
         // measure the kernel alone, like the CPU baseline rows below do.
         model.cut_plans(native_threads);
-        let planned = model.planned_layer(0);
+        let planned = PlannedLayer::Plan(model.plan(0));
         let native = BackendKind::NativeCpu(native_threads).instantiate(&config);
         let mut native_fps = Vec::new();
         for batch in [1usize, 16, 64] {

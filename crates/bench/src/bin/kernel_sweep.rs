@@ -46,6 +46,7 @@
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::mem::{size_of, size_of_val};
+use std::sync::Arc;
 use std::time::Instant;
 
 use eie_bench::*;
@@ -118,7 +119,7 @@ fn roof_steps_per_s(harness: &TimingHarness, config: EieConfig) -> (f64, f64) {
     assert_eq!(plan.total_entries(), ROOF_ROWS * ROOF_COLS, "a full layer");
     assert_eq!(rail_free_share(plan, &batch), 1.0, "the rail-free step");
     let engine = NativeCpu::with_threads(1);
-    let planned = model.planned_layer(0);
+    let planned = PlannedLayer::Plan(model.plan(0));
     let steps = plan.total_entries() as f64;
     let lane_us = fastest_us(harness, || {
         engine.run_layer_batch_planned(planned, &batch, false)
@@ -304,23 +305,16 @@ fn main() {
         // Per thread count, the plan a server with that many kernel
         // threads shares between its workers — cut once for the
         // fan-out and walked as is — and the engine that walks it.
-        let served: Vec<CompiledModel> = thread_counts
+        let served: Vec<Arc<LayerPlan>> = thread_counts
             .iter()
-            .map(|&threads| {
-                let mut cut = model.clone();
-                cut.cut_plans(threads);
-                cut
-            })
+            .map(|&threads| model.clone().into_plans(threads).remove(0))
             .collect();
         let setups: Vec<(usize, PlannedLayer<'_>, NativeCpu)> = thread_counts
             .iter()
             .zip(&served)
-            .map(|(&threads, cut)| {
-                (
-                    threads,
-                    cut.planned_layer(0),
-                    NativeCpu::with_threads(threads),
-                )
+            .map(|(&threads, plan)| {
+                let engine = NativeCpu::with_threads(threads);
+                (threads, PlannedLayer::Plan(plan), engine)
             })
             .collect();
         // Warm every engine and refuse to record perf of wrong answers:
@@ -330,7 +324,7 @@ fn main() {
         let golden = Functional::new();
         let want = golden.run_layer(enc, acts, false).outputs;
         let want_b = golden.run_layer_batch(enc, batch, false);
-        for (threads, planned, engine) in &setups {
+        for ((threads, planned, engine), plan) in setups.iter().zip(&served) {
             assert!(
                 engine.run_layer_planned(*planned, acts, false).outputs == want,
                 "{name}: the single-item walk diverged"
@@ -342,7 +336,6 @@ fn main() {
                     "{name}: batch item {i} diverged on the lane walk"
                 );
             }
-            let plan = planned.plan.expect("cut_plans built the plan");
             assert!(
                 plan.blocks().len() >= (*threads).min(plan.rows()),
                 "{name}: the shared plan is cut coarser than {threads} threads"
@@ -379,8 +372,7 @@ fn main() {
             }
         }
 
-        for (si, &(threads, planned, _)) in setups.iter().enumerate() {
-            let layer_plan = planned.plan.expect("a cut model's layer carries its plan");
+        for (si, (&(threads, _, _), layer_plan)) in setups.iter().zip(&served).enumerate() {
             let plan_bytes = layer_plan.resident_bytes();
             let bytes_per_entry = plan_bytes as f64 / layer_plan.total_entries() as f64;
             let fps: Vec<f64> = us[si].iter().map(|us| 1e6 / us).collect();

@@ -56,8 +56,9 @@ SERVING POLICY (--listen):
 NETWORK NODE (--listen):
     --model <NAME=PATH> Register PATH under NAME (repeatable); a bare PATH
                         registers under its file stem
-    --budget-bytes <N>  Resident-artifact byte budget: past it, cold models
-                        are evicted LRU [default: unbounded]
+    --budget-bytes <N>  Resident byte budget, charged in artifact bytes (not
+                        the plans a native server holds): past it, cold
+                        models are evicted LRU [default: unbounded]
 
 LOAD GENERATION (--connect):
     --requests <N>      Requests to drive per connection [default: 256]

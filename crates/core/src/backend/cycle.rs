@@ -40,7 +40,7 @@ impl Backend for CycleAccurate {
     }
 
     fn run_layer(&self, layer: &EncodedLayer, acts: &[Q8p8], relu: bool) -> BackendRun {
-        check_activations(layer, acts);
+        check_activations(layer.cols(), acts);
         let run = simulate_fixed(layer, acts, &self.sim, relu);
         let latency_s = run.stats.seconds_at(self.sim.clock_hz);
         BackendRun::solo(run.outputs, latency_s, Some(run.stats))

@@ -32,7 +32,7 @@ impl Backend for Functional {
     }
 
     fn run_layer(&self, layer: &EncodedLayer, acts: &[Q8p8], relu: bool) -> BackendRun {
-        check_activations(layer, acts);
+        check_activations(layer.cols(), acts);
         let start = Instant::now();
         let outputs = functional::execute(layer, acts, relu);
         BackendRun::solo(outputs, start.elapsed().as_secs_f64(), None)

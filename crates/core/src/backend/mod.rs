@@ -45,9 +45,9 @@ pub use native::{host_cores, lane_block_items, lane_isa, NativeCpu};
 ///
 /// # Panics
 ///
-/// Panics if `acts.len() != layer.cols()`.
-pub(crate) fn check_activations(layer: &EncodedLayer, acts: &[Q8p8]) {
-    assert_eq!(acts.len(), layer.cols(), "activation length mismatch");
+/// Panics if `acts.len() != cols`.
+pub(crate) fn check_activations(cols: usize, acts: &[Q8p8]) {
+    assert_eq!(acts.len(), cols, "activation length mismatch");
 }
 
 /// Validates every item of a batch against a layer's input dimension
@@ -55,10 +55,10 @@ pub(crate) fn check_activations(layer: &EncodedLayer, acts: &[Q8p8]) {
 ///
 /// # Panics
 ///
-/// Panics if any item's length differs from `layer.cols()`.
-pub(crate) fn check_activation_batch(layer: &EncodedLayer, batch: &[Vec<Q8p8>]) {
+/// Panics if any item's length differs from `cols`.
+pub(crate) fn check_activation_batch(cols: usize, batch: &[Vec<Q8p8>]) {
     for item in batch {
-        assert_eq!(item.len(), layer.cols(), "activation length mismatch");
+        check_activations(cols, item);
     }
 }
 
@@ -124,27 +124,44 @@ impl fmt::Display for BackendKind {
     }
 }
 
-/// A layer paired with its pre-built execution plan, when the caller
-/// has one — the unit the inference core hands to
+/// One layer as a backend executes it: the compressed layer, or its
+/// pre-built execution plan — the unit the inference core hands to
 /// [`Backend::run_layer_planned`] / [`Backend::run_layer_batch_planned`].
 ///
-/// Callers that hold a [`CompiledModel`] get planned layers for free
-/// from its per-layer plan slots ([`CompiledModel::planned_layer`]);
-/// bare-layer callers use [`PlannedLayer::unplanned`], and a
-/// plan-aware backend builds a plan for that one call (everything else
-/// walks the compressed stream).
+/// The cycle model and the golden model walk the encoded layer; a
+/// plan-aware backend ([`Backend::wants_plans`]) walks a plan, and
+/// builds one for the call when handed an encoded layer. A
+/// [`CompiledModel`] hands out either ([`CompiledModel::planned_layers`],
+/// [`CompiledModel::layers`]); a native `ModelServer` keeps only the
+/// plans, so its workers hold no encoded layer at all.
 #[derive(Debug, Clone, Copy)]
-pub struct PlannedLayer<'a> {
-    /// The compressed layer (always present — the artifact of record).
-    pub layer: &'a EncodedLayer,
-    /// The layer's pre-decoded plan, if the caller built one.
-    pub plan: Option<&'a Arc<LayerPlan>>,
+pub enum PlannedLayer<'a> {
+    /// The compressed layer, as stored in the artifact.
+    Encoded(&'a EncodedLayer),
+    /// The layer's pre-decoded plan.
+    Plan(&'a Arc<LayerPlan>),
 }
 
 impl<'a> PlannedLayer<'a> {
-    /// Wraps a bare layer with no pre-built plan.
-    pub fn unplanned(layer: &'a EncodedLayer) -> Self {
-        Self { layer, plan: None }
+    /// The layer's input dimension.
+    pub fn cols(&self) -> usize {
+        match self {
+            PlannedLayer::Encoded(layer) => layer.cols(),
+            PlannedLayer::Plan(plan) => plan.cols(),
+        }
+    }
+
+    /// The encoded layer, for a backend that walks it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a plan: only a backend that [`Backend::wants_plans`]
+    /// is handed one.
+    fn encoded(self) -> &'a EncodedLayer {
+        match self {
+            PlannedLayer::Encoded(layer) => layer,
+            PlannedLayer::Plan(_) => panic!("this backend walks encoded layers, not plans"),
+        }
     }
 }
 
@@ -239,7 +256,7 @@ pub trait Backend: fmt::Debug + Send + Sync {
         batch: &[Vec<Q8p8>],
         relu: bool,
     ) -> Vec<BackendRun> {
-        check_activation_batch(layer, batch);
+        check_activation_batch(layer.cols(), batch);
         batch
             .iter()
             .map(|acts| self.run_layer(layer, acts, relu))
@@ -259,28 +276,30 @@ pub trait Backend: fmt::Debug + Send + Sync {
     ///
     /// # Panics
     ///
-    /// Panics if `acts.len() != planned.layer.cols()`.
+    /// Panics if `acts.len() != planned.cols()`, or if handed a plan
+    /// while not [`Backend::wants_plans`].
     fn run_layer_planned(
         &self,
         planned: PlannedLayer<'_>,
         acts: &[Q8p8],
         relu: bool,
     ) -> BackendRun {
-        self.run_layer(planned.layer, acts, relu)
+        self.run_layer(planned.encoded(), acts, relu)
     }
 
     /// Batched analogue of [`Backend::run_layer_planned`].
     ///
     /// # Panics
     ///
-    /// Panics if any item's length differs from `planned.layer.cols()`.
+    /// Panics if any item's length differs from `planned.cols()`, or if
+    /// handed a plan while not [`Backend::wants_plans`].
     fn run_layer_batch_planned(
         &self,
         planned: PlannedLayer<'_>,
         batch: &[Vec<Q8p8>],
         relu: bool,
     ) -> Vec<BackendRun> {
-        self.run_layer_batch(planned.layer, batch, relu)
+        self.run_layer_batch(planned.encoded(), batch, relu)
     }
 }
 
@@ -536,26 +555,31 @@ impl CompiledModel {
             .count()
     }
 
-    /// Layer `i` paired with its cached plan — what the inference core
+    /// Every layer's cached plan as a [`PlannedLayer`], input to output
+    /// (building any plan not yet lowered) — what the inference core
     /// hands to plan-aware backends.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= num_layers()`.
-    pub fn planned_layer(&self, i: usize) -> PlannedLayer<'_> {
-        PlannedLayer {
-            layer: &self.layers[i],
-            plan: Some(self.plan(i)),
-        }
-    }
-
-    /// Every layer paired with its cached plan, input to output
-    /// (building any plan not yet lowered) — the serving stack's
-    /// warmup-and-execute shape.
     pub fn planned_layers(&self) -> Vec<PlannedLayer<'_>> {
         (0..self.num_layers())
-            .map(|i| self.planned_layer(i))
+            .map(|i| PlannedLayer::Plan(self.plan(i)))
             .collect()
+    }
+
+    /// Consumes the model into its layers' plans, cut into at least
+    /// `min_blocks` blocks where the rows allow
+    /// ([`CompiledModel::cut_plans`]), and drops the encoded layers —
+    /// what a native `ModelServer` keeps: one resident copy of the
+    /// weights, the one its kernel walks.
+    pub fn into_plans(mut self, min_blocks: usize) -> Vec<Arc<LayerPlan>> {
+        self.cut_plans(min_blocks);
+        let slots = self.plans.0.into_iter();
+        slots
+            .map(|slot| slot.into_inner().expect("cut_plans fills every slot"))
+            .collect()
+    }
+
+    /// Consumes the model into its encoded layers, building no plan.
+    pub fn into_layers(self) -> Vec<EncodedLayer> {
+        self.layers
     }
 
     /// Input dimension (first layer's columns).
@@ -675,7 +699,7 @@ mod tests {
         let l1 = compress(&w1, cfg.compress_config());
         let l2 = compress(&w2, cfg.compress_config());
         let backend = Functional::new();
-        let layers = [PlannedLayer::unplanned(&l1), PlannedLayer::unplanned(&l2)];
+        let layers = [PlannedLayer::Encoded(&l1), PlannedLayer::Encoded(&l2)];
         let runs = crate::run_stack_planned(&backend, &layers, &[quantize(&[1.0, 1.0])]);
         // Layer 1 raw: [-1, 1] → ReLU → [0, 1]; layer 2: 0 + 1 = 1.
         assert_eq!(runs[0].outputs.len(), 1);

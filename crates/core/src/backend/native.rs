@@ -121,15 +121,16 @@ fn contiguous_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
 /// reports the batch's wall time as its latency — batching buys
 /// throughput, not latency, as in the paper.
 ///
-/// The engine owns no plans. A planned layer is walked as handed, its
-/// blocks spread over `min(threads, blocks)` ranges — a model's plans
-/// are cut for the walking engine's threads by whoever fills them
-/// ([`CompiledModel::cut_plans`](super::CompiledModel::cut_plans) in a
-/// server, the job itself in
-/// [`InferenceJob::submit`](crate::InferenceJob::submit)). A bare layer
-/// ([`Backend::run_layer`] / [`Backend::run_layer_batch`]) gets a plan
-/// cut for the engine's threads, built for that call outside the timed
-/// region and dropped after it.
+/// The engine owns no plans. A [`PlannedLayer::Plan`] is walked as
+/// handed, its blocks spread over `min(threads, blocks)` ranges — a
+/// model's plans are cut for the walking engine's threads by whoever
+/// fills them ([`CompiledModel::into_plans`](super::CompiledModel::into_plans)
+/// in a server, the job itself in
+/// [`InferenceJob::submit`](crate::InferenceJob::submit)). An encoded
+/// layer ([`PlannedLayer::Encoded`], [`Backend::run_layer`],
+/// [`Backend::run_layer_batch`]) gets a plan cut for the engine's
+/// threads, built for that call outside the timed region and dropped
+/// after it.
 ///
 /// Concurrent calls on one engine serialize on its execution session;
 /// for parallel serving give each worker its own backend instance, as
@@ -225,10 +226,10 @@ impl NativeCpu {
         outputs
     }
 
-    /// [`NativeCpu::planned`] over the caller's plan — or, for a bare
-    /// layer, one cut for this engine's threads before the clock starts
-    /// — wrapped into timed runs: one item is a solo run, more complete
-    /// as a unit.
+    /// [`NativeCpu::planned`] over the caller's plan — or, for an
+    /// encoded layer, one cut for this engine's threads before the
+    /// clock starts — wrapped into timed runs: one item is a solo run,
+    /// more complete as a unit.
     fn timed<I: AsRef<[Q8p8]>>(
         &self,
         planned: PlannedLayer<'_>,
@@ -236,10 +237,10 @@ impl NativeCpu {
         relu: bool,
     ) -> Vec<BackendRun> {
         let built;
-        let plan = match planned.plan {
-            Some(plan) => plan,
-            None => {
-                built = Arc::new(LayerPlan::build_with_blocks(planned.layer, self.threads));
+        let plan = match planned {
+            PlannedLayer::Plan(plan) => plan,
+            PlannedLayer::Encoded(layer) => {
+                built = Arc::new(LayerPlan::build_with_blocks(layer, self.threads));
                 &built
             }
         };
@@ -919,7 +920,7 @@ impl Backend for NativeCpu {
     }
 
     fn run_layer(&self, layer: &EncodedLayer, acts: &[Q8p8], relu: bool) -> BackendRun {
-        self.run_layer_planned(PlannedLayer::unplanned(layer), acts, relu)
+        self.run_layer_planned(PlannedLayer::Encoded(layer), acts, relu)
     }
 
     fn run_layer_batch(
@@ -928,7 +929,7 @@ impl Backend for NativeCpu {
         batch: &[Vec<Q8p8>],
         relu: bool,
     ) -> Vec<BackendRun> {
-        self.run_layer_batch_planned(PlannedLayer::unplanned(layer), batch, relu)
+        self.run_layer_batch_planned(PlannedLayer::Encoded(layer), batch, relu)
     }
 
     fn wants_plans(&self) -> bool {
@@ -941,7 +942,7 @@ impl Backend for NativeCpu {
         acts: &[Q8p8],
         relu: bool,
     ) -> BackendRun {
-        check_activations(planned.layer, acts);
+        check_activations(planned.cols(), acts);
         let mut runs = self.timed(planned, &[acts], relu);
         runs.pop().expect("one item in, one run out")
     }
@@ -952,7 +953,7 @@ impl Backend for NativeCpu {
         batch: &[Vec<Q8p8>],
         relu: bool,
     ) -> Vec<BackendRun> {
-        check_activation_batch(planned.layer, batch);
+        check_activation_batch(planned.cols(), batch);
         if batch.is_empty() {
             return Vec::new();
         }
@@ -1112,10 +1113,7 @@ mod tests {
         let shared = Arc::new(LayerPlan::build_with_blocks(&enc, 2));
         let snapshot = (*shared).clone();
         assert_eq!(shared.blocks().len(), 2);
-        let planned = super::PlannedLayer {
-            layer: &enc,
-            plan: Some(&shared),
-        };
+        let planned = PlannedLayer::Plan(&shared);
         let batch: Vec<Vec<Q8p8>> = (0..5)
             .map(|i| quantize(&layer.sample_activations(i)))
             .collect();

@@ -169,6 +169,11 @@ impl<'m> InferenceJob<'m> {
     /// first selected layer's input dimension, or the execution
     /// configuration's PE count mismatches the compiled layers.
     pub fn submit(&self, inputs: &[Vec<f32>]) -> JobResult {
+        assert_eq!(
+            self.model.config().num_pes,
+            self.config.num_pes,
+            "layer compressed for a different PE count"
+        );
         let backend = self
             .engine
             .get_or_init(|| Arc::from(self.backend.instantiate(&self.config)));
@@ -194,9 +199,12 @@ impl<'m> InferenceJob<'m> {
             _ => 1,
         };
         (self.first..self.end)
-            .map(|i| PlannedLayer {
-                layer: self.model.layer(i),
-                plan: wants_plans.then(|| self.model.plan_cut(i, threads)),
+            .map(|i| {
+                if wants_plans {
+                    PlannedLayer::Plan(self.model.plan_cut(i, threads))
+                } else {
+                    PlannedLayer::Encoded(self.model.layer(i))
+                }
             })
             .collect()
     }
@@ -503,11 +511,14 @@ fn chain_stack(
     let mut latency_s = vec![0.0f64; n];
     let mut amortized_s = vec![0.0f64; n];
     let mut stats: Vec<Option<SimStats>> = vec![None; n];
-    let mut current: Vec<Vec<Q8p8>> = batch.to_vec();
+    // Layer 0 reads the caller's batch in place; each later layer
+    // reads the owned outputs of the one before.
+    let mut current: Vec<Vec<Q8p8>> = Vec::new();
     let mut phases: Vec<LayerPhase> = Vec::with_capacity(layers.len());
     for (li, layer) in layers.iter().enumerate() {
         let relu = li + 1 < layers.len();
-        let runs = backend.run_layer_batch_planned(*layer, &current, relu);
+        let input = if li == 0 { batch } else { &current };
+        let runs = backend.run_layer_batch_planned(*layer, input, relu);
         let mut phase = LayerPhase {
             latency_s: 0.0,
             stats: None,
@@ -578,13 +589,6 @@ fn execute_stack(
 ) -> JobResult {
     assert!(!layers.is_empty(), "inference job needs at least one layer");
     assert!(!inputs.is_empty(), "batch must be non-empty");
-    for planned in layers {
-        assert_eq!(
-            planned.layer.num_pes(),
-            config.num_pes,
-            "layer compressed for a different PE count"
-        );
-    }
     let quantized: Vec<Vec<Q8p8>> = inputs
         .iter()
         .map(|acts| Q8p8::from_f32_slice(acts))

@@ -253,8 +253,8 @@ proptest! {
     }
 
     /// Plans passed explicitly through the model's plan slots (the
-    /// serving path: `planned_layer` → `run_layer_batch_planned`) agree
-    /// with the golden model.
+    /// serving path: `plan` → `PlannedLayer::Plan` →
+    /// `run_layer_batch_planned`) agree with the golden model.
     #[test]
     fn model_plan_cache_path_bit_exact((enc, batch) in arb_case()) {
         let config = EieConfig::default().with_num_pes(enc.num_pes());
@@ -263,7 +263,7 @@ proptest! {
         // thread the engine has.
         let backend = NativeCpu::with_threads(1);
         prop_assert_eq!(model.plans_built(), 0);
-        let planned = model.planned_layer(0);
+        let planned = PlannedLayer::Plan(model.plan(0));
         prop_assert_eq!(model.plans_built(), 1);
         let via_model = backend.run_layer_batch_planned(planned, &batch, false);
         let plan = model.plan(0);
@@ -312,8 +312,8 @@ fn assert_fan_outs_match_golden(enc: &EncodedLayer, batch: &[Vec<Q8p8>], relu: b
         let engine = NativeCpu::with_threads(threads);
         let own = engine.run_layer_batch(enc, batch, relu);
         model.cut_plans(threads);
-        let shared = engine.run_layer_batch_planned(model.planned_layer(0), batch, relu);
-        let solo = engine.run_layer_planned(model.planned_layer(0), &batch[0], relu);
+        let shared = engine.run_layer_batch_planned(PlannedLayer::Plan(model.plan(0)), batch, relu);
+        let solo = engine.run_layer_planned(PlannedLayer::Plan(model.plan(0)), &batch[0], relu);
         assert_eq!(solo.outputs, golden[0].outputs, "solo {threads}t");
         for i in 0..batch.len() {
             assert_eq!(own[i].outputs, golden[i].outputs, "item {i} {threads}t");

@@ -75,7 +75,8 @@ fn assert_threads_agree(
     batch: &[Vec<Q8p8>],
     threads: usize,
 ) -> Result<(), TestCaseError> {
-    let golden = run_stack_planned(&Functional::new(), &model.planned_layers(), batch);
+    let encoded: Vec<_> = model.layers().iter().map(PlannedLayer::Encoded).collect();
+    let golden = run_stack_planned(&Functional::new(), &encoded, batch);
     model.cut_plans(threads);
     let engine = NativeCpu::with_threads(threads);
     let runs = run_stack_planned(&engine, &model.planned_layers(), batch);

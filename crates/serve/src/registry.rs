@@ -9,21 +9,24 @@
 //!   until the first request routes to it.
 //! * **Residency is a [`ModelServer`]** — first [`acquire`] of a name
 //!   reads and validates the artifact, builds the model's execution
-//!   plans, starts its worker pool and bounded queue, and caches the
-//!   `Arc`. All of that happens on the acquiring thread before
-//!   [`acquire`] returns: the model it hands out is resident in full,
-//!   every worker shares the plans it finds in the `CompiledModel`'s
-//!   cache, and the model's memory is allocated — and, on eviction,
-//!   freed — by the long-lived thread that routes requests, not by a
-//!   worker thread that dies with the model.
+//!   plans (under a plan-walking backend) and frees its encoded layers,
+//!   starts its worker pool and bounded queue, and caches the `Arc`.
+//!   All of that happens on the acquiring thread before [`acquire`]
+//!   returns: the model it hands out is resident in full and in one
+//!   copy — the plans every worker walks, or the encoded layers under a
+//!   backend that streams them — and the model's memory is allocated —
+//!   and, on eviction, freed — by the long-lived thread that routes
+//!   requests, not by a worker thread that dies with the model.
 //! * **Eviction is LRU by artifact bytes** — the charge is the length
 //!   of the stored image as read (the container admits no slack, so it
-//!   equals `CompiledModel::artifact_bytes`). When loading a model would
-//!   push the resident total past the byte budget, the registry shuts
-//!   down least-recently-used resident models first. A model with
-//!   requests in flight (an outstanding [`acquire`] lease — detected by
-//!   its `Arc` strong count) is **pinned**: it is never evicted, and
-//!   in-flight requests are never severed. The budget is therefore a
+//!   equals `CompiledModel::artifact_bytes`), not what a server holds:
+//!   AlexNet FC6–8 at 64 PEs charges its 18.2 MB csc-nibble artifact
+//!   while a native server keeps its 12.0 MB of plans. When loading a
+//!   model would push the resident total past the byte budget, the
+//!   registry shuts down least-recently-used resident models first. A
+//!   model with requests in flight (an outstanding [`acquire`] lease —
+//!   detected by its `Arc` strong count) is **pinned**: it is never
+//!   evicted, and in-flight requests are never severed. The budget is therefore a
 //!   bound on *cold* residency: a burst that pins everything may
 //!   temporarily exceed it, and the model being admitted always is.
 //!

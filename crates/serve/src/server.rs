@@ -9,9 +9,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use eie_core::backend::host_cores;
-use eie_core::compress::LANE_WIDTH;
+use eie_core::compress::{EncodedLayer, LayerPlan, LANE_WIDTH};
 use eie_core::fixed::Q8p8;
-use eie_core::{run_stack_planned, BackendKind, CompiledModel, ModelArtifactError, PlannedLayer};
+use eie_core::{
+    run_stack_planned, BackendKind, CompiledModel, EieConfig, ModelArtifactError, PlannedLayer,
+};
 
 use crate::fault::FaultPlan;
 use crate::queue::{MicroBatchQueue, PushError};
@@ -672,6 +674,20 @@ impl fmt::Display for ServerStats {
     }
 }
 
+/// What a server keeps of its model: the name, the configuration its
+/// workers instantiate backends for, the input width admission checks,
+/// and one resident copy of the weights — the cut plans when the
+/// backend walks plans (the encoded layers freed), the encoded layers
+/// otherwise.
+#[derive(Debug)]
+struct ServedModel {
+    name: String,
+    config: EieConfig,
+    input_dim: usize,
+    plans: Vec<Arc<LayerPlan>>,
+    layers: Vec<EncodedLayer>,
+}
+
 /// A live serving instance of one compiled model: a bounded request
 /// queue feeding `workers` threads, each owning one instantiated
 /// [`Backend`](eie_core::Backend).
@@ -705,7 +721,7 @@ impl fmt::Display for ServerStats {
 /// ```
 #[derive(Debug)]
 pub struct ModelServer {
-    model: Arc<CompiledModel>,
+    model: Arc<ServedModel>,
     queue: Arc<MicroBatchQueue<Request>>,
     workers: Vec<JoinHandle<()>>,
     /// The server's one tally of requests, batches and latencies: every
@@ -722,10 +738,11 @@ impl ModelServer {
     /// Starts the server: resolves the backend for its workers
     /// ([`BackendKind::per_worker`] — `NativeCpu(0)` becomes each
     /// worker's share of the cores, `t` threads), builds the model's
-    /// execution plans cut into at least `t` blocks (when the backend
-    /// walks plans), spawns the worker pool and begins accepting
-    /// requests. On return the model is fully resident: the first
-    /// request pays a dispatch, not a decode.
+    /// execution plans cut into at least `t` blocks and frees the
+    /// encoded layers (when the backend walks plans), spawns the worker
+    /// pool and begins accepting requests. On return the model is fully
+    /// resident, in one copy: the first request pays a dispatch, not a
+    /// decode.
     ///
     /// # Panics
     ///
@@ -742,7 +759,7 @@ impl ModelServer {
     /// latency. The chaos harness's entry point; `None` is exactly
     /// `start`.
     pub fn start_with_faults(
-        mut model: CompiledModel,
+        model: CompiledModel,
         config: ServerConfig,
         faults: Option<Arc<FaultPlan>>,
     ) -> Self {
@@ -755,19 +772,26 @@ impl ModelServer {
         };
         // Build the plans here, on the caller's thread, whenever the
         // workers will walk them (the native kernel is the backend that
-        // does): the model's largest allocation is then made (and, once
-        // the server is dropped, freed) by the long-lived thread that
-        // loaded it rather than inside a worker's short-lived malloc
-        // arena, every worker's `planned_layers()` is a cache hit, and
-        // the first request never queues behind a build. Cut for the
-        // kernel's threads, the one shared plan is what every worker
-        // engine walks on all its threads: a coarser one would leave
-        // threads idle. Backends that stream the layers get
-        // no plan.
-        if let BackendKind::NativeCpu(threads) = config.backend {
-            model.cut_plans(threads);
-        }
-        let model = Arc::new(model);
+        // does), and free the encoded layers here too: the model's
+        // largest allocations are then made and freed by the long-lived
+        // thread that loaded it rather than inside a worker's
+        // short-lived malloc arena, and the first request never queues
+        // behind a build. Cut for the kernel's threads, the one shared
+        // plan is what every worker engine walks on all its threads: a
+        // coarser one would leave threads idle. Backends that stream
+        // the layers keep them and get no plan.
+        let (name, cfg, input_dim) = (model.name().into(), *model.config(), model.input_dim());
+        let (plans, layers) = match config.backend {
+            BackendKind::NativeCpu(threads) => (model.into_plans(threads), Vec::new()),
+            _ => (Vec::new(), model.into_layers()),
+        };
+        let model = Arc::new(ServedModel {
+            name,
+            config: cfg,
+            input_dim,
+            plans,
+            layers,
+        });
         let queue = Arc::new(MicroBatchQueue::new(config.queue_depth));
         let counters = Arc::new(FaultCounters::default());
         let tally = Arc::new(Mutex::new(ServerStats::default()));
@@ -803,9 +827,21 @@ impl ModelServer {
         Ok(Self::start(CompiledModel::load(path)?, config))
     }
 
-    /// The model being served.
-    pub fn model(&self) -> &CompiledModel {
-        &self.model
+    /// The served model's name ("" when unnamed).
+    pub fn name(&self) -> &str {
+        &self.model.name
+    }
+
+    /// The plans the workers walk, input to output, cut for the
+    /// kernel's threads at start — empty unless the backend walks plans.
+    pub fn plans(&self) -> &[Arc<LayerPlan>] {
+        &self.model.plans
+    }
+
+    /// The encoded layers the workers walk, input to output — empty
+    /// when the backend walks plans (the server freed them at start).
+    pub fn layers(&self) -> &[EncodedLayer] {
+        &self.model.layers
     }
 
     /// The serving policy, with the backend as resolved at start
@@ -896,10 +932,10 @@ impl ModelServer {
         input: &[f32],
         opts: SubmitOptions,
     ) -> Result<(Request, mpsc::Receiver<Result<RequestResult, RequestError>>), SubmitError> {
-        if input.len() != self.model.input_dim() {
+        if input.len() != self.model.input_dim {
             return Err(SubmitError::BadInputLength {
                 got: input.len(),
-                want: self.model.input_dim(),
+                want: self.model.input_dim,
             });
         }
         if opts.attempt > 0 {
@@ -1004,12 +1040,11 @@ fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One worker: instantiate its backend, resolve the model's planned
-/// layers (already built into the model's shared cache by
-/// [`ModelServer::start_with_faults`], so every worker — and every
-/// respawn — scans the same pre-decoded arrays without building any),
-/// then claim → execute → answer micro-batches until the queue closes
-/// and drains.
+/// One worker: instantiate its backend, resolve the layers it walks
+/// (the plans [`ModelServer::start_with_faults`] built, so every
+/// worker — and every respawn — scans the same pre-decoded arrays
+/// without building any; or the encoded layers), then claim → execute
+/// → answer micro-batches until the queue closes and drains.
 ///
 /// # Quarantine
 ///
@@ -1032,7 +1067,7 @@ fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
 /// without a backend slot.
 fn worker_loop(
     worker: usize,
-    model: &CompiledModel,
+    model: &ServedModel,
     config: ServerConfig,
     queue: &MicroBatchQueue<Request>,
     tally: &Mutex<ServerStats>,
@@ -1042,12 +1077,12 @@ fn worker_loop(
     let max_wait = Duration::from_micros(config.max_wait_us);
     let mut consecutive_restarts = 0u32;
     'respawn: loop {
-        let backend = config.backend.instantiate(model.config());
-        let layers: Vec<PlannedLayer<'_>> = if backend.wants_plans() {
-            model.planned_layers()
-        } else {
-            model.layers().iter().map(PlannedLayer::unplanned).collect()
-        };
+        let backend = config.backend.instantiate(&model.config);
+        // The server holds exactly one of the two (`start_with_faults`).
+        let plans = model.plans.iter().map(PlannedLayer::Plan);
+        let layers: Vec<_> = plans
+            .chain(model.layers.iter().map(PlannedLayer::Encoded))
+            .collect();
         while let Some(mut batch) = queue.pop_batch(config.max_batch, max_wait) {
             if batch.is_empty() {
                 continue;

@@ -62,6 +62,7 @@ fn respawn_after_a_panic_rebuilds_no_plan() {
     let golden = model
         .infer(BackendKind::Functional)
         .submit(std::slice::from_ref(&input));
+    let layers = model.num_layers();
     let server = ModelServer::start_with_faults(
         model,
         ServerConfig::default()
@@ -69,10 +70,9 @@ fn respawn_after_a_panic_rebuilds_no_plan() {
             .with_restart_backoff_us(50),
         Some(Arc::new(FaultPlan::new().panic_on_dispatch(0))),
     );
-    let layers = server.model().num_layers();
-    assert_eq!(server.model().plans_built(), layers, "built by start");
+    assert_eq!(server.plans().len(), layers, "built by start");
     let before: Vec<_> = (0..layers)
-        .map(|i| Arc::clone(server.model().plan(i)))
+        .map(|i| Arc::clone(&server.plans()[i]))
         .collect();
 
     let failed = server.submit(&input).unwrap().wait();
@@ -80,10 +80,10 @@ fn respawn_after_a_panic_rebuilds_no_plan() {
     let recovered = server.submit(&input).unwrap().wait().expect("respawned");
     assert_eq!(&recovered.outputs[..], golden.outputs(0));
 
-    assert_eq!(server.model().plans_built(), layers);
+    assert_eq!(server.plans().len(), layers);
     for (i, plan) in before.iter().enumerate() {
         assert!(
-            Arc::ptr_eq(plan, server.model().plan(i)),
+            Arc::ptr_eq(plan, &server.plans()[i]),
             "layer {i}'s plan was rebuilt"
         );
     }
@@ -92,6 +92,70 @@ fn respawn_after_a_panic_rebuilds_no_plan() {
         (stats.worker_restarts, stats.failed, stats.requests),
         (1, 1, 1)
     );
+}
+
+/// One resident copy of the weights: a native server keeps the plans
+/// it cut at start and frees the encoded layers; a Functional or
+/// CycleAccurate server keeps the encoded layers and builds no plan.
+/// Every one answers bit-exactly with the functional golden at batch 1
+/// and 16, before and after an injected worker panic and respawn, and
+/// the respawn leaves the residency as it was.
+#[test]
+fn a_server_keeps_one_resident_copy_of_the_weights() {
+    quiet_injected_panics();
+    let model = model_for((16, 24, 8), 9);
+    let inputs: Vec<Vec<f32>> = (0..16)
+        .map(|i| sample_activations(16, 0.4, false, 30 + i))
+        .collect();
+    let golden = model.infer(BackendKind::Functional).submit(&inputs);
+    for backend in [
+        BackendKind::NativeCpu(2),
+        BackendKind::Functional,
+        BackendKind::CycleAccurate,
+    ] {
+        // Dispatches 0 and 1 serve batch 1 and 16; dispatch 2 panics.
+        // The window is long enough for 16 submits to fill a dispatch
+        // and short enough that a lone request pays little for it.
+        let server = ModelServer::start_with_faults(
+            model.clone(),
+            ServerConfig::default()
+                .with_backend(backend)
+                .with_workers(1)
+                .with_max_wait_us(250_000)
+                .with_restart_backoff_us(50),
+            Some(Arc::new(FaultPlan::new().panic_on_dispatch(2))),
+        );
+        let assert_resident = |when: &str| {
+            if backend == BackendKind::NativeCpu(2) {
+                assert!(server.layers().is_empty(), "{when}: layers kept");
+                assert_eq!(server.plans().len(), model.num_layers(), "{when}");
+                for plan in server.plans() {
+                    assert!(plan.blocks().len() >= 2.min(plan.rows()), "{when}: cut");
+                }
+            } else {
+                assert_eq!(server.layers(), model.layers(), "{backend} {when}");
+                assert!(server.plans().is_empty(), "{backend} {when}: plan built");
+            }
+        };
+        let assert_serves = |when: &str| {
+            let one = server.submit(&inputs[0]).unwrap().wait().unwrap();
+            assert_eq!((one.coalesced, &one.outputs[..]), (1, golden.outputs(0)));
+            let responses: Vec<_> = inputs.iter().map(|x| server.submit(x).unwrap()).collect();
+            for (i, response) in responses.into_iter().enumerate() {
+                let result = response.wait().unwrap();
+                assert_eq!(result.coalesced, 16, "{backend} {when}: item {i}");
+                assert_eq!(&result.outputs[..], golden.outputs(i), "{backend} {when}");
+            }
+        };
+        assert_resident("at start");
+        assert_serves("before the panic");
+        let failed = server.submit(&inputs[0]).unwrap().wait();
+        assert!(matches!(failed, Err(RequestError::WorkerFailed { .. })));
+        assert_serves("after the respawn");
+        assert_resident("after the respawn");
+        let stats = server.shutdown();
+        assert_eq!((stats.worker_restarts, stats.failed), (1, 1), "{backend}");
+    }
 }
 
 proptest! {

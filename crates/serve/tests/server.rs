@@ -3,7 +3,9 @@
 use eie_core::backend::host_cores;
 use eie_core::fixed::Q8p8;
 use eie_core::nn::zoo::{random_sparse, sample_activations};
-use eie_core::{run_stack_planned, BackendKind, CompiledModel, EieConfig, Functional, NativeCpu};
+use eie_core::{
+    run_stack_planned, BackendKind, CompiledModel, EieConfig, Functional, NativeCpu, PlannedLayer,
+};
 use eie_serve::{ModelServer, ServerConfig, SubmitError};
 
 fn small_model() -> CompiledModel {
@@ -61,7 +63,7 @@ fn load_serves_a_saved_artifact() {
     let golden = model.infer(BackendKind::Functional).submit(&inputs(4));
 
     let server = ModelServer::load(&path, ServerConfig::default()).expect("load artifact");
-    assert_eq!(server.model().name(), "serve test");
+    assert_eq!(server.name(), "serve test");
     for (i, input) in inputs(4).iter().enumerate() {
         let result = server.submit(input).unwrap().wait().unwrap();
         assert_eq!(result.outputs[..], *golden.outputs(i));
@@ -248,8 +250,7 @@ fn the_default_kernel_takes_each_workers_share_of_the_cores() {
     let server = ModelServer::start(small_model(), ServerConfig::default().with_workers(1));
     assert_eq!(server.config().backend, BackendKind::NativeCpu(cores));
     let input = &inputs(1)[0];
-    let golden = server
-        .model()
+    let golden = small_model()
         .infer(BackendKind::Functional)
         .submit_one(input);
     let served = server.submit(input).unwrap().wait().unwrap();
@@ -270,32 +271,26 @@ fn start_cuts_the_shared_plan_for_the_kernel_threads() {
         let BackendKind::NativeCpu(threads) = server.config().backend else {
             unreachable!("a native backend resolves to a native backend")
         };
-        let model = server.model();
-        assert_eq!(model.plans_built(), model.num_layers(), "built by start");
-        for i in 0..model.num_layers() {
-            let plan = model.plan(i);
+        let model = small_model();
+        assert_eq!(server.plans().len(), model.num_layers(), "built by start");
+        for (i, plan) in server.plans().iter().enumerate() {
             assert!(
                 plan.blocks().len() >= threads.min(plan.rows()),
                 "{backend}: layer {i} has {} blocks for {threads} threads",
                 plan.blocks().len()
             );
         }
+        // The plans checked above are the ones the workers walk.
         let engine = NativeCpu::with_threads(threads);
-        let planned = model.planned_layers();
+        let planned: Vec<_> = server.plans().iter().map(PlannedLayer::Plan).collect();
         let batch: Vec<Vec<Q8p8>> = inputs(9).iter().map(|i| Q8p8::from_f32_slice(i)).collect();
-        let golden = run_stack_planned(&Functional::new(), &planned, &batch);
+        let encoded: Vec<_> = model.layers().iter().map(PlannedLayer::Encoded).collect();
+        let golden = run_stack_planned(&Functional::new(), &encoded, &batch);
         let single = run_stack_planned(&engine, &planned, &batch[..1]);
         let fused = run_stack_planned(&engine, &planned, &batch);
         assert_eq!(single[0].outputs, golden[0].outputs);
         for (got, want) in fused.iter().zip(&golden) {
             assert_eq!(got.outputs, want.outputs);
-        }
-        for layer in &planned {
-            let plan = layer.plan.expect("start built every plan");
-            assert!(
-                plan.blocks().len() >= threads.min(plan.rows()),
-                "{backend}: a walked plan is cut coarser than the fan-out"
-            );
         }
         server.shutdown();
     }
