@@ -125,7 +125,7 @@ fn roof_steps_per_s(harness: &TimingHarness, config: EieConfig) -> (f64, f64) {
         engine.run_layer_batch_planned(planned, &batch, false)
     });
     let single_us = fastest_us(harness, || {
-        engine.run_layer_planned(planned, &batch[0], false)
+        engine.run_layer_batch_planned(planned, &batch[..1], false)
     });
     (steps / (lane_us * 1e-6), steps / (single_us * 1e-6))
 }
@@ -294,7 +294,7 @@ fn main() {
     );
 
     for (name, model, batch) in &subjects {
-        let (name, batch, acts) = (*name, batch, &batch[0]);
+        let name = *name;
         let enc = model.layer(0);
         let (rows, cols) = (enc.rows(), enc.cols());
         // What the walk visits: the plan's entries per column.
@@ -321,12 +321,12 @@ fn main() {
         // both walks must agree bit-exactly with the functional golden
         // at batch 1 and at the largest swept batch (covering the lane
         // walk's padded tail blocks).
-        let golden = Functional::new();
-        let want = golden.run_layer(enc, acts, false).outputs;
-        let want_b = golden.run_layer_batch(enc, batch, false);
+        let want_b =
+            Functional::new().run_layer_batch_planned(PlannedLayer::Encoded(enc), batch, false);
         for ((threads, planned, engine), plan) in setups.iter().zip(&served) {
             assert!(
-                engine.run_layer_planned(*planned, acts, false).outputs == want,
+                engine.run_layer_batch_planned(*planned, &batch[..1], false)[0].outputs
+                    == want_b[0].outputs,
                 "{name}: the single-item walk diverged"
             );
             let runs = engine.run_layer_batch_planned(*planned, batch, false);
@@ -360,13 +360,9 @@ fn main() {
         for _ in 0..passes {
             for (bi, &b) in batches.iter().enumerate() {
                 for (si, (_, planned, engine)) in setups.iter().enumerate() {
-                    let pass = if b == 1 {
-                        harness.measure_us(|| engine.run_layer_planned(*planned, acts, false))
-                    } else {
-                        harness.measure_us(|| {
-                            engine.run_layer_batch_planned(*planned, &batch[..b], false)
-                        }) / b as f64
-                    };
+                    let pass = harness.measure_us(|| {
+                        engine.run_layer_batch_planned(*planned, &batch[..b], false)
+                    }) / b as f64;
                     us[si][bi] = us[si][bi].min(pass);
                 }
             }
@@ -383,11 +379,7 @@ fn main() {
                     format!("batch{b}")
                 };
                 let us = us[si][bi];
-                let items = if b == 1 {
-                    std::slice::from_ref(acts)
-                } else {
-                    &batch[..b]
-                };
+                let items = &batch[..b];
                 let (entries, macs) = walk_cost(&col_entries, items, lane_block_items(b));
                 let bytes_touched = (entries * size_of::<PlanEntry>()) as f64 / b as f64;
                 let gbps = bytes_touched / (us * 1e3);

@@ -1,10 +1,9 @@
 //! The cycle-accurate backend: `eie-sim` behind the [`Backend`] trait.
 
-use eie_compress::EncodedLayer;
 use eie_fixed::Q8p8;
 use eie_sim::{simulate_fixed, SimConfig};
 
-use super::{check_activations, Backend, BackendRun};
+use super::{check_activation_batch, Backend, BackendRun, PlannedLayer};
 
 /// Executes layers on the cycle-accurate simulator (paper §V).
 ///
@@ -35,19 +34,26 @@ impl Backend for CycleAccurate {
         "cycle-accurate"
     }
 
-    fn is_modeled(&self) -> bool {
-        true
+    // Items run one after another: the hardware has no batch dimension,
+    // so there is nothing to fuse (`eie_sim`'s own `simulate_batch`
+    // serves direct simulator users the same way).
+    fn run_layer_batch_planned(
+        &self,
+        planned: PlannedLayer<'_>,
+        batch: &[Vec<Q8p8>],
+        relu: bool,
+    ) -> Vec<BackendRun> {
+        let layer = planned.encoded();
+        check_activation_batch(layer.cols(), batch);
+        batch
+            .iter()
+            .map(|acts| {
+                let run = simulate_fixed(layer, acts, &self.sim, relu);
+                let latency_s = run.stats.seconds_at(self.sim.clock_hz);
+                BackendRun::solo(run.outputs, latency_s, Some(run.stats))
+            })
+            .collect()
     }
-
-    fn run_layer(&self, layer: &EncodedLayer, acts: &[Q8p8], relu: bool) -> BackendRun {
-        check_activations(layer.cols(), acts);
-        let run = simulate_fixed(layer, acts, &self.sim, relu);
-        let latency_s = run.stats.seconds_at(self.sim.clock_hz);
-        BackendRun::solo(run.outputs, latency_s, Some(run.stats))
-    }
-    // Batches use the trait's default per-item loop: the hardware has no
-    // batch dimension, so there is nothing to fuse (`eie_sim`'s own
-    // `simulate_batch` serves direct simulator users the same way).
 }
 
 #[cfg(test)]
@@ -66,13 +72,16 @@ mod tests {
             .map(|&a| Q8p8::from_f32(a))
             .collect();
         let backend = CycleAccurate::new(SimConfig::default());
-        let run = backend.run_layer(&enc, &acts, false);
+        let planned = PlannedLayer::Encoded(&enc);
+        let run = backend
+            .run_layer_batch_planned(planned, std::slice::from_ref(&acts), false)
+            .remove(0);
         let stats = run.stats.as_ref().expect("cycle backend keeps stats");
         assert!(stats.total_cycles > 0);
         assert!((run.latency_s - stats.total_cycles as f64 / 800e6).abs() < 1e-15);
         // Batched entry agrees with the per-item path.
         let batch = vec![acts.clone(), acts];
-        let runs = backend.run_layer_batch(&enc, &batch, false);
+        let runs = backend.run_layer_batch_planned(planned, &batch, false);
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].outputs, run.outputs);
         assert_eq!(runs[1].stats, run.stats);

@@ -2,11 +2,10 @@
 
 use std::time::Instant;
 
-use eie_compress::EncodedLayer;
 use eie_fixed::Q8p8;
 use eie_sim::functional;
 
-use super::{check_activations, Backend, BackendRun};
+use super::{check_activation_batch, Backend, BackendRun, PlannedLayer};
 
 /// Executes layers on the bit-exact functional golden model.
 ///
@@ -31,11 +30,20 @@ impl Backend for Functional {
         "functional"
     }
 
-    fn run_layer(&self, layer: &EncodedLayer, acts: &[Q8p8], relu: bool) -> BackendRun {
-        check_activations(layer.cols(), acts);
-        let start = Instant::now();
-        let outputs = functional::execute(layer, acts, relu);
-        BackendRun::solo(outputs, start.elapsed().as_secs_f64(), None)
+    fn run_layer_batch_planned(
+        &self,
+        planned: PlannedLayer<'_>,
+        batch: &[Vec<Q8p8>],
+        relu: bool,
+    ) -> Vec<BackendRun> {
+        let layer = planned.encoded();
+        check_activation_batch(layer.cols(), batch);
+        let run = |acts: &Vec<Q8p8>| {
+            let start = Instant::now();
+            let outputs = functional::execute(layer, acts, relu);
+            BackendRun::solo(outputs, start.elapsed().as_secs_f64(), None)
+        };
+        batch.iter().map(run).collect()
     }
 }
 
@@ -55,7 +63,13 @@ mod tests {
             .map(|&a| Q8p8::from_f32(a))
             .collect();
         let backend = Functional::new();
-        let run = backend.run_layer(&enc, &acts, false);
+        let run = backend
+            .run_layer_batch_planned(
+                PlannedLayer::Encoded(&enc),
+                std::slice::from_ref(&acts),
+                false,
+            )
+            .remove(0);
         assert_eq!(run.outputs, functional::execute(&enc, &acts, false));
         assert!(run.latency_s >= 0.0);
         assert!(run.stats.is_none(), "the golden model has no cycle stats");

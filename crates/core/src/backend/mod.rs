@@ -39,26 +39,16 @@ pub use cycle::CycleAccurate;
 pub use functional::Functional;
 pub use native::{host_cores, lane_block_items, lane_isa, NativeCpu};
 
-/// Validates one activation vector against a layer's input dimension —
+/// Validates every item of a batch against a layer's input dimension —
 /// the shared entry-point check every backend applies before touching
 /// the kernel, so malformed input fails with one message everywhere.
-///
-/// # Panics
-///
-/// Panics if `acts.len() != cols`.
-pub(crate) fn check_activations(cols: usize, acts: &[Q8p8]) {
-    assert_eq!(acts.len(), cols, "activation length mismatch");
-}
-
-/// Validates every item of a batch against a layer's input dimension
-/// (the batched entry-point analogue of [`check_activations`]).
 ///
 /// # Panics
 ///
 /// Panics if any item's length differs from `cols`.
 pub(crate) fn check_activation_batch(cols: usize, batch: &[Vec<Q8p8>]) {
     for item in batch {
-        check_activations(cols, item);
+        assert_eq!(item.len(), cols, "activation length mismatch");
     }
 }
 
@@ -74,7 +64,7 @@ pub enum BackendKind {
     /// The host-speed multi-threaded kernel with this many worker
     /// threads (`0` = one per available core, or, behind a serving
     /// worker pool, each worker's share of them —
-    /// [`BackendKind::per_worker`]), executing cached pre-decoded
+    /// [`BackendKind::per_worker`]), executing pre-decoded
     /// [`LayerPlan`]s on a persistent worker pool.
     NativeCpu(usize),
 }
@@ -111,6 +101,32 @@ impl BackendKind {
             other => other,
         }
     }
+
+    /// The one place that decides which form of a layer this kind's
+    /// backend walks: `Some(t)` when it walks [`LayerPlan`]s cut into at
+    /// least `t` blocks (one per kernel thread; `NativeCpu(0)` counts the
+    /// host's cores), `None` when it walks the [`EncodedLayer`]. Hand
+    /// the backend the other form and it panics.
+    ///
+    /// ```
+    /// use eie_core::BackendKind;
+    ///
+    /// assert_eq!(BackendKind::NativeCpu(3).plan_cut(), Some(3));
+    /// assert_eq!(BackendKind::Functional.plan_cut(), None);
+    /// ```
+    pub fn plan_cut(self) -> Option<usize> {
+        match self {
+            BackendKind::NativeCpu(0) => Some(host_cores()),
+            BackendKind::NativeCpu(threads) => Some(threads),
+            BackendKind::CycleAccurate | BackendKind::Functional => None,
+        }
+    }
+
+    /// `true` when this kind's [`BackendRun::latency_s`] is modelled
+    /// hardware time; `false` when it is measured host wall-clock.
+    pub fn is_modeled(self) -> bool {
+        self == BackendKind::CycleAccurate
+    }
 }
 
 impl fmt::Display for BackendKind {
@@ -125,13 +141,13 @@ impl fmt::Display for BackendKind {
 }
 
 /// One layer as a backend executes it: the compressed layer, or its
-/// pre-built execution plan — the unit the inference core hands to
-/// [`Backend::run_layer_planned`] / [`Backend::run_layer_batch_planned`].
+/// pre-built execution plan — what the inference core hands to
+/// [`Backend::run_layer_batch_planned`].
 ///
-/// The cycle model and the golden model walk the encoded layer; a
-/// plan-aware backend ([`Backend::wants_plans`]) walks a plan, and
-/// builds one for the call when handed an encoded layer. A
-/// [`CompiledModel`] hands out either ([`CompiledModel::planned_layers`],
+/// Each backend walks exactly one form, the one its kind's
+/// [`BackendKind::plan_cut`] names: the cycle model and the golden model
+/// the encoded layer, the native kernel a plan. A [`CompiledModel`] hands
+/// out either ([`CompiledModel::planned_layers`],
 /// [`CompiledModel::layers`]); a native `ModelServer` keeps only the
 /// plans, so its workers hold no encoded layer at all.
 #[derive(Debug, Clone, Copy)]
@@ -143,35 +159,42 @@ pub enum PlannedLayer<'a> {
 }
 
 impl<'a> PlannedLayer<'a> {
-    /// The layer's input dimension.
-    pub fn cols(&self) -> usize {
-        match self {
-            PlannedLayer::Encoded(layer) => layer.cols(),
-            PlannedLayer::Plan(plan) => plan.cols(),
-        }
-    }
-
     /// The encoded layer, for a backend that walks it.
     ///
     /// # Panics
     ///
-    /// Panics on a plan: only a backend that [`Backend::wants_plans`]
-    /// is handed one.
+    /// Panics on a plan: only a backend whose
+    /// [`BackendKind::plan_cut`] is `Some` is handed one.
     fn encoded(self) -> &'a EncodedLayer {
         match self {
             PlannedLayer::Encoded(layer) => layer,
             PlannedLayer::Plan(_) => panic!("this backend walks encoded layers, not plans"),
         }
     }
+
+    /// The plan, for a backend that walks plans.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an encoded layer: only a backend whose
+    /// [`BackendKind::plan_cut`] is `None` is handed one.
+    fn plan(self) -> &'a Arc<LayerPlan> {
+        match self {
+            PlannedLayer::Plan(plan) => plan,
+            PlannedLayer::Encoded(_) => panic!("this backend walks plans, not encoded layers"),
+        }
+    }
 }
 
-/// Per-item result of one backend execution (a layer or a network).
+/// Per-item result of one backend execution (a layer or a network):
+/// [`Backend::run_layer_batch_planned`] returns one per batch item.
 #[derive(Debug, Clone)]
 pub struct BackendRun {
     /// Output activations by global row, Q8.8.
     pub outputs: Vec<Q8p8>,
     /// Item latency in seconds: modelled hardware time for
-    /// [`CycleAccurate`], measured host wall-clock otherwise.
+    /// [`CycleAccurate`] ([`BackendKind::is_modeled`]), measured host
+    /// wall-clock otherwise.
     ///
     /// For items of a *fused* batch this is the whole batch's wall time
     /// (the batch completes as a unit, so that is each item's serving
@@ -211,96 +234,41 @@ impl BackendRun {
 }
 
 /// An execution backend: anything that can run a compressed layer on
-/// quantized activations.
+/// a batch of quantized activations.
 ///
-/// The trait's surface is deliberately the two layer-level primitives —
-/// multi-layer chaining (ReLU between layers) lives in exactly one
-/// place, the inference core behind
+/// The trait's surface is one layer-level primitive — a single item is
+/// a batch of one — and multi-layer chaining (ReLU between layers)
+/// lives in exactly one place, the inference core behind
 /// [`CompiledModel::infer`](CompiledModel::infer) and
 /// [`run_stack_planned`](crate::run_stack_planned), so a second
-/// network path cannot drift from the served one.
+/// network path cannot drift from the served one. Which form of a layer
+/// a backend walks, and whether its latency is modelled, are facts of
+/// its [`BackendKind`] ([`BackendKind::plan_cut`],
+/// [`BackendKind::is_modeled`]), not of the trait.
 ///
 /// Implementations must be bit-exact with the functional golden model:
 /// same zero-activation skipping (the broadcast schedule), same
 /// accumulation order, same `Q8p8` writeback. Only *timing semantics*
-/// may differ — see [`Backend::is_modeled`].
+/// may differ.
 pub trait Backend: fmt::Debug + Send + Sync {
     /// A short stable name for reports (`"cycle-accurate"`, …).
     fn name(&self) -> &'static str;
 
-    /// `true` when [`BackendRun::latency_s`] is modelled hardware time;
-    /// `false` when it is measured host wall-clock.
-    fn is_modeled(&self) -> bool {
-        false
-    }
-
-    /// Executes one layer (raw M×V; `relu` applies ReLU on writeback).
+    /// Executes a batch of activation vectors against one layer, in the
+    /// form this backend walks (`relu` applies ReLU on writeback),
+    /// returning one run per item.
     ///
     /// # Panics
     ///
-    /// Panics if `acts.len() != layer.cols()`.
-    fn run_layer(&self, layer: &EncodedLayer, acts: &[Q8p8], relu: bool) -> BackendRun;
-
-    /// Executes a batch of activation vectors against one layer.
-    ///
-    /// The default validates every item's length up front, then loops
-    /// [`Backend::run_layer`]; [`NativeCpu`] overrides it to run the
-    /// fused whole-batch kernel across its worker pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any item's length differs from `layer.cols()`.
-    fn run_layer_batch(
-        &self,
-        layer: &EncodedLayer,
-        batch: &[Vec<Q8p8>],
-        relu: bool,
-    ) -> Vec<BackendRun> {
-        check_activation_batch(layer.cols(), batch);
-        batch
-            .iter()
-            .map(|acts| self.run_layer(layer, acts, relu))
-            .collect()
-    }
-
-    /// `true` when this backend executes pre-decoded [`LayerPlan`]s, so
-    /// callers holding a [`CompiledModel`] should pass its cached plans
-    /// through the `_planned` entry points (and skip building plans for
-    /// backends that would ignore them).
-    fn wants_plans(&self) -> bool {
-        false
-    }
-
-    /// Executes one layer, using the caller's pre-built plan when the
-    /// backend can (default: ignores the plan and streams the layer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `acts.len() != planned.cols()`, or if handed a plan
-    /// while not [`Backend::wants_plans`].
-    fn run_layer_planned(
-        &self,
-        planned: PlannedLayer<'_>,
-        acts: &[Q8p8],
-        relu: bool,
-    ) -> BackendRun {
-        self.run_layer(planned.encoded(), acts, relu)
-    }
-
-    /// Batched analogue of [`Backend::run_layer_planned`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any item's length differs from `planned.cols()`, or if
-    /// handed a plan while not [`Backend::wants_plans`].
+    /// Panics if any item's length differs from the layer's input
+    /// dimension, or if handed the form its [`BackendKind::plan_cut`]
+    /// does not name.
     fn run_layer_batch_planned(
         &self,
         planned: PlannedLayer<'_>,
         batch: &[Vec<Q8p8>],
         relu: bool,
-    ) -> Vec<BackendRun> {
-        self.run_layer_batch(planned.encoded(), batch, relu)
-    }
+    ) -> Vec<BackendRun>;
 }
 
 /// A compressed model compiled for one accelerator configuration — the
@@ -635,8 +603,8 @@ mod tests {
             BackendKind::NativeCpu(3).instantiate(&cfg).name(),
             "native-cpu"
         );
-        assert!(BackendKind::CycleAccurate.instantiate(&cfg).is_modeled());
-        assert!(!BackendKind::NativeCpu(0).instantiate(&cfg).is_modeled());
+        assert!(BackendKind::CycleAccurate.is_modeled());
+        assert!(!BackendKind::NativeCpu(0).is_modeled());
         assert_eq!(BackendKind::default(), BackendKind::CycleAccurate);
         assert_eq!(BackendKind::NativeCpu(4).to_string(), "native-cpu(4)");
     }

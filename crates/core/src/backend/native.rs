@@ -66,12 +66,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use eie_compress::{
-    EncodedLayer, LayerPlan, PlanBlock, PlanEntry, BLOCK_ACCUMULATORS, CODEBOOK_SIZE, LANE_WIDTH,
+    LayerPlan, PlanBlock, PlanEntry, BLOCK_ACCUMULATORS, CODEBOOK_SIZE, LANE_WIDTH,
 };
 use eie_fixed::{Accum32, Q8p8};
 
 use super::pool::{Latch, WorkerPool};
-use super::{check_activation_batch, check_activations, Backend, BackendRun, PlannedLayer};
+use super::{check_activation_batch, Backend, BackendRun, PlannedLayer};
 
 /// The host's core count, resolved once per process: the thread count
 /// of [`NativeCpu::new`], and the cores `ModelServer` splits over its
@@ -100,9 +100,9 @@ fn contiguous_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
 }
 
 /// An optimized, multi-threaded interleaved-CSC SpMV kernel over the
-/// compressed [`EncodedLayer`] format, executing pre-decoded
-/// [`LayerPlan`]s on a persistent worker pool — walking a plan is its
-/// only way to execute a layer.
+/// compressed [`EncodedLayer`](eie_compress::EncodedLayer) format,
+/// executing pre-decoded [`LayerPlan`]s on a persistent worker pool —
+/// walking a plan is its only way to execute a layer.
 ///
 /// Bit-exactness with the hardware comes from preserving its arithmetic
 /// structure exactly: the format stores strictly increasing rows within
@@ -121,16 +121,15 @@ fn contiguous_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
 /// reports the batch's wall time as its latency — batching buys
 /// throughput, not latency, as in the paper.
 ///
-/// The engine owns no plans. A [`PlannedLayer::Plan`] is walked as
-/// handed, its blocks spread over `min(threads, blocks)` ranges — a
-/// model's plans are cut for the walking engine's threads by whoever
-/// fills them ([`CompiledModel::into_plans`](super::CompiledModel::into_plans)
-/// in a server, the job itself in
+/// The engine owns no plans and walks nothing else: a
+/// [`PlannedLayer::Plan`] is walked as handed, its blocks spread over
+/// `min(threads, blocks)` ranges — a model's plans are cut for the
+/// walking engine's threads ([`BackendKind::plan_cut`](super::BackendKind::plan_cut))
+/// by whoever fills them
+/// ([`CompiledModel::into_plans`](super::CompiledModel::into_plans) in a
+/// server, the job itself in
 /// [`InferenceJob::submit`](crate::InferenceJob::submit)). An encoded
-/// layer ([`PlannedLayer::Encoded`], [`Backend::run_layer`],
-/// [`Backend::run_layer_batch`]) gets a plan cut for the engine's
-/// threads, built for that call outside the timed region and dropped
-/// after it.
+/// layer ([`PlannedLayer::Encoded`]) is refused with a panic.
 ///
 /// Concurrent calls on one engine serialize on its execution session;
 /// for parallel serving give each worker its own backend instance, as
@@ -183,12 +182,7 @@ impl NativeCpu {
     /// Runs `items` over a plan, splitting its blocks across the pool:
     /// a lone item takes the single-item walk, a batch the lane walk.
     /// Returns `[item][global_row]` outputs.
-    fn planned<I: AsRef<[Q8p8]>>(
-        &self,
-        plan: &Arc<LayerPlan>,
-        items: &[I],
-        relu: bool,
-    ) -> Vec<Vec<Q8p8>> {
+    fn planned(&self, plan: &Arc<LayerPlan>, items: &[Vec<Q8p8>], relu: bool) -> Vec<Vec<Q8p8>> {
         let b = items.len();
         let mut guard = self.session.lock().expect("session poisoned");
         let session = &mut *guard;
@@ -196,7 +190,7 @@ impl NativeCpu {
             let schedule = exclusive(&mut session.single);
             schedule.live.clear();
             schedule.range = (0, 0);
-            for (j, &a) in item.as_ref().iter().enumerate() {
+            for (j, &a) in item.iter().enumerate() {
                 if !a.is_zero() {
                     schedule.live.push((j as u32, a.raw() as i32));
                     widen(&mut schedule.range, a.raw());
@@ -206,9 +200,9 @@ impl NativeCpu {
         } else {
             let lanes = exclusive(&mut session.lanes);
             if lane_block_items(b) > LANE_WIDTH {
-                lanes.fill::<MAX_STRIPES, _>(items, plan.cols());
+                lanes.fill::<MAX_STRIPES>(items, plan.cols());
             } else {
-                lanes.fill::<1, _>(items, plan.cols());
+                lanes.fill::<1>(items, plan.cols());
             }
             TaskInput::Lanes(Arc::clone(&session.lanes))
         };
@@ -224,29 +218,6 @@ impl NativeCpu {
         drop(guard);
         assert!(!failed, "native kernel pool worker panicked");
         outputs
-    }
-
-    /// [`NativeCpu::planned`] over the caller's plan — or, for an
-    /// encoded layer, one cut for this engine's threads before the
-    /// clock starts — wrapped into timed runs: one item is a solo run,
-    /// more complete as a unit.
-    fn timed<I: AsRef<[Q8p8]>>(
-        &self,
-        planned: PlannedLayer<'_>,
-        items: &[I],
-        relu: bool,
-    ) -> Vec<BackendRun> {
-        let built;
-        let plan = match planned {
-            PlannedLayer::Plan(plan) => plan,
-            PlannedLayer::Encoded(layer) => {
-                built = Arc::new(LayerPlan::build_with_blocks(layer, self.threads));
-                &built
-            }
-        };
-        let start = Instant::now();
-        let outputs = self.planned(plan, items, relu);
-        fused_runs(outputs, start.elapsed().as_secs_f64())
     }
 
     /// The dispatch table for an `n`-block plan: the block list cut
@@ -424,7 +395,7 @@ impl LaneSchedule {
     /// Rebuilds the schedule in place from a batch, in lane blocks of
     /// `S` stripes (buffers reused — steady state allocates nothing
     /// once grown to high water).
-    fn fill<const S: usize, I: AsRef<[Q8p8]>>(&mut self, batch: &[I], cols: usize) {
+    fn fill<const S: usize>(&mut self, batch: &[Vec<Q8p8>], cols: usize) {
         let blocks = batch.len().div_ceil(S * LANE_WIDTH);
         self.cols = cols;
         self.blocks = blocks;
@@ -438,7 +409,7 @@ impl LaneSchedule {
         for (i, item) in batch.iter().enumerate() {
             let (g, k) = (i / LANE_WIDTH, i % LANE_WIDTH);
             let (lb, s) = (g / S, g % S);
-            for (j, &a) in item.as_ref().iter().enumerate() {
+            for (j, &a) in item.iter().enumerate() {
                 if !a.is_zero() {
                     self.acts[(lb * cols + j) * S + s].0[k] = a.raw() as i32;
                     self.live[lb * cols + j] = 1;
@@ -919,57 +890,45 @@ impl Backend for NativeCpu {
         "native-cpu"
     }
 
-    fn run_layer(&self, layer: &EncodedLayer, acts: &[Q8p8], relu: bool) -> BackendRun {
-        self.run_layer_planned(PlannedLayer::Encoded(layer), acts, relu)
-    }
-
-    fn run_layer_batch(
-        &self,
-        layer: &EncodedLayer,
-        batch: &[Vec<Q8p8>],
-        relu: bool,
-    ) -> Vec<BackendRun> {
-        self.run_layer_batch_planned(PlannedLayer::Encoded(layer), batch, relu)
-    }
-
-    fn wants_plans(&self) -> bool {
-        true
-    }
-
-    fn run_layer_planned(
-        &self,
-        planned: PlannedLayer<'_>,
-        acts: &[Q8p8],
-        relu: bool,
-    ) -> BackendRun {
-        check_activations(planned.cols(), acts);
-        let mut runs = self.timed(planned, &[acts], relu);
-        runs.pop().expect("one item in, one run out")
-    }
-
     fn run_layer_batch_planned(
         &self,
         planned: PlannedLayer<'_>,
         batch: &[Vec<Q8p8>],
         relu: bool,
     ) -> Vec<BackendRun> {
-        check_activation_batch(planned.cols(), batch);
+        let plan = planned.plan();
+        check_activation_batch(plan.cols(), batch);
         if batch.is_empty() {
             return Vec::new();
         }
-        self.timed(planned, batch, relu)
+        let start = Instant::now();
+        let outputs = self.planned(plan, batch, relu);
+        fused_runs(outputs, start.elapsed().as_secs_f64())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eie_compress::{compress, CompressConfig};
+    use crate::BackendKind;
+    use eie_compress::{compress, CompressConfig, EncodedLayer};
     use eie_nn::zoo::Benchmark;
     use eie_sim::functional;
 
     fn quantize(acts: &[f32]) -> Vec<Q8p8> {
         acts.iter().map(|&a| Q8p8::from_f32(a)).collect()
+    }
+
+    /// Walks `enc` on `engine` through a plan cut for the engine's
+    /// threads, built for the call.
+    fn run_encoded(
+        engine: &NativeCpu,
+        enc: &EncodedLayer,
+        batch: &[Vec<Q8p8>],
+        relu: bool,
+    ) -> Vec<BackendRun> {
+        let plan = Arc::new(LayerPlan::build_with_blocks(enc, engine.threads()));
+        engine.run_layer_batch_planned(PlannedLayer::Plan(&plan), batch, relu)
     }
 
     #[test]
@@ -979,7 +938,13 @@ mod tests {
         let acts = quantize(&layer.sample_activations(2));
         let expected = functional::execute(&enc, &acts, false);
         for threads in [1, 2, 3, 8, 16] {
-            let run = NativeCpu::with_threads(threads).run_layer(&enc, &acts, false);
+            let run = run_encoded(
+                &NativeCpu::with_threads(threads),
+                &enc,
+                std::slice::from_ref(&acts),
+                false,
+            )
+            .remove(0);
             assert_eq!(run.outputs, expected, "diverged at {threads} threads");
         }
     }
@@ -992,7 +957,7 @@ mod tests {
             .map(|i| quantize(&layer.sample_activations(i)))
             .collect();
         for threads in [1, 4] {
-            let runs = NativeCpu::with_threads(threads).run_layer_batch(&enc, &batch, true);
+            let runs = run_encoded(&NativeCpu::with_threads(threads), &enc, &batch, true);
             assert_eq!(runs.len(), 7);
             for (acts, run) in batch.iter().zip(&runs) {
                 assert_eq!(run.outputs, functional::execute(&enc, acts, true));
@@ -1012,7 +977,7 @@ mod tests {
             .map(|i| quantize(&layer.sample_activations(i)))
             .collect();
         batch[1] = vec![Q8p8::ZERO; enc.cols()]; // dead item
-        let runs = NativeCpu::with_threads(2).run_layer_batch(&enc, &batch, false);
+        let runs = run_encoded(&NativeCpu::with_threads(2), &enc, &batch, false);
         assert!(runs[1].outputs.iter().all(|v| v.is_zero()));
         for (acts, run) in batch.iter().zip(&runs) {
             assert_eq!(run.outputs, functional::execute(&enc, acts, false));
@@ -1025,8 +990,8 @@ mod tests {
         let enc = compress(&layer.weights, CompressConfig::with_pes(2));
         let acts = quantize(&layer.sample_activations(5));
         let backend = NativeCpu::with_threads(2);
-        let raw = backend.run_layer(&enc, &acts, false);
-        let relu = backend.run_layer(&enc, &acts, true);
+        let raw = run_encoded(&backend, &enc, std::slice::from_ref(&acts), false).remove(0);
+        let relu = run_encoded(&backend, &enc, std::slice::from_ref(&acts), true).remove(0);
         assert!(raw.outputs.iter().any(|v| v.to_f32() < 0.0));
         assert!(relu.outputs.iter().all(|v| v.to_f32() >= 0.0));
     }
@@ -1045,9 +1010,9 @@ mod tests {
                     .iter()
                     .map(|acts| functional::execute(&enc, acts, relu))
                     .collect();
-                let p = plan.run_layer(&enc, &batch[0], relu);
+                let p = run_encoded(&plan, &enc, &batch[..1], relu).remove(0);
                 assert_eq!(p.outputs, golden[0], "single diverged ({threads}t)");
-                let pb = plan.run_layer_batch(&enc, &batch, relu);
+                let pb = run_encoded(&plan, &enc, &batch, relu);
                 for i in 0..batch.len() {
                     assert_eq!(pb[i].outputs, golden[i], "batch item {i} ({threads}t)");
                 }
@@ -1070,7 +1035,7 @@ mod tests {
             for threads in [1, 4] {
                 let lanes = NativeCpu::with_threads(threads);
                 for relu in [false, true] {
-                    let lv = lanes.run_layer_batch(&enc, &batch, relu);
+                    let lv = run_encoded(&lanes, &enc, &batch, relu);
                     for i in 0..b {
                         assert_eq!(
                             lv[i].outputs,
@@ -1098,8 +1063,13 @@ mod tests {
             .collect();
         for threads in [1, 2, 3] {
             let engine = NativeCpu::with_threads(threads);
-            assert_eq!(engine.run_layer(&enc, &batch[0], false).outputs, want[0]);
-            let runs = engine.run_layer_batch(&enc, &batch, false);
+            assert_eq!(
+                run_encoded(&engine, &enc, &batch[..1], false)
+                    .remove(0)
+                    .outputs,
+                want[0]
+            );
+            let runs = run_encoded(&engine, &enc, &batch, false);
             for (i, run) in runs.iter().enumerate() {
                 assert_eq!(run.outputs, want[i], "item {i} ({threads}t)");
             }
@@ -1131,7 +1101,9 @@ mod tests {
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(&g.outputs, w, "item {i} ({threads}t)");
             }
-            let solo = engine.run_layer_planned(planned, &batch[0], true);
+            let solo = engine
+                .run_layer_batch_planned(planned, &batch[..1], true)
+                .remove(0);
             assert_eq!(solo.outputs, want[0], "solo ({threads}t)");
         }
         assert_eq!(*shared, snapshot, "the shared plan is never modified");
@@ -1145,14 +1117,14 @@ mod tests {
             .map(|i| quantize(&layer.sample_activations(i)))
             .collect();
         let backend = NativeCpu::with_threads(2);
-        let runs = backend.run_layer_batch(&enc, &batch, false);
+        let runs = run_encoded(&backend, &enc, &batch, false);
         for run in &runs {
             // Fused: every item carries the batch wall, amortized 1/6.
             assert_eq!(run.latency_s, runs[0].latency_s);
             assert!((run.amortized_s - run.latency_s / 6.0).abs() < 1e-15);
         }
         // Solo runs keep amortized == latency.
-        let solo = backend.run_layer(&enc, &batch[0], false);
+        let solo = run_encoded(&backend, &enc, &batch[..1], false).remove(0);
         assert_eq!(solo.amortized_s, solo.latency_s);
     }
 
@@ -1208,7 +1180,7 @@ mod tests {
         let block = &plan.blocks()[0];
         let (accs, b) = (block.accumulators(), items.len());
         let mut schedule = LaneSchedule::default();
-        schedule.fill::<S, _>(items, plan.cols());
+        schedule.fill::<S>(items, plan.cols());
         let (max, min) = schedule.range;
         let rail_free = rail_free.unwrap_or_else(|| block.rail_free_for(max, min));
         let input = LaneWalk {
@@ -1353,7 +1325,9 @@ mod tests {
         }
         let engine = NativeCpu::with_threads(1);
         for item in &items {
-            let got = engine.run_layer(&enc, item, false).outputs;
+            let got = run_encoded(&engine, &enc, std::slice::from_ref(item), false)
+                .remove(0)
+                .outputs;
             assert_eq!(got, functional::execute(&enc, item, false));
         }
     }
@@ -1425,7 +1399,7 @@ mod tests {
         // whole line.
         assert_eq!(lane_block_items(items.len()), MAX_STRIPES * LANE_WIDTH);
         let mut schedule = LaneSchedule::default();
-        schedule.fill::<MAX_STRIPES, _>(&items, plan.cols());
+        schedule.fill::<MAX_STRIPES>(&items, plan.cols());
         let input = TaskInput::Lanes(Arc::new(schedule));
         let mut scratch = WorkerScratch::default();
         run_block_range(&plan, &input, (0, 1), false, &mut scratch);
@@ -1441,7 +1415,10 @@ mod tests {
         assert!(NativeCpu::new().threads() >= 1);
         assert_eq!(NativeCpu::with_threads(5).threads(), 5);
         assert_eq!(NativeCpu::default().threads(), NativeCpu::new().threads());
-        assert!(NativeCpu::new().wants_plans());
+        assert_eq!(
+            BackendKind::NativeCpu(0).plan_cut(),
+            Some(NativeCpu::new().threads())
+        );
         let dbg = format!("{:?}", NativeCpu::with_threads(2));
         assert!(dbg.contains("threads"), "{dbg}");
     }

@@ -41,7 +41,7 @@ use eie_energy::{EnergyReport, LayerActivity};
 use eie_fixed::Q8p8;
 use eie_sim::SimStats;
 
-use crate::backend::{host_cores, Backend, BackendKind, BackendRun, CompiledModel, PlannedLayer};
+use crate::backend::{Backend, BackendKind, BackendRun, CompiledModel, PlannedLayer};
 use crate::EieConfig;
 
 impl CompiledModel {
@@ -94,7 +94,7 @@ impl<'m> InferenceJob<'m> {
     /// Restricts the job to a contiguous sub-range of the model's layer
     /// stack (default: all layers). ReLU applies between *selected*
     /// layers and never after the last, so a single-layer job is a raw
-    /// M×V — the old `run_layer` semantics.
+    /// M×V.
     ///
     /// # Panics
     ///
@@ -160,8 +160,8 @@ impl<'m> InferenceJob<'m> {
     /// completion, returning the unified [`JobResult`].
     ///
     /// A plan-walking backend runs on the model's plans; any slot still
-    /// empty is filled here, cut for the engine's threads (`NativeCpu(0)`
-    /// counts the host's cores). The first build decides the cut.
+    /// empty is filled here, cut for the engine's threads
+    /// ([`BackendKind::plan_cut`]). The first build decides the cut.
     ///
     /// # Panics
     ///
@@ -177,7 +177,7 @@ impl<'m> InferenceJob<'m> {
         let backend = self
             .engine
             .get_or_init(|| Arc::from(self.backend.instantiate(&self.config)));
-        let layers = self.assemble_layers(backend.wants_plans());
+        let layers = self.assemble_layers();
         execute_stack(
             &self.config,
             self.backend,
@@ -188,23 +188,15 @@ impl<'m> InferenceJob<'m> {
         )
     }
 
-    /// The job's planned-layer list. Plans are fetched (building lazily
-    /// into the model's slots) only for backends that execute them; the
-    /// cycle model and the golden model walk the compressed layer and
-    /// would ignore them.
-    fn assemble_layers(&self, wants_plans: bool) -> Vec<PlannedLayer<'_>> {
-        let threads = match self.backend {
-            BackendKind::NativeCpu(0) => host_cores(),
-            BackendKind::NativeCpu(threads) => threads,
-            _ => 1,
-        };
+    /// The job's planned-layer list, in the form the backend walks
+    /// ([`BackendKind::plan_cut`]): plans are fetched (building lazily
+    /// into the model's slots) only for a backend that walks them.
+    fn assemble_layers(&self) -> Vec<PlannedLayer<'_>> {
+        let cut = self.backend.plan_cut();
         (self.first..self.end)
-            .map(|i| {
-                if wants_plans {
-                    PlannedLayer::Plan(self.model.plan_cut(i, threads))
-                } else {
-                    PlannedLayer::Encoded(self.model.layer(i))
-                }
+            .map(|i| match cut {
+                Some(threads) => PlannedLayer::Plan(self.model.plan_cut(i, threads)),
+                None => PlannedLayer::Encoded(self.model.layer(i)),
             })
             .collect()
     }
@@ -598,7 +590,7 @@ fn execute_stack(
     let (items, phases) = chain_stack(backend, layers, &quantized);
     let measured_wall_s = start.elapsed().as_secs_f64();
 
-    let wall_s = if backend.is_modeled() {
+    let wall_s = if kind.is_modeled() {
         items.iter().map(|r| r.latency_s).sum()
     } else {
         measured_wall_s

@@ -8,8 +8,10 @@
 //! of `NativeCpu`: batched serving at host speed beats the interpreted
 //! golden model.
 
+use std::sync::Arc;
 use std::time::Instant;
 
+use eie_core::backend::host_cores;
 use eie_core::prelude::*;
 
 fn quantize_batch(batch: &[Vec<f32>]) -> Vec<Vec<Q8p8>> {
@@ -17,6 +19,25 @@ fn quantize_batch(batch: &[Vec<f32>]) -> Vec<Vec<Q8p8>> {
         .iter()
         .map(|item| Q8p8::from_f32_slice(item))
         .collect()
+}
+
+/// Runs `batch` through `backend` on `enc`, handed the form `kind`'s
+/// [`BackendKind::plan_cut`] names: a plan cut for that many threads,
+/// built for the call, or the encoded layer itself.
+fn run_kind(
+    backend: &dyn Backend,
+    kind: BackendKind,
+    enc: &EncodedLayer,
+    batch: &[Vec<Q8p8>],
+    relu: bool,
+) -> Vec<BackendRun> {
+    match kind.plan_cut() {
+        Some(threads) => {
+            let plan = Arc::new(LayerPlan::build_with_blocks(enc, threads));
+            backend.run_layer_batch_planned(PlannedLayer::Plan(&plan), batch, relu)
+        }
+        None => backend.run_layer_batch_planned(PlannedLayer::Encoded(enc), batch, relu),
+    }
 }
 
 /// All three backends agree bit-exactly on every zoo benchmark at 4 PEs,
@@ -32,12 +53,20 @@ fn all_backends_bit_exact_on_every_zoo_benchmark_at_4_pes() {
         let functional = Functional::new();
         let cycle = CycleAccurate::new(config.sim_config());
         let native = NativeCpu::with_threads(4);
+        let (encoded, plan) = (
+            PlannedLayer::Encoded(&enc),
+            Arc::new(LayerPlan::build_with_blocks(&enc, 4)),
+        );
+        let planned = PlannedLayer::Plan(&plan);
 
         for relu in [false, true] {
             // Unbatched: each backend on item 0.
-            let golden = functional.run_layer(&enc, &batch[0], relu);
-            let cyc = cycle.run_layer(&enc, &batch[0], relu);
-            let nat = native.run_layer(&enc, &batch[0], relu);
+            let one = &batch[..1];
+            let golden = functional
+                .run_layer_batch_planned(encoded, one, relu)
+                .remove(0);
+            let cyc = cycle.run_layer_batch_planned(encoded, one, relu).remove(0);
+            let nat = native.run_layer_batch_planned(planned, one, relu).remove(0);
             assert_eq!(
                 cyc.outputs, golden.outputs,
                 "{benchmark}: cycle vs functional diverged (relu={relu})"
@@ -48,9 +77,9 @@ fn all_backends_bit_exact_on_every_zoo_benchmark_at_4_pes() {
             );
 
             // Batched: whole-batch runs item by item.
-            let golden_b = functional.run_layer_batch(&enc, &batch, relu);
-            let cyc_b = cycle.run_layer_batch(&enc, &batch, relu);
-            let nat_b = native.run_layer_batch(&enc, &batch, relu);
+            let golden_b = functional.run_layer_batch_planned(encoded, &batch, relu);
+            let cyc_b = cycle.run_layer_batch_planned(encoded, &batch, relu);
+            let nat_b = native.run_layer_batch_planned(planned, &batch, relu);
             for i in 0..batch.len() {
                 assert_eq!(
                     cyc_b[i].outputs, golden_b[i].outputs,
@@ -94,6 +123,73 @@ fn engine_batches_agree_across_backends_through_a_network() {
     }
 }
 
+/// A small layer and five items for the form contract.
+fn contract_case() -> (EieConfig, EncodedLayer, Vec<Vec<Q8p8>>) {
+    let config = EieConfig::default().with_num_pes(4);
+    let enc = config
+        .pipeline()
+        .compile_matrix(&random_sparse(40, 24, 0.3, 7));
+    let batch = (0..5)
+        .map(|s| eie_core::nn::zoo::sample_activations(24, 0.5, false, 30 + s))
+        .collect::<Vec<_>>();
+    (config, enc, quantize_batch(&batch))
+}
+
+/// `plan_cut()` is the one place that decides which form of a layer a
+/// backend walks: every kind's backend, handed the form its kind names,
+/// returns the functional golden's Q8.8 words at batch 1 and batch 5.
+#[test]
+fn every_kind_walks_the_form_its_plan_cut_names() {
+    let (config, enc, batch) = contract_case();
+    let words = |runs: Vec<BackendRun>| -> Vec<Vec<i16>> {
+        let raw = |run: BackendRun| run.outputs.iter().map(|v| v.raw()).collect();
+        runs.into_iter().map(raw).collect()
+    };
+    let golden = Functional::new();
+    for kind in [
+        BackendKind::CycleAccurate,
+        BackendKind::Functional,
+        BackendKind::NativeCpu(0),
+        BackendKind::NativeCpu(1),
+        BackendKind::NativeCpu(3),
+    ] {
+        let backend = kind.instantiate(&config);
+        for b in [1, 5] {
+            let want = words(golden.run_layer_batch_planned(
+                PlannedLayer::Encoded(&enc),
+                &batch[..b],
+                false,
+            ));
+            let got = words(run_kind(backend.as_ref(), kind, &enc, &batch[..b], false));
+            assert_eq!(got, want, "{kind} at batch {b}");
+        }
+    }
+    assert_eq!(BackendKind::NativeCpu(0).plan_cut(), Some(host_cores()));
+    assert_eq!(BackendKind::NativeCpu(3).plan_cut(), Some(3));
+    assert_eq!(BackendKind::CycleAccurate.plan_cut(), None);
+    assert_eq!(BackendKind::Functional.plan_cut(), None);
+}
+
+/// A backend that walks encoded layers refuses a plan, by name.
+#[test]
+#[should_panic(expected = "this backend walks encoded layers, not plans")]
+fn an_encoded_layer_walker_refuses_a_plan() {
+    let (config, enc, batch) = contract_case();
+    let plan = Arc::new(LayerPlan::build(&enc));
+    let backend = BackendKind::Functional.instantiate(&config);
+    backend.run_layer_batch_planned(PlannedLayer::Plan(&plan), &batch, false);
+}
+
+/// The plan walker refuses an encoded layer, by name: it builds no plan
+/// of its own.
+#[test]
+#[should_panic(expected = "this backend walks plans, not encoded layers")]
+fn the_plan_walker_refuses_an_encoded_layer() {
+    let (config, enc, batch) = contract_case();
+    let backend = BackendKind::NativeCpu(2).instantiate(&config);
+    backend.run_layer_batch_planned(PlannedLayer::Encoded(&enc), &batch, false);
+}
+
 /// Extracts the message of a caught panic (assert payloads are
 /// `String`s; literal panics are `&str`s).
 fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
@@ -103,9 +199,9 @@ fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_default()
 }
 
-/// Malformed activation lengths are rejected at every backend's entry
-/// points — single-item, whole batch, and the once-sneaky batch of one
-/// (which used to fall back to `run_layer` before any length check ran)
+/// Malformed activation lengths are rejected at every backend's one
+/// entry point — a whole batch, and the once-sneaky batch of one (which
+/// used to fall back to a single-item path before any length check ran)
 /// — with one identical message. Validation is hoisted, not buried in
 /// whichever kernel happens to index first.
 #[test]
@@ -123,15 +219,24 @@ fn all_backends_reject_bad_activation_lengths_uniformly() {
         BackendKind::NativeCpu(2),
     ] {
         let backend = kind.instantiate(&config);
-        let cases: [Box<dyn Fn() + '_>; 3] = [
+        let cases: [Box<dyn Fn() + '_>; 2] = [
             Box::new(|| {
-                backend.run_layer(&enc, &bad, false);
+                run_kind(
+                    backend.as_ref(),
+                    kind,
+                    &enc,
+                    &[good.clone(), bad.clone()],
+                    false,
+                );
             }),
             Box::new(|| {
-                backend.run_layer_batch(&enc, &[good.clone(), bad.clone()], false);
-            }),
-            Box::new(|| {
-                backend.run_layer_batch(&enc, std::slice::from_ref(&bad), false);
+                run_kind(
+                    backend.as_ref(),
+                    kind,
+                    &enc,
+                    std::slice::from_ref(&bad),
+                    false,
+                );
             }),
         ];
         for (i, case) in cases.iter().enumerate() {
@@ -161,8 +266,8 @@ fn native_batch_outpaces_functional_per_item_loop() {
     let quantized = quantize_batch(&batch);
 
     // Warm both paths once.
-    let functional = Functional::new();
-    let _ = functional.run_layer(enc, &quantized[0], false);
+    let (functional, encoded) = (Functional::new(), PlannedLayer::Encoded(enc));
+    let _ = functional.run_layer_batch_planned(encoded, &quantized[..1], false);
     let _ = native.submit(&batch);
 
     // Best-of-3 per path: robust against scheduler noise on small or
@@ -173,7 +278,13 @@ fn native_batch_outpaces_functional_per_item_loop() {
         let start = Instant::now();
         golden_outputs = quantized
             .iter()
-            .map(|item| functional.run_layer(enc, item, false).outputs)
+            .map(|item| {
+                let one = std::slice::from_ref(item);
+                functional
+                    .run_layer_batch_planned(encoded, one, false)
+                    .remove(0)
+                    .outputs
+            })
             .collect();
         functional_s = functional_s.min(start.elapsed().as_secs_f64());
     }

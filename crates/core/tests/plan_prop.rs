@@ -22,9 +22,28 @@
 //! the exact boundary of the inequality, on inputs drawn from the `i16`
 //! extremes, and when one item of a batch alone breaks the bound.
 
+use std::sync::Arc;
+
 use eie_core::prelude::*;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+
+/// The functional golden over `batch`, item by item.
+fn golden(enc: &EncodedLayer, batch: &[Vec<Q8p8>], relu: bool) -> Vec<BackendRun> {
+    Functional::new().run_layer_batch_planned(PlannedLayer::Encoded(enc), batch, relu)
+}
+
+/// `enc` walked on `engine` through a plan cut for the engine's
+/// threads, built for the call.
+fn walk(
+    engine: &NativeCpu,
+    enc: &EncodedLayer,
+    batch: &[Vec<Q8p8>],
+    relu: bool,
+) -> Vec<BackendRun> {
+    let plan = Arc::new(LayerPlan::build_with_blocks(enc, engine.threads()));
+    engine.run_layer_batch_planned(PlannedLayer::Plan(&plan), batch, relu)
+}
 
 /// Strategy: a compressed layer, a batch of quantized inputs, and a PE
 /// count drawn from {1, 2, 3, 4, 8}.
@@ -191,11 +210,10 @@ fn assert_plan_golden_agree(
     batch: &[Vec<Q8p8>],
     threads: usize,
 ) -> Result<(), TestCaseError> {
-    let golden = Functional::new();
     let plan = NativeCpu::with_threads(threads);
     for relu in [false, true] {
-        let want = golden.run_layer(enc, &batch[0], relu);
-        let p = plan.run_layer(enc, &batch[0], relu);
+        let want = golden(enc, &batch[..1], relu).remove(0);
+        let p = walk(&plan, enc, &batch[..1], relu).remove(0);
         prop_assert_eq!(
             &p.outputs,
             &want.outputs,
@@ -203,8 +221,8 @@ fn assert_plan_golden_agree(
             relu,
             threads
         );
-        let want_b = golden.run_layer_batch(enc, batch, relu);
-        let p_b = plan.run_layer_batch(enc, batch, relu);
+        let want_b = golden(enc, batch, relu);
+        let p_b = walk(&plan, enc, batch, relu);
         for i in 0..batch.len() {
             prop_assert_eq!(
                 &p_b[i].outputs,
@@ -238,7 +256,7 @@ proptest! {
         // The case is only interesting if something actually clamps;
         // near-rail products guarantee plenty of saturated outputs.
         assert_plan_golden_agree(&enc, &batch, threads)?;
-        let out = Functional::new().run_layer(&enc, &batch[0], false).outputs;
+        let out = golden(&enc, &batch[..1], false).remove(0).outputs;
         prop_assert!(
             out.iter().any(|v| *v == Q8p8::MAX || *v == Q8p8::MIN),
             "saturation strategy produced no clamped outputs"
@@ -268,7 +286,7 @@ proptest! {
         let via_model = backend.run_layer_batch_planned(planned, &batch, false);
         let plan = model.plan(0);
         prop_assert!(plan.blocks().len() >= backend.threads().min(plan.rows()));
-        let golden = Functional::new().run_layer_batch(&enc, &batch, false);
+        let golden = golden(&enc, &batch, false);
         for i in 0..batch.len() {
             prop_assert_eq!(
                 &via_model[i].outputs, &golden[i].outputs,
@@ -305,15 +323,18 @@ type Case = (EncodedLayer, Vec<Vec<Q8p8>>);
 /// and over a model's shared plan cut for it — reproduces the
 /// functional golden, single and batched.
 fn assert_fan_outs_match_golden(enc: &EncodedLayer, batch: &[Vec<Q8p8>], relu: bool) {
-    let golden = Functional::new().run_layer_batch(enc, batch, relu);
+    let golden = golden(enc, batch, relu);
     let config = EieConfig::default().with_num_pes(enc.num_pes());
     let mut model = CompiledModel::from_layers(config, vec![enc.clone()]);
     for threads in [1usize, 2, 3] {
         let engine = NativeCpu::with_threads(threads);
-        let own = engine.run_layer_batch(enc, batch, relu);
+        let own = walk(&engine, enc, batch, relu);
         model.cut_plans(threads);
-        let shared = engine.run_layer_batch_planned(PlannedLayer::Plan(model.plan(0)), batch, relu);
-        let solo = engine.run_layer_planned(PlannedLayer::Plan(model.plan(0)), &batch[0], relu);
+        let planned = PlannedLayer::Plan(model.plan(0));
+        let shared = engine.run_layer_batch_planned(planned, batch, relu);
+        let solo = engine
+            .run_layer_batch_planned(planned, &batch[..1], relu)
+            .remove(0);
         assert_eq!(solo.outputs, golden[0].outputs, "solo {threads}t");
         for i in 0..batch.len() {
             assert_eq!(own[i].outputs, golden[i].outputs, "item {i} {threads}t");
@@ -385,7 +406,7 @@ fn saturating_rows_straddling_a_block_boundary_clamp_identically() {
                     .collect()
             })
             .collect();
-        let out = Functional::new().run_layer(&enc, &items[0], false).outputs;
+        let out = golden(&enc, &items[..1], false).remove(0).outputs;
         assert!(
             hot_rows.iter().step_by(2).all(|&r| out[r] == Q8p8::MAX),
             "same-signed boundary rows must clamp"
@@ -468,9 +489,10 @@ fn the_bound_is_exact_at_i32_max_and_one_unit_past_it_saturates() {
         let want = vec![Accum32::from_raw(clamped).to_fix16::<8>()];
         assert_eq!(want[0], if sum > 0 { Q8p8::MAX } else { Q8p8::MIN });
         let engine = NativeCpu::with_threads(1);
-        assert_eq!(engine.run_layer(&enc, &acts, false).outputs, want);
+        let solo = walk(&engine, &enc, std::slice::from_ref(&acts), false);
+        assert_eq!(solo[0].outputs, want);
         assert_eq!(functional::execute(&enc, &acts, false), want);
-        for run in engine.run_layer_batch(&enc, &batch, false) {
+        for run in walk(&engine, &enc, &batch, false) {
             assert_eq!(run.outputs, want, "lanes on {weights:?}");
         }
     }
@@ -541,14 +563,10 @@ fn the_proof_is_sound_on_inputs_from_the_i16_extremes() {
         }
         // The engine cuts the same blocks (one per thread).
         let engine = NativeCpu::with_threads(fan_out);
-        let golden = Functional::new().run_layer_batch(&enc, &items, false);
-        let solo = engine.run_layer(&enc, &items[0], false);
+        let golden = golden(&enc, &items, false);
+        let solo = walk(&engine, &enc, &items[..1], false).remove(0);
         assert_eq!(solo.outputs, golden[0].outputs, "case {case}: single walk");
-        for (i, run) in engine
-            .run_layer_batch(&enc, &items, false)
-            .iter()
-            .enumerate()
-        {
+        for (i, run) in walk(&engine, &enc, &items, false).iter().enumerate() {
             assert_eq!(run.outputs, golden[i].outputs, "case {case}: lane item {i}");
         }
     }
@@ -591,7 +609,7 @@ fn one_hot_item_sends_the_whole_batch_down_the_saturating_path() {
             })
             .collect();
         items.push(vec![Q8p8::from_f32(120.0); cols]);
-        let out = Functional::new().run_layer(&enc, &items[batch - 1], false);
+        let out = golden(&enc, &items[batch - 1..], false).remove(0);
         assert!((0..rows).all(|r| r / 4 % 2 == 1 || out.outputs[r] == Q8p8::MAX));
         for fan_out in [1, 2, 3, 7] {
             let plan = LayerPlan::build_with_blocks(&enc, fan_out);

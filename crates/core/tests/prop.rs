@@ -6,8 +6,29 @@
 //! `Q8p8` outputs bit-identical to the functional golden model —
 //! batched and unbatched, with and without ReLU, at any thread count.
 
+use std::sync::Arc;
+
 use eie_core::prelude::*;
 use proptest::prelude::*;
+
+/// Runs `batch` through `backend` in the form its kind walks
+/// ([`BackendKind::plan_cut`]): a plan cut for the native kernel's
+/// threads, built for the call, or the encoded layer itself.
+fn run(
+    backend: &dyn Backend,
+    cut: Option<usize>,
+    enc: &EncodedLayer,
+    batch: &[Vec<Q8p8>],
+    relu: bool,
+) -> Vec<BackendRun> {
+    match cut {
+        Some(threads) => {
+            let plan = Arc::new(LayerPlan::build_with_blocks(enc, threads));
+            backend.run_layer_batch_planned(PlannedLayer::Plan(&plan), batch, relu)
+        }
+        None => backend.run_layer_batch_planned(PlannedLayer::Encoded(enc), batch, relu),
+    }
+}
 
 /// Strategy: a compressed layer, a batch of quantized inputs, and a PE
 /// count drawn from {1, 2, 4, 8}.
@@ -59,15 +80,16 @@ proptest! {
     fn backends_bit_exact_unbatched((enc, batch, _pes) in arb_case()) {
         let cycle = CycleAccurate::new(SimConfig::default());
         let native = NativeCpu::with_threads(3);
+        let one = &batch[..1];
         for relu in [false, true] {
-            let golden = Functional::new().run_layer(&enc, &batch[0], relu);
+            let golden = run(&Functional::new(), None, &enc, one, relu).remove(0);
             prop_assert_eq!(
-                &cycle.run_layer(&enc, &batch[0], relu).outputs,
+                &run(&cycle, None, &enc, one, relu)[0].outputs,
                 &golden.outputs,
                 "cycle diverged (relu={})", relu
             );
             prop_assert_eq!(
-                &native.run_layer(&enc, &batch[0], relu).outputs,
+                &run(&native, Some(3), &enc, one, relu)[0].outputs,
                 &golden.outputs,
                 "native diverged (relu={})", relu
             );
@@ -78,11 +100,9 @@ proptest! {
     /// golden model, across thread counts.
     #[test]
     fn backends_bit_exact_batched((enc, batch, _pes) in arb_case(), threads in 1usize..6) {
-        let golden = Functional::new().run_layer_batch(&enc, &batch, false);
-        let cycle = CycleAccurate::new(SimConfig::default())
-            .run_layer_batch(&enc, &batch, false);
-        let native = NativeCpu::with_threads(threads)
-            .run_layer_batch(&enc, &batch, false);
+        let golden = run(&Functional::new(), None, &enc, &batch, false);
+        let cycle = run(&CycleAccurate::new(SimConfig::default()), None, &enc, &batch, false);
+        let native = run(&NativeCpu::with_threads(threads), Some(threads), &enc, &batch, false);
         prop_assert_eq!(golden.len(), batch.len());
         for i in 0..batch.len() {
             prop_assert_eq!(
@@ -100,15 +120,15 @@ proptest! {
     /// running its items one at a time, on every backend.
     #[test]
     fn batching_never_changes_outputs((enc, batch, _pes) in arb_case()) {
-        let backends: [Box<dyn Backend>; 3] = [
-            Box::new(Functional::new()),
-            Box::new(CycleAccurate::new(SimConfig::default())),
-            Box::new(NativeCpu::with_threads(2)),
+        let backends: [(Box<dyn Backend>, Option<usize>); 3] = [
+            (Box::new(Functional::new()), None),
+            (Box::new(CycleAccurate::new(SimConfig::default())), None),
+            (Box::new(NativeCpu::with_threads(2)), Some(2)),
         ];
-        for backend in &backends {
-            let batched = backend.run_layer_batch(&enc, &batch, true);
+        for (backend, cut) in &backends {
+            let batched = run(backend.as_ref(), *cut, &enc, &batch, true);
             for (i, item) in batch.iter().enumerate() {
-                let single = backend.run_layer(&enc, item, true);
+                let single = run(backend.as_ref(), *cut, &enc, std::slice::from_ref(item), true).remove(0);
                 prop_assert_eq!(
                     &batched[i].outputs, &single.outputs,
                     "{} batching changed item {}", backend.name(), i

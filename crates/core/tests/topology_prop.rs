@@ -201,7 +201,8 @@ fn saturating_stack(
     // The case is only interesting if layer 0 actually clamps
     // before ReLU feeds it forward.
     let first = Functional::new()
-        .run_layer(model.layer(0), &items[0], false)
+        .run_layer_batch_planned(PlannedLayer::Encoded(model.layer(0)), &items[..1], false)
+        .remove(0)
         .outputs;
     prop_assert!(
         first.iter().any(|v| *v == Q8p8::MAX || *v == Q8p8::MIN),

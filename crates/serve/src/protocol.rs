@@ -64,6 +64,12 @@ pub const MIN_PROTOCOL_VERSION: u8 = 1;
 /// hostile length prefix cannot make the reader allocate unboundedly.
 pub const MAX_BODY: usize = 16 << 20;
 
+/// The most [`read_frame`] allocates for a body before its bytes
+/// arrive: a length prefix is only a claim, so a larger body grows as
+/// it is read. Every request and response the benchmark exchanges fits
+/// in this first allocation.
+const FIRST_BODY_ALLOC: usize = 64 << 10;
+
 const KIND_INFER: u8 = 0x01;
 const KIND_STATS_REQ: u8 = 0x02;
 const KIND_SHUTDOWN: u8 = 0x03;
@@ -682,7 +688,8 @@ impl Response {
 /// Returns `Ok(None)` on a clean end-of-stream (the peer closed between
 /// frames). A stream that ends *inside* a frame — mid-prefix or
 /// mid-body — is a [`FrameError::Truncated`]; a length prefix above
-/// [`MAX_BODY`] is rejected before any allocation.
+/// [`MAX_BODY`] is rejected before any allocation, and a body allocates
+/// at most 64 KiB before its bytes arrive.
 ///
 /// # Errors
 ///
@@ -711,17 +718,14 @@ pub fn read_frame(stream: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError>
     if len > MAX_BODY {
         return Err(FrameError::Oversized { len, max: MAX_BODY });
     }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            FrameError::Truncated {
-                offset: 4,
-                section: "frame body",
-            }
-        } else {
-            FrameError::Io(e)
-        }
-    })?;
+    let mut body = Vec::with_capacity(len.min(FIRST_BODY_ALLOC));
+    stream.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(FrameError::Truncated {
+            offset: 4,
+            section: "frame body",
+        });
+    }
     Ok(Some(body))
 }
 
@@ -895,6 +899,36 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn a_length_prefix_alone_allocates_no_more_than_64_kib() {
+        /// A stream that records the largest buffer it is asked to fill.
+        struct Recording<'a> {
+            bytes: &'a [u8],
+            largest: usize,
+        }
+        impl Read for Recording<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.largest = self.largest.max(buf.len());
+                self.bytes.read(buf)
+            }
+        }
+        // A 16 MiB prefix (the largest accepted), 100 bytes, then EOF.
+        let mut wire = (MAX_BODY as u32).to_le_bytes().to_vec();
+        wire.extend([7u8; 100]);
+        let mut stream = Recording {
+            bytes: &wire,
+            largest: 0,
+        };
+        assert!(matches!(
+            read_frame(&mut stream),
+            Err(FrameError::Truncated {
+                offset: 4,
+                section: "frame body",
+            })
+        ));
+        assert!(stream.largest <= 64 << 10, "{} B", stream.largest);
     }
 
     #[test]

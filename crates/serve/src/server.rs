@@ -771,8 +771,8 @@ impl ModelServer {
             ..config
         };
         // Build the plans here, on the caller's thread, whenever the
-        // workers will walk them (the native kernel is the backend that
-        // does), and free the encoded layers here too: the model's
+        // workers will walk them (`plan_cut` says so, and for how many
+        // threads), and free the encoded layers here too: the model's
         // largest allocations are then made and freed by the long-lived
         // thread that loaded it rather than inside a worker's
         // short-lived malloc arena, and the first request never queues
@@ -781,9 +781,9 @@ impl ModelServer {
         // coarser one would leave threads idle. Backends that stream
         // the layers keep them and get no plan.
         let (name, cfg, input_dim) = (model.name().into(), *model.config(), model.input_dim());
-        let (plans, layers) = match config.backend {
-            BackendKind::NativeCpu(threads) => (model.into_plans(threads), Vec::new()),
-            _ => (Vec::new(), model.into_layers()),
+        let (plans, layers) = match config.backend.plan_cut() {
+            Some(threads) => (model.into_plans(threads), Vec::new()),
+            None => (Vec::new(), model.into_layers()),
         };
         let model = Arc::new(ServedModel {
             name,
