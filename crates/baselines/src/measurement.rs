@@ -116,11 +116,6 @@ impl CpuMeasurement {
     pub fn sparse_speedup_b1(&self) -> f64 {
         self.dense_b1_us / self.sparse_b1_us
     }
-
-    /// Speed-up from batching the dense kernel.
-    pub fn batching_speedup_dense(&self) -> f64 {
-        self.dense_b1_us / self.dense_b64_us
-    }
 }
 
 impl fmt::Display for CpuMeasurement {

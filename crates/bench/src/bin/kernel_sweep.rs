@@ -136,7 +136,7 @@ fn roof_steps_per_s(harness: &TimingHarness, config: EieConfig) -> (f64, f64) {
 type Subject = (&'static str, CompiledModel, Vec<Vec<Q8p8>>);
 
 /// The row whose rail-free proof fails, so the saturating fallback
-/// stays measured: the shape of `plan_prop`'s saturation strategy at a
+/// stays measured: the shape of the oracle's saturating mode at a
 /// size fixed across `EIE_SCALE` (the verdict is a function of the
 /// fixed-seed layer and inputs, not of the scale or the host) — a
 /// quarter dense, weights ±(1.5..2.5), inputs ±127 on half the columns.

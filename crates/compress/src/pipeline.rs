@@ -109,11 +109,6 @@ impl CompilePipeline {
         self
     }
 
-    /// The configured codebook strategy.
-    pub fn codebook_strategy(&self) -> &CodebookStrategy {
-        &self.codebook
-    }
-
     /// Sets the pack-stage codec (default:
     /// [`WeightCodecKind::CscNibble`]). The codec only changes the
     /// stored byte stream — the encode/validate stages and the decoded

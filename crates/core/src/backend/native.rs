@@ -237,8 +237,9 @@ impl NativeCpu {
     /// range; `gather` writes each range's finished values into
     /// disjoint cells of the interleaved output. The merge therefore
     /// reorders no adds and overlaps no writes — bit-exact for any
-    /// thread count, which the plan proptests pin. There are at most
-    /// `threads` ranges, so scratch is addressed by worker slot.
+    /// thread count, which the oracle (`tests/oracle.rs`) pins. There
+    /// are at most `threads` ranges, so scratch is addressed by worker
+    /// slot.
     ///
     /// Returns `true` if a pool worker panicked — the run is drained
     /// (the latch released, every mailbox idle) and gathering stopped;

@@ -1,20 +1,12 @@
-//! Property tests of the execution-plan refactor: the plan kernel is a
-//! *layout* change, never a numerical one.
+//! Corner tests of the execution plan: the plan kernel is a *layout*
+//! change, never a numerical one. Every path's agreement with the
+//! functional golden on random layers, PE counts and batches is the
+//! workspace oracle's (`tests/oracle.rs`); these fixed cases pin the
+//! corners a random draw rarely reaches: multi-block layers, block cuts
+//! inside a PE slice, empty slices, and clamping rows that straddle a
+//! block boundary, across thread fan-outs and lane-remainder batches.
 //!
-//! For random layers, PE counts and batch shapes, the plan walks of
-//! `NativeCpu` (single-item and batch-lane vectorized) must produce
-//! `Q8p8` outputs bit-identical to the functional golden model — including on
-//! saturation-heavy inputs near the `Accum32` limits, where any
-//! reordering, dropped-padding, or lane-padding mistake would change
-//! which saturating add clamps first, at every lane-remainder batch
-//! size (each congruence class mod [`LANE_WIDTH`], at one and at two
-//! stripes per lane block, plus multi-block batches), where a
-//! tail-block bug would show, and on the block
-//! structure's own corners: multi-block layers, block cuts inside a PE
-//! slice, empty slices, and clamping rows that straddle a block
-//! boundary, across thread fan-outs.
-//!
-//! The rail-free lanes are held to the same oracle from both sides: the
+//! The rail-free lanes are held to the golden from both sides: the
 //! *proof* (`PlanBlock::rail_free_for`, the predicate the kernel itself
 //! asks) is checked against an exact `i64` shadow accumulation — it may
 //! never hold for a block where any prefix of any row leaves `i32` —
@@ -25,8 +17,6 @@
 use std::sync::Arc;
 
 use eie_core::prelude::*;
-use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
 
 /// The functional golden over `batch`, item by item.
 fn golden(enc: &EncodedLayer, batch: &[Vec<Q8p8>], relu: bool) -> Vec<BackendRun> {
@@ -43,117 +33,6 @@ fn walk(
 ) -> Vec<BackendRun> {
     let plan = Arc::new(LayerPlan::build_with_blocks(enc, engine.threads()));
     engine.run_layer_batch_planned(PlannedLayer::Plan(&plan), batch, relu)
-}
-
-/// Strategy: a compressed layer, a batch of quantized inputs, and a PE
-/// count drawn from {1, 2, 3, 4, 8}.
-fn arb_case() -> impl Strategy<Value = (EncodedLayer, Vec<Vec<Q8p8>>)> {
-    (
-        4usize..48,
-        4usize..40,
-        0.05f64..0.5,
-        any::<u64>(),
-        prop_oneof![Just(1usize), Just(2), Just(3), Just(4), Just(8)],
-        0.1f64..1.0,
-        any::<u64>(),
-        // Every batch size through one past two lane widths (each
-        // remainder class of the padded tail block, at one stripe per
-        // lane block up to LANE_WIDTH items and two above), plus
-        // batches of two and three 16-item blocks whose last block is
-        // half full (24), one item past half (25) or one item (33).
-        prop_oneof![
-            17 => 1usize..=2 * LANE_WIDTH + 1,
-            1 => Just(24usize),
-            1 => Just(25),
-            1 => Just(33)
-        ],
-    )
-        .prop_map(
-            |(rows, cols, density, seed, pes, act_density, act_seed, batch)| {
-                // Reroll degenerate all-zero matrices (compress rejects them).
-                let mut m = random_sparse(rows, cols, density, seed);
-                let mut reroll = seed;
-                while m.nnz() == 0 {
-                    reroll = reroll.wrapping_add(0x9E37_79B9);
-                    m = random_sparse(rows, cols, density.max(0.2), reroll);
-                }
-                let enc = compress(&m, CompressConfig::with_pes(pes));
-                let items = (0..batch as u64)
-                    .map(|i| {
-                        Q8p8::from_f32_slice(&eie_core::nn::zoo::sample_activations(
-                            cols,
-                            act_density,
-                            true,
-                            act_seed.wrapping_add(i),
-                        ))
-                    })
-                    .collect();
-                (enc, items)
-            },
-        )
-}
-
-/// Strategy: a layer whose weights and activations sit near the Q8.8
-/// rails, so accumulators brush the `Accum32` saturation limits within
-/// a few MACs — the inputs where add order is *observable*.
-fn arb_saturating_case() -> impl Strategy<Value = (EncodedLayer, Vec<Vec<Q8p8>>)> {
-    (
-        2usize..24,
-        4usize..24,
-        any::<u64>(),
-        prop_oneof![Just(1usize), Just(2), Just(4)],
-        // Lane-remainder batches for the saturation cases too: padded
-        // tail lanes must stay no-ops even when real lanes clamp.
-        prop_oneof![
-            17 => 1usize..=2 * LANE_WIDTH + 1,
-            1 => Just(24usize),
-            1 => Just(25),
-            1 => Just(33)
-        ],
-    )
-        .prop_map(|(rows, cols, seed, pes, batch)| {
-            let mut state = seed | 1;
-            let mut next = move || {
-                // xorshift64: deterministic, dependency-free.
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            // Dense-ish matrix of near-rail weights with mixed signs:
-            // every product is ~±120·120, so two same-sign adds already
-            // approach the 32-bit accumulator limit.
-            let mut triplets = Vec::new();
-            for r in 0..rows {
-                for c in 0..cols {
-                    if next() % 4 == 0 {
-                        continue; // keep some sparsity
-                    }
-                    let sign = if next() % 2 == 0 { 1.0 } else { -1.0 };
-                    triplets.push((r, c, sign * (100.0 + (next() % 28) as f32)));
-                }
-            }
-            if triplets.is_empty() {
-                triplets.push((0, 0, 127.0));
-            }
-            let m = CsrMatrix::from_triplets(rows, cols, &triplets);
-            let enc = compress(&m, CompressConfig::with_pes(pes));
-            let items = (0..batch)
-                .map(|_| {
-                    (0..cols)
-                        .map(|_| {
-                            if next() % 5 == 0 {
-                                Q8p8::ZERO
-                            } else {
-                                let sign = if next() % 2 == 0 { 1.0 } else { -1.0 };
-                                Q8p8::from_f32(sign * (90.0 + (next() % 38) as f32))
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            (enc, items)
-        })
 }
 
 /// The `(largest, smallest)` raw activation of a dispatch, 0 where no
@@ -201,99 +80,6 @@ fn check_proof(plan: &LayerPlan, items: &[Vec<Q8p8>]) -> Vec<(bool, bool)> {
             (proved, clamps)
         })
         .collect()
-}
-
-/// Asserts plan NativeCpu == functional golden, item by item, single
-/// and batched (the lane kernel), both writeback modes.
-fn assert_plan_golden_agree(
-    enc: &EncodedLayer,
-    batch: &[Vec<Q8p8>],
-    threads: usize,
-) -> Result<(), TestCaseError> {
-    let plan = NativeCpu::with_threads(threads);
-    for relu in [false, true] {
-        let want = golden(enc, &batch[..1], relu).remove(0);
-        let p = walk(&plan, enc, &batch[..1], relu).remove(0);
-        prop_assert_eq!(
-            &p.outputs,
-            &want.outputs,
-            "plan single diverged from golden (relu={}, {} threads)",
-            relu,
-            threads
-        );
-        let want_b = golden(enc, batch, relu);
-        let p_b = walk(&plan, enc, batch, relu);
-        for i in 0..batch.len() {
-            prop_assert_eq!(
-                &p_b[i].outputs,
-                &want_b[i].outputs,
-                "lane batch item {} of {} diverged (relu={}, {} threads)",
-                i,
-                batch.len(),
-                relu,
-                threads
-            );
-        }
-    }
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
-
-    /// Random layers × PE counts × batch shapes: the plan kernel and
-    /// the golden model are bit-identical.
-    #[test]
-    fn plan_and_golden_bit_exact((enc, batch) in arb_case(), threads in 1usize..5) {
-        assert_plan_golden_agree(&enc, &batch, threads)?;
-    }
-
-    /// Saturation-heavy inputs near the `Accum32` rails: the add-order
-    /// invariant survives plan lowering (padding drops, pre-multiplied
-    /// weights, pool splitting) exactly.
-    #[test]
-    fn saturating_inputs_pin_the_add_order((enc, batch) in arb_saturating_case(), threads in 1usize..4) {
-        // The case is only interesting if something actually clamps;
-        // near-rail products guarantee plenty of saturated outputs.
-        assert_plan_golden_agree(&enc, &batch, threads)?;
-        let out = golden(&enc, &batch[..1], false).remove(0).outputs;
-        prop_assert!(
-            out.iter().any(|v| *v == Q8p8::MAX || *v == Q8p8::MIN),
-            "saturation strategy produced no clamped outputs"
-        );
-        // The blocks the engine walked (one per thread): where an
-        // accumulator clamps the proof must have failed, so these
-        // inputs keep exercising the saturating kernel on purpose.
-        let plan = LayerPlan::build_with_blocks(&enc, threads);
-        for (b, (proved, clamps)) in check_proof(&plan, &batch).into_iter().enumerate() {
-            prop_assert!(!(proved && clamps), "block {} clamps yet was proved rail-free", b);
-        }
-    }
-
-    /// Plans passed explicitly through the model's plan slots (the
-    /// serving path: `plan` → `PlannedLayer::Plan` →
-    /// `run_layer_batch_planned`) agree with the golden model.
-    #[test]
-    fn model_plan_cache_path_bit_exact((enc, batch) in arb_case()) {
-        let config = EieConfig::default().with_num_pes(enc.num_pes());
-        let model = CompiledModel::from_layers(config, vec![enc.clone()]);
-        // One thread: the model's shared plan is walked as is, on every
-        // thread the engine has.
-        let backend = NativeCpu::with_threads(1);
-        prop_assert_eq!(model.plans_built(), 0);
-        let planned = PlannedLayer::Plan(model.plan(0));
-        prop_assert_eq!(model.plans_built(), 1);
-        let via_model = backend.run_layer_batch_planned(planned, &batch, false);
-        let plan = model.plan(0);
-        prop_assert!(plan.blocks().len() >= backend.threads().min(plan.rows()));
-        let golden = golden(&enc, &batch, false);
-        for i in 0..batch.len() {
-            prop_assert_eq!(
-                &via_model[i].outputs, &golden[i].outputs,
-                "model-plan path diverged at item {}", i
-            );
-        }
-    }
 }
 
 /// A layer, a PE count and a batch that exercise the block structure:

@@ -660,18 +660,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Sets the base backoff.
-    pub fn with_base_backoff(mut self, base_backoff: Duration) -> Self {
-        self.base_backoff = base_backoff;
-        self
-    }
-
-    /// Sets the backoff cap.
-    pub fn with_max_backoff(mut self, max_backoff: Duration) -> Self {
-        self.max_backoff = max_backoff;
-        self
-    }
-
     /// Sets the jitter seed.
     pub fn with_jitter_seed(mut self, jitter_seed: u64) -> Self {
         self.jitter_seed = jitter_seed;
@@ -820,7 +808,9 @@ impl Client {
 
     /// [`Client::infer`] with a deadline (remaining budget; `None` = no
     /// deadline) and an attempt number for the server's upstream-retry
-    /// accounting.
+    /// accounting. The wire carries whole microseconds and reads 0 as
+    /// "no deadline", so a budget under 1 µs, spent or not, is sent as
+    /// 1 µs.
     ///
     /// # Errors
     ///
@@ -835,7 +825,7 @@ impl Client {
         self.request(&Request::Infer {
             model: model.into(),
             input: input.to_vec(),
-            deadline_us: deadline.map_or(0, |d| d.as_micros().min(u64::MAX as u128) as u64),
+            deadline_us: deadline.map_or(0, |d| d.as_micros().clamp(1, u64::MAX as u128) as u64),
             attempt: attempt.min(u8::MAX as u32) as u8,
         })
     }

@@ -315,12 +315,6 @@ impl SubmitOptions {
         self.deadline = Some(deadline);
         self
     }
-
-    /// Marks the submission as retry attempt `attempt`.
-    pub fn with_attempt(mut self, attempt: u32) -> Self {
-        self.attempt = attempt;
-        self
-    }
 }
 
 /// The completed result of one served request.
@@ -375,11 +369,6 @@ impl InferenceResponse {
                 detail: "worker thread died before answering".into(),
             })
         })
-    }
-
-    /// Returns the outcome if the request already completed.
-    pub fn try_wait(&self) -> Option<Result<RequestResult, RequestError>> {
-        self.rx.try_recv().ok()
     }
 }
 

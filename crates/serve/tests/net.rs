@@ -5,7 +5,7 @@
 //! answering the request in flight.
 
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -292,4 +292,31 @@ fn drain_mid_frame_closes_without_a_malformed_answer() {
         matches!(read_frame(&mut raw), Ok(None)),
         "a frame cut by the drain must end the stream unanswered"
     );
+}
+
+/// A deadline under 1 µs is a spent budget, not "no deadline": the
+/// client sends it as 1 µs, and only `None` as the wire's 0.
+#[test]
+fn a_sub_microsecond_deadline_is_sent_as_one_microsecond() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let node = thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut sent = Vec::new();
+        while let Some(body) = read_frame(&mut stream).unwrap() {
+            match Request::from_body(&body).unwrap() {
+                Request::Infer { deadline_us, .. } => sent.push(deadline_us),
+                other => panic!("expected an INFER, got {other:?}"),
+            }
+            stream.write_all(&Response::Ok.to_frame()).unwrap();
+        }
+        sent
+    });
+    let mut client = Client::connect(addr).unwrap();
+    for deadline in [Some(Duration::ZERO), Some(Duration::from_nanos(500)), None] {
+        let answer = client.infer_with("m", &[0.5; 4], deadline, 0).unwrap();
+        assert_eq!(answer, Response::Ok);
+    }
+    drop(client);
+    assert_eq!(node.join().unwrap(), [1, 1, 0]);
 }
