@@ -1,7 +1,8 @@
 //! Corner tests of the execution plan: the plan kernel is a *layout*
 //! change, never a numerical one. Every path's agreement with the
 //! functional golden on random layers, PE counts and batches is the
-//! workspace oracle's (`tests/oracle.rs`); these fixed cases pin the
+//! workspace oracle's (`tests/oracle.rs`, with the native paths alone in
+//! the umbrella crate's `tests/plan_prop.rs`); these fixed cases pin the
 //! corners a random draw rarely reaches: multi-block layers, block cuts
 //! inside a PE slice, empty slices, and clamping rows that straddle a
 //! block boundary, across thread fan-outs and lane-remainder batches.

@@ -1,7 +1,8 @@
 //! The threaded stack dispatch at the two-stripe lane boundaries:
 //! fanning a layer's plan blocks out over threads is a *scheduling*
 //! change, never a numerical one. Random stacks, PE counts, thread
-//! counts and batches are the workspace oracle's (`tests/oracle.rs`);
+//! counts and batches are the workspace oracle's (`tests/oracle.rs`, with
+//! drawn stacks alone in the umbrella crate's `tests/topology_prop.rs`);
 //! this fixed case pins near-rail stacks fed *through* ReLU into a
 //! second layer at the batch sizes where a lane block gains its second
 //! stripe, where any change to a single add's order or a range boundary

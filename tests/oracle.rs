@@ -16,8 +16,8 @@ use std::time::{Duration, Instant};
 use eie::prelude::*;
 use eie::serve::{FaultPlan, ModelServer, RequestError, ServerConfig, SubmitError, SubmitOptions};
 use proptest::prelude::*;
-use proptest::test_runner::{TestCaseError, TestRng};
-use support::{arb_case, assert_all_paths_agree, Mode};
+use proptest::test_runner::TestCaseError;
+use support::{arb_case, assert_all_paths_agree, cases, Mode};
 
 /// Cases the oracle draws. A path of stride `s` runs on `CASES / s` of
 /// them: the server on 12, the network node on 6.
@@ -25,10 +25,8 @@ const CASES: usize = 48;
 
 #[test]
 fn every_path_agrees_with_the_golden() {
-    let strategy = arb_case();
-    let mut rng = TestRng::deterministic("oracle");
-    for n in 0..CASES {
-        assert_all_paths_agree(&strategy.generate(&mut rng), n);
+    for (n, case) in cases("oracle", CASES, |_| true).enumerate() {
+        assert_all_paths_agree(&case, n);
     }
 }
 

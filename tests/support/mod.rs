@@ -17,6 +17,15 @@
 //!
 //! The rule: **a new path is one `PATHS` entry.** It is then checked on
 //! every axis the generator draws.
+//!
+//! [`cases`] draws a named, deterministic sequence of cases, optionally
+//! restricted on the draw, and [`assert_paths_agree`] runs a selection
+//! of the registry on one batch: `tests/oracle.rs` runs all of it, the
+//! narrower property tests (`tests/prop.rs`, `tests/plan_prop.rs`, …)
+//! each run the paths and draws they are named for. Each test binary
+//! uses part of this module, hence the `dead_code` allowance.
+
+#![allow(dead_code)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -26,6 +35,7 @@ use eie::run_stack_planned;
 use eie::serve::protocol::Response;
 use eie::serve::{Client, ModelRegistry, ModelServer, NetServer, ServerConfig};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 /// One `Q8p8` vector per batch item: a case's inputs, or what a path
 /// returns for them.
@@ -96,6 +106,21 @@ pub struct Case {
 
 /// The one strategy every property draws from.
 pub fn arb_case() -> impl Strategy<Value = Case> {
+    arb_draw().prop_map(Case::build)
+}
+
+/// `count` cases drawn deterministically under `label`, skipping draws
+/// that `keep` rejects (before anything is compiled).
+pub fn cases(label: &str, count: usize, keep: fn(&Draw) -> bool) -> impl Iterator<Item = Case> {
+    let (strategy, mut rng) = (arb_draw(), TestRng::deterministic(label));
+    std::iter::repeat_with(move || strategy.generate(&mut rng))
+        .filter(keep)
+        .take(count)
+        .map(Case::build)
+}
+
+/// What [`arb_case`] draws, not yet built.
+fn arb_draw() -> impl Strategy<Value = Draw> {
     let batch = prop_oneof![
         17 => 1usize..=2 * LANE_WIDTH + 1,
         1 => Just(24usize),
@@ -142,18 +167,16 @@ pub fn arb_case() -> impl Strategy<Value = Case> {
         policy,
     )
         .prop_map(
-            |(dims, density, seed, pes, shared_codebook, batch, mode, act_density, policy)| {
-                Case::build(Draw {
-                    dims,
-                    density,
-                    seed,
-                    pes,
-                    shared_codebook,
-                    batch,
-                    mode,
-                    act_density,
-                    policy,
-                })
+            |(dims, density, seed, pes, shared_codebook, batch, mode, act_density, policy)| Draw {
+                dims,
+                density,
+                seed,
+                pes,
+                shared_codebook,
+                batch,
+                mode,
+                act_density,
+                policy,
             },
         )
 }
@@ -298,29 +321,34 @@ pub static PATHS: &[Path] = &[
 /// on item 0 alone, and panics at the first word that differs from the
 /// golden.
 pub fn assert_all_paths_agree(case: &Case, n: usize) {
-    let solo = case.solo();
-    for &(name, _, path) in PATHS
-        .iter()
-        .filter(|&&(_, stride, _)| n.is_multiple_of(stride))
-    {
-        for case in [case, &solo] {
-            let batch = case.inputs.len();
-            let at = || format!("path {name}, case {n}, batch {batch}, draw {:?}", case.draw);
-            let got = catch_unwind(AssertUnwindSafe(|| path(case)))
-                .unwrap_or_else(|_| panic!("{} panicked", at()));
-            assert_eq!(got.len(), batch, "{}: item count", at());
-            for (i, (got, want)) in got.iter().zip(&case.golden).enumerate() {
-                let word = got.iter().zip(want).position(|(g, w)| g != w);
-                let word = word.or((got.len() != want.len()).then(|| got.len().min(want.len())));
-                if let Some(w) = word {
-                    panic!(
-                        "{}: item {i} differs from the golden at word {w} of {}: {:?} != {:?}",
-                        at(),
-                        want.len(),
-                        got.get(w),
-                        want.get(w)
-                    );
-                }
+    let due = |name: &str| PATHS.iter().any(|p| p.0 == name && n.is_multiple_of(p.1));
+    for case in [case, &case.solo()] {
+        assert_paths_agree(case, n, due);
+    }
+}
+
+/// Runs the registered paths that `select` names, whatever their stride,
+/// on the case's batch as it is, and panics naming the path, case
+/// number `n`, the batch, the draw, the item and the first differing
+/// word.
+pub fn assert_paths_agree(case: &Case, n: usize, select: impl Fn(&str) -> bool) {
+    for &(name, _, path) in PATHS.iter().filter(|p| select(p.0)) {
+        let batch = case.inputs.len();
+        let at = || format!("path {name}, case {n}, batch {batch}, draw {:?}", case.draw);
+        let got = catch_unwind(AssertUnwindSafe(|| path(case)))
+            .unwrap_or_else(|_| panic!("{} panicked", at()));
+        assert_eq!(got.len(), batch, "{}: item count", at());
+        for (i, (got, want)) in got.iter().zip(&case.golden).enumerate() {
+            let word = got.iter().zip(want).position(|(g, w)| g != w);
+            let word = word.or((got.len() != want.len()).then(|| got.len().min(want.len())));
+            if let Some(w) = word {
+                panic!(
+                    "{}: item {i} differs from the golden at word {w} of {}: {:?} != {:?}",
+                    at(),
+                    want.len(),
+                    got.get(w),
+                    want.get(w)
+                );
             }
         }
     }
