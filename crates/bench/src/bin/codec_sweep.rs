@@ -7,14 +7,16 @@
 //! * **stored bytes** and the **compression ratio** versus the dense
 //!   f32 weight matrix — the axis the codecs compete on,
 //! * **encode** and **decode + plan-build** wall-clock — what a codec
-//!   costs at artifact-write and model-load time,
+//!   costs at artifact-write and model-load time (the layer image
+//!   decoded straight into its plan, `WeightCodec::decode_plan`),
 //! * the **cold start** of the layer as a one-layer `.eie` container:
 //!   `cold_start_us` is everything a registry miss pays between having
-//!   the file's bytes and being able to dispatch — payload CRC, codec
-//!   decode, `EncodedLayer` validation and plan build
-//!   (`CompiledModel::from_bytes` + `planned_layers`) — and `crc_us` is
-//!   the container's own share of it (`from_bytes` minus the layer
-//!   decode inside it: the checksum plus header parsing).
+//!   the file's bytes and being able to dispatch — payload CRC, the
+//!   validating decode into plan blocks — i.e. the served load
+//!   (`CompiledModel::load_served` for a one-thread native backend) —
+//!   and `crc_us` is the container's own share of it
+//!   (`CompiledModel::from_bytes` minus the layer decode inside it: the
+//!   checksum plus header parsing).
 //!
 //! Every (layer, codec) pair is asserted to roundtrip **bit-exactly**
 //! (`decode(encode(layer)) == layer`, directly and through the
@@ -125,6 +127,11 @@ fn main() {
                 &decoded, enc,
                 "{codec} roundtrip diverged on {benchmark} — refusing to record perf"
             );
+            assert_eq!(
+                c.decode_plan(&image, 1).expect("codec image plans").plan,
+                LayerPlan::build(enc),
+                "{codec} plan diverged on {benchmark} — refusing to record perf"
+            );
             // The same layer as a one-layer container in this codec: what
             // a registry reads from disk on a miss.
             let container =
@@ -143,17 +150,15 @@ fn main() {
             );
 
             let encode_us = harness.measure_us(|| c.encode(enc));
-            let decode_plan_us = harness.measure_us(|| {
-                let l = c.decode(&image).expect("decode");
-                LayerPlan::build(&l)
-            });
+            let decode_plan_us =
+                harness.measure_us(|| c.decode_plan(&image, 1).expect("decode_plan"));
             let decode_us = harness.measure_us(|| c.decode(&image).expect("decode"));
             let from_bytes_us =
                 harness.measure_us(|| CompiledModel::from_bytes(&container).expect("load"));
             let crc_us = (from_bytes_us - decode_us).max(0.0);
             let cold_start_us = harness.measure_us(|| {
-                let model = CompiledModel::from_bytes(&container).expect("load");
-                model.planned_layers().len()
+                let served = CompiledModel::load_served(&container, BackendKind::NativeCpu(1));
+                served.expect("served load").plans.len()
             });
             let ratio = c.compression_ratio(enc);
             let vs_csc = csc_bytes

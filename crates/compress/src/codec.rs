@@ -31,11 +31,26 @@
 use std::fmt;
 
 use crate::cursor::ByteCursor;
-use crate::huffman::{Histogram, HuffmanCode};
+use crate::huffman::{Histogram, HuffmanCode, StreamDecoder};
+use crate::plan::PlanBuilder;
 use crate::serialize::{
-    layer_header_bytes, read_layer_header, write_layer_header, DecodeLayerError, LayerHeader, MAGIC,
+    layer_header_bytes, plan_from_bytes, read_layer_header, write_layer_header, DecodeLayerError,
+    LayerHeader, MAGIC,
 };
-use crate::{EncodedLayer, Entry, PeSlice};
+use crate::{Codebook, EncodedLayer, Entry, LayerPlan, PeSlice};
+
+/// A layer image decoded straight into its plan
+/// ([`WeightCodec::decode_plan`]), with the header fields a model
+/// container checks the layer against.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ImagePlan {
+    /// The layer's execution plan.
+    pub plan: LayerPlan,
+    /// The encoding's relative-index width.
+    pub index_bits: u32,
+    /// The layer's codebook.
+    pub codebook: Codebook,
+}
 
 /// Magic bytes heading a Huffman-packed layer image.
 pub const HUFFMAN_MAGIC: [u8; 4] = *b"EIEH";
@@ -64,6 +79,18 @@ pub trait WeightCodec {
     /// Returns a [`DecodeLayerError`] on malformed bytes or any encoding
     /// invariant violation.
     fn decode(&self, bytes: &[u8]) -> Result<EncodedLayer, DecodeLayerError>;
+
+    /// Decodes and validates a layer from this codec's stream straight
+    /// into its execution plan, cut into at least `min_blocks` blocks —
+    /// what a plan-walking server keeps — building no [`EncodedLayer`].
+    /// Accepts exactly the streams [`WeightCodec::decode`] accepts, with
+    /// the same first error, and the plan is the one
+    /// [`LayerPlan::build_with_blocks`] builds from the decoded layer.
+    ///
+    /// # Errors
+    ///
+    /// [`WeightCodec::decode`]'s.
+    fn decode_plan(&self, bytes: &[u8], min_blocks: usize) -> Result<ImagePlan, DecodeLayerError>;
 
     /// Exact length of [`WeightCodec::encode`]'s stream in bytes,
     /// computed from the layout arithmetic without serializing — a
@@ -177,6 +204,10 @@ impl WeightCodec for CscNibble {
         EncodedLayer::from_bytes(bytes)
     }
 
+    fn decode_plan(&self, bytes: &[u8], min_blocks: usize) -> Result<ImagePlan, DecodeLayerError> {
+        plan_from_bytes(bytes, min_blocks)
+    }
+
     fn encoded_bytes(&self, layer: &EncodedLayer) -> usize {
         layer.image_bytes()
     }
@@ -217,15 +248,11 @@ impl WeightCodec for HuffmanPacked {
     }
 
     fn decode(&self, bytes: &[u8]) -> Result<EncodedLayer, DecodeLayerError> {
-        let mut r = ByteCursor::new(bytes, "magic");
-        let h = read_layer_header(&mut r, &HUFFMAN_MAGIC)?;
-        let shapes = read_pe_shapes(&mut r, &h)?;
-        let total: usize = shapes.iter().map(|s| s.n_entries).sum();
-        let code_table = read_code_table(&mut r, "code table")?;
-        let zrun_table = read_code_table(&mut r, "zrun table")?;
-        let codes = read_stream(&mut r, "code stream", code_table.as_ref(), total)?;
-        let zruns = read_stream(&mut r, "zrun stream", zrun_table.as_ref(), total)?;
-        assemble(h, shapes, &codes, &zruns)
+        decode_layer(bytes, &HUFFMAN_MAGIC, Streams::huffman)
+    }
+
+    fn decode_plan(&self, bytes: &[u8], min_blocks: usize) -> Result<ImagePlan, DecodeLayerError> {
+        decode_plan(bytes, &HUFFMAN_MAGIC, Streams::huffman, min_blocks)
     }
 
     fn encoded_bytes(&self, layer: &EncodedLayer) -> usize {
@@ -275,29 +302,11 @@ impl WeightCodec for BitPlane {
     }
 
     fn decode(&self, bytes: &[u8]) -> Result<EncodedLayer, DecodeLayerError> {
-        let mut r = ByteCursor::new(bytes, "magic");
-        let h = read_layer_header(&mut r, &BITPLANE_MAGIC)?;
-        let shapes = read_pe_shapes(&mut r, &h)?;
-        let total: usize = shapes.iter().map(|s| s.n_entries).sum();
-        // Both streams' planes are taken before either stream is
-        // allocated: `total` comes from the image, and a plane-less
-        // stream has no byte backing it. Padding entries carry the
-        // maximal zrun, so no canonical image with entries has both
-        // streams plane-less; with that refused, a present plane's
-        // `ceil(total / 8)` bytes were read and bound both allocations.
-        let codes = take_planes(&mut r, "code planes", total)?;
-        let zruns = take_planes(&mut r, "zrun planes", total)?;
-        if total > 0 && codes.is_empty() && zruns.is_empty() {
-            return Err(DecodeLayerError::BadStream {
-                section: "zrun planes",
-            });
-        }
-        assemble(
-            h,
-            shapes,
-            &spread_planes(&codes, total),
-            &spread_planes(&zruns, total),
-        )
+        decode_layer(bytes, &BITPLANE_MAGIC, Streams::planes)
+    }
+
+    fn decode_plan(&self, bytes: &[u8], min_blocks: usize) -> Result<ImagePlan, DecodeLayerError> {
+        decode_plan(bytes, &BITPLANE_MAGIC, Streams::planes, min_blocks)
     }
 
     fn encoded_bytes(&self, layer: &EncodedLayer) -> usize {
@@ -325,11 +334,12 @@ pub fn decode_any(bytes: &[u8]) -> Result<EncodedLayer, DecodeLayerError> {
     }
 }
 
-/// The per-PE structural fields the compressed codecs store raw.
-struct PeShape {
+/// The per-PE structural fields the compressed codecs store raw,
+/// borrowed in place.
+struct PeShape<'a> {
     local_rows: usize,
     n_entries: usize,
-    col_ptr: Vec<u32>,
+    col_ptr: &'a [[u8; 4]],
 }
 
 /// Symbol counts of the pooled `code` and `zrun` streams: everything
@@ -402,10 +412,10 @@ fn write_pe_shapes(layer: &EncodedLayer, out: &mut Vec<u8>) {
 /// (row partition must cover the layer; the entry total cannot exceed
 /// the matrix), so corrupt counts fail here instead of driving huge
 /// allocations downstream.
-fn read_pe_shapes(
-    r: &mut ByteCursor<'_>,
+fn read_pe_shapes<'a>(
+    r: &mut ByteCursor<'a>,
     h: &LayerHeader,
-) -> Result<Vec<PeShape>, DecodeLayerError> {
+) -> Result<Vec<PeShape<'a>>, DecodeLayerError> {
     let mut shapes = Vec::with_capacity(h.num_pes.min(r.remaining() / 8 + 1));
     let mut total_local = 0usize;
     let mut total_entries = 0u64;
@@ -415,7 +425,8 @@ fn read_pe_shapes(
         total_local += local_rows;
         let n_entries = r.u32()? as usize;
         total_entries += n_entries as u64;
-        let col_ptr = r.u32s("col_ptr", h.cols + 1)?;
+        r.enter("col_ptr");
+        let col_ptr = r.records(h.cols + 1)?;
         shapes.push(PeShape {
             local_rows,
             n_entries,
@@ -433,32 +444,171 @@ fn read_pe_shapes(
     Ok(shapes)
 }
 
-/// Splits the decoded pooled streams back into per-PE slices and builds
-/// the validated layer.
-fn assemble(
-    h: LayerHeader,
-    shapes: Vec<PeShape>,
-    codes: &[u8],
-    zruns: &[u8],
+/// The pooled `code` and `zrun` streams of a compressed image, opened
+/// and bounds-checked — every count they will decode is then backed by
+/// bytes present — and decoded one PE slice at a time into the pairs of
+/// one reused buffer. One lives on the stack per layer decode, so the
+/// variants' sizes do not matter.
+#[allow(clippy::large_enum_variant)]
+enum Streams<'a> {
+    /// `None` for an empty stream.
+    Huffman {
+        codes: Option<StreamDecoder<'a>>,
+        zruns: Option<StreamDecoder<'a>>,
+    },
+    Planes {
+        codes: Planes<'a>,
+        zruns: Planes<'a>,
+        /// First symbol of the next slice.
+        at: usize,
+    },
+}
+
+impl Streams<'_> {
+    /// Takes both Huffman tables and both streams' headers and bytes.
+    /// The stream checks run in the order a whole-stream decode meets
+    /// them, so the first error is the same: the code stream is decoded
+    /// to its end before a zrun-stream error is reported.
+    fn huffman<'a>(r: &mut ByteCursor<'a>, total: usize) -> Result<Streams<'a>, DecodeLayerError> {
+        let code_table = read_code_table(r, "code table")?;
+        let zrun_table = read_code_table(r, "zrun table")?;
+        let mut codes = open_stream(r, "code stream", code_table.as_ref(), total)?;
+        match open_stream(r, "zrun stream", zrun_table.as_ref(), total) {
+            Ok(zruns) => Ok(Streams::Huffman { codes, zruns }),
+            Err(e) => {
+                finish_stream(&mut codes, "code stream")?;
+                Err(e)
+            }
+        }
+    }
+
+    /// Takes both streams' planes before either is spread: `total`
+    /// comes from the image, and a plane-less stream has no byte backing
+    /// it. Padding entries carry the maximal zrun, so no canonical image
+    /// with entries has both streams plane-less; with that refused, a
+    /// present plane's `ceil(total / 8)` bytes were read and bound every
+    /// buffer the slices are decoded into.
+    fn planes<'a>(r: &mut ByteCursor<'a>, total: usize) -> Result<Streams<'a>, DecodeLayerError> {
+        let codes = take_planes(r, "code planes", total)?;
+        let zruns = take_planes(r, "zrun planes", total)?;
+        if total > 0 && codes.is_empty() && zruns.is_empty() {
+            return Err(DecodeLayerError::BadStream {
+                section: "zrun planes",
+            });
+        }
+        Ok(Streams::Planes {
+            codes,
+            zruns,
+            at: 0,
+        })
+    }
+
+    /// Decodes the next slice's `(code, zrun)` pairs into `out`.
+    fn slice(&mut self, out: &mut [[u8; 2]]) -> Result<(), DecodeLayerError> {
+        match self {
+            Streams::Huffman { codes, zruns } => {
+                fill_stream(codes, out.iter_mut().map(|p| &mut p[0]), "code stream")?;
+                let zrun_run = out.iter_mut().map(|p| &mut p[1]);
+                if let Err(e) = fill_stream(zruns, zrun_run, "zrun stream") {
+                    finish_stream(codes, "code stream")?;
+                    return Err(e);
+                }
+            }
+            Streams::Planes { codes, zruns, at } => {
+                spread_into(codes, *at, out, 0);
+                spread_into(zruns, *at, out, 1);
+                *at += out.len();
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks what the slices left unread: each Huffman stream's symbols
+    /// fill exactly its declared bits.
+    fn finish(&mut self) -> Result<(), DecodeLayerError> {
+        if let Streams::Huffman { codes, zruns } = self {
+            finish_stream(codes, "code stream")?;
+            finish_stream(zruns, "zrun stream")?;
+        }
+        Ok(())
+    }
+}
+
+/// How a compressed codec opens its streams after the shape block.
+type OpenStreams = for<'a> fn(&mut ByteCursor<'a>, usize) -> Result<Streams<'a>, DecodeLayerError>;
+
+/// Reads a compressed image's header and shape block and opens its
+/// streams.
+fn open<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 4],
+    streams: OpenStreams,
+) -> Result<(LayerHeader, Vec<PeShape<'a>>, Streams<'a>), DecodeLayerError> {
+    let mut r = ByteCursor::new(bytes, "magic");
+    let h = read_layer_header(&mut r, magic)?;
+    let shapes = read_pe_shapes(&mut r, &h)?;
+    let total = shapes.iter().map(|s| s.n_entries).sum();
+    let streams = streams(&mut r, total)?;
+    Ok((h, shapes, streams))
+}
+
+/// A compressed image decoded slice by slice into an [`EncodedLayer`],
+/// then validated.
+fn decode_layer(
+    bytes: &[u8],
+    magic: &[u8; 4],
+    streams: OpenStreams,
 ) -> Result<EncodedLayer, DecodeLayerError> {
+    let (h, shapes, mut streams) = open(bytes, magic, streams)?;
     let mut slices = Vec::with_capacity(shapes.len());
-    let mut off = 0usize;
-    for shape in shapes {
-        let entries: Vec<Entry> = codes[off..off + shape.n_entries]
-            .iter()
-            .zip(&zruns[off..off + shape.n_entries])
-            .map(|(&code, &zrun)| Entry { code, zrun })
-            .collect();
-        off += shape.n_entries;
+    for shape in &shapes {
+        let mut pairs = vec![[0u8; 2]; shape.n_entries];
+        streams.slice(&mut pairs)?;
+        let entries = pairs.iter().map(|&[code, zrun]| Entry { code, zrun });
+        let col_ptr = shape.col_ptr.iter().map(|&p| u32::from_le_bytes(p));
         slices.push(PeSlice::from_raw_parts(
-            entries,
-            shape.col_ptr,
+            entries.collect(),
+            col_ptr.collect(),
             shape.local_rows,
         ));
     }
+    streams.finish()?;
     let layer = EncodedLayer::from_raw_parts(h.rows, h.cols, h.index_bits, h.codebook, slices);
     layer.validate()?;
     Ok(layer)
+}
+
+/// A compressed image decoded slice by slice into one reused buffer and
+/// fed to the plan builder. A slice that fails its checks ends the
+/// scatter but not the decode: a stream error anywhere is reported
+/// first, as [`decode_layer`]'s decode-then-validate order reports it.
+fn decode_plan(
+    bytes: &[u8],
+    magic: &[u8; 4],
+    streams: OpenStreams,
+    min_blocks: usize,
+) -> Result<ImagePlan, DecodeLayerError> {
+    let (h, shapes, mut streams) = open(bytes, magic, streams)?;
+    let heads = shapes
+        .iter()
+        .map(|s| (s.local_rows, s.col_ptr, s.n_entries));
+    let mut builder = PlanBuilder::new(h.rules(), &h.codebook, min_blocks, heads);
+    let (mut pairs, mut invalid) = (Vec::new(), None);
+    for (pe, shape) in shapes.iter().enumerate() {
+        pairs.clear();
+        pairs.resize(shape.n_entries, [0u8; 2]);
+        streams.slice(&mut pairs)?;
+        if invalid.is_none() {
+            invalid = builder
+                .push(pe, shape.local_rows, shape.col_ptr, &pairs)
+                .err();
+        }
+    }
+    streams.finish()?;
+    match invalid {
+        Some(e) => Err(e.into()),
+        None => Ok(h.with_plan(builder.finish())),
+    }
 }
 
 /// Fits a Huffman code unless the stream is empty (the empty stream is
@@ -530,17 +680,18 @@ fn write_stream(code: Option<&HuffmanCode>, data: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(bits.as_bytes());
 }
 
-/// Reads and decodes one Huffman-coded stream of exactly `count`
-/// symbols. The stream must be tight: no symbol may be shorter than one
-/// bit (`count <= bit_len`, which the decoder checks before it reserves
-/// the output), padding bits must be zero, and the decoded symbols must
-/// re-encode to exactly `bit_len` bits.
-fn read_stream(
-    r: &mut ByteCursor<'_>,
+/// Reads one Huffman-coded stream's header and bytes for decoding
+/// exactly `count` symbols (`None` when `count` is zero). The stream
+/// must be tight: no symbol may be shorter than one bit (`count <=
+/// bit_len`, checked here, before anything is sized by `count`) and
+/// padding bits must be zero; [`finish_stream`] checks the decoded
+/// symbols fill exactly `bit_len` bits.
+fn open_stream<'a>(
+    r: &mut ByteCursor<'a>,
     section: &'static str,
     code: Option<&HuffmanCode>,
     count: usize,
-) -> Result<Vec<u8>, DecodeLayerError> {
+) -> Result<Option<StreamDecoder<'a>>, DecodeLayerError> {
     r.enter(section);
     let bit_len = r.u32()? as usize;
     let bytes = r.take(bit_len.div_ceil(8))?;
@@ -548,18 +699,35 @@ fn read_stream(
         if bit_len != 0 {
             return Err(DecodeLayerError::BadStream { section });
         }
-        return Ok(Vec::new());
+        return Ok(None);
     }
-    let Some(code) = code else {
-        return Err(DecodeLayerError::BadStream { section });
-    };
-    let data = code
-        .decode(bytes, bit_len, count)
-        .ok_or(DecodeLayerError::BadStream { section })?;
-    if code.encoded_bits(&data) != bit_len {
-        return Err(DecodeLayerError::BadStream { section });
+    code.and_then(|code| code.stream(bytes, bit_len, count))
+        .map(Some)
+        .ok_or(DecodeLayerError::BadStream { section })
+}
+
+/// Decodes the next symbols of an open stream into `out`.
+fn fill_stream<'o>(
+    stream: &mut Option<StreamDecoder<'_>>,
+    out: impl ExactSizeIterator<Item = &'o mut u8>,
+    section: &'static str,
+) -> Result<(), DecodeLayerError> {
+    match stream {
+        Some(stream) => stream.fill(out),
+        None => (out.len() == 0).then_some(()),
     }
-    Ok(data)
+    .ok_or(DecodeLayerError::BadStream { section })
+}
+
+/// Decodes what is left of an open stream and checks it is tight.
+fn finish_stream(
+    stream: &mut Option<StreamDecoder<'_>>,
+    section: &'static str,
+) -> Result<(), DecodeLayerError> {
+    stream
+        .as_mut()
+        .map_or(Some(()), StreamDecoder::finish)
+        .ok_or(DecodeLayerError::BadStream { section })
 }
 
 /// The low bit of each byte of a `u64`.
@@ -642,18 +810,25 @@ fn take_planes<'a>(
     Ok(planes)
 }
 
-/// Rebuilds the `count` symbols of a stream from its planes, eight per
-/// step from one byte of each present plane through [`SPREAD`]. The
-/// caller bounds `count` (see [`BitPlane::decode`]).
-fn spread_planes(planes: &Planes<'_>, count: usize) -> Vec<u8> {
-    let mut data = vec![0u8; count];
-    for (k, chunk) in data.chunks_mut(8).enumerate() {
+/// Rebuilds symbols `first..first + out.len()` of a stream from its
+/// planes into byte `slot` of each pair, eight per step from one byte of
+/// each present plane through [`SPREAD`]. The caller bounds the symbols
+/// (see [`Streams::planes`]).
+fn spread_into(planes: &Planes<'_>, first: usize, out: &mut [[u8; 2]], slot: usize) {
+    let end = first + out.len();
+    let mut pos = first;
+    while pos < end {
+        let k = pos / 8;
         let word = planes.iter().fold(0u64, |word, &(plane, bytes)| {
             word | SPREAD[bytes[k] as usize] << plane
         });
-        chunk.copy_from_slice(&word.to_le_bytes()[..chunk.len()]);
+        let stop = end.min(8 * k + 8);
+        let symbols = &word.to_le_bytes()[pos - 8 * k..];
+        for (pair, &sym) in out[pos - first..stop - first].iter_mut().zip(symbols) {
+            pair[slot] = sym;
+        }
+        pos = stop;
     }
-    data
 }
 
 #[cfg(test)]
@@ -796,7 +971,14 @@ mod tests {
         section: &'static str,
         count: usize,
     ) -> Result<Vec<u8>, DecodeLayerError> {
-        take_planes(r, section, count).map(|planes| spread_planes(&planes, count))
+        // Spread in two uneven runs, as slices land: the second starts
+        // mid-byte.
+        let planes = take_planes(r, section, count)?;
+        let mut pairs = vec![[0u8; 2]; count];
+        let (head, tail) = pairs.split_at_mut(count / 3);
+        spread_into(&planes, 0, head, 0);
+        spread_into(&planes, count / 3, tail, 0);
+        Ok(pairs.iter().map(|p| p[0]).collect())
     }
 
     /// `read_planes` as it stood before the byte-spread rewrite: one bit
@@ -1235,6 +1417,128 @@ mod tests {
             let codec = kind.codec();
             let back = codec.decode(&codec.encode(&layer)).expect("roundtrip");
             assert_eq!(back, layer, "{kind}");
+        }
+    }
+
+    /// `decode_plan` of `image` at cuts 1–3 is `decode`'s layer planned
+    /// by `build_with_blocks`, or `decode`'s very error.
+    fn assert_plan_matches_decode(kind: WeightCodecKind, image: &[u8], what: &str) {
+        let want = kind.codec().decode(image);
+        for cut in 1..=3 {
+            match (&want, kind.codec().decode_plan(image, cut)) {
+                (Ok(layer), Ok(got)) => {
+                    assert_eq!(got.plan, LayerPlan::build_with_blocks(layer, cut), "{what}");
+                    assert_eq!(got.index_bits, layer.index_bits(), "{what}");
+                    assert_eq!(&got.codebook, layer.codebook(), "{what}");
+                }
+                (Err(want), Err(got)) => assert_eq!(want, &got, "{what}"),
+                (want, got) => panic!("{what}: decode gave {want:?}, decode_plan {got:?}"),
+            }
+        }
+    }
+
+    /// `layer` with its slices' stored fields rewritten.
+    fn tampered(
+        layer: &EncodedLayer,
+        edit: impl Fn(usize, &mut Vec<Entry>, &mut Vec<u32>, &mut usize),
+    ) -> EncodedLayer {
+        let slices = layer
+            .slices()
+            .iter()
+            .enumerate()
+            .map(|(pe, s)| {
+                let (mut entries, mut col_ptr, mut rows) =
+                    (s.entries().to_vec(), s.col_ptr().to_vec(), s.local_rows());
+                edit(pe, &mut entries, &mut col_ptr, &mut rows);
+                PeSlice::from_raw_parts(entries, col_ptr, rows)
+            })
+            .collect();
+        let (rows, cols, bits) = (layer.rows(), layer.cols(), layer.index_bits());
+        EncodedLayer::from_raw_parts(rows, cols, bits, layer.codebook().clone(), slices)
+    }
+
+    #[test]
+    fn decode_plan_accepts_and_refuses_exactly_what_decode_does() {
+        let base = sample(4, 5);
+        let populated = base.codebook().len() as u8;
+        let layers = [
+            ("4 PEs", base.clone()),
+            ("index_bits 8", wide_index_sample()),
+            ("one symbol", single_symbol_sample()),
+            ("no entries", empty_sample()),
+            ("empty slices", empty_slices_sample()),
+            (
+                "code past the codebook in PE 1",
+                tampered(&base, |pe, e, _, _| {
+                    if pe == 1 {
+                        e[3].code = populated;
+                    }
+                }),
+            ),
+            (
+                "zero run past the width in PE 2",
+                tampered(&base, |pe, e, _, _| {
+                    if pe == 2 {
+                        e[0].zrun = 16;
+                    }
+                }),
+            ),
+            (
+                "row overflow in PE 0",
+                tampered(&base, |pe, e, _, _| {
+                    if pe == 0 {
+                        e.iter_mut().for_each(|e| e.zrun = 15);
+                    }
+                }),
+            ),
+            (
+                "pointers decreasing in PE 3",
+                tampered(&base, |pe, _, p, _| {
+                    if pe == 3 {
+                        p[5] = u32::MAX;
+                    }
+                }),
+            ),
+            (
+                "uneven shares",
+                tampered(&base, |pe, _, _, rows| {
+                    *rows = if pe == 0 {
+                        *rows + 1
+                    } else if pe == 1 {
+                        *rows - 1
+                    } else {
+                        *rows
+                    }
+                }),
+            ),
+            (
+                "a bad code in PE 0, bad pointers in PE 1",
+                tampered(&base, |pe, e, p, _| match pe {
+                    0 => e[0].code = populated,
+                    1 => p[2] = u32::MAX,
+                    _ => {}
+                }),
+            ),
+        ];
+        for (what, layer) in &layers {
+            for kind in WeightCodecKind::ALL {
+                let image = kind.codec().encode(layer);
+                assert_plan_matches_decode(kind, &image, &format!("{kind} {what}"));
+                // Every prefix, and single-bit flips spread over the
+                // whole image: stream errors, truncations and layer
+                // errors must come out in the same order.
+                for cut in 0..image.len() {
+                    let what = format!("{kind} {what}, prefix {cut}");
+                    assert_plan_matches_decode(kind, &image[..cut], &what);
+                }
+                let step = (image.len() * 8 / 300).max(1);
+                for bit in (0..image.len() * 8).step_by(step) {
+                    let mut flipped = image.clone();
+                    flipped[bit / 8] ^= 0x80 >> (bit % 8);
+                    let what = format!("{kind} {what}, bit {bit}");
+                    assert_plan_matches_decode(kind, &flipped, &what);
+                }
+            }
         }
     }
 }

@@ -67,35 +67,18 @@ impl<'a> ByteCursor<'a> {
         Ok(s)
     }
 
-    /// Takes `count` fixed-size records as one bounds-checked block. A
-    /// count the remaining bytes cannot hold — counts come straight from
-    /// untrusted header fields — is a truncation error here, before the
-    /// caller reserves anything for the records.
+    /// Takes `count` fixed-size `N`-byte records as one bounds-checked
+    /// block, borrowed in place. A count the remaining bytes cannot hold
+    /// — counts come straight from untrusted header fields — is a
+    /// truncation error here, before the caller reserves anything for
+    /// the records.
     ///
     /// # Errors
     ///
     /// [`Truncated`] if the block does not fit (however large `count`).
     #[inline]
-    pub fn records(
-        &mut self,
-        count: usize,
-        size: usize,
-    ) -> Result<std::slice::ChunksExact<'a, u8>, Truncated> {
-        let bytes = self.take(count.saturating_mul(size))?;
-        Ok(bytes.chunks_exact(size))
-    }
-
-    /// Reads a section of `count` little-endian `u32`s.
-    ///
-    /// # Errors
-    ///
-    /// [`Truncated`], attributed to `section`.
-    pub fn u32s(&mut self, section: &'static str, count: usize) -> Result<Vec<u32>, Truncated> {
-        self.enter(section);
-        Ok(self
-            .records(count, 4)?
-            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            .collect())
+    pub fn records<const N: usize>(&mut self, count: usize) -> Result<&'a [[u8; N]], Truncated> {
+        Ok(self.take(count.saturating_mul(N))?.as_chunks().0)
     }
 
     #[inline]
@@ -191,15 +174,8 @@ mod tests {
         // Neither `pos + n` nor `count * size` may wrap into a short
         // read; the cursor must not move on failure.
         assert_eq!(r.take(usize::MAX), Err(at));
-        assert_eq!(r.records(usize::MAX, 4).err(), Some(at));
-        assert_eq!(r.records(usize::MAX / 2 + 1, 2).err(), Some(at));
-        assert_eq!(
-            r.u32s("words", usize::MAX),
-            Err(Truncated {
-                section: "words",
-                ..at
-            })
-        );
+        assert_eq!(r.records::<4>(usize::MAX).err(), Some(at));
+        assert_eq!(r.records::<2>(usize::MAX / 2 + 1).err(), Some(at));
         assert_eq!(r.remaining(), 4);
         assert_eq!(r.u32(), Ok(0x0605_0403));
         assert_eq!(r.remaining(), 0);
@@ -224,7 +200,7 @@ mod tests {
         assert_eq!(r.f64(), Ok(-0.25));
         assert_eq!(r.remaining(), 5);
         r.enter("pairs");
-        let pairs: Vec<_> = r.records(2, 2).unwrap().map(|p| p[0]).collect();
+        let pairs: Vec<_> = r.records::<2>(2).unwrap().iter().map(|p| p[0]).collect();
         assert_eq!(pairs, [9, 8]);
         assert_eq!(r.remaining(), 1);
         // A partial field fails where it starts, in the section entered
@@ -235,7 +211,7 @@ mod tests {
             section: "tail",
         };
         assert_eq!(r.u16(), Err(at));
-        assert_eq!(r.records(1, 2).err(), Some(at));
+        assert_eq!(r.records::<2>(1).err(), Some(at));
         assert_eq!(r.u8(), Ok(7));
         assert_eq!(
             r.u8(),

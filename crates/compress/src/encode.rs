@@ -53,6 +53,17 @@ pub enum ValidateLayerError {
         /// Offending column.
         col: usize,
     },
+    /// A PE does not hold its interleaved share of the rows (`rows / n`,
+    /// plus one for the first `rows % n` PEs): every accumulator → row
+    /// map is computed from that rule, not stored.
+    RowShare {
+        /// PE whose slice is invalid.
+        pe: usize,
+        /// The interleave's local row count for this PE.
+        expected: usize,
+        /// The slice's local row count.
+        actual: usize,
+    },
 }
 
 impl fmt::Display for ValidateLayerError {
@@ -81,6 +92,14 @@ impl fmt::Display for ValidateLayerError {
                     "PE {pe}: decoded row overflows local rows in column {col}"
                 )
             }
+            ValidateLayerError::RowShare {
+                pe,
+                expected,
+                actual,
+            } => write!(
+                f,
+                "PE {pe}: holds {actual} local rows, not its interleaved share of {expected}"
+            ),
         }
     }
 }
@@ -380,9 +399,10 @@ impl EncodedLayer {
         EncodingStats::from_layer(self)
     }
 
-    /// Checks every structural invariant of the encoding: pointer-array
-    /// shape and monotonicity, zero-run bounds, codebook index range, and
-    /// accumulator-address bounds.
+    /// Checks every structural invariant of the encoding: each PE's
+    /// interleaved row share, pointer-array shape and monotonicity,
+    /// zero-run bounds, codebook index range, and accumulator-address
+    /// bounds.
     ///
     /// The encoder upholds these by construction; validate data that
     /// arrived from outside (e.g. a deserialized layer image) before
@@ -392,46 +412,176 @@ impl EncodedLayer {
     ///
     /// Returns the first [`ValidateLayerError`] found.
     pub fn validate(&self) -> Result<(), ValidateLayerError> {
-        let max_run = ((1usize << self.index_bits) - 1) as u8;
-        let populated = self.codebook.len() as u8;
+        let rules = SliceRules::of(self);
         for (pe, slice) in self.slices.iter().enumerate() {
-            if slice.col_ptr.len() != self.cols + 1 {
-                return Err(ValidateLayerError::ColPtrLength {
-                    pe,
-                    expected: self.cols + 1,
-                    actual: slice.col_ptr.len(),
-                });
-            }
-            if slice.col_ptr[0] != 0
-                || *slice.col_ptr.last().expect("non-empty by check above") as usize
-                    != slice.entries.len()
-            {
-                return Err(ValidateLayerError::ColPtrInconsistent { pe, col: 0 });
-            }
-            for col in 0..self.cols {
-                if slice.col_ptr[col] > slice.col_ptr[col + 1] {
-                    return Err(ValidateLayerError::ColPtrInconsistent { pe, col });
-                }
-            }
-            for (idx, e) in slice.entries.iter().enumerate() {
-                if e.zrun > max_run {
-                    return Err(ValidateLayerError::ZeroRunTooLong { pe, entry: idx });
-                }
-                if e.code >= populated {
-                    return Err(ValidateLayerError::CodeOutOfRange { pe, entry: idx });
-                }
-            }
-            for col in 0..self.cols {
-                let mut cursor = 0usize;
-                for e in slice.col_entries(col) {
-                    cursor += e.zrun as usize + 1;
-                }
-                if cursor > slice.local_rows {
-                    return Err(ValidateLayerError::RowOverflow { pe, col });
-                }
-            }
+            let ptr = &slice.col_ptr[..];
+            rules.check_head(pe, slice.local_rows, ptr, slice.entries.len())?;
+            rules.check_entries(pe, slice.local_rows, ptr, &slice.entries)?;
         }
         Ok(())
+    }
+}
+
+/// A stored entry as the checks and the plan builder read it — an
+/// in-memory [`Entry`], or a layer image's byte pair in place — as
+/// `(code, zrun)`.
+pub(crate) trait StoredEntry: Copy {
+    fn fields(self) -> (u8, u8);
+}
+
+impl StoredEntry for Entry {
+    fn fields(self) -> (u8, u8) {
+        (self.code, self.zrun)
+    }
+}
+
+impl StoredEntry for [u8; 2] {
+    fn fields(self) -> (u8, u8) {
+        (self[0], self[1])
+    }
+}
+
+/// A slice's column-pointer array as stored — in memory, or a layer
+/// image's little-endian words in place: its words, and every column's
+/// `(start, end)` entry span in column order.
+pub(crate) trait ColPtr {
+    fn words(&self) -> impl DoubleEndedIterator<Item = u32> + ExactSizeIterator + '_;
+    fn spans(&self) -> impl Iterator<Item = (usize, usize)> + '_;
+}
+
+impl ColPtr for [u32] {
+    fn words(&self) -> impl DoubleEndedIterator<Item = u32> + ExactSizeIterator + '_ {
+        self.iter().copied()
+    }
+    fn spans(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.windows(2).map(|w| (w[0] as usize, w[1] as usize))
+    }
+}
+
+impl ColPtr for [[u8; 4]] {
+    fn words(&self) -> impl DoubleEndedIterator<Item = u32> + ExactSizeIterator + '_ {
+        self.iter().map(|&w| u32::from_le_bytes(w))
+    }
+    fn spans(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let word = |w: [u8; 4]| u32::from_le_bytes(w) as usize;
+        self.windows(2).map(move |w| (word(w[0]), word(w[1])))
+    }
+}
+
+/// What every PE slice of one layer is checked against: the layer's
+/// shape, index width and populated codebook. [`EncodedLayer::validate`]
+/// and the plan builder both check slices through it, in the same order
+/// and with the same errors.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SliceRules {
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+    pub(crate) num_pes: usize,
+    max_run: u8,
+    populated: u8,
+}
+
+impl SliceRules {
+    pub(crate) fn new(
+        rows: usize,
+        cols: usize,
+        num_pes: usize,
+        index_bits: u32,
+        codebook: &Codebook,
+    ) -> Self {
+        Self {
+            rows,
+            cols,
+            num_pes,
+            max_run: ((1usize << index_bits) - 1) as u8,
+            populated: codebook.len() as u8,
+        }
+    }
+
+    pub(crate) fn of(layer: &EncodedLayer) -> Self {
+        let n = layer.num_pes();
+        Self::new(layer.rows, layer.cols, n, layer.index_bits, &layer.codebook)
+    }
+
+    /// A slice's place in the layer: its interleaved row share, then its
+    /// pointer array's length, ends and monotonicity.
+    pub(crate) fn check_head<P: ColPtr + ?Sized>(
+        &self,
+        pe: usize,
+        local_rows: usize,
+        col_ptr: &P,
+        entries: usize,
+    ) -> Result<(), ValidateLayerError> {
+        let expected = local_row_count(self.rows, self.num_pes, pe);
+        if local_rows != expected {
+            return Err(ValidateLayerError::RowShare {
+                pe,
+                expected,
+                actual: local_rows,
+            });
+        }
+        let mut words = col_ptr.words();
+        if words.len() != self.cols + 1 {
+            return Err(ValidateLayerError::ColPtrLength {
+                pe,
+                expected: self.cols + 1,
+                actual: words.len(),
+            });
+        }
+        if words.next() != Some(0) || words.next_back().map(|w| w as usize) != Some(entries) {
+            return Err(ValidateLayerError::ColPtrInconsistent { pe, col: 0 });
+        }
+        match col_ptr.spans().position(|(start, end)| start > end) {
+            Some(col) => Err(ValidateLayerError::ColPtrInconsistent { pe, col }),
+            None => Ok(()),
+        }
+    }
+
+    /// Whether zero runs whose OR is `zruns` and codes up to `max_code`
+    /// are all in range — [`SliceRules::check_entries`]' first check,
+    /// from what a scatter folded up.
+    pub(crate) fn admits(&self, zruns: u8, max_code: u8) -> bool {
+        zruns & !self.max_run == 0 && max_code < self.populated
+    }
+
+    /// A slice's entries, once its head passed: every zero run and code
+    /// in range, then every column's rows inside the slice.
+    pub(crate) fn check_entries<P: ColPtr + ?Sized, E: StoredEntry>(
+        &self,
+        pe: usize,
+        local_rows: usize,
+        col_ptr: &P,
+        entries: &[E],
+    ) -> Result<(), ValidateLayerError> {
+        let zrun = |e: E| e.fields().1;
+        let out_of_range = |e: E| zrun(e) > self.max_run || e.fields().0 >= self.populated;
+        // One branch-free sweep; the first offender is looked up only
+        // when there is one.
+        if entries.iter().fold(false, |bad, &e| bad | out_of_range(e)) {
+            let entry = entries
+                .iter()
+                .position(|&e| out_of_range(e))
+                .expect("swept");
+            return Err(if zrun(entries[entry]) > self.max_run {
+                ValidateLayerError::ZeroRunTooLong { pe, entry }
+            } else {
+                ValidateLayerError::CodeOutOfRange { pe, entry }
+            });
+        }
+        let rows = |(start, end)| {
+            entries[start..end]
+                .iter()
+                .map(|&e| zrun(e) as usize + 1)
+                .sum()
+        };
+        match col_ptr
+            .spans()
+            .map(rows)
+            .position(|rows: usize| rows > local_rows)
+        {
+            Some(col) => Err(ValidateLayerError::RowOverflow { pe, col }),
+            None => Ok(()),
+        }
     }
 }
 

@@ -182,34 +182,85 @@ impl HuffmanCode {
     /// or the stream is malformed (runs out of bits or hits a prefix no
     /// code owns). The output is at most one byte per input bit.
     pub fn decode(&self, bytes: &[u8], bit_len: usize, count: usize) -> Option<Vec<u8>> {
+        let mut stream = self.stream(bytes, bit_len, count)?;
+        let mut out = vec![0u8; count];
+        stream.fill(out.iter_mut())?;
+        (stream.bits.consumed <= bit_len).then_some(out)
+    }
+
+    /// Opens a packed stream of `count` symbols for decoding a run at a
+    /// time ([`StreamDecoder`]). `None` under [`HuffmanCode::decode`]'s
+    /// buffer checks, which include `count <= bit_len` — every symbol
+    /// costs at least one bit — so a caller sizing buffers by `count`
+    /// allocates at most one byte per input bit.
+    pub(crate) fn stream<'a>(
+        &self,
+        bytes: &'a [u8],
+        bit_len: usize,
+        count: usize,
+    ) -> Option<StreamDecoder<'a>> {
         if bytes.len() != bit_len.div_ceil(8) {
             return None;
         }
         if !bit_len.is_multiple_of(8) && bytes.last()? & (0xFF >> (bit_len % 8)) != 0 {
             return None;
         }
-        // Every symbol costs at least one bit; this also bounds the
-        // allocation below by the input length.
         if count > bit_len {
             return None;
         }
-        let table = DecodeTable::new(self);
-        let mut out = vec![0u8; count];
-        let mut bits = BitReader::new(bytes);
-        for sym in &mut out {
-            let window = bits.peek();
-            let slot = table.primary[(window >> (64 - PRIMARY_BITS)) as usize];
+        Some(StreamDecoder {
+            table: DecodeTable::new(self),
+            bits: BitReader::new(bytes),
+            bit_len,
+            left: count,
+        })
+    }
+}
+
+/// A canonical-Huffman stream decoded a run of symbols at a time — one
+/// PE slice's worth into a reused buffer — instead of all at once.
+pub(crate) struct StreamDecoder<'a> {
+    table: DecodeTable,
+    bits: BitReader<'a>,
+    bit_len: usize,
+    /// Symbols not yet decoded.
+    left: usize,
+}
+
+impl StreamDecoder<'_> {
+    /// Decodes the next symbols into `out`; `None` at a prefix no code
+    /// owns.
+    pub(crate) fn fill<'o>(
+        &mut self,
+        out: impl ExactSizeIterator<Item = &'o mut u8>,
+    ) -> Option<()> {
+        debug_assert!(out.len() <= self.left, "more symbols than the stream holds");
+        self.left -= out.len();
+        for sym in out {
+            let window = self.bits.peek();
+            let slot = self.table.primary[(window >> (64 - PRIMARY_BITS)) as usize];
             let len;
             (*sym, len) = if slot != 0 {
                 (slot as u8, (slot >> 8) as u32)
             } else {
-                table.long_code(window)?
+                self.table.long_code(window)?
             };
-            bits.consume(len);
+            self.bits.consume(len);
         }
-        // Past the end the reader supplies zeros, so a stream that ran
-        // out of bits shows here, once, instead of in a test per symbol.
-        (bits.consumed <= bit_len).then_some(out)
+        Some(())
+    }
+
+    /// Decodes whatever symbols are left and checks the stream is tight:
+    /// its symbols' codes fill exactly `bit_len` bits. Past the end the
+    /// reader supplies zeros, so a stream that ran out of bits shows
+    /// here, once, instead of in a test per symbol.
+    pub(crate) fn finish(&mut self) -> Option<()> {
+        let mut rest = [0u8; 256];
+        while self.left > 0 {
+            let n = self.left.min(rest.len());
+            self.fill(rest[..n].iter_mut())?;
+        }
+        (self.bits.consumed == self.bit_len).then_some(())
     }
 }
 

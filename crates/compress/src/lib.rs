@@ -64,7 +64,9 @@ mod serialize;
 mod stats;
 
 pub use codebook::{Codebook, CODEBOOK_SIZE, WEIGHT_BITS};
-pub use codec::{decode_any, BitPlane, CscNibble, HuffmanPacked, WeightCodec, WeightCodecKind};
+pub use codec::{
+    decode_any, BitPlane, CscNibble, HuffmanPacked, ImagePlan, WeightCodec, WeightCodecKind,
+};
 pub use cursor::{ByteCursor, Truncated};
 pub use encode::{
     compress, encode_with_codebook, CompressConfig, EncodedLayer, Entry, PeSlice,

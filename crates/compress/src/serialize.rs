@@ -23,8 +23,9 @@ use std::error::Error;
 use std::fmt;
 
 use crate::cursor::{ByteCursor, Truncated};
-use crate::encode::ValidateLayerError;
-use crate::{Codebook, EncodedLayer, Entry, PeSlice};
+use crate::encode::{SliceRules, ValidateLayerError};
+use crate::plan::PlanBuilder;
+use crate::{Codebook, EncodedLayer, Entry, ImagePlan, LayerPlan, PeSlice};
 
 /// Magic bytes heading every layer image.
 pub const MAGIC: [u8; 4] = *b"EIE1";
@@ -112,6 +113,28 @@ pub(crate) struct LayerHeader {
     pub(crate) cols: usize,
     pub(crate) num_pes: usize,
     pub(crate) codebook: Codebook,
+}
+
+impl LayerHeader {
+    /// The rules every slice of this layer is checked against.
+    pub(crate) fn rules(&self) -> SliceRules {
+        SliceRules::new(
+            self.rows,
+            self.cols,
+            self.num_pes,
+            self.index_bits,
+            &self.codebook,
+        )
+    }
+
+    /// The layer's plan, with the header fields a container checks.
+    pub(crate) fn with_plan(self, plan: LayerPlan) -> ImagePlan {
+        ImagePlan {
+            plan,
+            index_bits: self.index_bits,
+            codebook: self.codebook,
+        }
+    }
 }
 
 /// Byte length of the shared header: magic (4) + index_bits /
@@ -228,37 +251,81 @@ impl EncodedLayer {
     pub fn from_bytes(bytes: &[u8]) -> Result<EncodedLayer, DecodeLayerError> {
         let mut r = ByteCursor::new(bytes, "magic");
         let h = read_layer_header(&mut r, &MAGIC)?;
-
-        // Every PE costs at least its 8-byte header, which bounds the
-        // reservation by the input length whatever `num_pes` claims.
-        let mut slices = Vec::with_capacity(h.num_pes.min(r.remaining() / 8 + 1));
-        let mut total_local = 0usize;
-        for _ in 0..h.num_pes {
-            r.enter("pe header");
-            let local_rows = r.u32()? as usize;
-            total_local += local_rows;
-            let n_entries = r.u32()? as usize;
-            let col_ptr = r.u32s("col_ptr", h.cols + 1)?;
-            r.enter("entries");
-            let entries = r
-                .records(n_entries, 2)?
-                .map(|pair| Entry {
-                    code: pair[0],
-                    zrun: pair[1],
-                })
-                .collect();
-            slices.push(PeSlice::from_raw_parts(entries, col_ptr, local_rows));
-        }
-        if total_local != h.rows {
-            return Err(DecodeLayerError::BadHeader {
-                field: "local_rows",
-            });
-        }
-
+        let slices = read_slices(&mut r, &h)?
+            .into_iter()
+            .map(|s| {
+                let entries = s.entries.iter().map(|&[code, zrun]| Entry { code, zrun });
+                let col_ptr = s.col_ptr.iter().map(|&p| u32::from_le_bytes(p));
+                PeSlice::from_raw_parts(entries.collect(), col_ptr.collect(), s.local_rows)
+            })
+            .collect();
         let layer = EncodedLayer::from_raw_parts(h.rows, h.cols, h.index_bits, h.codebook, slices);
         layer.validate()?;
         Ok(layer)
     }
+}
+
+/// One PE slice of an `EIE1` image, borrowed in place.
+struct RawSlice<'a> {
+    local_rows: usize,
+    col_ptr: &'a [[u8; 4]],
+    entries: &'a [[u8; 2]],
+}
+
+/// Walks the per-PE sections of an `EIE1` image, borrowing each slice's
+/// pointers and entries in place: every count is checked against the
+/// bytes present before anything is reserved, and the local row counts
+/// must cover the layer.
+fn read_slices<'a>(
+    r: &mut ByteCursor<'a>,
+    h: &LayerHeader,
+) -> Result<Vec<RawSlice<'a>>, DecodeLayerError> {
+    // Every PE costs at least its 8-byte header, which bounds the
+    // reservation by the input length whatever `num_pes` claims.
+    let mut slices = Vec::with_capacity(h.num_pes.min(r.remaining() / 8 + 1));
+    let mut total_local = 0usize;
+    for _ in 0..h.num_pes {
+        r.enter("pe header");
+        let local_rows = r.u32()? as usize;
+        total_local += local_rows;
+        let n_entries = r.u32()? as usize;
+        r.enter("col_ptr");
+        let col_ptr = r.records(h.cols + 1)?;
+        r.enter("entries");
+        let entries = r.records(n_entries)?;
+        slices.push(RawSlice {
+            local_rows,
+            col_ptr,
+            entries,
+        });
+    }
+    if total_local != h.rows {
+        return Err(DecodeLayerError::BadHeader {
+            field: "local_rows",
+        });
+    }
+    Ok(slices)
+}
+
+/// Decodes an `EIE1` image straight into its plan: the slices' entry
+/// bytes are checked and scattered where they lie, and no
+/// [`EncodedLayer`] is built. Accepts exactly the images
+/// [`EncodedLayer::from_bytes`] accepts, with the same first error.
+pub(crate) fn plan_from_bytes(
+    bytes: &[u8],
+    min_blocks: usize,
+) -> Result<ImagePlan, DecodeLayerError> {
+    let mut r = ByteCursor::new(bytes, "magic");
+    let h = read_layer_header(&mut r, &MAGIC)?;
+    let slices = read_slices(&mut r, &h)?;
+    let heads = slices
+        .iter()
+        .map(|s| (s.local_rows, s.col_ptr, s.entries.len()));
+    let mut builder = PlanBuilder::new(h.rules(), &h.codebook, min_blocks, heads);
+    for (pe, s) in slices.iter().enumerate() {
+        builder.push(pe, s.local_rows, s.col_ptr, s.entries)?;
+    }
+    Ok(h.with_plan(builder.finish()))
 }
 
 #[cfg(test)]

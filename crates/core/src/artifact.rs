@@ -54,9 +54,14 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use eie_compress::{ByteCursor, DecodeLayerError, EncodedLayer, Truncated, WeightCodecKind};
+use std::sync::Arc;
 
-use crate::{CompiledModel, EieConfig};
+use eie_compress::{
+    ByteCursor, Codebook, DecodeLayerError, EncodedLayer, ImagePlan, Truncated, WeightCodec,
+    WeightCodecKind,
+};
+
+use crate::{BackendKind, CompiledModel, EieConfig, ServedModel};
 
 /// Magic bytes heading every `.eie` model container.
 pub const MODEL_MAGIC: [u8; 4] = *b"EIEM";
@@ -259,6 +264,196 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// What the container checks of a layer record once it is decoded,
+/// whichever form it was decoded into.
+trait LayerRecord {
+    /// `(rows, cols, num_pes, index_bits)`.
+    fn shape(&self) -> (usize, usize, usize, u32);
+    fn codebook(&self) -> &Codebook;
+}
+
+impl LayerRecord for EncodedLayer {
+    fn shape(&self) -> (usize, usize, usize, u32) {
+        (self.rows(), self.cols(), self.num_pes(), self.index_bits())
+    }
+    fn codebook(&self) -> &Codebook {
+        self.codebook()
+    }
+}
+
+impl LayerRecord for ImagePlan {
+    fn shape(&self) -> (usize, usize, usize, u32) {
+        let p = &self.plan;
+        (p.rows(), p.cols(), p.num_pes(), self.index_bits)
+    }
+    fn codebook(&self) -> &Codebook {
+        &self.codebook
+    }
+}
+
+/// Reads and checks a container — preamble, checksum, config, topology —
+/// and hands each layer image to `decode` with its codec, checking the
+/// decoded layers chain. Both loads go through it, so they accept the
+/// same bytes and report the same first error.
+fn read_container<L: LayerRecord>(
+    bytes: &[u8],
+    mut decode: impl FnMut(&dyn WeightCodec, &[u8]) -> Result<L, DecodeLayerError>,
+) -> Result<(EieConfig, String, Vec<L>), ModelArtifactError> {
+    let mut r = ByteCursor::new(bytes, "magic");
+    if r.take(4)? != MODEL_MAGIC {
+        return Err(ModelArtifactError::BadMagic);
+    }
+    r.enter("preamble");
+    let version = r.u16()?;
+    if !(1..=MODEL_VERSION).contains(&version) {
+        return Err(ModelArtifactError::UnsupportedVersion {
+            found: version,
+            supported: MODEL_VERSION,
+        });
+    }
+    let flags = r.u16()?;
+    if flags & !KNOWN_FLAGS != 0 {
+        return Err(ModelArtifactError::BadHeader { field: "flags" });
+    }
+    let payload_len = r.u32()? as usize;
+    let stored_crc = r.u32()?;
+    r.enter("payload");
+    let payload = r.take(payload_len)?;
+    if r.remaining() != 0 {
+        return Err(ModelArtifactError::BadHeader {
+            field: "trailing bytes",
+        });
+    }
+    let computed = crc32(payload);
+    if computed != stored_crc {
+        return Err(ModelArtifactError::ChecksumMismatch {
+            stored: stored_crc,
+            computed,
+        });
+    }
+
+    let mut r = ByteCursor::new(payload, "config");
+    let num_pes = r.u32()? as usize;
+    let fifo_depth = r.u32()? as usize;
+    let spmat_width_bits = r.u32()?;
+    let index_bits = r.u32()?;
+    let clock_hz = r.f64()?;
+    let hw_flags = r.u8()?;
+    let _pad = r.take(3)?;
+    if num_pes == 0 || num_pes > 1 << 20 {
+        return Err(ModelArtifactError::BadHeader { field: "num_pes" });
+    }
+    if fifo_depth == 0 {
+        return Err(ModelArtifactError::BadHeader {
+            field: "fifo_depth",
+        });
+    }
+    if spmat_width_bits < 8 || spmat_width_bits % 8 != 0 {
+        return Err(ModelArtifactError::BadHeader {
+            field: "spmat_width_bits",
+        });
+    }
+    if !(1..=8).contains(&index_bits) {
+        return Err(ModelArtifactError::BadHeader {
+            field: "index_bits",
+        });
+    }
+    if !clock_hz.is_finite() || clock_hz <= 0.0 {
+        return Err(ModelArtifactError::BadHeader { field: "clock_hz" });
+    }
+    if hw_flags & !0b111 != 0 {
+        return Err(ModelArtifactError::BadHeader { field: "hw_flags" });
+    }
+    let mut config = EieConfig {
+        num_pes,
+        fifo_depth,
+        spmat_width_bits,
+        clock_hz,
+        index_bits,
+        lnzd_tree: hw_flags & 1 != 0,
+        ptr_banked: hw_flags & 2 != 0,
+        accumulator_bypass: hw_flags & 4 != 0,
+        // Provisional: the layer records carry the actual codec.
+        codec: WeightCodecKind::CscNibble,
+    };
+
+    r.enter("topology");
+    let name_len = r.u16()? as usize;
+    let name = std::str::from_utf8(r.take(name_len)?)
+        .map_err(|_| ModelArtifactError::BadHeader { field: "name" })?
+        .to_owned();
+    let num_layers = r.u32()? as usize;
+    if num_layers == 0 {
+        return Err(ModelArtifactError::BadHeader {
+            field: "num_layers",
+        });
+    }
+
+    let mut layers: Vec<L> = Vec::with_capacity(num_layers.min(1 << 16));
+    let mut model_codec = WeightCodecKind::CscNibble;
+    for index in 0..num_layers {
+        r.enter("layer image");
+        // Version 1 has no codec id: every layer is csc-nibble.
+        let codec = if version >= 2 {
+            let id = r.u8()?;
+            WeightCodecKind::from_id(id).ok_or(ModelArtifactError::UnknownCodec { index, id })?
+        } else {
+            WeightCodecKind::CscNibble
+        };
+        if index == 0 {
+            model_codec = codec;
+        } else if codec != model_codec {
+            // The writer packs a whole model with one codec; a mixed
+            // container did not come from this implementation.
+            return Err(ModelArtifactError::BadHeader {
+                field: "layer codec",
+            });
+        }
+        let image_len = r.u32()? as usize;
+        let image = r.take(image_len)?;
+        let layer = decode(codec.codec(), image)
+            .map_err(|source| ModelArtifactError::Layer { index, source })?;
+        let (_, cols, num_pes, index_bits) = layer.shape();
+        if num_pes != config.num_pes {
+            return Err(ModelArtifactError::BadHeader {
+                field: "layer num_pes",
+            });
+        }
+        if index_bits != config.index_bits {
+            return Err(ModelArtifactError::BadHeader {
+                field: "layer index_bits",
+            });
+        }
+        if let Some((rows, ..)) = layers.last().map(L::shape) {
+            if cols != rows {
+                return Err(ModelArtifactError::TopologyMismatch {
+                    index,
+                    expected: rows,
+                    found: cols,
+                });
+            }
+        }
+        layers.push(layer);
+    }
+    if r.remaining() != 0 {
+        return Err(ModelArtifactError::BadHeader {
+            field: "payload length",
+        });
+    }
+    config.codec = model_codec;
+
+    // `CompiledModel::has_shared_codebook`, over the decoded records.
+    let shared = layers
+        .windows(2)
+        .all(|p| p[0].codebook() == p[1].codebook());
+    if (flags & FLAG_SHARED_CODEBOOK != 0) != shared {
+        return Err(ModelArtifactError::BadHeader {
+            field: "shared-codebook flag",
+        });
+    }
+    Ok((config, name, layers))
+}
+
 impl CompiledModel {
     /// Exact byte length of [`CompiledModel::to_bytes`]' container,
     /// computed from the layout arithmetic without serializing.
@@ -363,159 +558,41 @@ impl CompiledModel {
     /// Returns a [`ModelArtifactError`] naming the first problem found;
     /// corrupt bytes never reach a backend.
     pub fn from_bytes(bytes: &[u8]) -> Result<CompiledModel, ModelArtifactError> {
-        let mut r = ByteCursor::new(bytes, "magic");
-        if r.take(4)? != MODEL_MAGIC {
-            return Err(ModelArtifactError::BadMagic);
-        }
-        r.enter("preamble");
-        let version = r.u16()?;
-        if !(1..=MODEL_VERSION).contains(&version) {
-            return Err(ModelArtifactError::UnsupportedVersion {
-                found: version,
-                supported: MODEL_VERSION,
-            });
-        }
-        let flags = r.u16()?;
-        if flags & !KNOWN_FLAGS != 0 {
-            return Err(ModelArtifactError::BadHeader { field: "flags" });
-        }
-        let payload_len = r.u32()? as usize;
-        let stored_crc = r.u32()?;
-        r.enter("payload");
-        let payload = r.take(payload_len)?;
-        if r.remaining() != 0 {
-            return Err(ModelArtifactError::BadHeader {
-                field: "trailing bytes",
-            });
-        }
-        let computed = crc32(payload);
-        if computed != stored_crc {
-            return Err(ModelArtifactError::ChecksumMismatch {
-                stored: stored_crc,
-                computed,
-            });
-        }
+        let (config, name, layers) = read_container(bytes, |codec, image| codec.decode(image))?;
+        Ok(CompiledModel::from_parts(config, layers, name))
+    }
 
-        let mut r = ByteCursor::new(payload, "config");
-        let num_pes = r.u32()? as usize;
-        let fifo_depth = r.u32()? as usize;
-        let spmat_width_bits = r.u32()?;
-        let index_bits = r.u32()?;
-        let clock_hz = r.f64()?;
-        let hw_flags = r.u8()?;
-        let _pad = r.take(3)?;
-        if num_pes == 0 || num_pes > 1 << 20 {
-            return Err(ModelArtifactError::BadHeader { field: "num_pes" });
-        }
-        if fifo_depth == 0 {
-            return Err(ModelArtifactError::BadHeader {
-                field: "fifo_depth",
-            });
-        }
-        if spmat_width_bits < 8 || spmat_width_bits % 8 != 0 {
-            return Err(ModelArtifactError::BadHeader {
-                field: "spmat_width_bits",
-            });
-        }
-        if !(1..=8).contains(&index_bits) {
-            return Err(ModelArtifactError::BadHeader {
-                field: "index_bits",
-            });
-        }
-        if !clock_hz.is_finite() || clock_hz <= 0.0 {
-            return Err(ModelArtifactError::BadHeader { field: "clock_hz" });
-        }
-        if hw_flags & !0b111 != 0 {
-            return Err(ModelArtifactError::BadHeader { field: "hw_flags" });
-        }
-        let mut config = EieConfig {
-            num_pes,
-            fifo_depth,
-            spmat_width_bits,
-            clock_hz,
-            index_bits,
-            lnzd_tree: hw_flags & 1 != 0,
-            ptr_banked: hw_flags & 2 != 0,
-            accumulator_bypass: hw_flags & 4 != 0,
-            // Provisional: the layer records carry the actual codec.
-            codec: WeightCodecKind::CscNibble,
+    /// The served load: a `.eie` container read straight into the form
+    /// `backend` walks ([`BackendKind::plan_cut`]). A backend that walks
+    /// plans gets every layer's plan, cut into at least `t` blocks,
+    /// decoded from the layer images directly
+    /// ([`WeightCodec::decode_plan`]) — no [`EncodedLayer`] is built and
+    /// no layer is decoded twice. Any other backend gets the encoded
+    /// layers of [`CompiledModel::from_bytes`]. Either way the result is
+    /// [`CompiledModel::into_served`] of the decoded model.
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`CompiledModel::from_bytes`]' errors, the first one
+    /// first.
+    ///
+    /// [`WeightCodec::decode_plan`]: eie_compress::WeightCodec::decode_plan
+    pub fn load_served(
+        bytes: &[u8],
+        backend: BackendKind,
+    ) -> Result<ServedModel, ModelArtifactError> {
+        let Some(cut) = backend.plan_cut() else {
+            return Ok(Self::from_bytes(bytes)?.into_served(backend));
         };
-
-        r.enter("topology");
-        let name_len = r.u16()? as usize;
-        let name = std::str::from_utf8(r.take(name_len)?)
-            .map_err(|_| ModelArtifactError::BadHeader { field: "name" })?
-            .to_owned();
-        let num_layers = r.u32()? as usize;
-        if num_layers == 0 {
-            return Err(ModelArtifactError::BadHeader {
-                field: "num_layers",
-            });
-        }
-
-        let mut layers: Vec<EncodedLayer> = Vec::with_capacity(num_layers.min(1 << 16));
-        let mut model_codec = WeightCodecKind::CscNibble;
-        for index in 0..num_layers {
-            r.enter("layer image");
-            // Version 1 has no codec id: every layer is csc-nibble.
-            let codec = if version >= 2 {
-                let id = r.u8()?;
-                WeightCodecKind::from_id(id)
-                    .ok_or(ModelArtifactError::UnknownCodec { index, id })?
-            } else {
-                WeightCodecKind::CscNibble
-            };
-            if index == 0 {
-                model_codec = codec;
-            } else if codec != model_codec {
-                // The writer packs a whole model with one codec; a mixed
-                // container did not come from this implementation.
-                return Err(ModelArtifactError::BadHeader {
-                    field: "layer codec",
-                });
-            }
-            let image_len = r.u32()? as usize;
-            let image = r.take(image_len)?;
-            let layer = codec
-                .codec()
-                .decode(image)
-                .map_err(|source| ModelArtifactError::Layer { index, source })?;
-            if layer.num_pes() != config.num_pes {
-                return Err(ModelArtifactError::BadHeader {
-                    field: "layer num_pes",
-                });
-            }
-            if layer.index_bits() != config.index_bits {
-                return Err(ModelArtifactError::BadHeader {
-                    field: "layer index_bits",
-                });
-            }
-            if let Some(prev) = layers.last() {
-                if layer.cols() != prev.rows() {
-                    return Err(ModelArtifactError::TopologyMismatch {
-                        index,
-                        expected: prev.rows(),
-                        found: layer.cols(),
-                    });
-                }
-            }
-            layers.push(layer);
-        }
-        if r.remaining() != 0 {
-            return Err(ModelArtifactError::BadHeader {
-                field: "payload length",
-            });
-        }
-        config.codec = model_codec;
-
-        let model = CompiledModel::from_parts(config, layers, name);
-        let shared_flag = flags & FLAG_SHARED_CODEBOOK != 0;
-        if shared_flag != model.has_shared_codebook() {
-            return Err(ModelArtifactError::BadHeader {
-                field: "shared-codebook flag",
-            });
-        }
-        Ok(model)
+        let (config, name, layers) =
+            read_container(bytes, |codec, image| codec.decode_plan(image, cut))?;
+        Ok(ServedModel {
+            name,
+            config,
+            input_dim: layers[0].plan.cols(),
+            plans: layers.into_iter().map(|l| Arc::new(l.plan)).collect(),
+            layers: Vec::new(),
+        })
     }
 
     /// Writes the model to a `.eie` file.
@@ -545,6 +622,7 @@ impl CompiledModel {
 mod tests {
     use super::*;
     use crate::BackendKind;
+    use eie_compress::ValidateLayerError;
     use eie_nn::zoo::random_sparse;
 
     fn codec_model(codec: WeightCodecKind) -> CompiledModel {
@@ -571,6 +649,18 @@ mod tests {
     /// Byte offset of the first layer record inside a serialized model.
     fn first_layer_record(model: &CompiledModel) -> usize {
         PREAMBLE_LEN + 28 + 2 + model.name().len() + 4
+    }
+
+    /// The error both loads give `bytes`: the decoded load's, which the
+    /// served load must repeat — same variant, same fields — under every
+    /// cut, without panicking.
+    fn load_error(bytes: &[u8]) -> ModelArtifactError {
+        let decoded = CompiledModel::from_bytes(bytes).unwrap_err();
+        for backend in [BackendKind::NativeCpu(1), BackendKind::NativeCpu(3)] {
+            let served = CompiledModel::load_served(bytes, backend).unwrap_err();
+            assert_eq!(format!("{served:?}"), format!("{decoded:?}"), "{backend}");
+        }
+        decoded
     }
 
     /// The bit-at-a-time CRC-32 this module used to ship: the oracle
@@ -780,8 +870,8 @@ mod tests {
             corrupt[pos] ^= 0x01;
             assert!(
                 matches!(
-                    CompiledModel::from_bytes(&corrupt),
-                    Err(ModelArtifactError::ChecksumMismatch { .. })
+                    load_error(&corrupt),
+                    ModelArtifactError::ChecksumMismatch { .. }
                 ),
                 "flip at byte {pos} escaped the checksum"
             );
@@ -789,8 +879,8 @@ mod tests {
         for cut in [PREAMBLE_LEN + 5, bytes.len() / 2, bytes.len() - 1] {
             assert!(
                 matches!(
-                    CompiledModel::from_bytes(&bytes[..cut]),
-                    Err(ModelArtifactError::Truncated { .. })
+                    load_error(&bytes[..cut]),
+                    ModelArtifactError::Truncated { .. }
                 ),
                 "prefix of {cut} bytes"
             );
@@ -837,8 +927,8 @@ mod tests {
             corrupt[pos] ^= 0x01;
             assert!(
                 matches!(
-                    CompiledModel::from_bytes(&corrupt),
-                    Err(ModelArtifactError::ChecksumMismatch { .. })
+                    load_error(&corrupt),
+                    ModelArtifactError::ChecksumMismatch { .. }
                 ),
                 "flip at byte {pos} escaped the checksum"
             );
@@ -847,20 +937,112 @@ mod tests {
 
     #[test]
     fn rejects_truncation_at_every_prefix_length() {
-        let bytes = sample_model().to_bytes();
-        for cut in [
-            0usize,
-            3,
-            8,
-            PREAMBLE_LEN - 1,
-            PREAMBLE_LEN + 5,
-            bytes.len() - 1,
-        ] {
-            let r = CompiledModel::from_bytes(&bytes[..cut]);
-            assert!(
-                matches!(r, Err(ModelArtifactError::Truncated { .. })),
-                "prefix of {cut} bytes: {r:?}"
-            );
+        for codec in WeightCodecKind::ALL {
+            let bytes = codec_model(codec).to_bytes();
+            for cut in 0..bytes.len() {
+                let err = load_error(&bytes[..cut]);
+                assert!(
+                    matches!(err, ModelArtifactError::Truncated { .. }),
+                    "{codec}: prefix of {cut} bytes: {err:?}"
+                );
+            }
+        }
+    }
+
+    /// Resealed structural corruptions of a version-1 layer image reach
+    /// the layer checks, and both loads name the same first problem —
+    /// also when two slices are broken and the first broken slice is not
+    /// the first to be found broken by a head-first check.
+    #[test]
+    fn resealed_structural_corruptions_fail_alike_on_both_loads() {
+        let model = sample_model();
+        let layer = model.layer(0);
+        let (cols, codebook) = (layer.cols(), layer.codebook().len());
+        // Each PE's section: local_rows | n_entries | col_ptr | entries.
+        let mut pe_at = vec![first_layer_record(&model) + 4 + 20 + 4 * codebook];
+        for slice in layer.slices() {
+            let next = pe_at.last().unwrap() + 8 + 4 * (cols + 1) + 2 * slice.num_entries();
+            pe_at.push(next);
+        }
+        let ptr = |pe: usize, j: usize| pe_at[pe] + 8 + 4 * j;
+        let entry = |pe: usize, k: usize| pe_at[pe] + 8 + 4 * (cols + 1) + 2 * k;
+        let put = |bytes: &mut Vec<u8>, at: usize, v: u32| {
+            bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        };
+        let get =
+            |bytes: &[u8], at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let bad_code = |b: &mut Vec<u8>| b[entry(0, 0)] = codebook as u8;
+        let decreasing = |b: &mut Vec<u8>| put(b, ptr(2, cols / 2), u32::MAX);
+        type Corrupt<'a> = (&'a str, Box<dyn Fn(&mut Vec<u8>) + 'a>, ValidateLayerError);
+        let cases: Vec<Corrupt> = vec![
+            (
+                "col_ptr decreasing",
+                Box::new(decreasing),
+                ValidateLayerError::ColPtrInconsistent {
+                    pe: 2,
+                    col: cols / 2,
+                },
+            ),
+            (
+                "col_ptr dangling",
+                Box::new(|b: &mut Vec<u8>| {
+                    let end = get(b, ptr(1, cols));
+                    put(b, ptr(1, cols), end + 5);
+                }),
+                ValidateLayerError::ColPtrInconsistent { pe: 1, col: 0 },
+            ),
+            (
+                "zero run past the index width",
+                Box::new(|b: &mut Vec<u8>| b[entry(2, 0) + 1] = 200),
+                ValidateLayerError::ZeroRunTooLong { pe: 2, entry: 0 },
+            ),
+            (
+                "code past the codebook",
+                Box::new(bad_code),
+                ValidateLayerError::CodeOutOfRange { pe: 0, entry: 0 },
+            ),
+            (
+                "row overflow",
+                Box::new(|b: &mut Vec<u8>| {
+                    for k in 0..layer.slice(3).num_entries() {
+                        b[entry(3, k) + 1] = 15;
+                    }
+                }),
+                ValidateLayerError::RowOverflow { pe: 3, col: 0 },
+            ),
+            (
+                "uneven PE share",
+                Box::new(|b: &mut Vec<u8>| {
+                    let (first, second) = (get(b, pe_at[0]), get(b, pe_at[1]));
+                    put(b, pe_at[0], first + 1);
+                    put(b, pe_at[1], second - 1);
+                }),
+                ValidateLayerError::RowShare {
+                    pe: 0,
+                    expected: 8,
+                    actual: 9,
+                },
+            ),
+            (
+                "an entry error before a pointer error",
+                Box::new(move |b: &mut Vec<u8>| {
+                    bad_code(b);
+                    decreasing(b);
+                }),
+                ValidateLayerError::CodeOutOfRange { pe: 0, entry: 0 },
+            ),
+        ];
+        for (what, corrupt, want) in cases {
+            let mut bytes = model.to_bytes();
+            corrupt(&mut bytes);
+            reseal(&mut bytes);
+            match load_error(&bytes) {
+                ModelArtifactError::Layer {
+                    index: 0,
+                    source: DecodeLayerError::Invalid(got),
+                } if got == want => {}
+                other => panic!("{what}: expected {want:?}, got {other:?}"),
+            }
         }
     }
 

@@ -545,9 +545,24 @@ impl CompiledModel {
             .collect()
     }
 
-    /// Consumes the model into its encoded layers, building no plan.
-    pub fn into_layers(self) -> Vec<EncodedLayer> {
-        self.layers
+    /// Consumes the model into the one form `backend` walks
+    /// ([`BackendKind::plan_cut`]): its plans cut for the backend's
+    /// threads (the encoded layers freed), or its encoded layers (no
+    /// plan built). [`CompiledModel::load_served`] gives the same from a
+    /// stored artifact without decoding an encoded layer.
+    pub fn into_served(self, backend: BackendKind) -> ServedModel {
+        let (name, config, input_dim) = (self.name.clone(), self.config, self.input_dim());
+        let (plans, layers) = match backend.plan_cut() {
+            Some(threads) => (self.into_plans(threads), Vec::new()),
+            None => (Vec::new(), self.layers),
+        };
+        ServedModel {
+            name,
+            config,
+            input_dim,
+            plans,
+            layers,
+        }
     }
 
     /// Input dimension (first layer's columns).
@@ -558,6 +573,37 @@ impl CompiledModel {
     /// Output dimension (last layer's rows).
     pub fn output_dim(&self) -> usize {
         self.layers[self.layers.len() - 1].rows()
+    }
+}
+
+/// A model in the one form its backend walks — what a serving node
+/// keeps resident: every layer's plan for a backend that walks plans,
+/// the encoded layers otherwise, never both. Made by
+/// [`CompiledModel::into_served`] or, from a stored artifact, by
+/// [`CompiledModel::load_served`].
+#[derive(Debug)]
+pub struct ServedModel {
+    /// The model's name ("" when unnamed).
+    pub name: String,
+    /// The configuration the model was compiled for.
+    pub config: EieConfig,
+    /// Input dimension (first layer's columns).
+    pub input_dim: usize,
+    /// Every layer's plan, input to output — empty unless the backend
+    /// walks plans.
+    pub plans: Vec<Arc<LayerPlan>>,
+    /// The encoded layers, input to output — empty when the backend
+    /// walks plans.
+    pub layers: Vec<EncodedLayer>,
+}
+
+impl ServedModel {
+    /// The layers as the backend is handed them, input to output.
+    pub fn planned_layers(&self) -> Vec<PlannedLayer<'_>> {
+        let plans = self.plans.iter().map(PlannedLayer::Plan);
+        plans
+            .chain(self.layers.iter().map(PlannedLayer::Encoded))
+            .collect()
     }
 }
 

@@ -59,7 +59,7 @@ pub mod prelude;
 pub use artifact::{ModelArtifactError, MODEL_EXTENSION, MODEL_MAGIC, MODEL_VERSION};
 pub use backend::{
     Backend, BackendKind, BackendRun, CompiledModel, CycleAccurate, Functional, NativeCpu,
-    PlannedLayer,
+    PlannedLayer, ServedModel,
 };
 pub use benchmarks::BenchmarkInstance;
 pub use config::EieConfig;

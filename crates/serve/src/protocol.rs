@@ -506,8 +506,9 @@ impl Request {
                 r.enter("input");
                 let n = r.u32()? as usize;
                 let input: Vec<f32> = r
-                    .records(n, 4)?
-                    .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                    .records(n)?
+                    .iter()
+                    .map(|&b| f32::from_le_bytes(b))
                     .collect();
                 if !input.iter().all(|v| v.is_finite()) {
                     return Err(FrameError::BadPayload {
@@ -612,8 +613,9 @@ impl Response {
                 r.enter("outputs");
                 let n = r.u32()? as usize;
                 let outputs = r
-                    .records(n, 2)?
-                    .map(|b| i16::from_le_bytes([b[0], b[1]]))
+                    .records(n)?
+                    .iter()
+                    .map(|&b| i16::from_le_bytes(b))
                     .collect();
                 Response::Output(OutputReport {
                     outputs,

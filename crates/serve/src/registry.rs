@@ -352,17 +352,24 @@ impl ModelRegistry {
             return Ok(server);
         }
 
-        // Cold: load and validate the artifact. Loading under the lock
+        // Cold: load and validate the artifact, straight into the form
+        // the servers' backend walks (`CompiledModel::load_served`: a
+        // plan-walking backend gets its plans decoded from the layer
+        // images, no encoded layer built). Loading under the lock
         // serializes cold starts — deliberate, so two requests racing to
         // the same cold model cannot double-load it. The residency
         // charge is the length of the image just read and checksummed:
         // the container admits no slack, so that is the model's
         // `artifact_bytes()` without re-encoding a layer to measure it.
+        let config = self.server_config.resolved();
         let (model, bytes) = inner.entries[idx]
             .source
             .image()
             .map_err(ModelArtifactError::from)
-            .and_then(|image| Ok((CompiledModel::from_bytes(&image)?, image.len())))
+            .and_then(|image| {
+                let model = CompiledModel::load_served(&image, config.backend)?;
+                Ok((model, image.len()))
+            })
             .map_err(|source| RegistryError::Load {
                 name: name.to_owned(),
                 source,
@@ -404,15 +411,11 @@ impl ModelRegistry {
             inner.counters.evictions += 1;
         }
 
-        // `start_with_faults` builds the model's plans on this thread
-        // before it spawns a worker: the lease handed out below is to a
-        // model that is resident in full, not one that will decode its
-        // layers inside the first request.
-        let server = Arc::new(ModelServer::start_with_faults(
-            model,
-            self.server_config,
-            self.fault_plan.clone(),
-        ));
+        // The model was decoded on this thread before a worker spawns:
+        // the lease handed out below is to a model that is resident in
+        // full, not one that will decode its layers inside the first
+        // request.
+        let server = Arc::new(ModelServer::serve(model, config, self.fault_plan.clone()));
         inner.entries[idx].resident = Some(Resident {
             server: Arc::clone(&server),
             bytes,

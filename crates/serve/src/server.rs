@@ -11,9 +11,7 @@ use std::time::{Duration, Instant};
 use eie_core::backend::host_cores;
 use eie_core::compress::{EncodedLayer, LayerPlan, LANE_WIDTH};
 use eie_core::fixed::Q8p8;
-use eie_core::{
-    run_stack_planned, BackendKind, CompiledModel, EieConfig, ModelArtifactError, PlannedLayer,
-};
+use eie_core::{run_stack_planned, BackendKind, CompiledModel, ModelArtifactError, ServedModel};
 
 use crate::fault::FaultPlan;
 use crate::queue::{MicroBatchQueue, PushError};
@@ -155,6 +153,26 @@ impl ServerConfig {
     pub fn with_restart_backoff_us(mut self, restart_backoff_us: u64) -> Self {
         self.restart_backoff_us = restart_backoff_us;
         self
+    }
+
+    /// The policy a server runs: the backend resolved for its workers
+    /// ([`BackendKind::per_worker`] — `NativeCpu(0)` becomes each
+    /// worker's share of the cores), which also decides the form the
+    /// model is loaded into.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy is degenerate (`workers`, `max_batch` or
+    /// `queue_depth` of zero — the `with_*` builders enforce the same
+    /// bounds, but the fields are public).
+    pub(crate) fn resolved(self) -> Self {
+        assert!(self.workers > 0, "server needs at least one worker");
+        assert!(self.max_batch > 0, "max_batch must be non-zero");
+        assert!(self.queue_depth > 0, "queue_depth must be non-zero");
+        Self {
+            backend: self.backend.per_worker(host_cores(), self.workers),
+            ..self
+        }
     }
 }
 
@@ -663,20 +681,6 @@ impl fmt::Display for ServerStats {
     }
 }
 
-/// What a server keeps of its model: the name, the configuration its
-/// workers instantiate backends for, the input width admission checks,
-/// and one resident copy of the weights — the cut plans when the
-/// backend walks plans (the encoded layers freed), the encoded layers
-/// otherwise.
-#[derive(Debug)]
-struct ServedModel {
-    name: String,
-    config: EieConfig,
-    input_dim: usize,
-    plans: Vec<Arc<LayerPlan>>,
-    layers: Vec<EncodedLayer>,
-}
-
 /// A live serving instance of one compiled model: a bounded request
 /// queue feeding `workers` threads, each owning one instantiated
 /// [`Backend`](eie_core::Backend).
@@ -728,7 +732,8 @@ impl ModelServer {
     /// ([`BackendKind::per_worker`] — `NativeCpu(0)` becomes each
     /// worker's share of the cores, `t` threads), builds the model's
     /// execution plans cut into at least `t` blocks and frees the
-    /// encoded layers (when the backend walks plans), spawns the worker
+    /// encoded layers (when the backend walks plans —
+    /// [`CompiledModel::into_served`]), spawns the worker
     /// pool and begins accepting requests. On return the model is fully
     /// resident, in one copy: the first request pays a dispatch, not a
     /// decode.
@@ -752,35 +757,33 @@ impl ModelServer {
         config: ServerConfig,
         faults: Option<Arc<FaultPlan>>,
     ) -> Self {
-        assert!(config.workers > 0, "server needs at least one worker");
-        assert!(config.max_batch > 0, "max_batch must be non-zero");
-        assert!(config.queue_depth > 0, "queue_depth must be non-zero");
-        let config = ServerConfig {
-            backend: config.backend.per_worker(host_cores(), config.workers),
-            ..config
-        };
-        // Build the plans here, on the caller's thread, whenever the
-        // workers will walk them (`plan_cut` says so, and for how many
-        // threads), and free the encoded layers here too: the model's
-        // largest allocations are then made and freed by the long-lived
-        // thread that loaded it rather than inside a worker's
-        // short-lived malloc arena, and the first request never queues
-        // behind a build. Cut for the kernel's threads, the one shared
-        // plan is what every worker engine walks on all its threads: a
-        // coarser one would leave threads idle. Backends that stream
-        // the layers keep them and get no plan.
-        let (name, cfg, input_dim) = (model.name().into(), *model.config(), model.input_dim());
-        let (plans, layers) = match config.backend.plan_cut() {
-            Some(threads) => (model.into_plans(threads), Vec::new()),
-            None => (Vec::new(), model.into_layers()),
-        };
-        let model = Arc::new(ServedModel {
-            name,
-            config: cfg,
-            input_dim,
-            plans,
-            layers,
-        });
+        let config = config.resolved();
+        Self::serve(model.into_served(config.backend), config, faults)
+    }
+
+    /// Loads a versioned `.eie` artifact and starts serving it — the
+    /// deployment path: compress once, serve anywhere. A backend that
+    /// walks plans gets them decoded straight from the file's layer
+    /// images ([`CompiledModel::load_served`]).
+    pub fn load(path: impl AsRef<Path>, config: ServerConfig) -> Result<Self, ModelArtifactError> {
+        let config = config.resolved();
+        let model = CompiledModel::load_served(&std::fs::read(path)?, config.backend)?;
+        Ok(Self::serve(model, config, None))
+    }
+
+    /// Spawns the worker pool over a model already in its backend's
+    /// form, under a [`ServerConfig::resolved`] policy. The model's
+    /// largest allocations — plans or encoded layers — were made by the
+    /// caller's long-lived thread rather than inside a worker's
+    /// short-lived malloc arena, and the first request never queues
+    /// behind a decode or a build. Cut for the kernel's threads, the one
+    /// shared plan is what every worker engine walks on all its threads.
+    pub(crate) fn serve(
+        model: ServedModel,
+        config: ServerConfig,
+        faults: Option<Arc<FaultPlan>>,
+    ) -> Self {
+        let model = Arc::new(model);
         let queue = Arc::new(MicroBatchQueue::new(config.queue_depth));
         let counters = Arc::new(FaultCounters::default());
         let tally = Arc::new(Mutex::new(ServerStats::default()));
@@ -808,12 +811,6 @@ impl ModelServer {
             config,
             started: Instant::now(),
         }
-    }
-
-    /// Loads a versioned `.eie` artifact and starts serving it — the
-    /// deployment path: compress once, serve anywhere.
-    pub fn load(path: impl AsRef<Path>, config: ServerConfig) -> Result<Self, ModelArtifactError> {
-        Ok(Self::start(CompiledModel::load(path)?, config))
     }
 
     /// The served model's name ("" when unnamed).
@@ -1067,11 +1064,8 @@ fn worker_loop(
     let mut consecutive_restarts = 0u32;
     'respawn: loop {
         let backend = config.backend.instantiate(&model.config);
-        // The server holds exactly one of the two (`start_with_faults`).
-        let plans = model.plans.iter().map(PlannedLayer::Plan);
-        let layers: Vec<_> = plans
-            .chain(model.layers.iter().map(PlannedLayer::Encoded))
-            .collect();
+        // The server holds exactly one of the two forms.
+        let layers = model.planned_layers();
         while let Some(mut batch) = queue.pop_batch(config.max_batch, max_wait) {
             if batch.is_empty() {
                 continue;

@@ -6,6 +6,7 @@
 //! the workspace oracle's generator in `tests/oracle.rs`.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use eie_core::nn::zoo::{random_sparse, sample_activations};
 use eie_core::{BackendKind, CompiledModel, EieConfig};
@@ -111,17 +112,25 @@ fn a_server_keeps_one_resident_copy_of_the_weights() {
         BackendKind::Functional,
         BackendKind::CycleAccurate,
     ] {
-        // Dispatches 0 and 1 serve batch 1 and 16; dispatch 2 panics.
-        // The window is long enough for 16 submits to fill a dispatch
-        // and short enough that a lone request pays little for it.
+        // Dispatches 0 and 1 serve batch 1 and 16, dispatch 2 panics,
+        // dispatches 3 and 4 serve batch 1 and 16 again. No collection
+        // window: a lone request is dispatched at once. The lone
+        // dispatches stall instead, and the sixteen are queued behind a
+        // stalled one, so they fill the next dispatch together.
+        let hold = Duration::from_millis(50);
         let server = ModelServer::start_with_faults(
             model.clone(),
             ServerConfig::default()
                 .with_backend(backend)
                 .with_workers(1)
-                .with_max_wait_us(250_000)
+                .with_max_wait_us(0)
                 .with_restart_backoff_us(50),
-            Some(Arc::new(FaultPlan::new().panic_on_dispatch(2))),
+            Some(Arc::new(
+                FaultPlan::new()
+                    .stall_dispatch(0, hold)
+                    .panic_on_dispatch(2)
+                    .stall_dispatch(3, hold),
+            )),
         );
         let assert_resident = |when: &str| {
             if backend == BackendKind::NativeCpu(2) {
@@ -136,9 +145,15 @@ fn a_server_keeps_one_resident_copy_of_the_weights() {
             }
         };
         let assert_serves = |when: &str| {
-            let one = server.submit(&inputs[0]).unwrap().wait().unwrap();
-            assert_eq!((one.coalesced, &one.outputs[..]), (1, golden.outputs(0)));
+            let one = server.submit(&inputs[0]).unwrap();
+            // The barrier: once the worker has claimed the lone request
+            // (and sits out its stalled dispatch), the sixteen queue up.
+            while server.pending() > 0 {
+                std::thread::yield_now();
+            }
             let responses: Vec<_> = inputs.iter().map(|x| server.submit(x).unwrap()).collect();
+            let one = one.wait().unwrap();
+            assert_eq!((one.coalesced, &one.outputs[..]), (1, golden.outputs(0)));
             for (i, response) in responses.into_iter().enumerate() {
                 let result = response.wait().unwrap();
                 assert_eq!(result.coalesced, 16, "{backend} {when}: item {i}");

@@ -4,7 +4,9 @@
 //! truncated / version-mismatched files must be rejected with typed
 //! errors. (Runs in CI as part of the tier-1 suite.)
 
+use eie::compress::{DecodeLayerError, ValidateLayerError};
 use eie::prelude::*;
+use eie::serve::{ModelRegistry, RegistryError, ServerConfig};
 use eie::{MODEL_MAGIC, MODEL_VERSION};
 
 fn zoo_model() -> CompiledModel {
@@ -210,4 +212,79 @@ fn multi_layer_and_shared_codebook_artifacts_roundtrip() {
             assert_eq!(a.outputs(i), b.outputs(i), "shared={shared}");
         }
     }
+}
+
+/// Reads a little-endian `u32` at `at`.
+fn word(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+}
+
+/// An artifact whose PEs do not hold their interleaved row shares — an
+/// 8 × 4 layer on 2 PEs claiming 5 + 3 rows instead of 4 + 4, the
+/// payload CRC resealed — is refused with a typed error by the decoded
+/// load, by the served load under every backend form, and by a registry,
+/// which then serves a good model as before instead of poisoning.
+#[test]
+fn an_uneven_pe_row_share_is_a_typed_load_error_and_the_registry_serves_on() {
+    let cells = [(0, 0, 1.0), (3, 1, -0.5), (6, 2, 0.75), (5, 3, 0.25)];
+    let w = CsrMatrix::from_triplets(8, 4, &cells);
+    let model = CompiledModel::compile_layer(EieConfig::default().with_num_pes(2), &w);
+    let layer = model.layer(0);
+    let mut bytes = model.to_bytes();
+    // Version 1: preamble, config, topology, then the layer record's
+    // length and its image — header (20) and codebook, then per PE
+    // local_rows | n_entries | col_ptr | entries.
+    let image = 16 + 28 + 2 + model.name().len() + 4 + 4;
+    let pe0 = image + 20 + 4 * layer.codebook().len();
+    let pe1 = pe0 + 8 + 4 * (layer.cols() + 1) + 2 * layer.slice(0).num_entries();
+    assert_eq!((word(&bytes, pe0), word(&bytes, pe1)), (4, 4));
+    bytes[pe0..pe0 + 4].copy_from_slice(&5u32.to_le_bytes());
+    bytes[pe1..pe1 + 4].copy_from_slice(&3u32.to_le_bytes());
+    let crc = crc32(&bytes[16..]);
+    bytes[12..16].copy_from_slice(&crc.to_le_bytes());
+
+    let uneven = |e: &ModelArtifactError| {
+        matches!(
+            e,
+            ModelArtifactError::Layer {
+                index: 0,
+                source: DecodeLayerError::Invalid(ValidateLayerError::RowShare {
+                    pe: 0,
+                    expected: 4,
+                    actual: 5
+                })
+            }
+        )
+    };
+    let err = CompiledModel::from_bytes(&bytes).unwrap_err();
+    assert!(uneven(&err), "{err:?}");
+    for backend in [
+        BackendKind::NativeCpu(1),
+        BackendKind::NativeCpu(2),
+        BackendKind::Functional,
+    ] {
+        let err = CompiledModel::load_served(&bytes, backend).unwrap_err();
+        assert!(uneven(&err), "{backend}: {err:?}");
+    }
+
+    let path = std::env::temp_dir().join(format!("eie_uneven_share_{}.eie", std::process::id()));
+    std::fs::write(&path, &bytes).unwrap();
+    let registry =
+        ModelRegistry::new(ServerConfig::default().with_backend(BackendKind::NativeCpu(2)));
+    registry.register_file("uneven", &path).unwrap();
+    registry.register_model("good", &model).unwrap();
+    match registry.acquire("uneven") {
+        Err(RegistryError::Load { name, source }) => {
+            assert_eq!(name, "uneven");
+            assert!(uneven(&source), "{source:?}");
+        }
+        other => panic!("expected a typed load error, got {other:?}"),
+    }
+    let input = vec![0.5f32; 4];
+    let golden = model.infer(BackendKind::Functional).submit_one(&input);
+    let server = registry.acquire("good").expect("the registry still serves");
+    let result = server.submit(&input).unwrap().wait().unwrap();
+    assert_eq!(&result.outputs[..], golden.outputs(0));
+    assert_eq!(registry.names(), ["uneven", "good"]);
+    let _ = std::fs::remove_file(&path);
 }

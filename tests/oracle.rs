@@ -5,8 +5,9 @@
 //!
 //! Beside it, the properties that are not path agreement draw from the
 //! same generator: the rail-free proof against an exact `i64` shadow,
-//! the layer-image roundtrip under every codec, and the served
-//! accounting under random fault schedules.
+//! the layer-image roundtrip under every codec, the served load's plans
+//! against the decoded layers' under every codec and cut, and the
+//! served accounting under random fault schedules.
 
 mod support;
 
@@ -114,6 +115,33 @@ proptest! {
                 let fail = |e| TestCaseError::fail(format!("{codec} image: {e}"));
                 prop_assert_eq!(&codec.codec().decode(&image).map_err(fail)?, layer, "{}", codec);
                 prop_assert_eq!(&decode_any(&image).map_err(fail)?, layer, "{}", codec);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The served load's plans are the plans of the decoded layers —
+    /// entries, extents, rail-free bounds and LUT — under every codec
+    /// and every cut from 1 to 5.
+    #[test]
+    fn served_load_plans_are_the_decoded_layers_plans(case in arb_case()) {
+        for codec in WeightCodecKind::ALL {
+            let model = CompiledModel::from_layers(
+                case.model.config().with_codec(codec),
+                case.model.layers().to_vec(),
+            );
+            let bytes = model.to_bytes();
+            for cut in 1..=5 {
+                let served = CompiledModel::load_served(&bytes, BackendKind::NativeCpu(cut))
+                    .map_err(|e| TestCaseError::fail(format!("{codec}: {e}")))?;
+                prop_assert_eq!(served.plans.len(), model.num_layers());
+                for (plan, layer) in served.plans.iter().zip(model.layers()) {
+                    let want = LayerPlan::build_with_blocks(layer, cut);
+                    prop_assert_eq!(&**plan, &want, "{} cut {}", codec, cut);
+                }
             }
         }
     }

@@ -313,6 +313,9 @@ pub static PATHS: &[Path] = &[
     ("artifact:csc-nibble", 1, artifact::<0>),
     ("artifact:huffman-packed", 1, artifact::<1>),
     ("artifact:bit-plane", 1, artifact::<2>),
+    ("load:csc-nibble", 1, load::<0>),
+    ("load:huffman-packed", 1, load::<1>),
+    ("load:bit-plane", 1, load::<2>),
     ("server", 4, server),
     ("net", 8, net),
 ];
@@ -425,6 +428,28 @@ fn artifact<const C: usize>(case: &Case) -> Items {
         "{codec}: bytes changed in a roundtrip"
     );
     job(&loaded, BackendKind::NativeCpu(2), case)
+}
+
+/// The served load under codec number `C`: the stored bytes straight
+/// to plans cut for `NativeCpu(C + 1)` (no encoded layer built), which
+/// must be the plans of the decoded layers, then walked by that kernel.
+fn load<const C: usize>(case: &Case) -> Items {
+    let codec = WeightCodecKind::ALL[C];
+    let backend = BackendKind::NativeCpu(C + 1);
+    let bytes = recoded(&case.model, codec).to_bytes();
+    let served =
+        CompiledModel::load_served(&bytes, backend).unwrap_or_else(|e| panic!("{codec}: {e}"));
+    assert!(served.layers.is_empty(), "{codec}: encoded layers kept");
+    for (plan, layer) in served.plans.iter().zip(case.model.layers()) {
+        assert_eq!(
+            **plan,
+            LayerPlan::build_with_blocks(layer, C + 1),
+            "{codec}"
+        );
+    }
+    let engine = backend.instantiate(&served.config);
+    let runs = run_stack_planned(engine.as_ref(), &served.planned_layers(), &case.inputs);
+    runs.into_iter().map(|run| run.outputs).collect()
 }
 
 /// An in-process [`ModelServer`] under the case's policy, fed by
