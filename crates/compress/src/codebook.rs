@@ -130,14 +130,6 @@ impl Codebook {
         }
         table
     }
-
-    /// Worst-case absolute quantization error over a weight sample.
-    pub fn max_error(&self, weights: &[f32]) -> f32 {
-        weights
-            .iter()
-            .map(|&w| (self.dequantize(w) - w).abs())
-            .fold(0.0, f32::max)
-    }
 }
 
 impl fmt::Display for Codebook {
@@ -174,7 +166,10 @@ mod tests {
         let cb = Codebook::fit(&weights, 50);
         // 15 clusters over range ±1.5 → worst error well under half the
         // range divided by cluster count.
-        let err = cb.max_error(&weights);
+        let err = weights
+            .iter()
+            .map(|&w| (cb.dequantize(w) - w).abs())
+            .fold(0.0, f32::max);
         assert!(err < 3.0 / 15.0, "max quantization error {err}");
     }
 

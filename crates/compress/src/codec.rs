@@ -19,23 +19,31 @@
 //! | 2  | `bit-plane`      | `EIEB`: bit-plane-packed code/zrun streams   |
 //!
 //! All three share the `EIE1` header (magic, index width, codebook,
-//! dims) and the raw per-PE shape block (`local_rows`, `n_entries`,
-//! `col_ptr`); they differ only in how the entry payload is stored. The
-//! compressed formats pool the per-PE entry streams in PE order and
-//! split the `code` and `zrun` bytes into two independently coded
-//! streams (entries are *not* nibble-packed first, so `index_bits > 4`
-//! layers encode without loss).
+//! dims) and the raw per-PE heads (`local_rows`, `n_entries`,
+//! `col_ptr`); they differ only in where the entries are stored. The
+//! `EIE1` image keeps each PE's `(code, zrun)` bytes right after its
+//! head; the compressed formats pool the per-PE entry streams in PE
+//! order and split the `code` and `zrun` bytes into two independently
+//! coded streams (entries are *not* nibble-packed first, so `index_bits
+//! > 4` layers encode without loss).
+//!
+//! One reader serves every codec and both decodes: it opens the image
+//! (header, every PE's head, the entries in place or the opened
+//! streams), then walks the slices in PE order, handing each slice's
+//! pairs to a sink — one that collects an [`EncodedLayer`]
+//! ([`WeightCodec::decode`]) or the plan builder
+//! ([`WeightCodec::decode_plan`]). The codecs themselves only write.
 //!
 //! [`LayerPlan::build`]: crate::LayerPlan::build
 
 use std::fmt;
 
 use crate::cursor::ByteCursor;
+use crate::encode::ValidateLayerError;
 use crate::huffman::{Histogram, HuffmanCode, StreamDecoder};
 use crate::plan::PlanBuilder;
 use crate::serialize::{
-    layer_header_bytes, plan_from_bytes, read_layer_header, write_layer_header, DecodeLayerError,
-    LayerHeader, MAGIC,
+    layer_header_bytes, read_layer_header, write_layer_header, DecodeLayerError, LayerHeader,
 };
 use crate::{Codebook, EncodedLayer, Entry, LayerPlan, PeSlice};
 
@@ -52,6 +60,9 @@ pub struct ImagePlan {
     pub codebook: Codebook,
 }
 
+/// Magic bytes heading a csc-nibble (`EIE1`) layer image.
+pub const MAGIC: [u8; 4] = *b"EIE1";
+
 /// Magic bytes heading a Huffman-packed layer image.
 pub const HUFFMAN_MAGIC: [u8; 4] = *b"EIEH";
 
@@ -64,7 +75,8 @@ pub const BITPLANE_MAGIC: [u8; 4] = *b"EIEB";
 /// layer, and `decode` of arbitrary bytes never panics — it returns a
 /// typed [`DecodeLayerError`] (or a fully validated layer). Because all
 /// codecs lower to the same `EncodedLayer`, downstream plan building and
-/// execution are byte-for-byte identical regardless of codec.
+/// execution are byte-for-byte identical regardless of codec. A codec
+/// writes its layout; both decodes are the one reader of every layout.
 pub trait WeightCodec {
     /// Which codec this is.
     fn kind(&self) -> WeightCodecKind;
@@ -78,7 +90,9 @@ pub trait WeightCodec {
     ///
     /// Returns a [`DecodeLayerError`] on malformed bytes or any encoding
     /// invariant violation.
-    fn decode(&self, bytes: &[u8]) -> Result<EncodedLayer, DecodeLayerError>;
+    fn decode(&self, bytes: &[u8]) -> Result<EncodedLayer, DecodeLayerError> {
+        open(bytes, self.kind())?.decode()
+    }
 
     /// Decodes and validates a layer from this codec's stream straight
     /// into its execution plan, cut into at least `min_blocks` blocks —
@@ -90,7 +104,9 @@ pub trait WeightCodec {
     /// # Errors
     ///
     /// [`WeightCodec::decode`]'s.
-    fn decode_plan(&self, bytes: &[u8], min_blocks: usize) -> Result<ImagePlan, DecodeLayerError>;
+    fn decode_plan(&self, bytes: &[u8], min_blocks: usize) -> Result<ImagePlan, DecodeLayerError> {
+        open(bytes, self.kind())?.plan(min_blocks)
+    }
 
     /// Exact length of [`WeightCodec::encode`]'s stream in bytes,
     /// computed from the layout arithmetic without serializing — a
@@ -177,6 +193,15 @@ impl WeightCodecKind {
             WeightCodecKind::BitPlane => &BitPlane,
         }
     }
+
+    /// The magic bytes heading this codec's images.
+    fn magic(self) -> &'static [u8; 4] {
+        match self {
+            WeightCodecKind::CscNibble => &MAGIC,
+            WeightCodecKind::HuffmanPacked => &HUFFMAN_MAGIC,
+            WeightCodecKind::BitPlane => &BITPLANE_MAGIC,
+        }
+    }
 }
 
 impl fmt::Display for WeightCodecKind {
@@ -185,9 +210,20 @@ impl fmt::Display for WeightCodecKind {
     }
 }
 
-/// The original raw-entry image, unchanged: [`WeightCodec::encode`] is
-/// exactly [`EncodedLayer::to_bytes`], so version-1 artifacts are
-/// byte-identical to what this codec writes today.
+/// The original raw-entry image, the accelerator's I/O-mode payload: in
+/// I/O mode (§IV, "Central Control Unit") a DMA engine loads each PE's
+/// weights, indices and pointers into its SRAMs, and this is that image.
+/// Version-1 artifacts hold it, byte for byte.
+///
+/// Layout (all integers little-endian):
+///
+/// ```text
+/// magic "EIE1" | index_bits u8 | codebook_len u8 | pad u16
+/// rows u32 | cols u32 | num_pes u32
+/// codebook f32 × codebook_len
+/// per PE: local_rows u32 | n_entries u32 | col_ptr u32 × (cols+1)
+///         | entries (code u8, zrun u8) × n_entries
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CscNibble;
 
@@ -197,19 +233,13 @@ impl WeightCodec for CscNibble {
     }
 
     fn encode(&self, layer: &EncodedLayer) -> Vec<u8> {
-        layer.to_bytes()
-    }
-
-    fn decode(&self, bytes: &[u8]) -> Result<EncodedLayer, DecodeLayerError> {
-        EncodedLayer::from_bytes(bytes)
-    }
-
-    fn decode_plan(&self, bytes: &[u8], min_blocks: usize) -> Result<ImagePlan, DecodeLayerError> {
-        plan_from_bytes(bytes, min_blocks)
+        let mut out = Vec::with_capacity(64 + layer.total_entries() * 2);
+        write_heads(layer, self.kind(), &mut out);
+        out
     }
 
     fn encoded_bytes(&self, layer: &EncodedLayer) -> usize {
-        layer.image_bytes()
+        shaped_header_bytes(layer) + 2 * layer.total_entries()
     }
 }
 
@@ -217,7 +247,7 @@ impl WeightCodec for CscNibble {
 /// `zrun` byte streams are canonical-Huffman coded, with compact
 /// `(symbol, length)` tables in the header.
 ///
-/// Layout after the shared header and per-PE shape block:
+/// Layout after the shared header and per-PE heads:
 ///
 /// ```text
 /// code table: n_syms u16 | (sym u8, len u8) × n_syms
@@ -235,8 +265,7 @@ impl WeightCodec for HuffmanPacked {
 
     fn encode(&self, layer: &EncodedLayer) -> Vec<u8> {
         let mut out = Vec::with_capacity(layer_header_bytes(layer) + layer.total_entries());
-        write_layer_header(layer, &HUFFMAN_MAGIC, &mut out);
-        write_pe_shapes(layer, &mut out);
+        write_heads(layer, self.kind(), &mut out);
         let (codes, zruns) = pooled_streams(layer);
         let code_table = fit_nonempty(&codes);
         let zrun_table = fit_nonempty(&zruns);
@@ -245,14 +274,6 @@ impl WeightCodec for HuffmanPacked {
         write_stream(code_table.as_ref(), &codes, &mut out);
         write_stream(zrun_table.as_ref(), &zruns, &mut out);
         out
-    }
-
-    fn decode(&self, bytes: &[u8]) -> Result<EncodedLayer, DecodeLayerError> {
-        decode_layer(bytes, &HUFFMAN_MAGIC, Streams::huffman)
-    }
-
-    fn decode_plan(&self, bytes: &[u8], min_blocks: usize) -> Result<ImagePlan, DecodeLayerError> {
-        decode_plan(bytes, &HUFFMAN_MAGIC, Streams::huffman, min_blocks)
     }
 
     fn encoded_bytes(&self, layer: &EncodedLayer) -> usize {
@@ -277,8 +298,8 @@ impl WeightCodec for HuffmanPacked {
 /// or stored packed. With 4-bit codes and short zero runs, the high
 /// planes vanish and each entry costs roughly `popcount(mask)` bits.
 ///
-/// Layout after the shared header and per-PE shape block, once per
-/// stream (`code` then `zrun`):
+/// Layout after the shared header and per-PE heads, once per stream
+/// (`code` then `zrun`):
 ///
 /// ```text
 /// plane_mask u8 | present planes (low to high) × ceil(total/8) bytes
@@ -293,20 +314,11 @@ impl WeightCodec for BitPlane {
 
     fn encode(&self, layer: &EncodedLayer) -> Vec<u8> {
         let mut out = Vec::with_capacity(layer_header_bytes(layer) + layer.total_entries());
-        write_layer_header(layer, &BITPLANE_MAGIC, &mut out);
-        write_pe_shapes(layer, &mut out);
+        write_heads(layer, self.kind(), &mut out);
         let (codes, zruns) = pooled_streams(layer);
         write_planes(&codes, &mut out);
         write_planes(&zruns, &mut out);
         out
-    }
-
-    fn decode(&self, bytes: &[u8]) -> Result<EncodedLayer, DecodeLayerError> {
-        decode_layer(bytes, &BITPLANE_MAGIC, Streams::planes)
-    }
-
-    fn decode_plan(&self, bytes: &[u8], min_blocks: usize) -> Result<ImagePlan, DecodeLayerError> {
-        decode_plan(bytes, &BITPLANE_MAGIC, Streams::planes, min_blocks)
     }
 
     fn encoded_bytes(&self, layer: &EncodedLayer) -> usize {
@@ -326,20 +338,10 @@ impl WeightCodec for BitPlane {
 /// Returns [`DecodeLayerError::BadMagic`] when no codec claims the
 /// image, or that codec's decode error otherwise.
 pub fn decode_any(bytes: &[u8]) -> Result<EncodedLayer, DecodeLayerError> {
-    match bytes.get(..4) {
-        Some(m) if m == MAGIC => CscNibble.decode(bytes),
-        Some(m) if m == HUFFMAN_MAGIC => HuffmanPacked.decode(bytes),
-        Some(m) if m == BITPLANE_MAGIC => BitPlane.decode(bytes),
-        _ => Err(DecodeLayerError::BadMagic),
-    }
-}
-
-/// The per-PE structural fields the compressed codecs store raw,
-/// borrowed in place.
-struct PeShape<'a> {
-    local_rows: usize,
-    n_entries: usize,
-    col_ptr: &'a [[u8; 4]],
+    let kind = WeightCodecKind::ALL
+        .into_iter()
+        .find(|kind| bytes.starts_with(kind.magic()));
+    open(bytes, kind.ok_or(DecodeLayerError::BadMagic)?)?.decode()
 }
 
 /// Symbol counts of the pooled `code` and `zrun` streams: everything
@@ -372,15 +374,15 @@ fn plane_mask(freq: &Histogram) -> u8 {
         .fold(0, |mask, s| mask | s)
 }
 
-/// Bytes of the shared header plus the raw per-PE shape block that
-/// [`write_pe_shapes`] emits.
+/// Bytes of the shared header plus the raw per-PE heads that
+/// [`write_heads`] emits.
 fn shaped_header_bytes(layer: &EncodedLayer) -> usize {
-    let shapes: usize = layer
+    let heads: usize = layer
         .slices()
         .iter()
         .map(|s| 8 + 4 * s.col_ptr().len())
         .sum();
-    layer_header_bytes(layer) + shapes
+    layer_header_bytes(layer) + heads
 }
 
 /// Concatenates every PE's entry stream (in PE order) into separate
@@ -398,50 +400,158 @@ fn pooled_streams(layer: &EncodedLayer) -> (Vec<u8>, Vec<u8>) {
     (codes, zruns)
 }
 
-fn write_pe_shapes(layer: &EncodedLayer, out: &mut Vec<u8>) {
+/// Writes the shared header under `kind`'s magic and every PE's head —
+/// in the `EIE1` layout each followed by its entries, what [`open`]
+/// reads back.
+fn write_heads(layer: &EncodedLayer, kind: WeightCodecKind, out: &mut Vec<u8>) {
+    write_layer_header(layer, kind.magic(), out);
     for slice in layer.slices() {
         out.extend_from_slice(&(slice.local_rows() as u32).to_le_bytes());
         out.extend_from_slice(&(slice.num_entries() as u32).to_le_bytes());
         for &p in slice.col_ptr() {
             out.extend_from_slice(&p.to_le_bytes());
         }
+        if kind == WeightCodecKind::CscNibble {
+            for e in slice.entries() {
+                out.extend_from_slice(&[e.code, e.zrun]);
+            }
+        }
     }
 }
 
-/// Reads the per-PE shape block and cross-checks it against the header
-/// (row partition must cover the layer; the entry total cannot exceed
-/// the matrix), so corrupt counts fail here instead of driving huge
-/// allocations downstream.
-fn read_pe_shapes<'a>(
-    r: &mut ByteCursor<'a>,
-    h: &LayerHeader,
-) -> Result<Vec<PeShape<'a>>, DecodeLayerError> {
-    let mut shapes = Vec::with_capacity(h.num_pes.min(r.remaining() / 8 + 1));
-    let mut total_local = 0usize;
-    let mut total_entries = 0u64;
-    for _ in 0..h.num_pes {
+/// One PE's head, its pointers — and, in the `EIE1` layout, its
+/// entries — borrowed in place.
+struct Head<'a> {
+    local_rows: usize,
+    col_ptr: &'a [[u8; 4]],
+    n_entries: usize,
+    /// The entries when they follow the head; empty otherwise.
+    entries: &'a [[u8; 2]],
+}
+
+/// A layer image opened by [`open`] for its one walk.
+struct Image<'a> {
+    header: LayerHeader,
+    heads: Vec<Head<'a>>,
+    /// The pooled streams of a compressed image; `None` when the
+    /// entries are in place.
+    streams: Option<Streams<'a>>,
+}
+
+/// The one reader of every codec's layer image: reads and validates the
+/// shared header, every PE's head — the local row counts must cover the
+/// layer — and takes the entries, in place (`EIE1`, right after each
+/// head) or as the opened streams. Every count is checked against the
+/// bytes present before anything is reserved for it: a coded image's
+/// entry total, not yet backed by bytes, must also fit the matrix.
+fn open(bytes: &[u8], kind: WeightCodecKind) -> Result<Image<'_>, DecodeLayerError> {
+    let mut r = ByteCursor::new(bytes, "magic");
+    let header = read_layer_header(&mut r, kind.magic())?;
+    let in_place = kind == WeightCodecKind::CscNibble;
+    // Every PE costs at least its 8-byte head, which bounds the
+    // reservation by the input length whatever `num_pes` claims.
+    let mut heads = Vec::with_capacity(header.num_pes.min(r.remaining() / 8 + 1));
+    let (mut total_local, mut total) = (0usize, 0usize);
+    for _ in 0..header.num_pes {
         r.enter("pe header");
         let local_rows = r.u32()? as usize;
-        total_local += local_rows;
         let n_entries = r.u32()? as usize;
-        total_entries += n_entries as u64;
         r.enter("col_ptr");
-        let col_ptr = r.records(h.cols + 1)?;
-        shapes.push(PeShape {
+        let col_ptr = r.records(header.cols + 1)?;
+        let entries = if in_place {
+            r.enter("entries");
+            r.records(n_entries)?
+        } else {
+            &[]
+        };
+        (total_local, total) = (total_local + local_rows, total + n_entries);
+        heads.push(Head {
             local_rows,
-            n_entries,
             col_ptr,
+            n_entries,
+            entries,
         });
     }
-    if total_local != h.rows {
+    if total_local != header.rows {
         return Err(DecodeLayerError::BadHeader {
             field: "local_rows",
         });
     }
-    if total_entries > h.rows as u64 * h.cols as u64 {
-        return Err(DecodeLayerError::BadHeader { field: "n_entries" });
+    let streams = match kind {
+        WeightCodecKind::CscNibble => None,
+        _ if total as u64 > header.rows as u64 * header.cols as u64 => {
+            return Err(DecodeLayerError::BadHeader { field: "n_entries" });
+        }
+        WeightCodecKind::HuffmanPacked => Some(Streams::huffman(&mut r, total)?),
+        WeightCodecKind::BitPlane => Some(Streams::planes(&mut r, total)?),
+    };
+    Ok(Image {
+        header,
+        heads,
+        streams,
+    })
+}
+
+impl<'a> Image<'a> {
+    /// Hands every slice's head and `(code, zrun)` pairs to `sink`, in PE
+    /// order: in place, or decoded into one reused buffer. Once the sink
+    /// refuses a slice it is called no more, but the streams are still
+    /// decoded to their end, so a stream error anywhere is reported
+    /// before the sink's.
+    fn walk(
+        &mut self,
+        mut sink: impl FnMut(usize, &Head<'a>, &[[u8; 2]]) -> Result<(), ValidateLayerError>,
+    ) -> Result<(), DecodeLayerError> {
+        let (mut pairs, mut refused) = (Vec::new(), None);
+        for (pe, head) in self.heads.iter().enumerate() {
+            let slice = match &mut self.streams {
+                None => head.entries,
+                Some(streams) => {
+                    pairs.clear();
+                    pairs.resize(head.n_entries, [0u8; 2]);
+                    streams.slice(&mut pairs)?;
+                    &pairs[..]
+                }
+            };
+            if refused.is_none() {
+                refused = sink(pe, head, slice).err();
+            }
+        }
+        if let Some(streams) = &mut self.streams {
+            streams.finish()?;
+        }
+        refused.map_or(Ok(()), |e| Err(e.into()))
     }
-    Ok(shapes)
+
+    /// The walk's slices collected into an [`EncodedLayer`], then
+    /// validated.
+    fn decode(mut self) -> Result<EncodedLayer, DecodeLayerError> {
+        let mut slices = Vec::with_capacity(self.heads.len());
+        self.walk(|_, head, pairs| {
+            let entries = pairs.iter().map(|&[code, zrun]| Entry { code, zrun });
+            let col_ptr = head.col_ptr.iter().map(|&p| u32::from_le_bytes(p));
+            let (entries, col_ptr) = (entries.collect(), col_ptr.collect());
+            slices.push(PeSlice::from_raw_parts(entries, col_ptr, head.local_rows));
+            Ok(())
+        })?;
+        let h = self.header;
+        let layer = EncodedLayer::from_raw_parts(h.rows, h.cols, h.index_bits, h.codebook, slices);
+        layer.validate()?;
+        Ok(layer)
+    }
+
+    /// The walk's slices fed to the plan builder, which checks each as
+    /// [`EncodedLayer::validate`] would before scattering it.
+    fn plan(mut self, min_blocks: usize) -> Result<ImagePlan, DecodeLayerError> {
+        let h = &self.header;
+        let heads = self
+            .heads
+            .iter()
+            .map(|s| (s.local_rows, s.col_ptr, s.n_entries));
+        let mut builder = PlanBuilder::new(h.rules(), &h.codebook, min_blocks, heads);
+        self.walk(|pe, head, pairs| builder.push(pe, head.local_rows, head.col_ptr, pairs))?;
+        Ok(self.header.with_plan(builder.finish()))
+    }
 }
 
 /// The pooled `code` and `zrun` streams of a compressed image, opened
@@ -531,83 +641,6 @@ impl Streams<'_> {
             finish_stream(zruns, "zrun stream")?;
         }
         Ok(())
-    }
-}
-
-/// How a compressed codec opens its streams after the shape block.
-type OpenStreams = for<'a> fn(&mut ByteCursor<'a>, usize) -> Result<Streams<'a>, DecodeLayerError>;
-
-/// Reads a compressed image's header and shape block and opens its
-/// streams.
-fn open<'a>(
-    bytes: &'a [u8],
-    magic: &[u8; 4],
-    streams: OpenStreams,
-) -> Result<(LayerHeader, Vec<PeShape<'a>>, Streams<'a>), DecodeLayerError> {
-    let mut r = ByteCursor::new(bytes, "magic");
-    let h = read_layer_header(&mut r, magic)?;
-    let shapes = read_pe_shapes(&mut r, &h)?;
-    let total = shapes.iter().map(|s| s.n_entries).sum();
-    let streams = streams(&mut r, total)?;
-    Ok((h, shapes, streams))
-}
-
-/// A compressed image decoded slice by slice into an [`EncodedLayer`],
-/// then validated.
-fn decode_layer(
-    bytes: &[u8],
-    magic: &[u8; 4],
-    streams: OpenStreams,
-) -> Result<EncodedLayer, DecodeLayerError> {
-    let (h, shapes, mut streams) = open(bytes, magic, streams)?;
-    let mut slices = Vec::with_capacity(shapes.len());
-    for shape in &shapes {
-        let mut pairs = vec![[0u8; 2]; shape.n_entries];
-        streams.slice(&mut pairs)?;
-        let entries = pairs.iter().map(|&[code, zrun]| Entry { code, zrun });
-        let col_ptr = shape.col_ptr.iter().map(|&p| u32::from_le_bytes(p));
-        slices.push(PeSlice::from_raw_parts(
-            entries.collect(),
-            col_ptr.collect(),
-            shape.local_rows,
-        ));
-    }
-    streams.finish()?;
-    let layer = EncodedLayer::from_raw_parts(h.rows, h.cols, h.index_bits, h.codebook, slices);
-    layer.validate()?;
-    Ok(layer)
-}
-
-/// A compressed image decoded slice by slice into one reused buffer and
-/// fed to the plan builder. A slice that fails its checks ends the
-/// scatter but not the decode: a stream error anywhere is reported
-/// first, as [`decode_layer`]'s decode-then-validate order reports it.
-fn decode_plan(
-    bytes: &[u8],
-    magic: &[u8; 4],
-    streams: OpenStreams,
-    min_blocks: usize,
-) -> Result<ImagePlan, DecodeLayerError> {
-    let (h, shapes, mut streams) = open(bytes, magic, streams)?;
-    let heads = shapes
-        .iter()
-        .map(|s| (s.local_rows, s.col_ptr, s.n_entries));
-    let mut builder = PlanBuilder::new(h.rules(), &h.codebook, min_blocks, heads);
-    let (mut pairs, mut invalid) = (Vec::new(), None);
-    for (pe, shape) in shapes.iter().enumerate() {
-        pairs.clear();
-        pairs.resize(shape.n_entries, [0u8; 2]);
-        streams.slice(&mut pairs)?;
-        if invalid.is_none() {
-            invalid = builder
-                .push(pe, shape.local_rows, shape.col_ptr, &pairs)
-                .err();
-        }
-    }
-    streams.finish()?;
-    match invalid {
-        Some(e) => Err(e.into()),
-        None => Ok(h.with_plan(builder.finish())),
     }
 }
 
@@ -1179,13 +1212,6 @@ mod tests {
     }
 
     #[test]
-    fn csc_nibble_matches_legacy_image_exactly() {
-        let layer = sample(4, 5);
-        assert_eq!(CscNibble.encode(&layer), layer.to_bytes());
-        assert_eq!(CscNibble.encoded_bytes(&layer), layer.image_bytes());
-    }
-
-    #[test]
     fn every_codec_roundtrips_and_plans_identically() {
         for layer in [
             sample(4, 5),
@@ -1362,55 +1388,6 @@ mod tests {
     }
 
     #[test]
-    fn estimator_agrees_with_real_huffman_stream() {
-        // Satellite: `stats::huffman_bits` (per-slice, joint 16-bit
-        // symbols) must bound the real pooled separate-stream payload
-        // from below, and the real payload must stay within the
-        // separate-coding slack (≤ 2 extra bits per entry).
-        for (rows, cols, density, pes, seed) in [
-            (96usize, 64usize, 0.12, 4usize, 9u64),
-            (128, 96, 0.09, 8, 13),
-            (48, 32, 0.25, 2, 5),
-        ] {
-            let m = random_sparse(rows, cols, density, seed);
-            let layer = compress(&m, CompressConfig::with_pes(pes));
-            let estimate: usize = layer
-                .slices()
-                .iter()
-                .map(|s| crate::stats::huffman_bits(cols, s))
-                .sum();
-
-            // Parse the stream bit lengths out of the real image.
-            let bytes = HuffmanPacked.encode(&layer);
-            let mut pos = layer_header_bytes(&layer);
-            for s in layer.slices() {
-                pos += 8 + 4 * s.col_ptr().len();
-            }
-            for _ in 0..2 {
-                let n = u16::from_le_bytes(bytes[pos..pos + 2].try_into().unwrap()) as usize;
-                pos += 2 + 2 * n;
-            }
-            let mut actual_bits = 0usize;
-            for _ in 0..2 {
-                let bits = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-                actual_bits += bits;
-                pos += 4 + bits.div_ceil(8);
-            }
-            assert_eq!(pos, bytes.len(), "stream walk disagrees with image");
-
-            let total = layer.total_entries();
-            assert!(
-                estimate <= actual_bits,
-                "estimate {estimate} bits exceeds actual {actual_bits}"
-            );
-            assert!(
-                actual_bits <= estimate + 2 * total + 64,
-                "actual {actual_bits} bits far above estimate {estimate} (total {total})"
-            );
-        }
-    }
-
-    #[test]
     fn empty_pe_slices_roundtrip() {
         let layer = empty_slices_sample();
         for kind in WeightCodecKind::ALL {
@@ -1421,9 +1398,13 @@ mod tests {
     }
 
     /// `decode_plan` of `image` at cuts 1–3 is `decode`'s layer planned
-    /// by `build_with_blocks`, or `decode`'s very error.
+    /// by `build_with_blocks`, or `decode`'s very error; and `decode_any`
+    /// of an image under the codec's own magic is `decode`'s result.
     fn assert_plan_matches_decode(kind: WeightCodecKind, image: &[u8], what: &str) {
         let want = kind.codec().decode(image);
+        if image.starts_with(kind.magic()) {
+            assert_eq!(decode_any(image), want, "{what}: decode_any");
+        }
         for cut in 1..=3 {
             match (&want, kind.codec().decode_plan(image, cut)) {
                 (Ok(layer), Ok(got)) => {

@@ -202,7 +202,7 @@ pub struct PeSlice {
 }
 
 impl PeSlice {
-    /// Crate-internal constructor for deserialization (`serialize.rs`).
+    /// Crate-internal constructor for the layer-image reader (`codec.rs`).
     pub(crate) fn from_raw_parts(
         entries: Vec<Entry>,
         col_ptr: Vec<u32>,
@@ -288,7 +288,7 @@ pub struct EncodedLayer {
 }
 
 impl EncodedLayer {
-    /// Crate-internal constructor for deserialization (`serialize.rs`).
+    /// Crate-internal constructor for the layer-image reader (`codec.rs`).
     pub(crate) fn from_raw_parts(
         rows: usize,
         cols: usize,

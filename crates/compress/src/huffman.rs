@@ -452,8 +452,6 @@ impl BitVec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compress, CompressConfig};
-    use eie_nn::zoo::random_sparse;
     use std::collections::HashMap;
 
     /// The decoder and encoder this module used to ship, kept verbatim
@@ -824,33 +822,6 @@ mod tests {
                 .unwrap(),
             data
         );
-    }
-
-    #[test]
-    fn matches_stats_estimator_on_real_layer() {
-        // The EncodingStats Huffman estimate must equal the real codec's
-        // payload (both are optimal prefix codes over the same symbols).
-        let m = random_sparse(96, 64, 0.12, 9);
-        let enc = compress(&m, CompressConfig::with_pes(4));
-        let stats = enc.stats();
-
-        let mut actual_bits = 0usize;
-        for slice in enc.slices() {
-            let stream: Vec<u8> = slice.entries().iter().map(|e| e.packed()).collect();
-            if stream.is_empty() {
-                continue;
-            }
-            let code = HuffmanCode::fit(&stream);
-            let bits = code.encode(&stream);
-            // Verify losslessness while we're here.
-            assert_eq!(
-                code.decode(bits.as_bytes(), bits.len(), stream.len())
-                    .unwrap(),
-                stream
-            );
-            actual_bits += bits.len();
-        }
-        assert_eq!(stats.huffman_spmat_bytes, actual_bits.div_ceil(8));
     }
 
     #[test]

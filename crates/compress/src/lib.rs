@@ -65,7 +65,7 @@ mod stats;
 
 pub use codebook::{Codebook, CODEBOOK_SIZE, WEIGHT_BITS};
 pub use codec::{
-    decode_any, BitPlane, CscNibble, HuffmanPacked, ImagePlan, WeightCodec, WeightCodecKind,
+    decode_any, BitPlane, CscNibble, HuffmanPacked, ImagePlan, WeightCodec, WeightCodecKind, MAGIC,
 };
 pub use cursor::{ByteCursor, Truncated};
 pub use encode::{
@@ -75,8 +75,8 @@ pub use encode::{
 pub use kmeans::kmeans1d;
 pub use pipeline::{CodebookStrategy, CompilePipeline};
 pub use plan::{LayerPlan, PlanBlock, PlanEntry, BLOCK_ACCUMULATORS, LANE_WIDTH};
-pub use serialize::{DecodeLayerError, MAGIC};
-pub use stats::{huffman_bits, EncodingStats};
+pub use serialize::DecodeLayerError;
+pub use stats::EncodingStats;
 
 // Re-exported so downstream crates don't need a direct eie-nn dependency
 // for the common case.

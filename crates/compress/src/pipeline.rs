@@ -212,8 +212,8 @@ impl CompilePipeline {
     }
 
     /// Pack stage: the layer's binary image under the configured codec
-    /// (for the default [`WeightCodecKind::CscNibble`] this is exactly
-    /// [`EncodedLayer::to_bytes`]).
+    /// (for the default [`WeightCodecKind::CscNibble`] this is the
+    /// `EIE1` SRAM image, [`CscNibble`](crate::CscNibble)).
     pub fn pack(&self, layer: &EncodedLayer) -> Vec<u8> {
         self.codec.codec().encode(layer)
     }
@@ -232,7 +232,7 @@ impl CompilePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compress;
+    use crate::{compress, CscNibble, WeightCodec};
     use eie_nn::zoo::random_sparse;
 
     #[test]
@@ -308,7 +308,7 @@ mod tests {
         let w = random_sparse(16, 8, 0.5, 7);
         let pipeline = CompilePipeline::new(CompressConfig::with_pes(2));
         let layer = pipeline.compile_matrix(&w);
-        assert_eq!(pipeline.pack(&layer), layer.to_bytes());
+        assert_eq!(pipeline.pack(&layer), CscNibble.encode(&layer));
     }
 
     #[test]

@@ -60,17 +60,6 @@ pub fn prune_to_density(m: &Matrix, density: f64) -> CsrMatrix {
     prune_threshold(m, threshold.max(f32::MIN_POSITIVE))
 }
 
-/// The fraction of weights surviving a given threshold (useful to pick
-/// thresholds before committing to a prune).
-pub fn survival_rate(m: &Matrix, threshold: f32) -> f64 {
-    let surviving = m
-        .as_slice()
-        .iter()
-        .filter(|v| v.abs() >= threshold && **v != 0.0)
-        .count();
-    surviving as f64 / (m.rows() * m.cols()) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,16 +114,6 @@ mod tests {
         m.set(1, 1, 0.0);
         let s = prune_to_density(&m, 1.0);
         assert_eq!(s.nnz(), 8);
-    }
-
-    #[test]
-    fn survival_rate_is_monotone_in_threshold() {
-        let m = ramp(8, 8);
-        let r1 = survival_rate(&m, 1.0);
-        let r2 = survival_rate(&m, 30.0);
-        assert!(r1 > r2);
-        assert_eq!(survival_rate(&m, 0.0), 1.0);
-        assert_eq!(survival_rate(&m, 1e9), 0.0);
     }
 
     #[test]

@@ -1,39 +1,30 @@
-//! Binary images of compressed layers: the accelerator's I/O-mode
-//! payload.
+//! What every layer image shares, whichever codec wrote it: the header
+//! (magic, index width, codebook, dims) and the one decode error.
 //!
-//! In I/O mode (§IV, "Central Control Unit") a DMA engine loads each PE's
-//! weights, indices and pointers into its SRAMs. This module defines that
-//! image: a deterministic little-endian layout with a magic/version
-//! header, produced by [`EncodedLayer::to_bytes`] and consumed by
-//! [`EncodedLayer::from_bytes`], which **validates every structural
-//! invariant** before returning a layer (untrusted bytes never reach the
-//! simulator unchecked).
-//!
-//! Layout (all integers little-endian):
+//! Header layout (all integers little-endian), the start of every image:
 //!
 //! ```text
-//! magic "EIE1" | index_bits u8 | codebook_len u8 | pad u16
+//! magic u8 × 4 | index_bits u8 | codebook_len u8 | pad u16
 //! rows u32 | cols u32 | num_pes u32
 //! codebook f32 × codebook_len
-//! per PE: local_rows u32 | n_entries u32 | col_ptr u32 × (cols+1)
-//!         | entries (code u8, zrun u8) × n_entries
 //! ```
+//!
+//! The per-codec layouts follow it ([`crate::codec`]); the one reader
+//! of all of them **validates every structural invariant** before
+//! returning a layer (untrusted bytes never reach the simulator
+//! unchecked).
 
 use std::error::Error;
 use std::fmt;
 
 use crate::cursor::{ByteCursor, Truncated};
 use crate::encode::{SliceRules, ValidateLayerError};
-use crate::plan::PlanBuilder;
-use crate::{Codebook, EncodedLayer, Entry, ImagePlan, LayerPlan, PeSlice};
-
-/// Magic bytes heading every layer image.
-pub const MAGIC: [u8; 4] = *b"EIE1";
+use crate::{Codebook, EncodedLayer, ImagePlan, LayerPlan};
 
 /// Failure to decode a layer image.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeLayerError {
-    /// The image does not start with [`MAGIC`].
+    /// The image does not start with its codec's magic.
     BadMagic,
     /// The image ended before the declared payload.
     Truncated {
@@ -208,130 +199,13 @@ pub(crate) fn read_layer_header(
     })
 }
 
-impl EncodedLayer {
-    /// Exact byte length of [`EncodedLayer::to_bytes`]' image, computed
-    /// from the layout arithmetic without serializing — the unit a
-    /// serving registry charges against its residency budget.
-    pub fn image_bytes(&self) -> usize {
-        // magic (4) + index_bits/codebook_len/pad (4) + dims (12).
-        let header = 20;
-        let codebook = 4 * self.codebook().len();
-        let slices: usize = self
-            .slices()
-            .iter()
-            .map(|s| 8 + 4 * (self.cols() + 1) + 2 * s.num_entries())
-            .sum();
-        header + codebook + slices
-    }
-
-    /// Serializes the layer into its I/O-mode binary image.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.total_entries() * 2);
-        write_layer_header(self, &MAGIC, &mut out);
-        for slice in self.slices() {
-            out.extend_from_slice(&(slice.local_rows() as u32).to_le_bytes());
-            out.extend_from_slice(&(slice.num_entries() as u32).to_le_bytes());
-            for &p in slice.col_ptr() {
-                out.extend_from_slice(&p.to_le_bytes());
-            }
-            for e in slice.entries() {
-                out.push(e.code);
-                out.push(e.zrun);
-            }
-        }
-        out
-    }
-
-    /// Deserializes and **validates** a layer image.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeLayerError`] on malformed bytes or any encoding
-    /// invariant violation.
-    pub fn from_bytes(bytes: &[u8]) -> Result<EncodedLayer, DecodeLayerError> {
-        let mut r = ByteCursor::new(bytes, "magic");
-        let h = read_layer_header(&mut r, &MAGIC)?;
-        let slices = read_slices(&mut r, &h)?
-            .into_iter()
-            .map(|s| {
-                let entries = s.entries.iter().map(|&[code, zrun]| Entry { code, zrun });
-                let col_ptr = s.col_ptr.iter().map(|&p| u32::from_le_bytes(p));
-                PeSlice::from_raw_parts(entries.collect(), col_ptr.collect(), s.local_rows)
-            })
-            .collect();
-        let layer = EncodedLayer::from_raw_parts(h.rows, h.cols, h.index_bits, h.codebook, slices);
-        layer.validate()?;
-        Ok(layer)
-    }
-}
-
-/// One PE slice of an `EIE1` image, borrowed in place.
-struct RawSlice<'a> {
-    local_rows: usize,
-    col_ptr: &'a [[u8; 4]],
-    entries: &'a [[u8; 2]],
-}
-
-/// Walks the per-PE sections of an `EIE1` image, borrowing each slice's
-/// pointers and entries in place: every count is checked against the
-/// bytes present before anything is reserved, and the local row counts
-/// must cover the layer.
-fn read_slices<'a>(
-    r: &mut ByteCursor<'a>,
-    h: &LayerHeader,
-) -> Result<Vec<RawSlice<'a>>, DecodeLayerError> {
-    // Every PE costs at least its 8-byte header, which bounds the
-    // reservation by the input length whatever `num_pes` claims.
-    let mut slices = Vec::with_capacity(h.num_pes.min(r.remaining() / 8 + 1));
-    let mut total_local = 0usize;
-    for _ in 0..h.num_pes {
-        r.enter("pe header");
-        let local_rows = r.u32()? as usize;
-        total_local += local_rows;
-        let n_entries = r.u32()? as usize;
-        r.enter("col_ptr");
-        let col_ptr = r.records(h.cols + 1)?;
-        r.enter("entries");
-        let entries = r.records(n_entries)?;
-        slices.push(RawSlice {
-            local_rows,
-            col_ptr,
-            entries,
-        });
-    }
-    if total_local != h.rows {
-        return Err(DecodeLayerError::BadHeader {
-            field: "local_rows",
-        });
-    }
-    Ok(slices)
-}
-
-/// Decodes an `EIE1` image straight into its plan: the slices' entry
-/// bytes are checked and scattered where they lie, and no
-/// [`EncodedLayer`] is built. Accepts exactly the images
-/// [`EncodedLayer::from_bytes`] accepts, with the same first error.
-pub(crate) fn plan_from_bytes(
-    bytes: &[u8],
-    min_blocks: usize,
-) -> Result<ImagePlan, DecodeLayerError> {
-    let mut r = ByteCursor::new(bytes, "magic");
-    let h = read_layer_header(&mut r, &MAGIC)?;
-    let slices = read_slices(&mut r, &h)?;
-    let heads = slices
-        .iter()
-        .map(|s| (s.local_rows, s.col_ptr, s.entries.len()));
-    let mut builder = PlanBuilder::new(h.rules(), &h.codebook, min_blocks, heads);
-    for (pe, s) in slices.iter().enumerate() {
-        builder.push(pe, s.local_rows, s.col_ptr, s.entries)?;
-    }
-    Ok(h.with_plan(builder.finish()))
-}
-
+// The header checks and the errors, through the `EIE1` image
+// (`CscNibble`), whose layout is nothing but the header and the per-PE
+// heads and entries.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compress, CompressConfig};
+    use crate::{compress, CompressConfig, CscNibble, WeightCodec};
     use eie_nn::zoo::random_sparse;
 
     fn sample() -> EncodedLayer {
@@ -342,15 +216,15 @@ mod tests {
     #[test]
     fn roundtrip_is_identity() {
         let layer = sample();
-        let bytes = layer.to_bytes();
-        let back = EncodedLayer::from_bytes(&bytes).expect("roundtrip");
+        let bytes = CscNibble.encode(&layer);
+        let back = CscNibble.decode(&bytes).expect("roundtrip");
         assert_eq!(back, layer);
     }
 
     #[test]
     fn roundtrip_preserves_semantics() {
         let layer = sample();
-        let back = EncodedLayer::from_bytes(&layer.to_bytes()).unwrap();
+        let back = CscNibble.decode(&CscNibble.encode(&layer)).unwrap();
         let acts: Vec<f32> = (0..32)
             .map(|i| if i % 2 == 0 { 1.0 } else { 0.0 })
             .collect();
@@ -359,20 +233,17 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let mut bytes = sample().to_bytes();
+        let mut bytes = CscNibble.encode(&sample());
         bytes[0] = b'X';
-        assert_eq!(
-            EncodedLayer::from_bytes(&bytes),
-            Err(DecodeLayerError::BadMagic)
-        );
+        assert_eq!(CscNibble.decode(&bytes), Err(DecodeLayerError::BadMagic));
     }
 
     #[test]
     fn rejects_truncation_anywhere() {
-        let bytes = sample().to_bytes();
+        let bytes = CscNibble.encode(&sample());
         // Every strict prefix must fail cleanly (never panic).
         for cut in [4usize, 8, 16, 40, bytes.len() / 2, bytes.len() - 1] {
-            let r = EncodedLayer::from_bytes(&bytes[..cut]);
+            let r = CscNibble.decode(&bytes[..cut]);
             assert!(r.is_err(), "prefix of {cut} bytes decoded successfully");
         }
     }
@@ -380,7 +251,7 @@ mod tests {
     #[test]
     fn truncation_names_the_section_at_every_boundary() {
         let layer = sample();
-        let bytes = layer.to_bytes();
+        let bytes = CscNibble.encode(&layer);
         // Walk the layout, computing each section's byte range, and
         // require that a cut inside each section is attributed to it.
         // magic 0..4 | header 4..20 | codebook .. | per PE:
@@ -405,7 +276,7 @@ mod tests {
         }
         assert_eq!(pos, bytes.len(), "layout walk disagrees with image size");
         for (cut, want) in expectations {
-            match EncodedLayer::from_bytes(&bytes[..cut]) {
+            match CscNibble.decode(&bytes[..cut]) {
                 Err(DecodeLayerError::Truncated { offset, section }) => {
                     assert_eq!(section, want, "cut at byte {cut}");
                     assert!(offset <= cut, "offset {offset} past the cut {cut}");
@@ -418,12 +289,12 @@ mod tests {
     #[test]
     fn rejects_corrupted_entry_fields() {
         let layer = sample();
-        let bytes = layer.to_bytes();
+        let bytes = CscNibble.encode(&layer);
         // Corrupt the very last entry's zrun (layout puts entries last).
         let mut corrupt = bytes.clone();
         let n = corrupt.len();
         corrupt[n - 1] = 0xFF;
-        let err = EncodedLayer::from_bytes(&corrupt).unwrap_err();
+        let err = CscNibble.decode(&corrupt).unwrap_err();
         assert!(
             matches!(err, DecodeLayerError::Invalid(_)),
             "expected invalid-content error, got {err:?}"
@@ -433,11 +304,11 @@ mod tests {
     #[test]
     fn rejects_zero_codebook_entry_zero_violation() {
         let layer = sample();
-        let mut bytes = layer.to_bytes();
+        let mut bytes = CscNibble.encode(&layer);
         // Codebook starts at offset 20; entry 0 must be exactly 0.0.
         bytes[20..24].copy_from_slice(&1.0f32.to_le_bytes());
         assert_eq!(
-            EncodedLayer::from_bytes(&bytes),
+            CscNibble.decode(&bytes),
             Err(DecodeLayerError::BadHeader { field: "codebook" })
         );
     }
@@ -456,8 +327,8 @@ mod tests {
             let m = random_sparse(rows, cols, density, rows as u64);
             let layer = compress(&m, CompressConfig::with_pes(pes));
             assert_eq!(
-                layer.image_bytes(),
-                layer.to_bytes().len(),
+                CscNibble.encoded_bytes(&layer),
+                CscNibble.encode(&layer).len(),
                 "{rows}×{cols} @ {pes} PEs"
             );
         }
@@ -466,7 +337,7 @@ mod tests {
     #[test]
     fn image_size_is_compact() {
         let layer = sample();
-        let bytes = layer.to_bytes();
+        let bytes = CscNibble.encode(&layer);
         // Must stay within ~3x of the ideal entry payload (pointers and
         // header dominate at this small size).
         let ideal = layer.total_entries() * 2;

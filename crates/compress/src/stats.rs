@@ -1,10 +1,11 @@
 //! Encoding statistics: padding overhead, storage footprint, load spread.
 //!
 //! These statistics drive the paper's Fig. 12 (real work / total work vs.
-//! PE count) and the compression-ratio accounting of §I/§VIII; the Huffman
-//! estimate models Deep Compression's final (storage-only) coding stage.
+//! PE count) and the compression-ratio accounting of §I/§VIII. What Deep
+//! Compression's final Huffman stage would store is the
+//! `huffman-packed` codec's exact length
+//! ([`WeightCodec::encoded_bytes`](crate::WeightCodec::encoded_bytes)).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::{EncodedLayer, PeSlice};
@@ -32,9 +33,6 @@ pub struct EncodingStats {
     pub codebook_bytes: usize,
     /// The uncompressed dense layer footprint (f32).
     pub dense_bytes: usize,
-    /// Estimated storage with Huffman-coded entries (Deep Compression's
-    /// final stage; storage-only, never touched by the datapath).
-    pub huffman_spmat_bytes: usize,
 }
 
 impl EncodingStats {
@@ -44,11 +42,6 @@ impl EncodingStats {
         let total: usize = entries_per_pe.iter().sum();
         let padding: usize = layer.slices().iter().map(PeSlice::padding_entries).sum();
         let entry_bits = (crate::WEIGHT_BITS + layer.index_bits()) as usize;
-        let huffman_total_bits: usize = layer
-            .slices()
-            .iter()
-            .map(|s| huffman_bits(s.col_ptr().len(), s))
-            .sum();
         Self {
             rows: layer.rows(),
             cols: layer.cols(),
@@ -60,7 +53,6 @@ impl EncodingStats {
             ptr_bytes: layer.num_pes() * (layer.cols() + 1) * 2,
             codebook_bytes: crate::CODEBOOK_SIZE * 2,
             dense_bytes: layer.rows() * layer.cols() * 4,
-            huffman_spmat_bytes: huffman_total_bits.div_ceil(8),
         }
     }
 
@@ -87,18 +79,6 @@ impl EncodingStats {
     pub fn compression_ratio(&self) -> f64 {
         self.dense_bytes as f64 / self.compressed_bytes() as f64
     }
-
-    /// Static load imbalance: max PE entries over mean PE entries
-    /// (1.0 = perfectly balanced).
-    pub fn static_imbalance(&self) -> f64 {
-        let max = *self.entries_per_pe.iter().max().unwrap_or(&0);
-        let mean = self.total_entries() as f64 / self.num_pes as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max as f64 / mean
-        }
-    }
 }
 
 impl fmt::Display for EncodingStats {
@@ -114,48 +94,6 @@ impl fmt::Display for EncodingStats {
             self.compression_ratio()
         )
     }
-}
-
-/// Estimated Huffman-coded size, in bits, of a slice's entry stream.
-///
-/// Builds the optimal prefix code over the observed `(v, z)` byte symbols
-/// (Deep Compression Huffman-codes weights and indices for storage). The
-/// `cols` argument is unused except to keep the signature future-proof for
-/// per-column coding experiments.
-pub fn huffman_bits(_cols: usize, slice: &PeSlice) -> usize {
-    // Symbols are (zrun, code) pairs; 16 bits covers index widths > 4.
-    let mut freq: HashMap<u16, usize> = HashMap::new();
-    let mut total = 0usize;
-    for j in 0..slice.col_ptr().len() - 1 {
-        for e in slice.col_entries(j) {
-            let sym = ((e.zrun as u16) << 8) | e.code as u16;
-            *freq.entry(sym).or_insert(0) += 1;
-            total += 1;
-        }
-    }
-    if total == 0 {
-        return 0;
-    }
-    if freq.len() == 1 {
-        return total; // one symbol still costs ≥1 bit each
-    }
-    // Huffman code lengths via the standard two-queue merge.
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(usize, Vec<u16>)>> = freq
-        .iter()
-        .map(|(&sym, &count)| std::cmp::Reverse((count, vec![sym])))
-        .collect();
-    let mut depth: HashMap<u16, usize> = freq.keys().map(|&s| (s, 0)).collect();
-    while heap.len() > 1 {
-        let std::cmp::Reverse((c1, s1)) = heap.pop().unwrap();
-        let std::cmp::Reverse((c2, s2)) = heap.pop().unwrap();
-        let mut merged = s1;
-        merged.extend_from_slice(&s2);
-        for s in &merged {
-            *depth.get_mut(s).unwrap() += 1;
-        }
-        heap.push(std::cmp::Reverse((c1 + c2, merged)));
-    }
-    freq.iter().map(|(sym, count)| count * depth[sym]).sum()
 }
 
 #[cfg(test)]
@@ -211,23 +149,6 @@ mod tests {
             ratio(16)
         );
         assert!(ratio(16) <= ratio(64) + 1e-9);
-    }
-
-    #[test]
-    fn huffman_never_exceeds_fixed_width() {
-        let m = random_sparse(128, 64, 0.15, 2);
-        let enc = compress(&m, CompressConfig::with_pes(4));
-        let stats = enc.stats();
-        // Huffman ≤ 8 bits/entry on average (optimal prefix code).
-        assert!(stats.huffman_spmat_bytes <= stats.spmat_bytes);
-        assert!(stats.huffman_spmat_bytes > 0);
-    }
-
-    #[test]
-    fn static_imbalance_at_least_one() {
-        let m = random_sparse(100, 100, 0.1, 8);
-        let enc = compress(&m, CompressConfig::with_pes(8));
-        assert!(enc.stats().static_imbalance() >= 1.0);
     }
 
     #[test]

@@ -142,12 +142,4 @@ proptest! {
         prop_assert_eq!(enc.decode().nnz(), m.nnz());
     }
 
-    /// Huffman estimate never exceeds the fixed-width encoding.
-    #[test]
-    fn huffman_no_worse_than_fixed((m, pes) in arb_case()) {
-        prop_assume!(m.nnz() > 0);
-        let enc = compress(&m, CompressConfig::with_pes(pes));
-        let stats = enc.stats();
-        prop_assert!(stats.huffman_spmat_bytes <= stats.spmat_bytes);
-    }
 }

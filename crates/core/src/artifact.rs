@@ -22,7 +22,7 @@
 //!           | pad u8 × 3
 //!   topology: name_len u16 | name (UTF-8) | num_layers u32
 //!   per layer (version 1): image_len u32 | layer image (the "EIE1"
-//!              format of `EncodedLayer::to_bytes`, embedding its
+//!              format of `CscNibble::encode`, embedding its
 //!              codebook — the `csc-nibble` codec)
 //!   per layer (version 2): codec_id u8 | image_len u32 | layer image
 //!              (that codec's stream — see `eie_compress::codec`)

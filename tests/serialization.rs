@@ -1,7 +1,7 @@
 //! Layer-image serialization through the public API: the I/O-mode path
 //! (DMA payload → validate → simulate).
 
-use eie::compress::{DecodeLayerError, EncodedLayer};
+use eie::compress::{CscNibble, DecodeLayerError, EncodedLayer, WeightCodec};
 use eie::prelude::*;
 
 fn sample_layer() -> (EncodedLayer, Vec<f32>) {
@@ -14,8 +14,8 @@ fn sample_layer() -> (EncodedLayer, Vec<f32>) {
 #[test]
 fn serialized_layer_simulates_identically() {
     let (enc, acts) = sample_layer();
-    let bytes = enc.to_bytes();
-    let loaded = EncodedLayer::from_bytes(&bytes).expect("valid image");
+    let bytes = CscNibble.encode(&enc);
+    let loaded = CscNibble.decode(&bytes).expect("valid image");
 
     let cfg = SimConfig::default();
     let a = simulate(&enc, &acts, &cfg);
@@ -27,14 +27,14 @@ fn serialized_layer_simulates_identically() {
 #[test]
 fn image_is_deterministic() {
     let (enc, _) = sample_layer();
-    assert_eq!(enc.to_bytes(), enc.to_bytes());
+    assert_eq!(CscNibble.encode(&enc), CscNibble.encode(&enc));
 }
 
 #[test]
 fn image_is_much_smaller_than_dense() {
     let (enc, _) = sample_layer();
     let dense_bytes = enc.rows() * enc.cols() * 4;
-    let image = enc.to_bytes();
+    let image = CscNibble.encode(&enc);
     assert!(
         image.len() * 4 < dense_bytes,
         "image {} vs dense {}",
@@ -48,14 +48,14 @@ fn bitflips_never_panic_and_mostly_get_caught() {
     // Failure injection over the wire format: flip bytes across the image
     // and require a clean Err or a still-valid layer — never a panic.
     let (enc, _) = sample_layer();
-    let bytes = enc.to_bytes();
+    let bytes = CscNibble.encode(&enc);
     let mut caught = 0usize;
     let mut survived = 0usize;
     let stride = (bytes.len() / 97).max(1);
     for pos in (0..bytes.len()).step_by(stride) {
         let mut corrupt = bytes.clone();
         corrupt[pos] ^= 0xA5;
-        match EncodedLayer::from_bytes(&corrupt) {
+        match CscNibble.decode(&corrupt) {
             Err(_) => caught += 1,
             Ok(layer) => {
                 // A flip in codebook values or entry codes can produce a
@@ -76,8 +76,8 @@ fn bitflips_never_panic_and_mostly_get_caught() {
 #[test]
 fn truncation_reports_offset() {
     let (enc, _) = sample_layer();
-    let bytes = enc.to_bytes();
-    match EncodedLayer::from_bytes(&bytes[..bytes.len() / 3]) {
+    let bytes = CscNibble.encode(&enc);
+    match CscNibble.decode(&bytes[..bytes.len() / 3]) {
         Err(DecodeLayerError::Truncated { offset, .. }) => {
             assert!(offset <= bytes.len() / 3);
         }
